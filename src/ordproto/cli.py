@@ -91,6 +91,17 @@ def _write_json(payload: dict, path) -> None:
         raise DatasetIOError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_data_matches(config, dataset) -> None:
+    if dataset.input_dim != config.input_dim:
+        raise BadConfigError(
+            f"config input_dim {config.input_dim} != data input_dim {dataset.input_dim}"
+        )
+    if dataset.n_classes != config.n_classes:
+        raise BadConfigError(
+            f"config classes {config.n_classes} != data classes {dataset.n_classes}"
+        )
+
+
 def _load_artifacts(checkpoint_path, store_path, data_path):
     enc, head, meta = load_checkpoint(checkpoint_path)
     store = load_store(store_path)
@@ -102,6 +113,12 @@ def _load_artifacts(checkpoint_path, store_path, data_path):
     if store.dim != enc.feature_dim:
         raise ArtifactMismatchError(
             f"store dim {store.dim} != checkpoint feature dim {enc.feature_dim}"
+        )
+    n_classes = head.weight.shape[1]
+    if not all(1 <= c <= n_classes for c in store.anchor_classes):
+        raise ArtifactMismatchError(
+            f"store anchor classes {store.anchor_classes} lie outside the "
+            f"checkpoint's classes 1..{n_classes}"
         )
     return enc, head, store, dataset, meta
 
@@ -142,14 +159,7 @@ def cmd_train(args) -> int:
     if args.ablate:
         config = ablation_config(config, args.ablate)
     dataset = load_dataset(args.data)
-    if dataset.input_dim != config.input_dim:
-        raise BadConfigError(
-            f"config input_dim {config.input_dim} != data input_dim {dataset.input_dim}"
-        )
-    if dataset.n_classes != config.n_classes:
-        raise BadConfigError(
-            f"config classes {config.n_classes} != data classes {dataset.n_classes}"
-        )
+    _check_data_matches(config, dataset)
     eval_dataset = load_dataset(args.eval_data) if args.eval_data else None
 
     sweep = run_seeds(config, dataset, eval_dataset)
@@ -210,10 +220,7 @@ def cmd_export_embeddings(args) -> int:
 def cmd_crossval(args) -> int:
     config = load_train_config(args.config)
     dataset = load_dataset(args.data)
-    if dataset.input_dim != config.input_dim:
-        raise BadConfigError(
-            f"config input_dim {config.input_dim} != data input_dim {dataset.input_dim}"
-        )
+    _check_data_matches(config, dataset)
     results = cross_validate(config, dataset, args.k)
     for row in results["folds"]:
         print(

@@ -28,7 +28,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .linalg import NORM_EPS
-from .ranking import BlackboxConfig, blackbox_rank_backward, rank
+from .ranking import BlackboxConfig, rank_backward_rows, rank_rows
 
 # Additive guard in the class-scatter denominator: coincident class means
 # give a huge but finite value instead of a division by zero.
@@ -146,30 +146,31 @@ def _rank_alignment(
     The upstream fed to the rank backward pass is the exact derivative
     2*scale*(rank(value_i) - rank(target_i)); the scale cannot be pulled
     out afterwards because the backward pass is not linear in upstream.
+    Rank gaps are small integers, so the squared sum is exact.
     """
-    total = 0.0
-    grads = np.zeros_like(value_rows)
-    for i in range(value_rows.shape[0]):
-        diff = (rank(value_rows[i]) - rank(target_rows[i])).astype(np.float64)
-        total += float(diff @ diff)
-        upstream = (2.0 * scale) * diff
-        grads[i] = blackbox_rank_backward(value_rows[i], upstream, cfg)
-    return scale * total, grads
+    value_ranks = rank_rows(value_rows)
+    diff = (value_ranks - rank_rows(target_rows)).astype(np.float64)
+    grads = rank_backward_rows(value_rows, value_ranks, (2.0 * scale) * diff, cfg)
+    return scale * float(np.sum(diff * diff)), grads
 
 
-def _cosine_matrix_chain(sim_grads: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Chain dL/dS into dL/dvectors for S[i,j] = cos(v_i, v_j).
+def _cosine_rank_alignment(
+    target_rows: np.ndarray, vectors: np.ndarray, what: str, cfg: BlackboxConfig, scale: float
+) -> tuple[float, np.ndarray]:
+    """Rank alignment of S[i,j] = cos(v_i, v_j) against target_rows.
 
-    Row i of S sees v_i as first argument, column i sees it as second;
-    both routes collapse into W = G + G^T because cos is symmetric.
-    Diagonal entries carry a zero gradient and are masked out.
+    Returns the alignment value and dL/dvectors. Row i of S sees v_i as
+    first argument, column i sees it as second; both routes collapse into
+    W = G + G^T because cos is symmetric. Diagonal entries carry a zero
+    gradient and are masked out.
     """
-    units, norms = _unit_rows(vectors, "vectors")
+    units, norms = _unit_rows(vectors, what)
     cos = units @ units.T
+    value, sim_grads = _rank_alignment(target_rows, cos, cfg, scale)
     w = sim_grads + sim_grads.T
     np.fill_diagonal(w, 0.0)
     row_wc = np.sum(w * cos, axis=1)
-    return (w @ units - row_wc[:, None] * units) / norms[:, None]
+    return value, (w @ units - row_wc[:, None] * units) / norms[:, None]
 
 
 def ins2ins_loss(batch: FeatureBatch, cfg: BlackboxConfig) -> LossBundle:
@@ -179,10 +180,8 @@ def ins2ins_loss(batch: FeatureBatch, cfg: BlackboxConfig) -> LossBundle:
     label distances and S^z the feature cosine matrix.
     """
     s_y = label_similarity(batch.labels)
-    s_z = feature_similarity(batch.features)
-    m = batch.size
-    value, sim_grads = _rank_alignment(s_y, s_z, cfg, scale=1.0 / m)
-    return LossBundle(value, feature_grads=_cosine_matrix_chain(sim_grads, batch.features))
+    value, grads = _cosine_rank_alignment(s_y, batch.features, "features", cfg, 1.0 / batch.size)
+    return LossBundle(value, feature_grads=grads)
 
 
 def ins2cls_loss(batch: FeatureBatch, protos: LocalPrototypes) -> LossBundle:
@@ -237,9 +236,7 @@ def cls2cls_loss(
     spread = d / denom
 
     s_pr = label_similarity(np.arange(1, k + 1))
-    s_mu = feature_similarity(mus)
-    align, sim_grads = _rank_alignment(s_pr, s_mu, cfg, scale=1.0 / k)
-    dmu = _cosine_matrix_chain(sim_grads, mus)
+    align, dmu = _cosine_rank_alignment(s_pr, mus, "class means", cfg, 1.0 / k)
 
     labels0 = batch.labels - 1
     grads = dmu[labels0] / protos.counts[labels0][:, None]

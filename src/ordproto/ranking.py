@@ -8,6 +8,10 @@ brute force. Because ranks are piecewise constant in the input, the
 backward pass re-ranks at an input nudged along the upstream gradient
 and divides the rank movement by the step size; the result is a descent
 direction for any loss expressed on the rank vector.
+
+``rank_rows`` and ``rank_backward_rows`` are the row-batched kernels the
+losses call; they trust their (finite, 2-D) input. ``rank`` and
+``blackbox_rank_backward`` validate one vector and run the same kernels.
 """
 
 from __future__ import annotations
@@ -35,19 +39,22 @@ class BlackboxConfig:
             raise BadConfigError("lambda_interp must be positive")
 
 
-def rank(a) -> np.ndarray:
-    """Descending competition rank with earlier-index tie breaking.
+def rank_rows(a: np.ndarray) -> np.ndarray:
+    """Descending competition rank of every row of a 2-D array.
 
-    rank(a)[i] = 1 + #{j : a[j] > a[i]} + #{j < i : a[j] = a[i]}.
+    rank_rows(a)[r, i] = 1 + #{j : a[r, j] > a[r, i]} + #{j < i : a[r, j] = a[r, i]}.
+    No validation: callers pass finite float rows.
     """
+    # A stable sort of the negated row orders by value descending, then by
+    # index ascending; the position in that order is the definition above.
+    order = np.argsort(-a, axis=1, kind="stable")
+    return np.argsort(order, axis=1, kind="stable") + 1
+
+
+def rank(a) -> np.ndarray:
+    """Descending competition rank of one vector, earlier index winning ties."""
     arr = as_vector(a, "a")
-    n = arr.size
-    # Sort by value descending, then by index ascending; the position in
-    # that order is exactly the counting definition above.
-    order = np.lexsort((np.arange(n), -arr))
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = np.arange(1, n + 1)
-    return ranks
+    return rank_rows(arr[None, :])[0]
 
 
 def rank_argmin_oracle(a) -> np.ndarray:
@@ -75,6 +82,17 @@ def rank_argmin_oracle(a) -> np.ndarray:
     return np.asarray(best_pi, dtype=np.int64)
 
 
+def rank_backward_rows(
+    a: np.ndarray, ranks: np.ndarray, upstream: np.ndarray, cfg: BlackboxConfig
+) -> np.ndarray:
+    """Row-batched interpolated gradient; ``ranks`` must be ``rank_rows(a)``.
+
+    Returns (rank_rows(a + lam*upstream) - ranks) / lam without validation.
+    """
+    lam = cfg.lambda_interp
+    return (rank_rows(a + lam * upstream) - ranks) / lam
+
+
 def blackbox_rank_backward(a, upstream, cfg: BlackboxConfig) -> np.ndarray:
     """Interpolated gradient of a rank-space loss with respect to ``a``.
 
@@ -86,6 +104,5 @@ def blackbox_rank_backward(a, upstream, cfg: BlackboxConfig) -> np.ndarray:
     up = as_vector(upstream, "upstream")
     if arr.shape != up.shape:
         raise DimMismatchError(f"a and upstream dims differ: {arr.size} vs {up.size}")
-    lam = cfg.lambda_interp
-    shifted = arr + lam * up
-    return (rank(shifted) - rank(arr)) / lam
+    rows = arr[None, :]
+    return rank_backward_rows(rows, rank_rows(rows), up[None, :], cfg)[0]

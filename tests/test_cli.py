@@ -310,6 +310,28 @@ class TestEval:
         )
         assert code == EXIT_ARTIFACT
 
+    def test_store_anchor_outside_checkpoint_classes_is_artifact_error(
+        self, workspace, trained, capsys
+    ):
+        payload = json.loads((trained / "store.json").read_text())
+        payload["anchor_classes"] = [1, 5]
+        tampered = workspace / "five-class-anchor-store.json"
+        tampered.write_text(json.dumps(payload))
+        out_csv = ["--out", str(workspace / "x.csv")]
+        for command, extra in (("eval", []), ("export-embeddings", out_csv)):
+            code = main(
+                [
+                    command,
+                    "--checkpoint", str(trained / "checkpoint.json"),
+                    "--store", str(tampered),
+                    "--data", str(workspace / "data.csv"),
+                    *extra,
+                ]
+            )
+            assert code == EXIT_ARTIFACT
+            assert "anchor classes" in capsys.readouterr().err
+        assert not (workspace / "x.csv").exists()
+
     def test_corrupt_checkpoint_is_io_error(self, workspace, trained):
         broken = workspace / "broken-checkpoint.json"
         broken.write_text("{]")
@@ -363,6 +385,25 @@ class TestCrossval:
         results = json.loads(out_json.read_text())
         assert [row["fold"] for row in results["folds"]] == [1, 2]
         assert set(results["mean"]) == set(METRIC_KEYS)
+
+    def test_class_count_mismatch_is_config_error(self, workspace, capsys):
+        four_cfg = workspace / "fourclass.cfg"
+        four_cfg.write_text(TRAIN_CFG.replace("classes = 3", "classes = 4"))
+        four_gen = workspace / "gen-four.cfg"
+        four_gen.write_text(
+            GEN_CFG.replace("classes = 3", "classes = 4").replace("14, 22, 14", "14, 11, 11, 14")
+            + "band_edges = 0.25, 0.5, 0.75\n"
+        )
+        four_csv = workspace / "four.csv"
+        assert main(
+            ["gen-data", "--config", str(four_gen), "--seed", "7", "--out", str(four_csv)]
+        ) == EXIT_OK
+        capsys.readouterr()
+        pairs = ((four_cfg, workspace / "data.csv"), (workspace / "train.cfg", four_csv))
+        for config, data in pairs:
+            code = main(["crossval", "--config", str(config), "--data", str(data), "--k", "2"])
+            assert code == EXIT_CONFIG
+            assert "classes" in capsys.readouterr().err
 
     def test_bad_k_is_config_error(self, workspace):
         code = main(
