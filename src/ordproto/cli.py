@@ -29,7 +29,7 @@ from .errors import (
     OutOfRangeError,
     TrainingError,
 )
-from .prototypes import load_store, progression_scores, save_store
+from .prototypes import is_trained, load_store, progression_scores, save_store
 from .trainer import ablation_config, cross_validate, evaluate_on, run_seeds
 
 EXIT_OK = 0
@@ -114,6 +114,8 @@ def _load_artifacts(checkpoint_path, store_path, data_path):
         raise ArtifactMismatchError(
             f"store dim {store.dim} != checkpoint feature dim {enc.feature_dim}"
         )
+    if not is_trained(store):
+        raise ArtifactMismatchError("prototype store is untrained: an anchor is still zero")
     n_classes = head.weight.shape[1]
     if not all(1 <= c <= n_classes for c in store.anchor_classes):
         raise ArtifactMismatchError(

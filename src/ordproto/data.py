@@ -353,4 +353,12 @@ def load_dataset(path) -> SyntheticOrdinalDataset:
         if row[2] not in (NO_FINE_LABEL, STABLE, PROGRESSIVE):
             raise DatasetParseError(f"bad fine_label {row[2]!r}", line=line)
         fine[r] = row[2]
+    # float() accepts "nan" and "inf"; one vectorized pass finds the first such row.
+    bad_t = ~np.isfinite(latent)
+    bad_x = ~np.isfinite(x)
+    bad = bad_t | bad_x.any(axis=1)
+    if bad.any():
+        r = int(np.argmax(bad))
+        col = "latent_t" if bad_t[r] else f"x{int(np.argmax(bad_x[r]))}"
+        raise DatasetParseError(f"{col} must be finite", line=r + 2)
     return SyntheticOrdinalDataset(x, coarse, latent, fine, int(coarse.max()))

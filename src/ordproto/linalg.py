@@ -1,9 +1,11 @@
 """Small dense-vector kernel: cosine similarity with analytic gradients,
 label distance, and a numerically safe softmax.
 
-Everything downstream (losses, prototypes, inference) funnels through these
-few functions, so validation lives here: inputs must be non-empty, finite
-1-D float arrays, and directions must have norm above ``NORM_EPS``.
+Each function validates its own arguments: inputs must be non-empty, finite
+1-D float arrays, and directions must have norm above ``NORM_EPS``. The
+row-batched kernels (the losses, ``prototypes.progression_scores``) validate
+a whole matrix once at their boundary instead of calling these per row; the
+per-vector functions here also serve as their scalar test oracles.
 """
 
 from __future__ import annotations

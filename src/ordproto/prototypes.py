@@ -4,7 +4,9 @@ The store keeps one direction per anchor class (the low and high ends of
 the ordinal scale). Each training batch nudges them toward the normalized
 batch class means; at inference a query is scored by a two-way softmax
 over its cosine similarities to the two anchors. Scores above 0.5 read as
-the progressive outcome, everything else as stable.
+the progressive outcome, everything else as stable. ``progression_scores``
+scores all rows of a feature matrix in one validated, row-batched call;
+``predict_progression`` is its one-vector wrapper.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from .errors import (
     DatasetIOError,
     DatasetParseError,
     DimMismatchError,
+    NonFiniteError,
     OutOfRangeError,
     UntrainedStoreError,
     ZeroVectorError,
 )
-from .linalg import NORM_EPS, as_vector, cosine_similarity, normalize, softmax
+from .linalg import NORM_EPS, as_vector, normalize
 
 STABLE = "stable"
 PROGRESSIVE = "progressive"
@@ -94,28 +97,55 @@ def ema_update(store: GlobalPrototypeStore, mu_low, mu_high) -> GlobalPrototypeS
     return store
 
 
-def predict_progression(query, store: GlobalPrototypeStore) -> float:
-    """Two-way softmax over cosines to the anchors; the high-anchor share.
+def _row_cosines(f: np.ndarray, norms: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """cos(f[r], anchor) for every row; ``norms`` are the row norms of ``f``.
 
-    Invariant to positive rescaling of the query and of either anchor.
-    A query equidistant from both anchors scores exactly 0.5.
+    Row-wise reductions (not a matrix product), so a row's value does not
+    depend on which other rows share the call. No validation.
+    """
+    return np.sum(f * anchor, axis=1) / (norms * float(np.linalg.norm(anchor)))
+
+
+def anchor_cosines(features, store: GlobalPrototypeStore) -> tuple[np.ndarray, np.ndarray]:
+    """Cosines of every row of an ``(n, dim)`` matrix to the (low, high) anchors.
+
+    Validates once per call: the store is trained, the shape is ``(n, dim)``,
+    every value is finite and no row has a (near-)zero norm.
     """
     if not is_trained(store):
         raise UntrainedStoreError("prototype store has not been updated yet")
+    # C order keeps each row's reduction order fixed whatever the input layout.
+    f = np.ascontiguousarray(features, dtype=np.float64)
+    if f.ndim != 2 or f.shape[1] != store.dim:
+        raise DimMismatchError(f"features must have shape (n, {store.dim}), got {f.shape}")
+    finite = np.isfinite(f).all(axis=1)
+    if not finite.all():
+        raise NonFiniteError(f"features row {int(np.argmin(finite))} contains NaN or Inf entries")
+    norms = np.sqrt(np.sum(f * f, axis=1))
+    zero = norms <= NORM_EPS
+    if zero.any():
+        raise ZeroVectorError(f"features row {int(np.argmax(zero))} has (near-)zero norm")
+    return _row_cosines(f, norms, store.anchor_low), _row_cosines(f, norms, store.anchor_high)
+
+
+def progression_scores(features, store: GlobalPrototypeStore) -> np.ndarray:
+    """Two-way softmax over anchor cosines, the high-anchor share, per row.
+
+    Invariant to positive rescaling of a row and of either anchor. A row
+    equidistant from both anchors scores exactly 0.5: the softmax subtracts
+    the larger cosine first, as ``linalg.softmax`` does.
+    """
+    c_low, c_high = anchor_cosines(features, store)
+    top = np.maximum(c_high, c_low)
+    e_high = np.exp(c_high - top)
+    e_low = np.exp(c_low - top)
+    return e_high / (e_high + e_low)
+
+
+def predict_progression(query, store: GlobalPrototypeStore) -> float:
+    """progression_scores of one query vector."""
     q = as_vector(query, "query")
-    if q.shape != (store.dim,):
-        raise DimMismatchError(f"query must have shape ({store.dim},)")
-    if float(np.linalg.norm(q)) <= NORM_EPS:
-        raise ZeroVectorError("query has (near-)zero norm")
-    c_high = cosine_similarity(q, store.anchor_high)
-    c_low = cosine_similarity(q, store.anchor_low)
-    return float(softmax(np.array([c_high, c_low]))[0])
-
-
-def progression_scores(features: np.ndarray, store: GlobalPrototypeStore) -> np.ndarray:
-    """predict_progression for every row of ``features``."""
-    feats = np.asarray(features, dtype=np.float64)
-    return np.array([predict_progression(z, store) for z in feats])
+    return float(progression_scores(q[None, :], store)[0])
 
 
 def classify(prob: float) -> str:
@@ -137,16 +167,20 @@ def store_to_dict(store: GlobalPrototypeStore) -> dict:
 
 
 def store_from_dict(payload: dict) -> GlobalPrototypeStore:
+    """Rebuild a store; any invalid payload raises ``DatasetParseError``."""
     try:
-        return GlobalPrototypeStore(
+        store = GlobalPrototypeStore(
             dim=int(payload["dim"]),
             sigma=float(payload["sigma"]),
             anchor_classes=tuple(int(c) for c in payload["anchor_classes"]),
             anchor_low=np.asarray(payload["anchor_low"], dtype=np.float64),
             anchor_high=np.asarray(payload["anchor_high"], dtype=np.float64),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, BadConfigError, DimMismatchError) as exc:
         raise DatasetParseError(f"malformed prototype store payload: {exc}") from exc
+    if not (np.isfinite(store.anchor_low).all() and np.isfinite(store.anchor_high).all()):
+        raise DatasetParseError("prototype store anchors contain NaN or Inf entries")
+    return store
 
 
 def save_store(store: GlobalPrototypeStore, path) -> None:

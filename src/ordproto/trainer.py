@@ -36,7 +36,6 @@ from .errors import (
     TrainingError,
 )
 from .evaluation import binary_metrics, spearman
-from .linalg import cosine_similarity
 from .losses import (
     FeatureBatch,
     LossBundle,
@@ -47,7 +46,7 @@ from .losses import (
     local_prototypes,
     total_loss,
 )
-from .prototypes import GlobalPrototypeStore, ema_update, progression_scores
+from .prototypes import GlobalPrototypeStore, anchor_cosines, ema_update, progression_scores
 from .ranking import BlackboxConfig
 
 METRIC_KEYS = ("acc", "auc", "f1", "precision", "recall", "spearman_ordinality")
@@ -298,7 +297,7 @@ def evaluate_on(
     scores = progression_scores(z_mid, store)
     metrics = binary_metrics(scores, dataset.fine[mask])
     z_all = encode(enc, dataset.x)
-    cos_high = np.array([cosine_similarity(z, store.anchor_high) for z in z_all])
+    _, cos_high = anchor_cosines(z_all, store)
     metrics["spearman_ordinality"] = spearman(cos_high, dataset.latent_t)
     return metrics
 

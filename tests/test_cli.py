@@ -332,6 +332,67 @@ class TestEval:
             assert "anchor classes" in capsys.readouterr().err
         assert not (workspace / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "breakage",
+        [
+            pytest.param(lambda d: d.update(anchor_low=d["anchor_low"][:3]), id="short-anchor"),
+            pytest.param(lambda d: d.update(sigma=1.5), id="sigma-outside-unit-interval"),
+            pytest.param(lambda d: d["anchor_high"].__setitem__(0, float("nan")), id="nan-anchor"),
+        ],
+    )
+    def test_invalid_store_values_are_parse_errors(self, workspace, trained, capsys, breakage):
+        payload = json.loads((trained / "store.json").read_text())
+        breakage(payload)
+        tampered = workspace / "invalid-store.json"
+        tampered.write_text(json.dumps(payload))
+        code = main(
+            [
+                "eval",
+                "--checkpoint", str(trained / "checkpoint.json"),
+                "--store", str(tampered),
+                "--data", str(workspace / "data.csv"),
+            ]
+        )
+        assert code == EXIT_IO
+        assert "prototype store" in capsys.readouterr().err
+
+    def test_untrained_store_is_artifact_error(self, workspace, trained, capsys):
+        payload = json.loads((trained / "store.json").read_text())
+        payload["anchor_low"] = [0.0] * payload["dim"]
+        payload["anchor_high"] = [0.0] * payload["dim"]
+        untrained = workspace / "untrained-store.json"
+        untrained.write_text(json.dumps(payload))
+        out_csv = workspace / "untrained-emb.csv"
+        for command, extra in (("eval", []), ("export-embeddings", ["--out", str(out_csv)])):
+            code = main(
+                [
+                    command,
+                    "--checkpoint", str(trained / "checkpoint.json"),
+                    "--store", str(untrained),
+                    "--data", str(workspace / "data.csv"),
+                    *extra,
+                ]
+            )
+            assert code == EXIT_ARTIFACT, command
+            assert "untrained" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_non_finite_data_is_parse_error(self, workspace, trained, capsys):
+        lines = (workspace / "data.csv").read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[5] = "nan"
+        lines[2] = ",".join(fields)
+        nan_csv = workspace / "nan-data.csv"
+        nan_csv.write_text("\n".join(lines) + "\n")
+        for argv in (
+            ["eval", "--checkpoint", str(trained / "checkpoint.json"),
+             "--store", str(trained / "store.json")],
+            ["train", "--config", str(workspace / "train.cfg"),
+             "--out", str(workspace / "nan-run")],
+        ):
+            assert main([*argv, "--data", str(nan_csv)]) == EXIT_IO, argv[0]
+            assert "line 3: x1 must be finite" in capsys.readouterr().err
+
     def test_corrupt_checkpoint_is_io_error(self, workspace, trained):
         broken = workspace / "broken-checkpoint.json"
         broken.write_text("{]")

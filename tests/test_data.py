@@ -276,6 +276,9 @@ class TestCsvRoundTrip:
             ([header, "0,zero,,0.25,1.0,2.0"], 2, "invalid literal"),
             ([header, "0,0,,0.25,1.0,2.0"], 2, ">= 1"),
             ([header, good, "1,2,unknown,0.5,3.0,4.0"], 3, "fine_label"),
+            ([header, good, "1,2,stable,nan,3.0,4.0"], 3, "latent_t must be finite"),
+            ([header, good, "1,2,stable,0.5,3.0,-inf"], 3, "x1 must be finite"),
+            ([header, "0,1,,0.25,NaN,inf"], 2, "x0 must be finite"),
         ]
         for lines, line, fragment in cases:
             with pytest.raises(DatasetParseError) as err:

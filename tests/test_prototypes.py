@@ -214,6 +214,10 @@ class TestPersistence:
             lambda d: d.pop("anchor_low"),
             lambda d: d.update(sigma="wide"),
             lambda d: d.update(anchor_classes=None),
+            lambda d: d.update(anchor_low=d["anchor_low"][:1]),
+            lambda d: d.update(sigma=1.5),
+            lambda d: d.update(anchor_classes=[2, 2]),
+            lambda d: d["anchor_high"].__setitem__(1, float("inf")),
         ):
             payload = store_to_dict(store)
             breakage(payload)

@@ -1,0 +1,175 @@
+"""The row-batched progression-score kernel against its per-row predecessor.
+
+Before the kernel, ``progression_scores`` called ``predict_progression`` once
+per row, and each call took two ``cosine_similarity`` values and a 2-element
+``softmax``. That loop is kept here as the scalar oracle. The kernel sums
+each row's dot products in a different order than the per-row BLAS ``ddot``
+does, so the two agree to within one float64 epsilon, not bit for bit. The
+kernel's own results are exact across row blockings, which is what lets a
+caller score a cohort in batches.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from ordproto.data import GenConfig, generate
+from ordproto.encoder import encode
+from ordproto.errors import (
+    DimMismatchError,
+    EmptyInputError,
+    NonFiniteError,
+    UntrainedStoreError,
+    ZeroVectorError,
+)
+from ordproto.evaluation import binary_metrics, spearman
+from ordproto.linalg import cosine_similarity, softmax
+from ordproto.prototypes import (
+    GlobalPrototypeStore,
+    anchor_cosines,
+    predict_progression,
+    progression_scores,
+)
+from ordproto.trainer import TrainConfig, evaluate_on, train
+
+EPS = np.finfo(np.float64).eps
+
+
+def scalar_scores(features, store) -> np.ndarray:
+    """The per-row path the kernel replaced."""
+    scores = []
+    for z in np.asarray(features, dtype=np.float64):
+        c_high = cosine_similarity(z, store.anchor_high)
+        c_low = cosine_similarity(z, store.anchor_low)
+        scores.append(softmax(np.array([c_high, c_low]))[0])
+    return np.array(scores)
+
+
+def random_store(rng, dim) -> GlobalPrototypeStore:
+    return GlobalPrototypeStore(
+        dim=dim, anchor_low=rng.standard_normal(dim), anchor_high=rng.standard_normal(dim)
+    )
+
+
+@pytest.fixture(scope="module")
+def trained_run():
+    """A short full-loss run and a large cohort encoded by its encoder."""
+    result = train(TrainConfig(epochs=2, seeds=(1,)), generate(GenConfig(), 0).training_view(), 1)
+    cohort = generate(GenConfig(class_counts=(300, 600, 300)), 7)
+    return result, cohort, encode(result.encoder, cohort.x)
+
+
+class TestScalarOracle:
+    def test_random_features_within_one_epsilon(self):
+        rng = np.random.default_rng(301)
+        for dim in (1, 2, 3, 8, 32, 33, 100):
+            store = random_store(rng, dim)
+            feats = rng.standard_normal((200, dim)) * rng.uniform(1e-3, 1e3)
+            np.testing.assert_allclose(
+                progression_scores(feats, store), scalar_scores(feats, store), rtol=0, atol=EPS
+            )
+
+    def test_trained_features_within_one_epsilon(self, trained_run):
+        result, _, z = trained_run
+        np.testing.assert_allclose(
+            progression_scores(z, result.store), scalar_scores(z, result.store), rtol=0, atol=EPS
+        )
+
+    def test_anchor_cosines_match_cosine_similarity(self, trained_run):
+        result, _, z = trained_run
+        c_low, c_high = anchor_cosines(z, result.store)
+        for anchor, got in ((result.store.anchor_low, c_low), (result.store.anchor_high, c_high)):
+            want = np.array([cosine_similarity(row, anchor) for row in z])
+            # A cosine rounds three times (dot product, two norms) in a different
+            # order on each path; scores compress this through the softmax.
+            np.testing.assert_allclose(got, want, rtol=0, atol=4 * EPS)
+
+    def test_evaluate_on_metrics_match_the_per_row_path(self, trained_run):
+        result, cohort, _ = trained_run
+        mask = cohort.middle_mask()
+        expected = binary_metrics(
+            scalar_scores(encode(result.encoder, cohort.x[mask]), result.store), cohort.fine[mask]
+        )
+        z_all = encode(result.encoder, cohort.x)
+        cos_high = np.array([cosine_similarity(z, result.store.anchor_high) for z in z_all])
+        expected["spearman_ordinality"] = spearman(cos_high, cohort.latent_t)
+        assert evaluate_on(result.encoder, result.store, cohort) == expected
+
+
+class TestRowInvariance:
+    def test_row_blocks_are_bit_identical(self, trained_run):
+        result, _, z = trained_run
+        whole = progression_scores(z, result.store)
+        for size in (1, 3, 64, z.shape[0]):
+            blocks = [
+                progression_scores(z[lo : lo + size], result.store)
+                for lo in range(0, z.shape[0], size)
+            ]
+            assert np.array_equal(np.concatenate(blocks), whole), size
+
+    def test_single_query_equals_its_row(self, trained_run):
+        result, _, z = trained_run
+        whole = progression_scores(z, result.store)
+        for i in range(0, z.shape[0], 37):
+            assert predict_progression(z[i], result.store) == whole[i]
+
+    def test_memory_layout_does_not_change_bits(self, trained_run):
+        result, _, z = trained_run
+        whole = progression_scores(z, result.store)
+        assert np.array_equal(progression_scores(np.asfortranarray(z), result.store), whole)
+        assert np.array_equal(progression_scores(z[::-1], result.store), whole[::-1])
+
+    def test_exact_ties_score_one_half(self):
+        store = GlobalPrototypeStore(
+            dim=3, anchor_low=np.array([1.0, 0.5, 0.25]), anchor_high=np.array([0.5, 1.0, 0.25])
+        )
+        feats = np.array([[1.0, 1.0, 2.0], [3.0, 3.0, -1.0], [0.0, 0.0, 1.0]])
+        assert np.all(progression_scores(feats, store) == 0.5)
+
+
+class TestValidation:
+    @pytest.fixture
+    def store(self):
+        return GlobalPrototypeStore(
+            dim=3, anchor_low=np.array([1.0, 0.0, 0.0]), anchor_high=np.array([0.0, 1.0, 0.0])
+        )
+
+    def test_untrained_store(self):
+        half = GlobalPrototypeStore(dim=3, anchor_low=np.ones(3))
+        for store in (GlobalPrototypeStore(dim=3), half):
+            with pytest.raises(UntrainedStoreError):
+                progression_scores(np.ones((2, 3)), store)
+            with pytest.raises(UntrainedStoreError):
+                progression_scores(np.ones((0, 3)), store)
+
+    def test_wrong_width_and_rank(self, store):
+        for bad in (np.ones((2, 4)), np.ones(3), np.ones((1, 2, 3))):
+            with pytest.raises(DimMismatchError, match=r"\(n, 3\)"):
+                progression_scores(bad, store)
+        with pytest.raises(DimMismatchError):
+            predict_progression(np.ones(4), store)
+        with pytest.raises(EmptyInputError):
+            predict_progression(1.0, store)
+
+    def test_non_finite_row_is_named(self, store):
+        feats = np.ones((4, 3))
+        feats[2, 1] = np.nan
+        feats[3, 0] = np.inf
+        with pytest.raises(NonFiniteError, match="row 2 "):
+            progression_scores(feats, store)
+
+    def test_zero_row_is_named(self, store):
+        feats = np.ones((5, 3))
+        feats[3] = 0.0
+        feats[4] = 1e-13
+        with pytest.raises(ZeroVectorError, match="row 3 "):
+            progression_scores(feats, store)
+        with pytest.raises(ZeroVectorError, match="row 0 "):
+            predict_progression(np.zeros(3), store)
+
+    def test_empty_matrix_scores_nothing(self, store):
+        scores = progression_scores(np.empty((0, 3)), store)
+        assert scores.shape == (0,) and scores.dtype == np.float64
+        c_low, c_high = anchor_cosines(np.empty((0, 3)), store)
+        assert c_low.shape == c_high.shape == (0,)
