@@ -192,6 +192,7 @@ def cmd_train(args) -> int:
         "data_path": str(args.data),
         "eval_data_path": str(args.eval_data) if args.eval_data else None,
         "seeds": list(config.seeds),
+        "artifact_seed": first.seed,
         "out_dir": str(out_dir),
         "artifacts": {name: str(p) for name, p in paths.items()},
     }

@@ -29,17 +29,19 @@ EXACT_LIMIT = 12
 
 
 def midranks(values) -> np.ndarray:
-    """Ascending ranks with ties sharing their average rank."""
+    """Ascending ranks with ties sharing their average rank.
+
+    A tie group is a run of equal sorted values, so ``-0.0`` ties ``0.0``
+    and every NaN is a group of its own. The group at sorted positions
+    i..j gets ``0.5 * (i + j) + 1.0``, exact in float64.
+    """
     arr = np.asarray(values, dtype=np.float64)
     order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], arr.size) - 1
     ranks = np.empty(arr.size, dtype=np.float64)
-    i = 0
-    while i < arr.size:
-        j = i
-        while j + 1 < arr.size and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

@@ -3,13 +3,17 @@
 Each iteration forwards a stratified batch, builds the enabled loss terms
 on the resulting features, combines them with the scheduled structural
 weight, applies one Adam step, and then lets the anchor prototypes track
-the batch class means. Runs are deterministic given (config, data, seed).
+the batch class means. Runs are deterministic given (config, data, seed),
+so the runs of a seed sweep or a k-fold split are independent jobs; they
+run in a pool of forked worker processes, one per usable core, and come
+back in job order.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -156,17 +160,32 @@ class IterationRecord:
         ]
 
 
+def _record(values: list[float]) -> IterationRecord:
+    iteration, epoch, *rest = values
+    return IterationRecord(int(iteration), int(epoch), *rest)
+
+
 @dataclass
 class TrainHistory:
-    rows: list[IterationRecord] = field(default_factory=list)
+    """One row per iteration in a float64 array whose columns are HISTORY_COLUMNS.
+
+    Iteration and epoch counts are exact in float64; every other column
+    holds the float the loop produced, so ``repr`` gives the same text.
+    """
+
+    values: np.ndarray
+
+    @property
+    def rows(self) -> list[IterationRecord]:
+        return [_record(v) for v in self.values.tolist()]
 
     def write_csv(self, path) -> None:
         try:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(HISTORY_COLUMNS)
-                for rec in self.rows:
-                    writer.writerow(rec.row())
+                for v in self.values:
+                    writer.writerow(_record(v.tolist()).row())
         except OSError as exc:
             raise DatasetIOError(f"cannot write history: {exc}") from exc
 
@@ -210,12 +229,12 @@ def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
         anchor_classes=config.anchor_classes,
     )
     bb = BlackboxConfig(config.blackbox_lambda)
-    history = TrainHistory()
 
     # The batch plan depends only on class counts, so every epoch has the
     # same number of iterations and the schedule length is known up front.
     per_epoch = len(stratified_batches(data.labels, config.batch_size, [seed, 0], config.n_classes))
     total_iters = config.epochs * per_epoch
+    history = np.empty((total_iters, len(HISTORY_COLUMNS)), dtype=np.float64)
     span = config.lambda_end - config.lambda_start
     lo_cls, hi_cls = config.anchor_classes
 
@@ -265,20 +284,18 @@ def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
             except OrdprotoError as exc:
                 raise TrainingError(f"iteration {iteration}: {exc}", iteration) from exc
 
-            history.rows.append(
-                IterationRecord(
-                    iteration,
-                    epoch,
-                    lr,
-                    lam,
-                    combined.value,
-                    ce.value,
-                    i2i.value,
-                    i2c.value,
-                    c2c.value,
-                )
+            history[iteration - 1] = (
+                iteration,
+                epoch,
+                lr,
+                lam,
+                combined.value,
+                ce.value,
+                i2i.value,
+                i2c.value,
+                c2c.value,
             )
-    return TrainResult(enc, head, store, history, adam, seed)
+    return TrainResult(enc, head, store, TrainHistory(history), adam, seed)
 
 
 def evaluate_on(
@@ -311,6 +328,45 @@ def _mean_std(rows: list[dict]) -> tuple[dict, dict]:
     return mean, std
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_in_order(job, jobs: list[tuple]) -> list:
+    """``[job(*args) for args in jobs]``, in a process pool when that can help.
+
+    The pool has one forked worker per usable core, at most one per job.
+    Results come back in job order, and a failure re-raises in the caller
+    as the serial loop would raise it: the first failing job in order wins
+    and the jobs not yet started are cancelled. One job, one usable core
+    or a platform without ``fork`` runs the plain loop.
+    """
+    workers = min(len(jobs), _usable_cores())
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, named explicitly: spawn and forkserver re-import the
+        # caller's main module, which breaks scripts without a main guard.
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                futures = [pool.submit(job, *args) for args in jobs]
+                return [f.result() for f in futures]
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [job(*args) for args in jobs]
+
+
+def _train_and_evaluate(
+    config: TrainConfig, view: TrainingSet, eval_ds: SyntheticOrdinalDataset, seed: int
+) -> tuple[TrainResult, dict]:
+    result = train(config, view, seed)
+    return result, evaluate_on(result.encoder, result.store, eval_ds)
+
+
 @dataclass
 class SeedSweepResult:
     summary: dict
@@ -329,15 +385,13 @@ def run_seeds(
     """
     eval_ds = eval_dataset if eval_dataset is not None else dataset
     view = dataset.training_view()
-    rows, results = [], []
-    for seed in config.seeds:
-        result = train(config, view, seed)
-        metrics = evaluate_on(result.encoder, result.store, eval_ds)
-        rows.append({"seed": seed, **metrics})
-        results.append(result)
+    runs = _map_in_order(
+        _train_and_evaluate, [(config, view, eval_ds, seed) for seed in config.seeds]
+    )
+    rows = [{"seed": seed, **metrics} for seed, (_, metrics) in zip(config.seeds, runs)]
     mean, std = _mean_std(rows)
     summary = {"per_seed": rows, "mean": mean, "std": std}
-    return SeedSweepResult(summary, results)
+    return SeedSweepResult(summary, [result for result, _ in runs])
 
 
 def cross_validate(config: TrainConfig, dataset: SyntheticOrdinalDataset, k: int) -> dict:
@@ -349,13 +403,12 @@ def cross_validate(config: TrainConfig, dataset: SyntheticOrdinalDataset, k: int
     """
     seed = config.seeds[0]
     folds = kfold_split(dataset.coarse, k, seed)
-    rows = []
-    for f in range(1, k + 1):
-        train_ds = dataset.subset(folds != f)
-        test_ds = dataset.subset(folds == f)
-        result = train(config, train_ds.training_view(), seed)
-        metrics = evaluate_on(result.encoder, result.store, test_ds)
-        rows.append({"fold": f, **metrics})
+    jobs = [
+        (config, dataset.subset(folds != f).training_view(), dataset.subset(folds == f), seed)
+        for f in range(1, k + 1)
+    ]
+    runs = _map_in_order(_train_and_evaluate, jobs)
+    rows = [{"fold": f, **metrics} for f, (_, metrics) in enumerate(runs, start=1)]
     mean, std = _mean_std(rows)
     return {"folds": rows, "mean": mean, "std": std}
 

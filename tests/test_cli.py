@@ -7,10 +7,12 @@ import json
 import numpy as np
 import pytest
 
+from ordproto import trainer
 from ordproto.cli import (
     EXIT_ARTIFACT,
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
     main,
 )
@@ -138,6 +140,7 @@ class TestTrain:
     def test_manifest_echoes_run(self, workspace, trained):
         manifest = json.loads((trained / "manifest.json").read_text())
         assert manifest["seeds"] == [1, 2]
+        assert manifest["artifact_seed"] == 1
         assert manifest["eval_data_path"] is None
         assert manifest["data_path"] == str(workspace / "data.csv")
         assert manifest["config"]["hidden_dims"] == [8]
@@ -485,6 +488,38 @@ class TestCrossval:
             ]
         )
         assert code == EXIT_CONFIG
+
+
+class TestNumericFailure:
+    """A diverging run exits 4 with the serial loop's message, pooled or not."""
+
+    @pytest.fixture
+    def diverging_cfg(self, workspace):
+        path = workspace / "diverging.cfg"
+        path.write_text(TRAIN_CFG + "learning_rate = 1e300\n")
+        return path
+
+    def _run(self, monkeypatch, capsys, cores, argv):
+        monkeypatch.setattr(trainer, "_usable_cores", lambda: cores)
+        code = main(argv)
+        return code, capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the expected overflow
+    @pytest.mark.parametrize("command", ["train", "crossval"])
+    def test_diverging_run_exits_numeric(
+        self, workspace, diverging_cfg, monkeypatch, capsys, tmp_path, command
+    ):
+        out = tmp_path / "out"
+        argv = [command, "--config", str(diverging_cfg), "--data", str(workspace / "data.csv"),
+                "--out", str(out)]
+        if command == "crossval":
+            argv += ["--k", "2"]
+        serial = self._run(monkeypatch, capsys, 1, argv)
+        pooled = self._run(monkeypatch, capsys, 2, argv)
+        assert serial[0] == pooled[0] == EXIT_NUMERIC
+        assert serial[1] == pooled[1]
+        assert serial[1].startswith("error: iteration ")
+        assert not out.exists()
 
 
 class TestUsageErrors:

@@ -21,13 +21,16 @@ from ordproto.prototypes import PROGRESSIVE, STABLE
 
 
 def naive_midranks(values) -> np.ndarray:
-    """Average 1-based sorted position of each tie group, by definition."""
+    """Average 1-based sorted position of each tie group, by definition.
+
+    A NaN equals nothing, so its group is its own sorted position.
+    """
     v = np.asarray(values, dtype=np.float64)
     out = np.empty(v.size)
     order = np.argsort(v, kind="stable")
     sorted_v = v[order]
     for i, x in enumerate(v):
-        positions = [p + 1 for p in range(v.size) if sorted_v[p] == x]
+        positions = [p + 1 for p in range(v.size) if sorted_v[p] == x or order[p] == i]
         out[i] = sum(positions) / len(positions)
     return out
 
@@ -48,9 +51,13 @@ class TestMidranks:
 
     def test_matches_definition_on_random_ties(self):
         rng = np.random.default_rng(41)
+        shuffle = np.random.default_rng(43)
         for _ in range(200):
             v = rng.integers(0, 5, size=int(rng.integers(1, 12))).astype(float)
             assert np.array_equal(midranks(v), naive_midranks(v))
+            # NaN ties nothing, not even another NaN; -0.0 ties 0.0.
+            w = shuffle.permutation(np.concatenate([v, [np.nan, np.nan, -0.0, 0.0]]))
+            assert np.array_equal(midranks(w), naive_midranks(w))
 
     def test_sums_to_gauss_total(self):
         rng = np.random.default_rng(42)

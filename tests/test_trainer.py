@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from ordproto.data import GenConfig, generate, stratified_batches
+from ordproto import trainer
+from ordproto.data import GenConfig, generate, kfold_split, stratified_batches
 from ordproto.encoder import (
     adam_step,
     backward,
@@ -19,12 +22,14 @@ from ordproto.errors import (
     DegenerateBatchError,
     EmptyInputError,
     OutOfRangeError,
+    TrainingError,
 )
 from ordproto.losses import cross_entropy_loss
 from ordproto.trainer import (
     HISTORY_COLUMNS,
     METRIC_KEYS,
     TrainConfig,
+    _mean_std,
     ablation_config,
     cross_validate,
     evaluate_on,
@@ -264,6 +269,87 @@ class TestRunSeeds:
         row = sweep.summary["per_seed"][0]
         for key in METRIC_KEYS:
             assert row[key] == expected[key]
+
+
+def assert_same_run(a, b):
+    assert np.array_equal(a.history.values, b.history.values)
+    for p, q in zip(param_list(a.encoder, a.head), param_list(b.encoder, b.head), strict=True):
+        assert np.array_equal(p, q)
+    for p, q in zip(a.adam.m + a.adam.v, b.adam.m + b.adam.v, strict=True):
+        assert np.array_equal(p, q)
+    assert a.adam.step == b.adam.step
+    assert np.array_equal(a.store.anchor_low, b.store.anchor_low)
+    assert np.array_equal(a.store.anchor_high, b.store.anchor_high)
+    assert a.seed == b.seed
+
+
+class TestSeedPool:
+    """The pooled sweeps return exactly what a plain serial loop returns."""
+
+    @pytest.fixture
+    def two_cores(self, monkeypatch):
+        # Forces the pool path even on a one-core runner.
+        monkeypatch.setattr(trainer, "_usable_cores", lambda: 2)
+
+    def test_run_seeds_equals_serial_loop(self, tiny_dataset, two_cores):
+        cfg = config_with(seeds=(1, 2, 3))
+        holdout = generate(TINY_GEN, seed=61)
+        sweep = run_seeds(cfg, tiny_dataset, eval_dataset=holdout)
+
+        view = tiny_dataset.training_view()
+        results = [train(cfg, view, seed) for seed in cfg.seeds]
+        rows = [
+            {"seed": r.seed, **evaluate_on(r.encoder, r.store, holdout)} for r in results
+        ]
+        mean, std = _mean_std(rows)
+        assert sweep.summary == {"per_seed": rows, "mean": mean, "std": std}
+        for pooled, serial in zip(sweep.results, results, strict=True):
+            assert_same_run(pooled, serial)
+
+    def test_cross_validate_equals_serial_loop(self, tiny_dataset, two_cores):
+        cfg = config_with(seeds=(5,))
+        out = cross_validate(cfg, tiny_dataset, k=2)
+
+        folds = kfold_split(tiny_dataset.coarse, 2, 5)
+        rows = []
+        for f in (1, 2):
+            result = train(cfg, tiny_dataset.subset(folds != f).training_view(), 5)
+            metrics = evaluate_on(result.encoder, result.store, tiny_dataset.subset(folds == f))
+            rows.append({"fold": f, **metrics})
+        mean, std = _mean_std(rows)
+        assert out == {"folds": rows, "mean": mean, "std": std}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the expected overflow
+    def test_first_failing_seed_raises(self, tiny_dataset, two_cores):
+        # The worker's error crosses with its type, message and iteration.
+        cfg = config_with(base_lr=1e300)
+        with pytest.raises(TrainingError) as pooled:
+            run_seeds(cfg, tiny_dataset)
+        with pytest.raises(TrainingError) as serial:
+            train(cfg, tiny_dataset.training_view(), seed=1)
+        assert str(pooled.value) == str(serial.value)
+        assert pooled.value.iteration == serial.value.iteration
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+    )
+    def test_worker_count_is_bounded(self, tiny_dataset, monkeypatch):
+        import concurrent.futures
+
+        seen = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                seen.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(trainer, "_usable_cores", lambda: 2)
+        run_seeds(config_with(seeds=(1, 2, 3)), tiny_dataset)
+        monkeypatch.setattr(trainer, "_usable_cores", lambda: 8)
+        run_seeds(config_with(seeds=(1, 2, 3)), tiny_dataset)
+        run_seeds(config_with(seeds=(1,)), tiny_dataset)
+        assert seen == [2, 3]
 
 
 class TestCrossValidate:
