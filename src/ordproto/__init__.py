@@ -30,14 +30,13 @@ from .encoder import (
     save_checkpoint,
 )
 from .evaluation import binary_metrics, mann_whitney_one_sided, spearman
-from .linalg import cosine_similarity, cosine_similarity_grad, neg_abs_distance, softmax
+from .linalg import cosine_similarity, softmax
 from .losses import (
     FeatureBatch,
     LocalPrototypes,
     LossBundle,
     cls2cls_loss,
     cross_entropy_loss,
-    feature_similarity,
     hybrid_ordinal_loss,
     ins2cls_loss,
     ins2ins_loss,
@@ -56,7 +55,7 @@ from .prototypes import (
     progression_scores,
     save_store,
 )
-from .ranking import BlackboxConfig, blackbox_rank_backward, rank, rank_argmin_oracle
+from .ranking import BlackboxConfig, blackbox_rank_backward, rank
 from .trainer import (
     TrainConfig,
     TrainResult,

@@ -5,6 +5,12 @@ pre-activations, and ``backward`` replays them in reverse. The linear
 head that produces class logits is kept separate from the encoder body
 so feature-space losses and the classification loss can inject their
 gradients at different points.
+
+Adam works on one flat float64 buffer that holds every parameter in a
+fixed layout: each layer's weight (row-major) and bias in layer order,
+then the head's weight and bias. ``init_adam`` moves the parameters into
+that buffer and leaves the ``Layer`` and ``HeadParams`` fields as views
+into it; ``backward`` returns its gradient in the same layout.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from .errors import (
     DatasetParseError,
     DimMismatchError,
     NonFiniteError,
-    ShapeMismatchError,
 )
 
 ACTIVATIONS = ("relu", "identity")
@@ -118,30 +123,24 @@ def encode(enc: EncoderParams, x) -> np.ndarray:
     return h
 
 
-@dataclass
-class ParamGrads:
-    layers: list[tuple[np.ndarray, np.ndarray]]  # (dW, db) per layer
-    head_weight: np.ndarray
-    head_bias: np.ndarray
-
-
 def backward(
     enc: EncoderParams,
     head: HeadParams,
     cache: ForwardCache,
     d_features: np.ndarray | None = None,
     d_logits: np.ndarray | None = None,
-) -> ParamGrads:
+) -> np.ndarray:
     """Reverse-mode pass from feature- and/or logit-space gradients.
 
     Feature gradients from structural losses and logit gradients from the
     classification loss merge where the head branches off the features.
+    Returns one flat gradient vector in the parameter-buffer layout.
     """
     m = cache.features.shape[0]
     if d_logits is not None:
         d_logits = np.asarray(d_logits, dtype=np.float64)
         if d_logits.shape != cache.logits.shape:
-            raise ShapeMismatchError(
+            raise DimMismatchError(
                 f"d_logits shape {d_logits.shape} != logits shape {cache.logits.shape}"
             )
         head_w = cache.features.T @ d_logits
@@ -154,43 +153,33 @@ def backward(
     if d_features is not None:
         d_features = np.asarray(d_features, dtype=np.float64)
         if d_features.shape != cache.features.shape:
-            raise ShapeMismatchError(
+            raise DimMismatchError(
                 f"d_features shape {d_features.shape} != features shape {cache.features.shape}"
             )
         dh = dh + d_features
 
-    layer_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(enc.layers)  # type: ignore[list-item]
+    # Collected back to front, so reversed at the end.
+    pieces = [head_b, head_w]
     for i in range(len(enc.layers) - 1, -1, -1):
         layer = enc.layers[i]
         da = dh * (cache.preacts[i] > 0.0) if layer.activation == "relu" else dh
-        layer_grads[i] = (cache.inputs[i].T @ da, da.sum(axis=0))
+        pieces += [da.sum(axis=0), cache.inputs[i].T @ da]
         dh = da @ layer.weight.T
-    return ParamGrads(layer_grads, head_w, head_b)
-
-
-def param_list(enc: EncoderParams, head: HeadParams) -> list[np.ndarray]:
-    """All parameter arrays in a fixed order (views, not copies)."""
-    out: list[np.ndarray] = []
-    for layer in enc.layers:
-        out.extend((layer.weight, layer.bias))
-    out.extend((head.weight, head.bias))
-    return out
-
-
-def grad_list(grads: ParamGrads) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for dw, db in grads.layers:
-        out.extend((dw, db))
-    out.extend((grads.head_weight, grads.head_bias))
-    return out
+    return np.concatenate([g.ravel() for g in reversed(pieces)])
 
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam with per-epoch exponential learning-rate decay."""
+    """Bias-corrected Adam with per-epoch exponential learning-rate decay.
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    ``params``, ``m`` and ``v`` are flat buffers in the same layout. The
+    layer and head fields view ``params`` only in the process that called
+    ``init_adam``; a pickled copy (a pooled run's result) keeps the values.
+    """
+
+    params: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.5
     beta2: float = 0.999
@@ -208,10 +197,23 @@ def init_adam(
     lr_decay: float = 0.95,
     epsilon: float = 1e-8,
 ) -> AdamState:
-    params = param_list(enc, head)
+    """Zeroed Adam state over a new buffer holding every parameter.
+
+    The parameters of ``enc`` and ``head`` are copied into the buffer and
+    their fields rebound as views into it, so ``adam_step`` updates them.
+    """
+    arrays = [a for layer in enc.layers for a in (layer.weight, layer.bias)]
+    arrays += [head.weight, head.bias]
+    params = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
+    ends = np.cumsum([a.size for a in arrays])
+    views = iter(params[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends))
+    for layer in enc.layers:
+        layer.weight, layer.bias = next(views), next(views)
+    head.weight, head.bias = next(views), next(views)
     return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
+        params=params,
+        m=np.zeros_like(params),
+        v=np.zeros_like(params),
         beta1=beta1,
         beta2=beta2,
         base_lr=base_lr,
@@ -225,27 +227,22 @@ def learning_rate(state: AdamState, epoch: int) -> float:
     return state.base_lr * state.lr_decay**epoch
 
 
-def adam_step(
-    state: AdamState, enc: EncoderParams, head: HeadParams, grads: ParamGrads, epoch: int
-) -> None:
-    """One in-place Adam update of every parameter array."""
-    params = param_list(enc, head)
-    gl = grad_list(grads)
-    if len(params) != len(state.m):
-        raise ShapeMismatchError("optimizer state does not match the parameter list")
+def adam_step(state: AdamState, grads: np.ndarray, epoch: int) -> None:
+    """One in-place Adam update of the whole parameter buffer."""
+    if grads.shape != state.params.shape:
+        raise DimMismatchError(
+            f"gradient shape {grads.shape} != parameter buffer shape {state.params.shape}"
+        )
     lr = learning_rate(state, epoch)
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for p, g, m, v in zip(params, gl, state.m, state.v):
-        if p.shape != g.shape:
-            raise ShapeMismatchError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grads
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * (grads * grads)
+    state.params -= lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.epsilon)
 
 
 def save_checkpoint(

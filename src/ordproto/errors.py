@@ -21,10 +21,6 @@ class NonFiniteError(OrdprotoError):
     """An input contains NaN or infinite entries."""
 
 
-class PermutationTooLargeError(OrdprotoError):
-    """The exhaustive permutation oracle was asked for too many elements."""
-
-
 class DegenerateBatchError(OrdprotoError):
     """A batch is missing classes required by the requested computation."""
 
@@ -43,10 +39,6 @@ class UntrainedStoreError(OrdprotoError):
 
 class BadDimsError(OrdprotoError):
     """A layer-dimension list is malformed."""
-
-
-class ShapeMismatchError(OrdprotoError):
-    """Parameter and gradient (or cache) shapes disagree."""
 
 
 class BadConfigError(OrdprotoError):

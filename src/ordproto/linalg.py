@@ -1,5 +1,5 @@
-"""Small dense-vector kernel: cosine similarity with analytic gradients,
-label distance, and a numerically safe softmax.
+"""Small dense-vector kernel: validation, normalization, cosine similarity
+and a numerically safe softmax.
 
 Each function validates its own arguments: inputs must be non-empty, finite
 1-D float arrays, and directions must have norm above ``NORM_EPS``. The
@@ -64,23 +64,6 @@ def cosine_similarity(u, v) -> float:
     """cos(u, v) = u.v / (||u|| ||v||)."""
     uu, vv, nu, nv = _checked_pair(u, v)
     return float(uu @ vv) / (nu * nv)
-
-
-def cosine_similarity_grad(u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of cos(u, v) with respect to u and v.
-
-    d/du cos = v/(||u|| ||v||) - cos(u, v) * u/||u||^2, symmetrically for v.
-    """
-    uu, vv, nu, nv = _checked_pair(u, v)
-    c = float(uu @ vv) / (nu * nv)
-    grad_u = vv / (nu * nv) - c * uu / (nu * nu)
-    grad_v = uu / (nu * nv) - c * vv / (nv * nv)
-    return grad_u, grad_v
-
-
-def neg_abs_distance(a: float, b: float) -> float:
-    """Similarity of two scalar labels: -(|a - b|). Larger means closer."""
-    return -abs(float(a) - float(b))
 
 
 def softmax(values) -> np.ndarray:

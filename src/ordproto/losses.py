@@ -85,12 +85,14 @@ class LossBundle:
     """A scalar loss plus the gradients it produces.
 
     Structural losses fill ``feature_grads`` (one row per batch feature);
-    the classification loss fills ``logit_grads``.
+    the classification loss fills ``logit_grads``. A sum of terms lists
+    the term values in ``terms``.
     """
 
     value: float
     feature_grads: np.ndarray | None = None
     logit_grads: np.ndarray | None = None
+    terms: tuple[float, ...] = ()
 
 
 def label_similarity(labels) -> np.ndarray:
@@ -109,17 +111,6 @@ def _unit_rows(vectors: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
         bad = int(np.argmin(norms))
         raise ZeroVectorError(f"{what} row {bad} has (near-)zero norm")
     return vectors / norms[:, None], norms
-
-
-def feature_similarity(features: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity of the rows of ``features``."""
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] == 0:
-        raise EmptyInputError("features must be a non-empty (M, d) array")
-    if not np.all(np.isfinite(feats)):
-        raise NonFiniteError("features contain NaN or Inf entries")
-    units, _ = _unit_rows(feats, "features")
-    return units @ units.T
 
 
 def local_prototypes(batch: FeatureBatch) -> LocalPrototypes:
@@ -255,24 +246,24 @@ def hybrid_ordinal_loss(
     detach_spread: bool = False,
     protos: LocalPrototypes | None = None,
 ) -> LossBundle:
-    """Sum of the enabled structural terms (all three by default)."""
+    """Sum of the enabled structural terms (all three by default).
+
+    ``terms`` holds the (ins2ins, ins2cls, cls2cls) values, 0.0 for a
+    disabled term.
+    """
     if protos is None:
         protos = local_prototypes(batch)
-    value = 0.0
+    parts = (
+        ins2ins_loss(batch, cfg) if use_ins2ins else None,
+        ins2cls_loss(batch, protos) if use_ins2cls else None,
+        cls2cls_loss(batch, protos, cfg, detach_spread=detach_spread) if use_cls2cls else None,
+    )
     grads = np.zeros_like(batch.features)
-    if use_ins2ins:
-        part = ins2ins_loss(batch, cfg)
-        value += part.value
-        grads += part.feature_grads
-    if use_ins2cls:
-        part = ins2cls_loss(batch, protos)
-        value += part.value
-        grads += part.feature_grads
-    if use_cls2cls:
-        part = cls2cls_loss(batch, protos, cfg, detach_spread=detach_spread)
-        value += part.value
-        grads += part.feature_grads
-    return LossBundle(value, feature_grads=grads)
+    for part in parts:
+        if part is not None:
+            grads += part.feature_grads
+    terms = tuple(0.0 if part is None else part.value for part in parts)
+    return LossBundle(sum(terms), feature_grads=grads, terms=terms)
 
 
 def cross_entropy_loss(logits, labels) -> LossBundle:
@@ -304,20 +295,10 @@ def cross_entropy_loss(logits, labels) -> LossBundle:
 
 
 def total_loss(ce: LossBundle, hyb: LossBundle, lambda_hyb: float) -> LossBundle:
-    """ce + lambda_hyb * hyb, with gradients combined the same way."""
+    """ce + lambda_hyb * hyb: CE's logit gradients, lambda_hyb times hyb's feature gradients."""
     lam = float(lambda_hyb)
-
-    def combine(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
-        if a is None and b is None:
-            return None
-        if a is None:
-            return lam * b
-        if b is None:
-            return a.copy()
-        return a + lam * b
-
     return LossBundle(
         ce.value + lam * hyb.value,
-        feature_grads=combine(ce.feature_grads, hyb.feature_grads),
-        logit_grads=combine(ce.logit_grads, hyb.logit_grads),
+        feature_grads=lam * hyb.feature_grads,
+        logit_grads=ce.logit_grads,
     )

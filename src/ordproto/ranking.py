@@ -3,11 +3,10 @@
 ``rank`` assigns 1 to the largest entry; equal values are ordered by
 position, earlier index first. The same operator solves
 argmin_pi a.pi over permutation vectors pi (largest value takes the
-smallest rank number), which is what ``rank_argmin_oracle`` checks by
-brute force. Because ranks are piecewise constant in the input, the
-backward pass re-ranks at an input nudged along the upstream gradient
-and divides the rank movement by the step size; the result is a descent
-direction for any loss expressed on the rank vector.
+smallest rank number). Because ranks are piecewise constant in the
+input, the backward pass re-ranks at an input nudged along the upstream
+gradient and divides the rank movement by the step size; the result is
+a descent direction for any loss expressed on the rank vector.
 
 ``rank_rows`` and ``rank_backward_rows`` are the row-batched kernels the
 losses call; they trust their (finite, 2-D) input. ``rank`` and
@@ -17,15 +16,11 @@ losses call; they trust their (finite, 2-D) input. ``rank`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
-from .errors import BadConfigError, DimMismatchError, PermutationTooLargeError
+from .errors import BadConfigError, DimMismatchError
 from .linalg import as_vector
-
-# Factorial enumeration stays tractable up to 8! = 40320 candidates.
-ORACLE_MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -55,31 +50,6 @@ def rank(a) -> np.ndarray:
     """Descending competition rank of one vector, earlier index winning ties."""
     arr = as_vector(a, "a")
     return rank_rows(arr[None, :])[0]
-
-
-def rank_argmin_oracle(a) -> np.ndarray:
-    """Brute-force rank: the permutation minimizing a.pi.
-
-    Ties between objective values resolve to the lexicographically
-    smallest permutation, which coincides with earlier-index tie
-    breaking in ``rank``. Only intended as a test oracle (n <= 8).
-    """
-    arr = as_vector(a, "a")
-    n = arr.size
-    if n > ORACLE_MAX_N:
-        raise PermutationTooLargeError(f"oracle limited to n <= {ORACLE_MAX_N}, got {n}")
-    best_pi = None
-    best_obj = np.inf
-    # permutations() yields lexicographic order, so strict < keeps the
-    # lexicographically smallest minimizer.
-    for pi in permutations(range(1, n + 1)):
-        obj = 0.0
-        for x, p in zip(arr, pi):
-            obj += x * p
-        if obj < best_obj:
-            best_obj = obj
-            best_pi = pi
-    return np.asarray(best_pi, dtype=np.int64)
 
 
 def rank_backward_rows(

@@ -12,6 +12,7 @@ back in job order.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -42,11 +43,8 @@ from .errors import (
 from .evaluation import binary_metrics, spearman
 from .losses import (
     FeatureBatch,
-    LossBundle,
     cross_entropy_loss,
-    cls2cls_loss,
-    ins2cls_loss,
-    ins2ins_loss,
+    hybrid_ordinal_loss,
     local_prototypes,
     total_loss,
 )
@@ -97,8 +95,14 @@ class TrainConfig:
             raise BadConfigError("ema_sigma must lie strictly inside (0, 1)")
         if not 0.0 <= self.lambda_start <= self.lambda_end <= 1.0:
             raise BadConfigError("need 0 <= lambda_start <= lambda_end <= 1")
-        if self.blackbox_lambda <= 0:
-            raise BadConfigError("blackbox_lambda must be positive")
+        for name in ("base_lr", "lr_decay", "adam_epsilon", "blackbox_lambda"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise BadConfigError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("adam_beta1", "adam_beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise BadConfigError(f"{name} must lie in [0, 1), got {value!r}")
         if not self.seeds:
             raise BadConfigError("seeds must be non-empty")
         lo, hi = self.anchor_classes
@@ -258,25 +262,20 @@ def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
                 cache = forward(enc, head, data.x[idx])
                 batch = FeatureBatch(cache.features, data.labels[idx], config.n_classes)
                 protos = local_prototypes(batch)
-
-                zero = LossBundle(0.0)
-                i2i = ins2ins_loss(batch, bb) if config.use_ins2ins else zero
-                i2c = ins2cls_loss(batch, protos) if config.use_ins2cls else zero
-                c2c = (
-                    cls2cls_loss(batch, protos, bb, detach_spread=config.detach_class_spread)
-                    if config.use_cls2cls
-                    else zero
+                hyb = hybrid_ordinal_loss(
+                    batch,
+                    bb,
+                    use_ins2ins=config.use_ins2ins,
+                    use_ins2cls=config.use_ins2cls,
+                    use_cls2cls=config.use_cls2cls,
+                    detach_spread=config.detach_class_spread,
+                    protos=protos,
                 )
-                hyb_grads = np.zeros_like(batch.features)
-                for part in (i2i, i2c, c2c):
-                    if part.feature_grads is not None:
-                        hyb_grads += part.feature_grads
-                hyb = LossBundle(i2i.value + i2c.value + c2c.value, feature_grads=hyb_grads)
                 ce = cross_entropy_loss(cache.logits, batch.labels)
                 combined = total_loss(ce, hyb, lam)
 
                 grads = backward(enc, head, cache, combined.feature_grads, combined.logit_grads)
-                adam_step(adam, enc, head, grads, epoch)
+                adam_step(adam, grads, epoch)
 
                 mu_low = protos.per_class[lo_cls - 1]
                 mu_high = protos.per_class[hi_cls - 1]
@@ -285,15 +284,7 @@ def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
                 raise TrainingError(f"iteration {iteration}: {exc}", iteration) from exc
 
             history[iteration - 1] = (
-                iteration,
-                epoch,
-                lr,
-                lam,
-                combined.value,
-                ce.value,
-                i2i.value,
-                i2c.value,
-                c2c.value,
+                iteration, epoch, lr, lam, combined.value, ce.value, *hyb.terms
             )
     return TrainResult(enc, head, store, TrainHistory(history), adam, seed)
 
@@ -310,10 +301,8 @@ def evaluate_on(
     mask = dataset.middle_mask()
     if not mask.any():
         raise EmptyInputError("dataset has no middle-class samples to evaluate")
-    z_mid = encode(enc, dataset.x[mask])
-    scores = progression_scores(z_mid, store)
-    metrics = binary_metrics(scores, dataset.fine[mask])
     z_all = encode(enc, dataset.x)
+    metrics = binary_metrics(progression_scores(z_all[mask], store), dataset.fine[mask])
     _, cos_high = anchor_cosines(z_all, store)
     metrics["spearman_ordinality"] = spearman(cos_high, dataset.latent_t)
     return metrics

@@ -17,11 +17,12 @@ import numpy as np
 import pytest
 
 from fd import central_diff, rel_err
+from oracles import cosine_similarity_grad, param_arrays, rank_argmin_oracle
 from ordproto.cli import EXIT_OK, main
 from ordproto.data import GenConfig, generate
-from ordproto.encoder import backward, forward, grad_list, init_params, param_list
+from ordproto.encoder import backward, forward, init_params
 from ordproto.evaluation import mann_whitney_one_sided
-from ordproto.linalg import cosine_similarity, cosine_similarity_grad, normalize
+from ordproto.linalg import cosine_similarity, normalize
 from ordproto.losses import (
     SPREAD_EPS,
     FeatureBatch,
@@ -37,7 +38,7 @@ from ordproto.prototypes import (
     ema_update,
     predict_progression,
 )
-from ordproto.ranking import BlackboxConfig, rank, rank_argmin_oracle
+from ordproto.ranking import BlackboxConfig, rank
 from ordproto.trainer import TrainConfig, ablation_config, run_seeds
 
 VARIANTS = ("ce-only", "ins2ins", "ins2cls", "full")
@@ -190,7 +191,7 @@ def test_criterion_2_gradient_suite(verdict):
         dims = [int(rng.integers(2, 5)) for _ in range(3)]
         k = int(rng.integers(2, 4))
         enc, head = init_params(dims, k, seed=trial)
-        params = param_list(enc, head)
+        params = param_arrays(enc, head)
         x = rng.standard_normal((int(rng.integers(2, 5)), dims[0]))
         labels = rng.integers(1, k + 1, size=x.shape[0])
         probe = rng.standard_normal((x.shape[0], dims[-1]))
@@ -208,8 +209,7 @@ def test_criterion_2_gradient_suite(verdict):
 
         cache = forward(enc, head, x)
         ce = cross_entropy_loss(cache.logits, labels)
-        grads = backward(enc, head, cache, d_features=probe, d_logits=ce.logit_grads)
-        analytic = np.concatenate([g.ravel() for g in grad_list(grads)])
+        analytic = backward(enc, head, cache, d_features=probe, d_logits=ce.logit_grads)
         errs.append(rel_err(analytic, central_diff(objective, base)))
     worst["backprop"] = max(errs)
 

@@ -247,6 +247,31 @@ class TestTrain:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "adam_beta1 = 1.5",
+            "adam_beta1 = 1.0",
+            "adam_beta2 = 1.0",
+            "adam_epsilon = -1",
+            "adam_epsilon = 0",
+            "learning_rate = -0.1",
+            "learning_rate = nan",
+            "lr_decay = -1",
+            "blackbox_lambda = inf",
+        ],
+    )
+    def test_bad_optimizer_setting_is_config_error(self, workspace, capsys, tmp_path, setting):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TRAIN_CFG + setting + "\n")
+        out = tmp_path / "out"
+        code = main(
+            ["train", "--config", str(bad), "--data", str(workspace / "data.csv"), "--out", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        assert "must" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_is_io_error(self, workspace):
         code = main(
             [

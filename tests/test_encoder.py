@@ -6,22 +6,19 @@ import numpy as np
 import pytest
 
 from fd import central_diff, rel_err
+from oracles import PerArrayAdam, flat_params, param_arrays, per_layer_backward, split_like
 from ordproto.encoder import (
-    AdamState,
     EncoderParams,
     HeadParams,
     Layer,
-    ParamGrads,
     adam_step,
     backward,
     encode,
     forward,
-    grad_list,
     init_adam,
     init_params,
     learning_rate,
     load_checkpoint,
-    param_list,
     save_checkpoint,
 )
 from ordproto.errors import (
@@ -30,7 +27,6 @@ from ordproto.errors import (
     DatasetParseError,
     DimMismatchError,
     NonFiniteError,
-    ShapeMismatchError,
 )
 from ordproto.losses import cross_entropy_loss
 
@@ -39,23 +35,16 @@ def tiny_net(dims=(4, 5, 3), n_classes=3, seed=0):
     return init_params(list(dims), n_classes, seed)
 
 
-def flatten(arrays) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def set_flat(arrays, flat: np.ndarray) -> None:
-    k = 0
-    for a in arrays:
-        a[...] = flat[k : k + a.size].reshape(a.shape)
-        k += a.size
+def head_grads(grads, enc, head):
+    """The (weight, bias) gradients of the head, cut from a flat gradient."""
+    return split_like(grads, param_arrays(enc, head))[-2:]
 
 
 class TestInit:
     def test_deterministic_per_seed(self):
         enc1, head1 = tiny_net(seed=3)
         enc2, head2 = tiny_net(seed=3)
-        for a, b in zip(param_list(enc1, head1), param_list(enc2, head2)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(flat_params(enc1, head1), flat_params(enc2, head2))
         enc3, head3 = tiny_net(seed=4)
         assert not np.array_equal(enc1.layers[0].weight, enc3.layers[0].weight)
 
@@ -122,54 +111,49 @@ class TestBackward:
         x = np.random.default_rng(33).standard_normal((1, 4))
         cache = forward(enc, head, x)
         d_logits = np.array([[1.0, -2.0, 0.5]])
-        grads = backward(enc, head, cache, d_logits=d_logits)
-        assert np.array_equal(grads.head_weight, np.outer(cache.features[0], d_logits[0]))
-        assert np.array_equal(grads.head_bias, d_logits[0])
+        head_w, head_b = head_grads(backward(enc, head, cache, d_logits=d_logits), enc, head)
+        assert np.array_equal(head_w, np.outer(cache.features[0], d_logits[0]))
+        assert np.array_equal(head_b, d_logits[0])
 
     def test_feature_route_leaves_head_untouched(self):
         enc, head = tiny_net()
         cache = forward(enc, head, np.ones((2, 4)))
         grads = backward(enc, head, cache, d_features=np.ones((2, 3)))
-        assert np.array_equal(grads.head_weight, np.zeros((3, 3)))
-        assert np.array_equal(grads.head_bias, np.zeros(3))
+        head_w, head_b = head_grads(grads, enc, head)
+        assert np.array_equal(head_w, np.zeros((3, 3)))
+        assert np.array_equal(head_b, np.zeros(3))
 
     def test_zero_upstream_gives_zero_grads(self):
         enc, head = tiny_net()
         cache = forward(enc, head, np.random.default_rng(34).standard_normal((3, 4)))
         grads = backward(enc, head, cache, d_features=np.zeros((3, 3)))
-        assert all(not g.any() for g in grad_list(grads))
+        assert grads.shape == (55,) and not grads.any()
 
     def test_merged_routes_add(self):
         enc, head = tiny_net()
         cache = forward(enc, head, np.random.default_rng(35).standard_normal((3, 4)))
         df = np.random.default_rng(36).standard_normal((3, 3))
         dl = np.random.default_rng(37).standard_normal((3, 3))
-        merged = grad_list(backward(enc, head, cache, d_features=df, d_logits=dl))
-        split = [
-            a + b
-            for a, b in zip(
-                grad_list(backward(enc, head, cache, d_features=df)),
-                grad_list(backward(enc, head, cache, d_logits=dl)),
-            )
-        ]
-        for a, b in zip(merged, split):
-            assert a == pytest.approx(b, abs=1e-12)
+        merged = backward(enc, head, cache, d_features=df, d_logits=dl)
+        split = backward(enc, head, cache, d_features=df) + backward(enc, head, cache, d_logits=dl)
+        assert merged == pytest.approx(split, abs=1e-12)
 
     def test_full_gradient_matches_finite_differences(self):
         # Scalar objective exercising both routes: a linear probe on the
         # features plus cross entropy on the logits, differentiated with
-        # respect to all 55 parameters of a 4-5-3 network.
+        # respect to all 55 parameters of a 4-5-3 network, perturbed through
+        # the flat buffer that the layer and head arrays view.
         enc, head = tiny_net()
-        params = param_list(enc, head)
+        params = init_adam(enc, head).params
         rng = np.random.default_rng(38)
         x = rng.standard_normal((3, 4))
         labels = np.array([1, 2, 3])
         probe = rng.standard_normal((3, 3))
-        base = flatten(params)
+        base = params.copy()
         assert base.size == 55
 
         def objective(flat):
-            set_flat(params, flat)
+            params[...] = flat
             cache = forward(enc, head, x)
             value = float((cache.features * probe).sum())
             value += cross_entropy_loss(cache.logits, labels).value
@@ -178,20 +162,33 @@ class TestBackward:
         try:
             cache = forward(enc, head, x)
             ce = cross_entropy_loss(cache.logits, labels)
-            analytic = flatten(
-                grad_list(backward(enc, head, cache, d_features=probe, d_logits=ce.logit_grads))
-            )
+            analytic = backward(enc, head, cache, d_features=probe, d_logits=ce.logit_grads)
             numeric = central_diff(objective, base)
         finally:
-            set_flat(params, base)
+            params[...] = base
         assert rel_err(analytic, numeric) <= 1e-5
+
+    @pytest.mark.parametrize("dims", [(4, 3), (4, 5, 3), (16, 64, 64, 32)])
+    def test_flat_gradient_equals_per_layer_gradients(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        enc, head = tiny_net(dims, n_classes=3, seed=len(dims))
+        for m in (1, 3, 8):
+            cache = forward(enc, head, rng.standard_normal((m, dims[0])))
+            df = rng.standard_normal((m, dims[-1]))
+            dl = rng.standard_normal((m, 3))
+            routes = ({"d_features": df}, {"d_logits": dl}, {"d_features": df, "d_logits": dl})
+            for kwargs in routes:
+                expected = np.concatenate(
+                    [g.ravel() for g in per_layer_backward(enc, head, cache, **kwargs)]
+                )
+                assert np.array_equal(backward(enc, head, cache, **kwargs), expected)
 
     def test_shape_checks(self):
         enc, head = tiny_net()
         cache = forward(enc, head, np.ones((2, 4)))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DimMismatchError):
             backward(enc, head, cache, d_features=np.ones((2, 4)))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DimMismatchError):
             backward(enc, head, cache, d_logits=np.ones((1, 3)))
 
 
@@ -212,16 +209,11 @@ class TestAdam:
     def test_zero_gradient_leaves_params_bitwise(self):
         enc, head = tiny_net()
         state = init_adam(enc, head)
-        before = [p.copy() for p in param_list(enc, head)]
-        zero = ParamGrads(
-            [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in enc.layers],
-            np.zeros_like(head.weight),
-            np.zeros_like(head.bias),
-        )
-        adam_step(state, enc, head, zero, epoch=0)
+        before = state.params.copy()
+        adam_step(state, np.zeros_like(state.params), epoch=0)
         assert state.step == 1
-        for a, b in zip(param_list(enc, head), before):
-            assert np.array_equal(a, b)
+        assert np.array_equal(state.params, before)
+        assert np.array_equal(flat_params(enc, head), before)
 
     def test_drives_quadratic_to_zero(self):
         # Gradient of 0.5 * ||params||^2 is the parameters themselves; the
@@ -229,40 +221,55 @@ class TestAdam:
         # first, then within the decayed step size of the optimum.
         enc, head = self._fixed_net()
         state = init_adam(enc, head, base_lr=0.01, lr_decay=0.995)
-        params = param_list(enc, head)
-        norms = [float(np.linalg.norm(flatten(params)))]
+        norms = [float(np.linalg.norm(state.params))]
         for step in range(200):
-            grads = ParamGrads(
-                [(l.weight.copy(), l.bias.copy()) for l in enc.layers],
-                head.weight.copy(),
-                head.bias.copy(),
-            )
-            adam_step(state, enc, head, grads, epoch=step)
-            norms.append(float(np.linalg.norm(flatten(params))))
+            adam_step(state, state.params.copy(), epoch=step)
+            norms.append(float(np.linalg.norm(state.params)))
         for k in range(8):
             assert norms[k + 1] < norms[k]
-        assert max(abs(x) for x in flatten(params)) < 1e-2
+        assert max(abs(x) for x in flat_params(enc, head)) < 1e-2
 
     def test_state_mismatch_rejected(self):
         enc, head = tiny_net()
         other_state = init_adam(*init_params([4, 3], 3, seed=1))
         grads = backward(enc, head, forward(enc, head, np.ones((1, 4))), d_logits=np.ones((1, 3)))
-        with pytest.raises(ShapeMismatchError):
-            adam_step(other_state, enc, head, grads, epoch=0)
+        with pytest.raises(DimMismatchError):
+            adam_step(other_state, grads, epoch=0)
 
     def test_uses_decayed_rate_for_given_epoch(self):
         enc, head = self._fixed_net()
         state = init_adam(enc, head, base_lr=0.01, lr_decay=0.5)
         w_before = enc.layers[0].weight.copy()
-        grads = ParamGrads(
-            [(np.ones_like(l.weight), np.ones_like(l.bias)) for l in enc.layers],
-            np.ones_like(head.weight),
-            np.ones_like(head.bias),
-        )
-        adam_step(state, enc, head, grads, epoch=3)
+        adam_step(state, np.ones_like(state.params), epoch=3)
         # First step with constant gradients moves by ~lr in every entry.
         moved = np.abs(enc.layers[0].weight - w_before)
         assert moved == pytest.approx(np.full((2, 2), 0.01 * 0.5**3), rel=1e-6)
+
+    def test_flat_step_equals_per_array_loop(self):
+        # 50 steps with the learning rate decaying every 5 steps; the flat
+        # buffer and the per-array loop must agree bit for bit.
+        enc, head = init_params([16, 64, 64, 32], 3, seed=7)
+        oracle = PerArrayAdam([a.copy() for a in param_arrays(enc, head)], lr_decay=0.9)
+        state = init_adam(enc, head, lr_decay=0.9)
+        rng = np.random.default_rng(40)
+        for step in range(50):
+            grads = rng.standard_normal(state.params.size) * rng.uniform(1e-6, 10.0)
+            grads[rng.random(grads.size) < 0.1] = 0.0
+            adam_step(state, grads, epoch=step // 5)
+            oracle.step(split_like(grads, oracle.params), epoch=step // 5)
+        assert state.step == oracle.t == 50
+        pairs = ((state.params, oracle.params), (state.m, oracle.m), (state.v, oracle.v))
+        for flat, arrays in pairs:
+            assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
+        assert np.array_equal(flat_params(enc, head), state.params)
+
+    def test_buffer_is_viewed_by_the_parameter_fields(self):
+        enc, head = tiny_net()
+        before = flat_params(enc, head)
+        state = init_adam(enc, head)
+        assert state.params.shape == (55,) and np.array_equal(state.params, before)
+        for a in param_arrays(enc, head):
+            assert np.shares_memory(a, state.params)
 
 
 class TestCheckpoint:
@@ -271,8 +278,7 @@ class TestCheckpoint:
         path = tmp_path / "checkpoint.json"
         save_checkpoint(enc, head, path, seed=9, epoch=41)
         enc2, head2, meta = load_checkpoint(path)
-        for a, b in zip(param_list(enc, head), param_list(enc2, head2)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(flat_params(enc, head), flat_params(enc2, head2))
         assert [l.activation for l in enc2.layers] == ["relu", "identity"]
         assert meta == {"seed": 9, "epoch": 41, "dims": [4, 5, 3]}
         x = np.random.default_rng(39).standard_normal((2, 4))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fd import central_diff, rel_err
+from oracles import cosine_similarity_grad, neg_abs_distance
 from ordproto.errors import (
     DimMismatchError,
     EmptyInputError,
@@ -15,8 +16,6 @@ from ordproto.errors import (
 from ordproto.linalg import (
     as_vector,
     cosine_similarity,
-    cosine_similarity_grad,
-    neg_abs_distance,
     normalize,
     softmax,
 )

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fd import central_diff, rel_err
+from oracles import feature_similarity
 from ordproto.errors import (
     DegenerateBatchError,
     DimMismatchError,
@@ -23,7 +24,6 @@ from ordproto.losses import (
     FeatureBatch,
     cls2cls_loss,
     cross_entropy_loss,
-    feature_similarity,
     hybrid_ordinal_loss,
     ins2cls_loss,
     ins2ins_loss,
@@ -365,6 +365,28 @@ class TestHybrid:
         assert np.array_equal(none.feature_grads, np.zeros_like(batch.features))
         with_protos = hybrid_ordinal_loss(batch, CFG, protos=protos)
         assert with_protos.value == hybrid_ordinal_loss(batch, CFG).value
+
+    def test_terms_list_each_part_with_zero_for_a_disabled_one(self):
+        rng = np.random.default_rng(24)
+        batch = random_batch(rng, all_classes=True)
+        protos = local_prototypes(batch)
+        values = (
+            ins2ins_loss(batch, CFG).value,
+            ins2cls_loss(batch, protos).value,
+            cls2cls_loss(batch, protos, CFG).value,
+        )
+        for switches in ((True, True, True), (False, True, True), (True, False, False)):
+            out = hybrid_ordinal_loss(
+                batch,
+                CFG,
+                use_ins2ins=switches[0],
+                use_ins2cls=switches[1],
+                use_cls2cls=switches[2],
+                protos=protos,
+            )
+            expected = tuple(v if on else 0.0 for v, on in zip(values, switches))
+            assert out.terms == expected
+            assert out.value == expected[0] + expected[1] + expected[2]
 
 
 class TestCrossEntropy:

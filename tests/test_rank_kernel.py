@@ -10,12 +10,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import feature_similarity
 from ordproto.losses import (
     FeatureBatch,
     _rank_alignment,
     _unit_rows,
     cls2cls_loss,
-    feature_similarity,
     ins2ins_loss,
     label_similarity,
     local_prototypes,

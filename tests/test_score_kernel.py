@@ -96,6 +96,21 @@ class TestScalarOracle:
         expected["spearman_ordinality"] = spearman(cos_high, cohort.latent_t)
         assert evaluate_on(result.encoder, result.store, cohort) == expected
 
+    @pytest.mark.parametrize(
+        "counts, seed", [((40, 80, 80), 100), ((130, 270, 200), 5), ((2000, 4000, 2000), 7)]
+    )
+    def test_evaluate_on_equals_the_two_encode_path(self, trained_run, counts, seed):
+        # evaluate_on encodes the cohort once and scores the middle rows of
+        # that encoding; the oracle encodes the middle rows a second time.
+        result, _, _ = trained_run
+        cohort = generate(GenConfig(class_counts=counts), seed)
+        mask = cohort.middle_mask()
+        z_mid = encode(result.encoder, cohort.x[mask])
+        expected = binary_metrics(progression_scores(z_mid, result.store), cohort.fine[mask])
+        _, cos_high = anchor_cosines(encode(result.encoder, cohort.x), result.store)
+        expected["spearman_ordinality"] = spearman(cos_high, cohort.latent_t)
+        assert evaluate_on(result.encoder, result.store, cohort) == expected
+
 
 class TestRowInvariance:
     def test_row_blocks_are_bit_identical(self, trained_run):

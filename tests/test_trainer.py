@@ -7,16 +7,10 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from oracles import flat_params
 from ordproto import trainer
 from ordproto.data import GenConfig, generate, kfold_split, stratified_batches
-from ordproto.encoder import (
-    adam_step,
-    backward,
-    forward,
-    init_adam,
-    init_params,
-    param_list,
-)
+from ordproto.encoder import adam_step, backward, forward, init_adam, init_params
 from ordproto.errors import (
     BadConfigError,
     DegenerateBatchError,
@@ -113,8 +107,8 @@ class TestTrainLoop:
         view = tiny_dataset.training_view()
         a = train(TINY_TRAIN, view, seed=1)
         b = train(TINY_TRAIN, view, seed=1)
-        for p, q in zip(param_list(a.encoder, a.head), param_list(b.encoder, b.head)):
-            assert np.array_equal(p, q)
+        assert np.array_equal(a.adam.params, b.adam.params)
+        assert np.array_equal(flat_params(a.encoder, a.head), a.adam.params)
         assert np.array_equal(a.store.anchor_low, b.store.anchor_low)
         assert np.array_equal(a.store.anchor_high, b.store.anchor_high)
         assert [r.row() for r in a.history.rows] == [r.row() for r in b.history.rows]
@@ -174,10 +168,9 @@ class TestTrainLoop:
                 cache = forward(enc, head, view.x[idx])
                 ce = cross_entropy_loss(cache.logits, view.labels[idx])
                 grads = backward(enc, head, cache, d_logits=ce.logit_grads)
-                adam_step(adam, enc, head, grads, epoch)
+                adam_step(adam, grads, epoch)
 
-        for p, q in zip(param_list(result.encoder, result.head), param_list(enc, head)):
-            assert np.array_equal(p, q)
+        assert np.array_equal(flat_params(result.encoder, result.head), flat_params(enc, head))
         for r in result.history.rows:
             assert r.loss_total == r.loss_ce
             assert r.loss_i2i == 0.0 and r.loss_i2c == 0.0 and r.loss_c2c == 0.0
@@ -273,10 +266,9 @@ class TestRunSeeds:
 
 def assert_same_run(a, b):
     assert np.array_equal(a.history.values, b.history.values)
-    for p, q in zip(param_list(a.encoder, a.head), param_list(b.encoder, b.head), strict=True):
-        assert np.array_equal(p, q)
-    for p, q in zip(a.adam.m + a.adam.v, b.adam.m + b.adam.v, strict=True):
-        assert np.array_equal(p, q)
+    assert np.array_equal(flat_params(a.encoder, a.head), flat_params(b.encoder, b.head))
+    for name in ("params", "m", "v"):
+        assert np.array_equal(getattr(a.adam, name), getattr(b.adam, name))
     assert a.adam.step == b.adam.step
     assert np.array_equal(a.store.anchor_low, b.store.anchor_low)
     assert np.array_equal(a.store.anchor_high, b.store.anchor_high)
