@@ -110,13 +110,18 @@ def _load_artifacts(checkpoint_path, store_path, data_path):
         raise ArtifactMismatchError(
             f"checkpoint expects {enc.input_dim} input dims, data has {dataset.input_dim}"
         )
+    n_classes = head.weight.shape[1]
+    if dataset.n_classes > n_classes:
+        raise ArtifactMismatchError(
+            f"data has coarse labels up to {dataset.n_classes}, the checkpoint's "
+            f"classes are 1..{n_classes}"
+        )
     if store.dim != enc.feature_dim:
         raise ArtifactMismatchError(
             f"store dim {store.dim} != checkpoint feature dim {enc.feature_dim}"
         )
     if not is_trained(store):
         raise ArtifactMismatchError("prototype store is untrained: an anchor is still zero")
-    n_classes = head.weight.shape[1]
     if not all(1 <= c <= n_classes for c in store.anchor_classes):
         raise ArtifactMismatchError(
             f"store anchor classes {store.anchor_classes} lie outside the "

@@ -10,7 +10,9 @@ Adam works on one flat float64 buffer that holds every parameter in a
 fixed layout: each layer's weight (row-major) and bias in layer order,
 then the head's weight and bias. ``init_adam`` moves the parameters into
 that buffer and leaves the ``Layer`` and ``HeadParams`` fields as views
-into it; ``backward`` returns its gradient in the same layout.
+into it; ``backward`` returns its gradient in the same layout. The
+training loop calls ``_forward`` and ``_backward``, the trusting kernels
+behind ``forward`` and ``backward``, with one gradient buffer per run.
 """
 
 from __future__ import annotations
@@ -102,16 +104,21 @@ def _as_batch(x, input_dim: int) -> np.ndarray:
     return arr
 
 
-def forward(enc: EncoderParams, head: HeadParams, x) -> ForwardCache:
-    h = _as_batch(x, enc.input_dim)
-    inputs, preacts = [], []
-    for layer in enc.layers:
-        inputs.append(h)
+def _forward(enc: EncoderParams, head: HeadParams, h: np.ndarray) -> ForwardCache:
+    """Forward kernel without validation: ``h`` is a finite (M, input_dim) float64 array."""
+    n = len(enc.layers)
+    inputs, preacts = [None] * n, [None] * n
+    for i, layer in enumerate(enc.layers):
+        inputs[i] = h
         a = h @ layer.weight + layer.bias
-        preacts.append(a)
+        preacts[i] = a
         h = np.maximum(a, 0.0) if layer.activation == "relu" else a
     logits = h @ head.weight + head.bias
     return ForwardCache(inputs, preacts, h, logits)
+
+
+def forward(enc: EncoderParams, head: HeadParams, x) -> ForwardCache:
+    return _forward(enc, head, _as_batch(x, enc.input_dim))
 
 
 def encode(enc: EncoderParams, x) -> np.ndarray:
@@ -121,6 +128,47 @@ def encode(enc: EncoderParams, x) -> np.ndarray:
         a = h @ layer.weight + layer.bias
         h = np.maximum(a, 0.0) if layer.activation == "relu" else a
     return h
+
+
+def _buffer(enc: EncoderParams, head: HeadParams) -> tuple[np.ndarray, list[np.ndarray]]:
+    """An uninitialized flat buffer in the parameter layout, and one view per array."""
+    arrays = [a for layer in enc.layers for a in (layer.weight, layer.bias)]
+    arrays += [head.weight, head.bias]
+    flat = np.empty(sum(a.size for a in arrays))
+    ends = np.cumsum([a.size for a in arrays])
+    return flat, [flat[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
+
+
+def _backward(
+    enc: EncoderParams,
+    head: HeadParams,
+    cache: ForwardCache,
+    d_features: np.ndarray | None,
+    d_logits: np.ndarray | None,
+    grads: list[np.ndarray],
+) -> None:
+    """Backward kernel without validation: writes every gradient into ``grads``.
+
+    ``grads`` are the per-array views of one flat buffer (``_buffer``).
+    The first layer's input gradient is not computed; nothing reads it.
+    """
+    if d_logits is not None:
+        np.matmul(cache.features.T, d_logits, out=grads[-2])
+        np.add.reduce(d_logits, axis=0, out=grads[-1])
+        dh = d_logits @ head.weight.T
+    else:
+        grads[-2][...] = 0.0
+        grads[-1][...] = 0.0
+        dh = np.zeros(cache.features.shape)
+    if d_features is not None:
+        dh = dh + d_features
+    for i in range(len(enc.layers) - 1, -1, -1):
+        layer = enc.layers[i]
+        da = dh * (cache.preacts[i] > 0.0) if layer.activation == "relu" else dh
+        np.matmul(cache.inputs[i].T, da, out=grads[2 * i])
+        np.add.reduce(da, axis=0, out=grads[2 * i + 1])
+        if i:
+            dh = da @ layer.weight.T
 
 
 def backward(
@@ -136,36 +184,21 @@ def backward(
     classification loss merge where the head branches off the features.
     Returns one flat gradient vector in the parameter-buffer layout.
     """
-    m = cache.features.shape[0]
     if d_logits is not None:
         d_logits = np.asarray(d_logits, dtype=np.float64)
         if d_logits.shape != cache.logits.shape:
             raise DimMismatchError(
                 f"d_logits shape {d_logits.shape} != logits shape {cache.logits.shape}"
             )
-        head_w = cache.features.T @ d_logits
-        head_b = d_logits.sum(axis=0)
-        dh = d_logits @ head.weight.T
-    else:
-        head_w = np.zeros_like(head.weight)
-        head_b = np.zeros_like(head.bias)
-        dh = np.zeros((m, enc.feature_dim))
     if d_features is not None:
         d_features = np.asarray(d_features, dtype=np.float64)
         if d_features.shape != cache.features.shape:
             raise DimMismatchError(
                 f"d_features shape {d_features.shape} != features shape {cache.features.shape}"
             )
-        dh = dh + d_features
-
-    # Collected back to front, so reversed at the end.
-    pieces = [head_b, head_w]
-    for i in range(len(enc.layers) - 1, -1, -1):
-        layer = enc.layers[i]
-        da = dh * (cache.preacts[i] > 0.0) if layer.activation == "relu" else dh
-        pieces += [da.sum(axis=0), cache.inputs[i].T @ da]
-        dh = da @ layer.weight.T
-    return np.concatenate([g.ravel() for g in reversed(pieces)])
+    flat, views = _buffer(enc, head)
+    _backward(enc, head, cache, d_features, d_logits, views)
+    return flat
 
 
 @dataclass
@@ -202,14 +235,10 @@ def init_adam(
     The parameters of ``enc`` and ``head`` are copied into the buffer and
     their fields rebound as views into it, so ``adam_step`` updates them.
     """
-    arrays = [a for layer in enc.layers for a in (layer.weight, layer.bias)]
-    arrays += [head.weight, head.bias]
-    params = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
-    ends = np.cumsum([a.size for a in arrays])
-    views = iter(params[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends))
-    for layer in enc.layers:
-        layer.weight, layer.bias = next(views), next(views)
-    head.weight, head.bias = next(views), next(views)
+    params, views = _buffer(enc, head)
+    for owner, weight, bias in zip([*enc.layers, head], views[::2], views[1::2]):
+        weight[...], bias[...] = owner.weight, owner.bias
+        owner.weight, owner.bias = weight, bias
     return AdamState(
         params=params,
         m=np.zeros_like(params),

@@ -1,14 +1,17 @@
 """Small dense-vector kernel: validation, normalization, cosine similarity
 and a numerically safe softmax.
 
-Each function validates its own arguments: inputs must be non-empty, finite
-1-D float arrays, and directions must have norm above ``NORM_EPS``. The
+Each public function validates its own arguments: inputs must be non-empty,
+finite 1-D float arrays, and directions must have norm above ``NORM_EPS``
+(``_unit`` is ``normalize`` for an already validated array). The
 row-batched kernels (the losses, ``prototypes.progression_scores``) validate
 a whole matrix once at their boundary instead of calling these per row; the
 per-vector functions here also serve as their scalar test oracles.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -35,15 +38,19 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def normalize(v, name: str = "vector") -> np.ndarray:
-    """v / ||v||, returned unchanged when ||v|| is already 1 within UNIT_TOL."""
-    arr = as_vector(v, name)
-    n = float(np.linalg.norm(arr))
+def _unit(arr: np.ndarray, name: str) -> np.ndarray:
+    """``normalize`` of a finite 1-D float64 array, without validating it."""
+    n = math.sqrt(arr.dot(arr))  # np.linalg.norm's 1-D form
     if n <= NORM_EPS:
         raise ZeroVectorError(f"cannot normalize {name} with norm {n!r}")
     if abs(n - 1.0) <= UNIT_TOL:
         return arr
     return arr / n
+
+
+def normalize(v, name: str = "vector") -> np.ndarray:
+    """v / ||v||, returned unchanged when ||v|| is already 1 within UNIT_TOL."""
+    return _unit(as_vector(v, name), name)
 
 
 def _checked_pair(u, v) -> tuple[np.ndarray, np.ndarray, float, float]:

@@ -11,6 +11,11 @@ Three structural terms act on a feature batch:
 Rank terms differentiate through the interpolated rank backward pass;
 everything else has closed-form gradients, including the chain rule
 through the batch class means.
+
+The private kernels (``_local_prototypes``, ``_hybrid``, ``_cross_entropy``)
+trust finite float64 features and 1-based int64 labels: the training loop
+validates once and calls them; the public functions run the same kernels on
+a validated ``FeatureBatch`` or validated arguments.
 """
 
 from __future__ import annotations
@@ -48,8 +53,7 @@ class FeatureBatch:
         labs = np.asarray(self.labels, dtype=np.int64)
         if feats.ndim != 2 or feats.shape[0] == 0 or feats.shape[1] == 0:
             raise EmptyInputError("features must be a non-empty (M, d) array")
-        if not np.all(np.isfinite(feats)):
-            raise NonFiniteError("features contain NaN or Inf entries")
+        _require_finite(feats, "features")
         if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
             raise DimMismatchError("labels must be one per feature row")
         if self.n_classes < 2:
@@ -73,11 +77,17 @@ class FeatureBatch:
 
 @dataclass(frozen=True)
 class LocalPrototypes:
-    """Within-batch class means; absent classes hold None."""
+    """Within-batch class means and the batch rows that make them up."""
 
-    per_class: tuple  # length K, np.ndarray (d,) or None
+    means: np.ndarray  # (K, d); the row of a class absent from the batch is zero
     counts: np.ndarray  # (K,) int64
     overall: np.ndarray  # (d,) mean of all features
+    members: np.ndarray  # (K, M) bool, row k marks the samples of class k + 1
+
+    @property
+    def per_class(self) -> tuple:
+        """Each class mean, None for a class absent from the batch."""
+        return tuple(mu if n else None for mu, n in zip(self.means, self.counts))
 
 
 @dataclass(frozen=True)
@@ -95,37 +105,47 @@ class LossBundle:
     terms: tuple[float, ...] = ()
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"{what} contain NaN or Inf entries")
+
+
+def _label_similarity(y: np.ndarray) -> np.ndarray:
+    return -np.abs(y[:, None] - y[None, :])
+
+
 def label_similarity(labels) -> np.ndarray:
     """Pairwise similarity -(|y_i - y_j|) as a square matrix."""
     y = np.asarray(labels, dtype=np.float64)
     if y.ndim != 1 or y.size == 0:
         raise EmptyInputError("labels must be a non-empty 1-D array")
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteError("labels contain NaN or Inf entries")
-    return -np.abs(y[:, None] - y[None, :])
+    _require_finite(y, "labels")
+    return _label_similarity(y)
 
 
 def _unit_rows(vectors: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(vectors, axis=1)
-    if np.any(norms <= NORM_EPS):
+    norms = np.sqrt(np.add.reduce(vectors * vectors, axis=1))
+    if np.logical_or.reduce(norms <= NORM_EPS):
         bad = int(np.argmin(norms))
         raise ZeroVectorError(f"{what} row {bad} has (near-)zero norm")
     return vectors / norms[:, None], norms
 
 
+def _local_prototypes(features: np.ndarray, labels: np.ndarray, k: int) -> LocalPrototypes:
+    # sum / n gives the bits of .mean(axis=0) without its Python wrappers.
+    members = labels == np.arange(1, k + 1)[:, None]
+    counts = np.add.reduce(members, axis=1)
+    means = np.zeros((k, features.shape[1]))
+    for c, n in enumerate(counts.tolist()):
+        if n:
+            means[c] = np.add.reduce(features[members[c]], axis=0) / n
+    overall = np.add.reduce(features, axis=0) / features.shape[0]
+    return LocalPrototypes(means, counts, overall, members)
+
+
 def local_prototypes(batch: FeatureBatch) -> LocalPrototypes:
     """Class means, class counts, and the overall mean of a batch."""
-    k = batch.n_classes
-    counts = np.zeros(k, dtype=np.int64)
-    per_class: list[np.ndarray | None] = [None] * k
-    for c in range(1, k + 1):
-        members = batch.labels == c
-        n = int(members.sum())
-        counts[c - 1] = n
-        if n > 0:
-            per_class[c - 1] = batch.features[members].mean(axis=0)
-    overall = batch.features.mean(axis=0)
-    return LocalPrototypes(tuple(per_class), counts, overall)
+    return _local_prototypes(batch.features, batch.labels, batch.n_classes)
 
 
 def _rank_alignment(
@@ -142,7 +162,7 @@ def _rank_alignment(
     value_ranks = rank_rows(value_rows)
     diff = (value_ranks - rank_rows(target_rows)).astype(np.float64)
     grads = rank_backward_rows(value_rows, value_ranks, (2.0 * scale) * diff, cfg)
-    return scale * float(np.sum(diff * diff)), grads
+    return scale * float(np.add.reduce(diff * diff, axis=None)), grads
 
 
 def _cosine_rank_alignment(
@@ -159,9 +179,14 @@ def _cosine_rank_alignment(
     cos = units @ units.T
     value, sim_grads = _rank_alignment(target_rows, cos, cfg, scale)
     w = sim_grads + sim_grads.T
-    np.fill_diagonal(w, 0.0)
-    row_wc = np.sum(w * cos, axis=1)
+    w.flat[:: w.shape[0] + 1] = 0.0  # the diagonal, as np.fill_diagonal sets it
+    row_wc = np.add.reduce(w * cos, axis=1)
     return value, (w @ units - row_wc[:, None] * units) / norms[:, None]
+
+
+def _ins2ins(features: np.ndarray, labels: np.ndarray, cfg: BlackboxConfig):
+    s_y = _label_similarity(labels)
+    return _cosine_rank_alignment(s_y, features, "features", cfg, 1.0 / labels.size)
 
 
 def ins2ins_loss(batch: FeatureBatch, cfg: BlackboxConfig) -> LossBundle:
@@ -170,9 +195,19 @@ def ins2ins_loss(batch: FeatureBatch, cfg: BlackboxConfig) -> LossBundle:
     value = (1/M) sum_i ||rank(S^y_i) - rank(S^z_i)||^2 with S^y from
     label distances and S^z the feature cosine matrix.
     """
-    s_y = label_similarity(batch.labels)
-    value, grads = _cosine_rank_alignment(s_y, batch.features, "features", cfg, 1.0 / batch.size)
+    value, grads = _ins2ins(batch.features, batch.labels, cfg)
     return LossBundle(value, feature_grads=grads)
+
+
+def _ins2cls(features: np.ndarray, labels: np.ndarray, protos: LocalPrototypes):
+    d = features.shape[1]
+    diffs = features - protos.means[labels - 1]
+    squares = diffs * diffs
+    value = 0.0
+    for c, n in enumerate(protos.counts.tolist()):
+        if n:
+            value += float(np.add.reduce(squares[protos.members[c]], axis=None)) / d
+    return value, (2.0 / d) * diffs
 
 
 def ins2cls_loss(batch: FeatureBatch, protos: LocalPrototypes) -> LossBundle:
@@ -182,20 +217,33 @@ def ins2cls_loss(batch: FeatureBatch, protos: LocalPrototypes) -> LossBundle:
     rule through mu_k contributes nothing because within-class deviations
     sum to zero.
     """
-    if len(protos.per_class) != batch.n_classes:
+    if protos.counts.size != batch.n_classes:
         raise DimMismatchError("prototypes were built for a different class count")
-    d = batch.dim
-    value = 0.0
-    grads = np.zeros_like(batch.features)
-    for c in range(1, batch.n_classes + 1):
-        mu = protos.per_class[c - 1]
-        if mu is None:
-            continue
-        members = batch.labels == c
-        diffs = batch.features[members] - mu
-        value += float(np.sum(diffs * diffs)) / d
-        grads[members] = (2.0 / d) * diffs
+    value, grads = _ins2cls(batch.features, batch.labels, protos)
     return LossBundle(value, feature_grads=grads)
+
+
+def _cls2cls(
+    labels: np.ndarray, protos: LocalPrototypes, s_pr: np.ndarray, cfg: BlackboxConfig, detach
+):
+    k, d = protos.means.shape
+    disp = protos.means - protos.overall
+    denom = float(np.add.reduce(protos.counts * np.add.reduce(disp * disp, axis=1))) + SPREAD_EPS
+    align, dmu = _cosine_rank_alignment(s_pr, protos.means, "class means", cfg, 1.0 / k)
+    labels0 = labels - 1
+    grads = dmu[labels0] / protos.counts[labels0][:, None]
+    if not detach:
+        grads = grads + (-d / (denom * denom)) * 2.0 * disp[labels0]
+    return d / denom + align, grads
+
+
+def _class_target(protos: LocalPrototypes) -> np.ndarray:
+    """The cls2cls target, label_similarity(1..K); every class must be in the batch."""
+    k = protos.counts.size
+    if not protos.counts.all():
+        missing = [c + 1 for c in range(k) if protos.counts[c] == 0]
+        raise DegenerateBatchError(f"classes absent from batch: {missing}")
+    return _label_similarity(np.arange(1, k + 1))
 
 
 def cls2cls_loss(
@@ -216,24 +264,27 @@ def cls2cls_loss(
     mu_bar, which collapses to -d/(denom^2) * 2 (mu_{c(i)} - mu_bar) per
     instance because the count-weighted means telescope.
     """
-    k = batch.n_classes
-    if np.any(protos.counts == 0):
-        missing = [c + 1 for c in range(k) if protos.counts[c] == 0]
-        raise DegenerateBatchError(f"classes absent from batch: {missing}")
-    d = batch.dim
-    mus = np.stack(protos.per_class)  # (K, d)
-    disp = mus - protos.overall
-    denom = float(np.sum(protos.counts * np.sum(disp * disp, axis=1))) + SPREAD_EPS
-    spread = d / denom
+    s_pr = _class_target(protos)
+    value, grads = _cls2cls(batch.labels, protos, s_pr, cfg, detach_spread)
+    return LossBundle(value, feature_grads=grads)
 
-    s_pr = label_similarity(np.arange(1, k + 1))
-    align, dmu = _cosine_rank_alignment(s_pr, mus, "class means", cfg, 1.0 / k)
 
-    labels0 = batch.labels - 1
-    grads = dmu[labels0] / protos.counts[labels0][:, None]
-    if not detach_spread:
-        grads = grads + (-d / (denom * denom)) * 2.0 * disp[labels0]
-    return LossBundle(spread + align, feature_grads=grads)
+def _hybrid(
+    features, labels, protos, s_pr, cfg, use_ins2ins, use_ins2cls, use_cls2cls, detach_spread
+) -> LossBundle:
+    """``hybrid_ordinal_loss`` on trusted arrays; ``s_pr`` is the cls2cls target."""
+    grads = np.zeros(features.shape)
+    terms = [0.0, 0.0, 0.0]
+    if use_ins2ins:
+        terms[0], part = _ins2ins(features, labels, cfg)
+        grads += part
+    if use_ins2cls:
+        terms[1], part = _ins2cls(features, labels, protos)
+        grads += part
+    if use_cls2cls:
+        terms[2], part = _cls2cls(labels, protos, s_pr, cfg, detach_spread)
+        grads += part
+    return LossBundle(sum(terms), feature_grads=grads, terms=tuple(terms))
 
 
 def hybrid_ordinal_loss(
@@ -253,17 +304,25 @@ def hybrid_ordinal_loss(
     """
     if protos is None:
         protos = local_prototypes(batch)
-    parts = (
-        ins2ins_loss(batch, cfg) if use_ins2ins else None,
-        ins2cls_loss(batch, protos) if use_ins2cls else None,
-        cls2cls_loss(batch, protos, cfg, detach_spread=detach_spread) if use_cls2cls else None,
+    elif use_ins2cls and protos.counts.size != batch.n_classes:
+        raise DimMismatchError("prototypes were built for a different class count")
+    s_pr = _class_target(protos) if use_cls2cls else None
+    return _hybrid(
+        batch.features, batch.labels, protos, s_pr, cfg,
+        use_ins2ins, use_ins2cls, use_cls2cls, detach_spread,
     )
-    grads = np.zeros_like(batch.features)
-    for part in parts:
-        if part is not None:
-            grads += part.feature_grads
-    terms = tuple(0.0 if part is None else part.value for part in parts)
-    return LossBundle(sum(terms), feature_grads=grads, terms=terms)
+def _cross_entropy(logits: np.ndarray, onehot: np.ndarray) -> LossBundle:
+    """Cross entropy of finite logits; ``onehot`` (M, K) marks each row's label."""
+    m = logits.shape[0]
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=1))
+    log_probs = shifted - log_z[:, None]
+    # sum / m gives the bits of np.mean; boolean indexing keeps row order.
+    value = -float(np.add.reduce(log_probs[onehot]) / m)
+    grads = np.exp(log_probs)
+    grads[onehot] -= 1.0
+    grads /= m
+    return LossBundle(value, logit_grads=grads)
 
 
 def cross_entropy_loss(logits, labels) -> LossBundle:
@@ -275,23 +334,13 @@ def cross_entropy_loss(logits, labels) -> LossBundle:
     labs = np.asarray(labels, dtype=np.int64)
     if lg.ndim != 2 or lg.shape[0] == 0:
         raise EmptyInputError("logits must be a non-empty (M, K) array")
-    if not np.all(np.isfinite(lg)):
-        raise NonFiniteError("logits contain NaN or Inf entries")
+    _require_finite(lg, "logits")
     if labs.ndim != 1 or labs.shape[0] != lg.shape[0]:
         raise DimMismatchError("labels must be one per logit row")
     k = lg.shape[1]
     if labs.min() < 1 or labs.max() > k:
         raise LabelOutOfRangeError(f"labels must lie in 1..{k}")
-    m = lg.shape[0]
-    shifted = lg - lg.max(axis=1, keepdims=True)
-    log_z = np.log(np.sum(np.exp(shifted), axis=1))
-    log_probs = shifted - log_z[:, None]
-    rows = np.arange(m)
-    value = -float(np.mean(log_probs[rows, labs - 1]))
-    grads = np.exp(log_probs)
-    grads[rows, labs - 1] -= 1.0
-    grads /= m
-    return LossBundle(value, logit_grads=grads)
+    return _cross_entropy(lg, labs[:, None] == np.arange(1, k + 1))
 
 
 def total_loss(ce: LossBundle, hyb: LossBundle, lambda_hyb: float) -> LossBundle:

@@ -12,6 +12,7 @@ scores all rows of a feature matrix in one validated, row-batched call;
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     UntrainedStoreError,
     ZeroVectorError,
 )
-from .linalg import NORM_EPS, as_vector, normalize
+from .linalg import NORM_EPS, _unit, as_vector
 
 STABLE = "stable"
 PROGRESSIVE = "progressive"
@@ -75,10 +76,15 @@ def is_trained(store: GlobalPrototypeStore) -> bool:
 
 
 def _advance(p: np.ndarray, mu: np.ndarray, sigma: float) -> np.ndarray:
-    mu_hat = normalize(mu, "class mean")
-    if float(np.linalg.norm(p)) <= NORM_EPS:
+    """One EMA step of anchor ``p`` toward the direction of a finite class mean."""
+    mu_hat = _unit(mu, "class mean")
+    n_p = math.sqrt(p.dot(p))
+    if n_p <= NORM_EPS:
         return mu_hat.copy()  # bootstrap: adopt the normalized mean
-    p_hat = normalize(p, "anchor")
+    # NaN or Inf entries make the norm non-finite, and so can an overflow.
+    if not n_p < math.inf and not np.isfinite(p).all():
+        raise NonFiniteError("anchor contains NaN or Inf entries")
+    p_hat = _unit(p, "anchor")
     delta = mu_hat - p_hat
     if not delta.any():
         return p_hat  # exact fixed point, skip the arithmetic entirely
@@ -88,10 +94,14 @@ def _advance(p: np.ndarray, mu: np.ndarray, sigma: float) -> np.ndarray:
 
 def ema_update(store: GlobalPrototypeStore, mu_low, mu_high) -> GlobalPrototypeStore:
     """Move both anchors toward the normalized batch class means (in place)."""
-    lo = as_vector(mu_low, "mu_low")
-    hi = as_vector(mu_high, "mu_high")
+    lo = np.asarray(mu_low, dtype=np.float64)
+    hi = np.asarray(mu_high, dtype=np.float64)
     if lo.shape != (store.dim,) or hi.shape != (store.dim,):
         raise DimMismatchError(f"class means must have shape ({store.dim},)")
+    finite = np.isfinite((lo, hi)).all(axis=1)
+    if not finite.all():
+        name = "mu_low" if not finite[0] else "mu_high"
+        raise NonFiniteError(f"{name} contains NaN or Inf entries")
     store.anchor_low = _advance(store.anchor_low, lo, store.sigma)
     store.anchor_high = _advance(store.anchor_high, hi, store.sigma)
     return store

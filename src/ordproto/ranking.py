@@ -15,6 +15,7 @@ losses call; they trust their (finite, 2-D) input. ``rank`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,11 @@ class BlackboxConfig:
     lambda_interp: float = 1.0
 
     def __post_init__(self):
-        if not self.lambda_interp > 0.0:
-            raise BadConfigError("lambda_interp must be positive")
+        # An infinite step turns every rank gradient into NaN.
+        if not (math.isfinite(self.lambda_interp) and self.lambda_interp > 0.0):
+            raise BadConfigError(
+                f"lambda_interp must be finite and positive, got {self.lambda_interp!r}"
+            )
 
 
 def rank_rows(a: np.ndarray) -> np.ndarray:
@@ -42,8 +46,8 @@ def rank_rows(a: np.ndarray) -> np.ndarray:
     """
     # A stable sort of the negated row orders by value descending, then by
     # index ascending; the position in that order is the definition above.
-    order = np.argsort(-a, axis=1, kind="stable")
-    return np.argsort(order, axis=1, kind="stable") + 1
+    order = (-a).argsort(axis=1, kind="stable")
+    return order.argsort(axis=1, kind="stable") + 1
 
 
 def rank(a) -> np.ndarray:

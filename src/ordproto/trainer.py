@@ -23,10 +23,11 @@ from .encoder import (
     AdamState,
     EncoderParams,
     HeadParams,
+    _backward,
+    _buffer,
+    _forward,
     adam_step,
-    backward,
     encode,
-    forward,
     init_adam,
     init_params,
     learning_rate,
@@ -35,17 +36,20 @@ from .errors import (
     BadConfigError,
     DatasetIOError,
     DegenerateBatchError,
+    DimMismatchError,
     EmptyInputError,
+    NonFiniteError,
     OrdprotoError,
     OutOfRangeError,
     TrainingError,
 )
 from .evaluation import binary_metrics, spearman
 from .losses import (
-    FeatureBatch,
-    cross_entropy_loss,
-    hybrid_ordinal_loss,
-    local_prototypes,
+    _cross_entropy,
+    _hybrid,
+    _local_prototypes,
+    _require_finite,
+    label_similarity,
     total_loss,
 )
 from .prototypes import GlobalPrototypeStore, anchor_cosines, ema_update, progression_scores
@@ -95,10 +99,14 @@ class TrainConfig:
             raise BadConfigError("ema_sigma must lie strictly inside (0, 1)")
         if not 0.0 <= self.lambda_start <= self.lambda_end <= 1.0:
             raise BadConfigError("need 0 <= lambda_start <= lambda_end <= 1")
-        for name in ("base_lr", "lr_decay", "adam_epsilon", "blackbox_lambda"):
+        for name in ("base_lr", "lr_decay", "adam_epsilon"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise BadConfigError(f"{name} must be finite and positive, got {value!r}")
+        try:
+            BlackboxConfig(self.blackbox_lambda)
+        except BadConfigError as exc:
+            raise BadConfigError(f"blackbox_lambda: {exc}") from None
         for name in ("adam_beta1", "adam_beta2"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
@@ -205,7 +213,12 @@ class TrainResult:
 
 
 def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
-    """Run the full loop on a coarse-labeled training set."""
+    """Run the full loop on a coarse-labeled training set.
+
+    Inputs and labels are validated once, here; the loop runs the trusting
+    kernels behind the public loss and encoder functions and checks per
+    iteration only what changes: finite features and logits, nonzero norms.
+    """
     if data.input_dim != config.input_dim:
         raise BadConfigError(
             f"config input_dim {config.input_dim} != data input_dim {data.input_dim}"
@@ -216,6 +229,14 @@ def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
         raise DegenerateBatchError(
             f"training data must contain every class 1..{config.n_classes}, found {present}"
         )
+    # C order and float64 once, so every batch gather is a plain row copy.
+    x = np.ascontiguousarray(data.x, dtype=np.float64)
+    labels = np.asarray(data.labels, dtype=np.int64)
+    if labels.shape != (x.shape[0],):
+        raise DimMismatchError(f"need one label per input row, got {labels.shape[0]} labels")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise NonFiniteError(f"inputs row {int(np.argmin(finite))} contains NaN or Inf entries")
 
     enc, head = init_params(config.dims, config.n_classes, seed)
     adam = init_adam(
@@ -233,53 +254,48 @@ def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
         anchor_classes=config.anchor_classes,
     )
     bb = BlackboxConfig(config.blackbox_lambda)
+    s_pr = label_similarity(np.arange(1, config.n_classes + 1))
+    switches = (
+        config.use_ins2ins, config.use_ins2cls, config.use_cls2cls, config.detach_class_spread
+    )
+    grads, grad_views = _buffer(enc, head)
 
     # The batch plan depends only on class counts, so every epoch has the
     # same number of iterations and the schedule length is known up front.
-    per_epoch = len(stratified_batches(data.labels, config.batch_size, [seed, 0], config.n_classes))
-    total_iters = config.epochs * per_epoch
+    # Every batch holds every class, so cls2cls needs no per-batch check.
+    plan = stratified_batches(labels, config.batch_size, [seed, 0], config.n_classes)
+    total_iters = config.epochs * len(plan)
     history = np.empty((total_iters, len(HISTORY_COLUMNS)), dtype=np.float64)
     span = config.lambda_end - config.lambda_start
     lo_cls, hi_cls = config.anchor_classes
 
     iteration = 0
     for epoch in range(config.epochs):
-        batches = stratified_batches(
-            data.labels, config.batch_size, [seed, epoch], config.n_classes
-        )
+        if epoch:
+            plan = stratified_batches(labels, config.batch_size, [seed, epoch], config.n_classes)
         lr = learning_rate(adam, epoch)
-        for idx in batches:
+        for idx in plan:
             iteration += 1
             if config.lambda_per_epoch:
-                lam = config.lambda_start + span * lambda_schedule(
-                    epoch, max(config.epochs - 1, 1)
-                )
+                ramp = lambda_schedule(epoch, max(config.epochs - 1, 1))
             else:
-                lam = config.lambda_start + span * lambda_schedule(
-                    iteration - 1, max(total_iters - 1, 1)
-                )
+                ramp = lambda_schedule(iteration - 1, max(total_iters - 1, 1))
+            lam = config.lambda_start + span * ramp
             try:
-                cache = forward(enc, head, data.x[idx])
-                batch = FeatureBatch(cache.features, data.labels[idx], config.n_classes)
-                protos = local_prototypes(batch)
-                hyb = hybrid_ordinal_loss(
-                    batch,
-                    bb,
-                    use_ins2ins=config.use_ins2ins,
-                    use_ins2cls=config.use_ins2cls,
-                    use_cls2cls=config.use_cls2cls,
-                    detach_spread=config.detach_class_spread,
-                    protos=protos,
-                )
-                ce = cross_entropy_loss(cache.logits, batch.labels)
+                cache = _forward(enc, head, x[idx])
+                _require_finite(cache.features, "features")
+                batch_labels = labels[idx]
+                protos = _local_prototypes(cache.features, batch_labels, config.n_classes)
+                hyb = _hybrid(cache.features, batch_labels, protos, s_pr, bb, *switches)
+                _require_finite(cache.logits, "logits")
+                ce = _cross_entropy(cache.logits, protos.members.T)
                 combined = total_loss(ce, hyb, lam)
 
-                grads = backward(enc, head, cache, combined.feature_grads, combined.logit_grads)
+                _backward(
+                    enc, head, cache, combined.feature_grads, combined.logit_grads, grad_views
+                )
                 adam_step(adam, grads, epoch)
-
-                mu_low = protos.per_class[lo_cls - 1]
-                mu_high = protos.per_class[hi_cls - 1]
-                ema_update(store, mu_low, mu_high)
+                ema_update(store, protos.means[lo_cls - 1], protos.means[hi_cls - 1])
             except OrdprotoError as exc:
                 raise TrainingError(f"iteration {iteration}: {exc}", iteration) from exc
 

@@ -3,7 +3,8 @@
 Each function here is either a brute-force definition (the permutation
 rank, the pairwise cosine matrix) or the earlier per-array form of a
 kernel that now works on whole buffers (per-layer backward, per-array
-Adam). None of it runs in training or scoring.
+Adam, the per-class loss terms), or the training loop those forms make
+up (``reference_train``). None of it runs in training or scoring.
 """
 
 from __future__ import annotations
@@ -12,8 +13,20 @@ from itertools import permutations
 
 import numpy as np
 
-from ordproto.errors import EmptyInputError, NonFiniteError, ZeroVectorError
-from ordproto.linalg import NORM_EPS, as_vector, cosine_similarity
+from ordproto.data import stratified_batches
+from ordproto.encoder import adam_step, forward, init_adam, init_params, learning_rate
+from ordproto.errors import (
+    EmptyInputError,
+    NonFiniteError,
+    OrdprotoError,
+    TrainingError,
+    ZeroVectorError,
+)
+from ordproto.linalg import NORM_EPS, UNIT_TOL, as_vector, cosine_similarity
+from ordproto.losses import SPREAD_EPS, FeatureBatch, LocalPrototypes, LossBundle, total_loss
+from ordproto.prototypes import GlobalPrototypeStore
+from ordproto.ranking import BlackboxConfig, rank_backward_rows, rank_rows
+from ordproto.trainer import lambda_schedule
 
 # Factorial enumeration stays tractable up to 8! = 40320 candidates.
 ORACLE_MAX_N = 8
@@ -142,3 +155,183 @@ class PerArrayAdam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+
+
+def reference_local_prototypes(batch) -> LocalPrototypes:
+    """Class means of a FeatureBatch, one boolean mask and ``.mean`` per class."""
+    k = batch.n_classes
+    members = np.stack([batch.labels == c for c in range(1, k + 1)])
+    counts = np.zeros(k, dtype=np.int64)
+    means = np.zeros((k, batch.dim))
+    for c in range(k):
+        counts[c] = int(members[c].sum())
+        if counts[c]:
+            means[c] = batch.features[members[c]].mean(axis=0)
+    return LocalPrototypes(means, counts, batch.features.mean(axis=0), members)
+
+
+def _reference_cosine_alignment(target_rows, vectors, what, cfg, scale):
+    norms = np.linalg.norm(vectors, axis=1)
+    if np.any(norms <= NORM_EPS):
+        raise ZeroVectorError(f"{what} row {int(np.argmin(norms))} has (near-)zero norm")
+    units = vectors / norms[:, None]
+    cos = units @ units.T
+    value_ranks = rank_rows(cos)
+    diff = (value_ranks - rank_rows(target_rows)).astype(np.float64)
+    sim_grads = rank_backward_rows(cos, value_ranks, (2.0 * scale) * diff, cfg)
+    w = sim_grads + sim_grads.T
+    np.fill_diagonal(w, 0.0)
+    row_wc = np.sum(w * cos, axis=1)
+    grads = (w @ units - row_wc[:, None] * units) / norms[:, None]
+    return scale * float(np.sum(diff * diff)), grads
+
+
+def reference_hybrid_ordinal_loss(
+    batch, protos, cfg, *, use_ins2ins, use_ins2cls, use_cls2cls, detach_spread
+) -> LossBundle:
+    """The structural terms in their per-class form: masks, np.stack, np.sum."""
+    d, k = batch.dim, batch.n_classes
+    terms = [0.0, 0.0, 0.0]
+    parts = []
+    if use_ins2ins:
+        y = batch.labels.astype(np.float64)
+        s_y = -np.abs(y[:, None] - y[None, :])
+        terms[0], g = _reference_cosine_alignment(
+            s_y, batch.features, "features", cfg, 1.0 / batch.size
+        )
+        parts.append(g)
+    if use_ins2cls:
+        g = np.zeros_like(batch.features)
+        for c in range(1, k + 1):
+            mu = protos.per_class[c - 1]
+            if mu is None:
+                continue
+            members = batch.labels == c
+            diffs = batch.features[members] - mu
+            terms[1] += float(np.sum(diffs * diffs)) / d
+            g[members] = (2.0 / d) * diffs
+        parts.append(g)
+    if use_cls2cls:
+        mus = np.stack(protos.per_class)
+        disp = mus - protos.overall
+        denom = float(np.sum(protos.counts * np.sum(disp * disp, axis=1))) + SPREAD_EPS
+        classes = np.arange(1, k + 1, dtype=np.float64)
+        s_pr = -np.abs(classes[:, None] - classes[None, :])
+        align, dmu = _reference_cosine_alignment(s_pr, mus, "class means", cfg, 1.0 / k)
+        labels0 = batch.labels - 1
+        g = dmu[labels0] / protos.counts[labels0][:, None]
+        if not detach_spread:
+            g = g + (-d / (denom * denom)) * 2.0 * disp[labels0]
+        terms[2] = d / denom + align
+        parts.append(g)
+    grads = np.zeros_like(batch.features)
+    for g in parts:
+        grads += g
+    return LossBundle(sum(terms), feature_grads=grads, terms=tuple(terms))
+
+
+def reference_cross_entropy_loss(logits, labels) -> LossBundle:
+    """Mean cross entropy, picking each row's label by (row, label - 1) index pairs."""
+    if not np.all(np.isfinite(logits)):
+        raise NonFiniteError("logits contain NaN or Inf entries")
+    m = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1))[:, None]
+    rows = np.arange(m)
+    value = -float(np.mean(log_probs[rows, labels - 1]))
+    grads = np.exp(log_probs)
+    grads[rows, labels - 1] -= 1.0
+    grads /= m
+    return LossBundle(value, logit_grads=grads)
+
+
+def reference_normalize(v, name: str) -> np.ndarray:
+    """v / ||v|| through np.linalg.norm, unchanged when ||v|| is 1 within UNIT_TOL."""
+    arr = as_vector(v, name)
+    n = float(np.linalg.norm(arr))
+    if n <= NORM_EPS:
+        raise ZeroVectorError(f"cannot normalize {name} with norm {n!r}")
+    if abs(n - 1.0) <= UNIT_TOL:
+        return arr
+    return arr / n
+
+
+def reference_ema_update(store, mu_low, mu_high) -> None:
+    """The EMA anchor step, validating and normalizing one vector at a time."""
+    means = (as_vector(mu_low, "mu_low"), as_vector(mu_high, "mu_high"))
+    for name, mu in zip(("anchor_low", "anchor_high"), means):
+        mu_hat = reference_normalize(mu, "class mean")
+        p = getattr(store, name)
+        if float(np.linalg.norm(p)) <= NORM_EPS:
+            setattr(store, name, mu_hat.copy())
+            continue
+        p_hat = reference_normalize(p, "anchor")
+        delta = mu_hat - p_hat
+        setattr(store, name, p_hat + (1.0 - store.sigma) * delta if delta.any() else p_hat)
+
+
+def reference_train(config, data, seed: int):
+    """The training loop with every batch validated again and every term in its per-class form.
+
+    Each iteration runs the validating ``forward`` and ``FeatureBatch``, the
+    reference prototypes, loss terms and cross entropy above, the
+    concatenated per-layer gradients, ``adam_step`` and
+    ``reference_ema_update``. Returns the history values, the Adam state and
+    the prototype store.
+    """
+    enc, head = init_params(config.dims, config.n_classes, seed)
+    adam = init_adam(
+        enc,
+        head,
+        beta1=config.adam_beta1,
+        beta2=config.adam_beta2,
+        base_lr=config.base_lr,
+        lr_decay=config.lr_decay,
+        epsilon=config.adam_epsilon,
+    )
+    store = GlobalPrototypeStore(
+        dim=config.feature_dim, sigma=config.ema_sigma, anchor_classes=config.anchor_classes
+    )
+    bb = BlackboxConfig(config.blackbox_lambda)
+    k = config.n_classes
+    per_epoch = len(stratified_batches(data.labels, config.batch_size, [seed, 0], k))
+    total_iters = config.epochs * per_epoch
+    span = config.lambda_end - config.lambda_start
+    lo_cls, hi_cls = config.anchor_classes
+    rows = []
+    iteration = 0
+    for epoch in range(config.epochs):
+        lr = learning_rate(adam, epoch)
+        for idx in stratified_batches(data.labels, config.batch_size, [seed, epoch], k):
+            iteration += 1
+            if config.lambda_per_epoch:
+                position = lambda_schedule(epoch, max(config.epochs - 1, 1))
+            else:
+                position = lambda_schedule(iteration - 1, max(total_iters - 1, 1))
+            lam = config.lambda_start + span * position
+            try:
+                cache = forward(enc, head, data.x[idx])
+                batch = FeatureBatch(cache.features, data.labels[idx], k)
+                protos = reference_local_prototypes(batch)
+                hyb = reference_hybrid_ordinal_loss(
+                    batch,
+                    protos,
+                    bb,
+                    use_ins2ins=config.use_ins2ins,
+                    use_ins2cls=config.use_ins2cls,
+                    use_cls2cls=config.use_cls2cls,
+                    detach_spread=config.detach_class_spread,
+                )
+                ce = reference_cross_entropy_loss(cache.logits, batch.labels)
+                combined = total_loss(ce, hyb, lam)
+                pieces = per_layer_backward(
+                    enc, head, cache, combined.feature_grads, combined.logit_grads
+                )
+                adam_step(adam, np.concatenate([g.ravel() for g in pieces]), epoch)
+                reference_ema_update(
+                    store, protos.per_class[lo_cls - 1], protos.per_class[hi_cls - 1]
+                )
+            except OrdprotoError as exc:
+                raise TrainingError(f"iteration {iteration}: {exc}", iteration) from exc
+            rows.append((iteration, epoch, lr, lam, combined.value, ce.value, *hyb.terms))
+    return np.array(rows, dtype=np.float64), adam, store

@@ -68,6 +68,17 @@ def trained(workspace):
     return out
 
 
+def relabeled_copy(workspace, name: str, label: int):
+    """data.csv with the first sample's coarse label set to ``label``."""
+    lines = (workspace / "data.csv").read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[1] = str(label)
+    lines[1] = ",".join(fields)
+    path = workspace / name
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestGenData:
     def test_writes_a_loadable_cohort(self, workspace, capsys):
         ds = load_dataset(workspace / "data.csv")
@@ -360,6 +371,21 @@ class TestEval:
             assert "anchor classes" in capsys.readouterr().err
         assert not (workspace / "x.csv").exists()
 
+    def test_more_classes_than_checkpoint_is_artifact_error(self, workspace, trained, capsys):
+        # A 3-class checkpoint must not score a cohort with coarse labels 4 or 5.
+        for label in (4, 5):
+            data = relabeled_copy(workspace, f"label{label}.csv", label)
+            code = main(
+                [
+                    "eval",
+                    "--checkpoint", str(trained / "checkpoint.json"),
+                    "--store", str(trained / "store.json"),
+                    "--data", str(data),
+                ]
+            )
+            assert code == EXIT_ARTIFACT
+            assert f"coarse labels up to {label}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "breakage",
         [
@@ -452,6 +478,22 @@ class TestExportEmbeddings:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("id,coarse_label,fine_label,z0")
         assert len(lines) == 51
+
+
+    def test_more_classes_than_checkpoint_is_artifact_error(self, workspace, trained, capsys):
+        out = workspace / "label4-emb.csv"
+        code = main(
+            [
+                "export-embeddings",
+                "--checkpoint", str(trained / "checkpoint.json"),
+                "--store", str(trained / "store.json"),
+                "--data", str(relabeled_copy(workspace, "label4.csv", 4)),
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_ARTIFACT
+        assert "classes are 1..3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCrossval:

@@ -11,6 +11,8 @@ from ordproto.encoder import (
     EncoderParams,
     HeadParams,
     Layer,
+    _backward,
+    _buffer,
     adam_step,
     backward,
     encode,
@@ -172,6 +174,10 @@ class TestBackward:
     def test_flat_gradient_equals_per_layer_gradients(self, dims):
         rng = np.random.default_rng(sum(dims))
         enc, head = tiny_net(dims, n_classes=3, seed=len(dims))
+        # One buffer reused by every call, as the training loop reuses it;
+        # NaN first, so an entry the kernel leaves unwritten shows.
+        buffer, views = _buffer(enc, head)
+        buffer[...] = np.nan
         for m in (1, 3, 8):
             cache = forward(enc, head, rng.standard_normal((m, dims[0])))
             df = rng.standard_normal((m, dims[-1]))
@@ -182,6 +188,8 @@ class TestBackward:
                     [g.ravel() for g in per_layer_backward(enc, head, cache, **kwargs)]
                 )
                 assert np.array_equal(backward(enc, head, cache, **kwargs), expected)
+                _backward(enc, head, cache, kwargs.get("d_features"), kwargs.get("d_logits"), views)
+                assert np.array_equal(buffer, expected)
 
     def test_shape_checks(self):
         enc, head = tiny_net()

@@ -104,6 +104,12 @@ class TestBlackboxBackward:
             BlackboxConfig(-1.0)
         assert BlackboxConfig().lambda_interp == 1.0
 
+    @pytest.mark.parametrize("step", [float("inf"), float("nan")])
+    def test_config_requires_finite_step(self, step):
+        # An infinite step would turn every rank gradient into NaN.
+        with pytest.raises(BadConfigError, match="finite and positive"):
+            BlackboxConfig(step)
+
     def test_zero_upstream_gives_zero(self):
         cfg = BlackboxConfig(1.0)
         g = blackbox_rank_backward([3.0, 1.0, 2.0], [0.0, 0.0, 0.0], cfg)

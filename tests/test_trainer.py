@@ -74,6 +74,8 @@ class TestTrainConfig:
             {"lambda_start": 0.8, "lambda_end": 0.4},
             {"lambda_end": 1.5},
             {"blackbox_lambda": 0.0},
+            {"blackbox_lambda": float("inf")},
+            {"blackbox_lambda": float("nan")},
             {"seeds": ()},
             {"anchor_classes": (2, 2)},
             {"anchor_classes": (0, 3)},
