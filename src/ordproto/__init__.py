@@ -30,32 +30,25 @@ from .encoder import (
     save_checkpoint,
 )
 from .evaluation import binary_metrics, mann_whitney_one_sided, spearman
-from .linalg import cosine_similarity, softmax
 from .losses import (
     FeatureBatch,
     LocalPrototypes,
     LossBundle,
-    cls2cls_loss,
     cross_entropy_loss,
     hybrid_ordinal_loss,
-    ins2cls_loss,
-    ins2ins_loss,
     label_similarity,
-    local_prototypes,
     total_loss,
 )
 from .prototypes import (
     PROGRESSIVE,
     STABLE,
     GlobalPrototypeStore,
-    classify,
     ema_update,
     load_store,
-    predict_progression,
     progression_scores,
     save_store,
 )
-from .ranking import BlackboxConfig, blackbox_rank_backward, rank
+from .ranking import BlackboxConfig
 from .trainer import (
     TrainConfig,
     TrainResult,

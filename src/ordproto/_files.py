@@ -1,0 +1,45 @@
+"""Artifact file I/O: all-or-nothing writes and JSON reads, OSError as DatasetIOError."""
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+
+from .errors import DatasetIOError, DatasetParseError
+
+
+def write_artifact(path, what: str, write) -> None:
+    """Write ``path`` with ``write(fh)``, all or nothing.
+
+    The text goes to ``<name>.tmp`` in the target's directory and replaces
+    the target only once complete, so a write that fails part-way leaves
+    the target as it was and no temp file.
+    """
+    tmp = Path(path).with_name(Path(path).name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise DatasetIOError(f"cannot write {what}: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)  # already gone after a successful replace
+
+
+def write_json(path, what: str, payload) -> None:
+    def dump(fh):
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+    write_artifact(path, what, dump)
+
+
+def read_json(path, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DatasetIOError(f"cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DatasetParseError(f"{what} is not valid JSON: {exc}") from exc

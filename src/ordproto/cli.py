@@ -13,20 +13,18 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from ._files import write_artifact, write_json
 from .config import load_gen_config, load_train_config
 from .data import generate, load_dataset, save_dataset
 from .encoder import encode, load_checkpoint, save_checkpoint
 from .errors import (
     ArtifactMismatchError,
     BadConfigError,
-    BadDimsError,
-    BadKError,
-    BatchTooSmallError,
     DatasetIOError,
     DatasetParseError,
-    LabelOutOfRangeError,
     OrdprotoError,
-    OutOfRangeError,
     TrainingError,
 )
 from .prototypes import is_trained, load_store, progression_scores, save_store
@@ -83,12 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_json(payload: dict, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise DatasetIOError(f"cannot write {path}: {exc}") from exc
+    write_json(path, str(path), payload)
 
 
 def _check_data_matches(config, dataset) -> None:
@@ -99,6 +92,13 @@ def _check_data_matches(config, dataset) -> None:
     if dataset.n_classes != config.n_classes:
         raise BadConfigError(
             f"config classes {config.n_classes} != data classes {dataset.n_classes}"
+        )
+    # The nonzero bins are the classes present; np.unique would also import
+    # numpy.ma into this process (+1.5 MB peak RSS in a pooled seed sweep).
+    present = np.flatnonzero(np.bincount(dataset.coarse))
+    if present.size != config.n_classes:
+        raise BadConfigError(
+            f"training data must contain every class 1..{config.n_classes}, found {present}"
         )
 
 
@@ -136,18 +136,18 @@ def _export_embeddings(enc, store, dataset, out_path) -> None:
     header = ["id", "coarse_label", "fine_label"] + [
         f"z{j}" for j in range(z.shape[1])
     ] + ["p_progressive"]
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for i in range(dataset.size):
-                writer.writerow(
-                    [i, int(dataset.coarse[i]), dataset.fine[i]]
-                    + [repr(float(v)) for v in z[i]]
-                    + [repr(float(scores[i]))]
-                )
-    except OSError as exc:
-        raise DatasetIOError(f"cannot write embeddings: {exc}") from exc
+
+    def rows(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i in range(dataset.size):
+            writer.writerow(
+                [i, int(dataset.coarse[i]), dataset.fine[i]]
+                + [repr(float(v)) for v in z[i]]
+                + [repr(float(scores[i]))]
+            )
+
+    write_artifact(out_path, "embeddings", rows)
 
 
 def cmd_gen_data(args) -> int:
@@ -185,6 +185,8 @@ def cmd_train(args) -> int:
         "metrics": out_dir / "metrics.json",
         "embeddings": out_dir / "embeddings.csv",
     }
+    # The manifest goes last: until then a previous run's must not vouch for these files.
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     save_checkpoint(first.encoder, first.head, paths["checkpoint"], first.seed, config.epochs)
     save_store(first.store, paths["store"])
     first.history.write_csv(paths["history"])
@@ -253,15 +255,6 @@ _COMMANDS = {
     "crossval": cmd_crossval,
 }
 
-# Usage and semantic config problems share exit code 2.
-_CONFIG_ERRORS = (
-    BadConfigError,
-    BadDimsError,
-    BadKError,
-    BatchTooSmallError,
-    LabelOutOfRangeError,
-    OutOfRangeError,
-)
 _IO_ERRORS = (DatasetIOError, DatasetParseError, OSError)
 
 
@@ -270,7 +263,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _CONFIG_ERRORS as exc:
+    except BadConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _IO_ERRORS as exc:

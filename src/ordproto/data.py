@@ -17,13 +17,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._files import write_artifact
 from .errors import (
     BadConfigError,
-    BadKError,
-    BatchTooSmallError,
     DatasetIOError,
     DatasetParseError,
-    DegenerateBatchError,
+    DegenerateInputError,
     EmptyInputError,
 )
 from .prototypes import PROGRESSIVE, STABLE
@@ -207,13 +206,13 @@ def stratified_batches(labels, batch_size: int, seed, n_classes: int) -> list[np
     if labs.size == 0:
         raise EmptyInputError("labels are empty")
     if batch_size < n_classes:
-        raise BatchTooSmallError(
+        raise BadConfigError(
             f"batch size {batch_size} cannot hold all {n_classes} classes"
         )
     counts = np.array([(labs == c).sum() for c in range(1, n_classes + 1)])
     if np.any(counts == 0):
         missing = [c + 1 for c in range(n_classes) if counts[c] == 0]
-        raise DegenerateBatchError(f"classes absent from dataset: {missing}")
+        raise DegenerateInputError(f"classes absent from dataset: {missing}")
 
     quota = batch_size * counts / counts.sum()
     slots = np.maximum(np.floor(quota).astype(np.int64), 1)
@@ -263,14 +262,14 @@ def kfold_split(labels, k: int, seed) -> np.ndarray:
     if labs.size == 0:
         raise EmptyInputError("labels are empty")
     if k < 2:
-        raise BadKError(f"need k >= 2 folds, got {k}")
+        raise BadConfigError(f"need k >= 2 folds, got {k}")
     rng = np.random.default_rng(seed)
     fold_of = np.zeros(labs.size, dtype=np.int64)
     offset = 0
     for c in np.unique(labs):
         idx = rng.permutation(np.flatnonzero(labs == c))
         if idx.size < k:
-            raise BadKError(f"class {c} has {idx.size} samples, fewer than k={k}")
+            raise BadConfigError(f"class {c} has {idx.size} samples, fewer than k={k}")
         for pos, i in enumerate(idx):
             fold_of[i] = 1 + (offset + pos) % k
         offset = (offset + idx.size) % k
@@ -286,17 +285,17 @@ def save_dataset(ds: SyntheticOrdinalDataset, path) -> None:
     header = ["id", "coarse_label", "fine_label", "latent_t"] + [
         f"x{j}" for j in range(ds.input_dim)
     ]
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for i in range(ds.size):
-                writer.writerow(
-                    [i, int(ds.coarse[i]), ds.fine[i], repr(float(ds.latent_t[i]))]
-                    + [repr(float(v)) for v in ds.x[i]]
-                )
-    except OSError as exc:
-        raise DatasetIOError(f"cannot write dataset: {exc}") from exc
+
+    def rows(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i in range(ds.size):
+            writer.writerow(
+                [i, int(ds.coarse[i]), ds.fine[i], repr(float(ds.latent_t[i]))]
+                + [repr(float(v)) for v in ds.x[i]]
+            )
+
+    write_artifact(path, "dataset", rows)
 
 
 def load_dataset(path) -> SyntheticOrdinalDataset:

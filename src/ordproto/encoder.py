@@ -17,19 +17,13 @@ behind ``forward`` and ``backward``, with one gradient buffer per run.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadDimsError,
-    DatasetIOError,
-    DatasetParseError,
-    DimMismatchError,
-    NonFiniteError,
-)
+from ._files import read_json, write_json
+from .errors import BadConfigError, DatasetParseError, DimMismatchError, NonFiniteError
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -42,7 +36,7 @@ class Layer:
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
-            raise BadDimsError(f"unknown activation {self.activation!r}")
+            raise BadConfigError(f"unknown activation {self.activation!r}")
 
 
 @dataclass
@@ -69,9 +63,9 @@ def init_params(dims, n_classes: int, seed: int) -> tuple[EncoderParams, HeadPar
     layers, identity on the final feature layer. Deterministic per seed."""
     dims = [int(d) for d in dims]
     if len(dims) < 2 or any(d < 1 for d in dims):
-        raise BadDimsError(f"need at least [input, feature] positive dims, got {dims}")
+        raise BadConfigError(f"need at least [input, feature] positive dims, got {dims}")
     if n_classes < 2:
-        raise BadDimsError("need at least 2 classes")
+        raise BadConfigError("need at least 2 classes")
     rng = np.random.default_rng(seed)
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
@@ -297,23 +291,12 @@ def save_checkpoint(
             "bias": [float(x) for x in head.bias],
         },
     }
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise DatasetIOError(f"cannot write checkpoint: {exc}") from exc
+    write_json(path, "checkpoint", payload)
 
 
 def load_checkpoint(path) -> tuple[EncoderParams, HeadParams, dict]:
     """Rebuild (encoder, head) from a checkpoint; returns metadata too."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise DatasetIOError(f"cannot read checkpoint: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DatasetParseError(f"checkpoint is not valid JSON: {exc}") from exc
+    payload = read_json(path, "checkpoint")
     try:
         dims = [int(d) for d in payload["dims"]]
         n_classes = int(payload["n_classes"])

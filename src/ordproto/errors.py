@@ -21,36 +21,12 @@ class NonFiniteError(OrdprotoError):
     """An input contains NaN or infinite entries."""
 
 
-class DegenerateBatchError(OrdprotoError):
-    """A batch is missing classes required by the requested computation."""
-
-
-class LabelOutOfRangeError(OrdprotoError):
-    """A class or truth label falls outside its declared range."""
-
-
-class OutOfRangeError(OrdprotoError):
-    """A scalar argument falls outside its documented interval."""
-
-
 class UntrainedStoreError(OrdprotoError):
     """The global prototype store still holds its zero-vector initialization."""
 
 
-class BadDimsError(OrdprotoError):
-    """A layer-dimension list is malformed."""
-
-
 class BadConfigError(OrdprotoError):
-    """A configuration value or config-file entry is invalid."""
-
-
-class BatchTooSmallError(OrdprotoError):
-    """Requested batch size cannot hold one sample of every class."""
-
-
-class BadKError(OrdprotoError):
-    """Invalid fold count for cross-validation."""
+    """A config value, argument (dims, fold count, batch size), label or scalar is invalid."""
 
 
 class DatasetIOError(OrdprotoError):
@@ -70,12 +46,8 @@ class DatasetParseError(OrdprotoError):
         self.line = line
 
 
-class OneClassOnlyError(OrdprotoError):
-    """Binary metrics require both classes to be present."""
-
-
 class DegenerateInputError(OrdprotoError):
-    """A constant vector was passed where variation is required."""
+    """The input lacks a required class, or the variation a computation needs."""
 
 
 class ArtifactMismatchError(OrdprotoError):

@@ -14,13 +14,11 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (
+    BadConfigError,
     DegenerateInputError,
     DimMismatchError,
     EmptyInputError,
-    LabelOutOfRangeError,
     NonFiniteError,
-    OneClassOnlyError,
-    OutOfRangeError,
 )
 from .prototypes import PROGRESSIVE, STABLE
 
@@ -60,16 +58,16 @@ def binary_metrics(scores, truths) -> dict:
     if not np.all(np.isfinite(s)):
         raise NonFiniteError("scores contain NaN or Inf entries")
     if np.any(s < 0.0) or np.any(s > 1.0):
-        raise OutOfRangeError("scores must lie in [0, 1]")
+        raise BadConfigError("scores must lie in [0, 1]")
     bad = [v for v in t if v not in (STABLE, PROGRESSIVE)]
     if bad:
-        raise LabelOutOfRangeError(f"unknown truth labels: {sorted(set(map(str, bad)))}")
+        raise BadConfigError(f"unknown truth labels: {sorted(set(map(str, bad)))}")
 
     pos = t == PROGRESSIVE
     n_pos = int(pos.sum())
     n_neg = int(s.size - n_pos)
     if n_pos == 0 or n_neg == 0:
-        raise OneClassOnlyError("need both stable and progressive truths")
+        raise DegenerateInputError("need both stable and progressive truths")
 
     pred_pos = s > 0.5
     tp = int(np.sum(pred_pos & pos))
@@ -115,7 +113,7 @@ def mann_whitney_one_sided(a, b, method: str = "auto") -> float:
     if not (np.all(np.isfinite(aa)) and np.all(np.isfinite(bb))):
         raise NonFiniteError("samples contain NaN or Inf entries")
     if method not in ("auto", "exact", "approx"):
-        raise OutOfRangeError(f"unknown method {method!r}")
+        raise BadConfigError(f"unknown method {method!r}")
     n_a, n_b = aa.size, bb.size
     n = n_a + n_b
     pooled = np.concatenate([aa, bb])

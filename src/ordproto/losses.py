@@ -12,10 +12,12 @@ Rank terms differentiate through the interpolated rank backward pass;
 everything else has closed-form gradients, including the chain rule
 through the batch class means.
 
-The private kernels (``_local_prototypes``, ``_hybrid``, ``_cross_entropy``)
-trust finite float64 features and 1-based int64 labels: the training loop
-validates once and calls them; the public functions run the same kernels on
-a validated ``FeatureBatch`` or validated arguments.
+The private kernels (``_local_prototypes``, ``_hybrid`` and its per-term
+``_ins2ins``/``_ins2cls``/``_cls2cls``, ``_cross_entropy``) trust finite
+float64 features and 1-based int64 labels: the training loop validates once
+and calls them; ``hybrid_ordinal_loss`` runs the same kernels on a validated
+``FeatureBatch`` (one term alone by switching the others off), and
+``cross_entropy_loss`` on validated logits and labels.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateBatchError,
+    BadConfigError,
+    DegenerateInputError,
     DimMismatchError,
     EmptyInputError,
-    LabelOutOfRangeError,
     NonFiniteError,
     ZeroVectorError,
 )
@@ -57,9 +59,9 @@ class FeatureBatch:
         if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
             raise DimMismatchError("labels must be one per feature row")
         if self.n_classes < 2:
-            raise LabelOutOfRangeError("need at least 2 classes")
+            raise BadConfigError("need at least 2 classes")
         if labs.min() < 1 or labs.max() > self.n_classes:
-            raise LabelOutOfRangeError(
+            raise BadConfigError(
                 f"labels must lie in 1..{self.n_classes}, got range "
                 f"[{labs.min()}, {labs.max()}]"
             )
@@ -83,11 +85,6 @@ class LocalPrototypes:
     counts: np.ndarray  # (K,) int64
     overall: np.ndarray  # (d,) mean of all features
     members: np.ndarray  # (K, M) bool, row k marks the samples of class k + 1
-
-    @property
-    def per_class(self) -> tuple:
-        """Each class mean, None for a class absent from the batch."""
-        return tuple(mu if n else None for mu, n in zip(self.means, self.counts))
 
 
 @dataclass(frozen=True)
@@ -132,6 +129,7 @@ def _unit_rows(vectors: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _local_prototypes(features: np.ndarray, labels: np.ndarray, k: int) -> LocalPrototypes:
+    """Class means, class counts, and the overall mean of a batch."""
     # sum / n gives the bits of .mean(axis=0) without its Python wrappers.
     members = labels == np.arange(1, k + 1)[:, None]
     counts = np.add.reduce(members, axis=1)
@@ -141,11 +139,6 @@ def _local_prototypes(features: np.ndarray, labels: np.ndarray, k: int) -> Local
             means[c] = np.add.reduce(features[members[c]], axis=0) / n
     overall = np.add.reduce(features, axis=0) / features.shape[0]
     return LocalPrototypes(means, counts, overall, members)
-
-
-def local_prototypes(batch: FeatureBatch) -> LocalPrototypes:
-    """Class means, class counts, and the overall mean of a batch."""
-    return _local_prototypes(batch.features, batch.labels, batch.n_classes)
 
 
 def _rank_alignment(
@@ -185,21 +178,22 @@ def _cosine_rank_alignment(
 
 
 def _ins2ins(features: np.ndarray, labels: np.ndarray, cfg: BlackboxConfig):
-    s_y = _label_similarity(labels)
-    return _cosine_rank_alignment(s_y, features, "features", cfg, 1.0 / labels.size)
-
-
-def ins2ins_loss(batch: FeatureBatch, cfg: BlackboxConfig) -> LossBundle:
     """Per-instance rank alignment between label and feature similarities.
 
     value = (1/M) sum_i ||rank(S^y_i) - rank(S^z_i)||^2 with S^y from
     label distances and S^z the feature cosine matrix.
     """
-    value, grads = _ins2ins(batch.features, batch.labels, cfg)
-    return LossBundle(value, feature_grads=grads)
+    s_y = _label_similarity(labels)
+    return _cosine_rank_alignment(s_y, features, "features", cfg, 1.0 / labels.size)
 
 
 def _ins2cls(features: np.ndarray, labels: np.ndarray, protos: LocalPrototypes):
+    """Within-class compactness: (1/d) sum_k sum_{i in k} ||z_i - mu_k||^2.
+
+    The gradient for a member of class k is (2/d)(z_i - mu_k); the chain
+    rule through mu_k contributes nothing because within-class deviations
+    sum to zero.
+    """
     d = features.shape[1]
     diffs = features - protos.means[labels - 1]
     squares = diffs * diffs
@@ -210,22 +204,21 @@ def _ins2cls(features: np.ndarray, labels: np.ndarray, protos: LocalPrototypes):
     return value, (2.0 / d) * diffs
 
 
-def ins2cls_loss(batch: FeatureBatch, protos: LocalPrototypes) -> LossBundle:
-    """Within-class compactness: (1/d) sum_k sum_{i in k} ||z_i - mu_k||^2.
-
-    The gradient for a member of class k is (2/d)(z_i - mu_k); the chain
-    rule through mu_k contributes nothing because within-class deviations
-    sum to zero.
-    """
-    if protos.counts.size != batch.n_classes:
-        raise DimMismatchError("prototypes were built for a different class count")
-    value, grads = _ins2cls(batch.features, batch.labels, protos)
-    return LossBundle(value, feature_grads=grads)
-
-
 def _cls2cls(
     labels: np.ndarray, protos: LocalPrototypes, s_pr: np.ndarray, cfg: BlackboxConfig, detach
 ):
+    """Class-mean spread plus rank alignment of the class-mean similarities.
+
+    value = d / (sum_k n_k ||mu_k - mu_bar||^2 + eps)
+          + (1/K) sum_k ||rank(S^pr_k) - rank(S^mu_k)||^2
+
+    where S^pr = ``s_pr`` comes from the class indices (1..K) and S^mu is the
+    cosine matrix of the class means. Requires every class in the batch.
+    With ``detach`` the first term is treated as constant with respect to
+    the features; otherwise its gradient flows through both mu_k and
+    mu_bar, which collapses to -d/(denom^2) * 2 (mu_{c(i)} - mu_bar) per
+    instance because the count-weighted means telescope.
+    """
     k, d = protos.means.shape
     disp = protos.means - protos.overall
     denom = float(np.add.reduce(protos.counts * np.add.reduce(disp * disp, axis=1))) + SPREAD_EPS
@@ -242,31 +235,8 @@ def _class_target(protos: LocalPrototypes) -> np.ndarray:
     k = protos.counts.size
     if not protos.counts.all():
         missing = [c + 1 for c in range(k) if protos.counts[c] == 0]
-        raise DegenerateBatchError(f"classes absent from batch: {missing}")
+        raise DegenerateInputError(f"classes absent from batch: {missing}")
     return _label_similarity(np.arange(1, k + 1))
-
-
-def cls2cls_loss(
-    batch: FeatureBatch,
-    protos: LocalPrototypes,
-    cfg: BlackboxConfig,
-    detach_spread: bool = False,
-) -> LossBundle:
-    """Class-mean spread plus rank alignment of the class-mean similarities.
-
-    value = d / (sum_k n_k ||mu_k - mu_bar||^2 + eps)
-          + (1/K) sum_k ||rank(S^pr_k) - rank(S^mu_k)||^2
-
-    where S^pr comes from the class indices (1..K) and S^mu is the cosine
-    matrix of the class means. Requires every class in the batch. With
-    ``detach_spread`` the first term is treated as constant with respect
-    to the features; otherwise its gradient flows through both mu_k and
-    mu_bar, which collapses to -d/(denom^2) * 2 (mu_{c(i)} - mu_bar) per
-    instance because the count-weighted means telescope.
-    """
-    s_pr = _class_target(protos)
-    value, grads = _cls2cls(batch.labels, protos, s_pr, cfg, detach_spread)
-    return LossBundle(value, feature_grads=grads)
 
 
 def _hybrid(
@@ -300,10 +270,11 @@ def hybrid_ordinal_loss(
     """Sum of the enabled structural terms (all three by default).
 
     ``terms`` holds the (ins2ins, ins2cls, cls2cls) values, 0.0 for a
-    disabled term.
+    disabled term. One term alone is the call with the other two switched
+    off: its value is in ``terms`` and its gradient in ``feature_grads``.
     """
     if protos is None:
-        protos = local_prototypes(batch)
+        protos = _local_prototypes(batch.features, batch.labels, batch.n_classes)
     elif use_ins2cls and protos.counts.size != batch.n_classes:
         raise DimMismatchError("prototypes were built for a different class count")
     s_pr = _class_target(protos) if use_cls2cls else None
@@ -339,7 +310,7 @@ def cross_entropy_loss(logits, labels) -> LossBundle:
         raise DimMismatchError("labels must be one per logit row")
     k = lg.shape[1]
     if labs.min() < 1 or labs.max() > k:
-        raise LabelOutOfRangeError(f"labels must lie in 1..{k}")
+        raise BadConfigError(f"labels must lie in 1..{k}")
     return _cross_entropy(lg, labs[:, None] == np.arange(1, k + 1))
 
 

@@ -5,29 +5,26 @@ the ordinal scale). Each training batch nudges them toward the normalized
 batch class means; at inference a query is scored by a two-way softmax
 over its cosine similarities to the two anchors. Scores above 0.5 read as
 the progressive outcome, everything else as stable. ``progression_scores``
-scores all rows of a feature matrix in one validated, row-batched call;
-``predict_progression`` is its one-vector wrapper.
+scores all rows of a feature matrix in one validated, row-batched call.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._files import read_json, write_json
 from .errors import (
     BadConfigError,
-    DatasetIOError,
     DatasetParseError,
     DimMismatchError,
     NonFiniteError,
-    OutOfRangeError,
     UntrainedStoreError,
     ZeroVectorError,
 )
-from .linalg import NORM_EPS, _unit, as_vector
+from .linalg import NORM_EPS, _unit
 
 STABLE = "stable"
 PROGRESSIVE = "progressive"
@@ -143,27 +140,13 @@ def progression_scores(features, store: GlobalPrototypeStore) -> np.ndarray:
 
     Invariant to positive rescaling of a row and of either anchor. A row
     equidistant from both anchors scores exactly 0.5: the softmax subtracts
-    the larger cosine first, as ``linalg.softmax`` does.
+    the larger cosine first.
     """
     c_low, c_high = anchor_cosines(features, store)
     top = np.maximum(c_high, c_low)
     e_high = np.exp(c_high - top)
     e_low = np.exp(c_low - top)
     return e_high / (e_high + e_low)
-
-
-def predict_progression(query, store: GlobalPrototypeStore) -> float:
-    """progression_scores of one query vector."""
-    q = as_vector(query, "query")
-    return float(progression_scores(q[None, :], store)[0])
-
-
-def classify(prob: float) -> str:
-    """Map a progression score to its label: > 0.5 progressive, else stable."""
-    p = float(prob)
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRangeError(f"probability must lie in [0, 1], got {p}")
-    return PROGRESSIVE if p > 0.5 else STABLE
 
 
 def store_to_dict(store: GlobalPrototypeStore) -> dict:
@@ -194,20 +177,8 @@ def store_from_dict(payload: dict) -> GlobalPrototypeStore:
 
 
 def save_store(store: GlobalPrototypeStore, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(store_to_dict(store), fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise DatasetIOError(f"cannot write prototype store: {exc}") from exc
+    write_json(path, "prototype store", store_to_dict(store))
 
 
 def load_store(path) -> GlobalPrototypeStore:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise DatasetIOError(f"cannot read prototype store: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DatasetParseError(f"prototype store is not valid JSON: {exc}") from exc
-    return store_from_dict(payload)
+    return store_from_dict(read_json(path, "prototype store"))

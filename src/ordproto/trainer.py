@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._files import write_artifact
 from .data import SyntheticOrdinalDataset, TrainingSet, kfold_split, stratified_batches
 from .encoder import (
     AdamState,
@@ -34,13 +35,11 @@ from .encoder import (
 )
 from .errors import (
     BadConfigError,
-    DatasetIOError,
-    DegenerateBatchError,
+    DegenerateInputError,
     DimMismatchError,
     EmptyInputError,
     NonFiniteError,
     OrdprotoError,
-    OutOfRangeError,
     TrainingError,
 )
 from .evaluation import binary_metrics, spearman
@@ -127,9 +126,9 @@ class TrainConfig:
 def lambda_schedule(iteration: int, total_iters: int) -> float:
     """Linear ramp position iteration / total_iters, validated to [0, 1]."""
     if total_iters < 1:
-        raise OutOfRangeError(f"total_iters must be >= 1, got {total_iters}")
+        raise BadConfigError(f"total_iters must be >= 1, got {total_iters}")
     if not 0 <= iteration <= total_iters:
-        raise OutOfRangeError(f"iteration {iteration} outside 0..{total_iters}")
+        raise BadConfigError(f"iteration {iteration} outside 0..{total_iters}")
     return iteration / total_iters
 
 
@@ -147,37 +146,6 @@ HISTORY_COLUMNS = (
 
 
 @dataclass
-class IterationRecord:
-    iteration: int
-    epoch: int
-    lr: float
-    lam: float
-    loss_total: float
-    loss_ce: float
-    loss_i2i: float
-    loss_i2c: float
-    loss_c2c: float
-
-    def row(self) -> list:
-        return [
-            self.iteration,
-            self.epoch,
-            repr(self.lr),
-            repr(self.lam),
-            repr(self.loss_total),
-            repr(self.loss_ce),
-            repr(self.loss_i2i),
-            repr(self.loss_i2c),
-            repr(self.loss_c2c),
-        ]
-
-
-def _record(values: list[float]) -> IterationRecord:
-    iteration, epoch, *rest = values
-    return IterationRecord(int(iteration), int(epoch), *rest)
-
-
-@dataclass
 class TrainHistory:
     """One row per iteration in a float64 array whose columns are HISTORY_COLUMNS.
 
@@ -187,19 +155,15 @@ class TrainHistory:
 
     values: np.ndarray
 
-    @property
-    def rows(self) -> list[IterationRecord]:
-        return [_record(v) for v in self.values.tolist()]
-
     def write_csv(self, path) -> None:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(HISTORY_COLUMNS)
-                for v in self.values:
-                    writer.writerow(_record(v.tolist()).row())
-        except OSError as exc:
-            raise DatasetIOError(f"cannot write history: {exc}") from exc
+        def rows(fh):
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(HISTORY_COLUMNS)
+            for row in self.values:
+                iteration, epoch, *floats = row.tolist()
+                writer.writerow([int(iteration), int(epoch), *map(repr, floats)])
+
+        write_artifact(path, "history", rows)
 
 
 @dataclass
@@ -226,7 +190,7 @@ def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
     present = np.unique(data.labels)
     expected = np.arange(1, config.n_classes + 1)
     if present.size != config.n_classes or np.any(present != expected):
-        raise DegenerateBatchError(
+        raise DegenerateInputError(
             f"training data must contain every class 1..{config.n_classes}, found {present}"
         )
     # C order and float64 once, so every batch gather is a plain row copy.

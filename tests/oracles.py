@@ -1,7 +1,8 @@
 """Scalar test oracles: the simple code the package's kernels are checked against.
 
 Each function here is either a brute-force definition (the permutation
-rank, the pairwise cosine matrix) or the earlier per-array form of a
+rank, the pairwise cosine matrix, the one-vector cosine and softmax the
+batched scoring kernel replaced) or the earlier per-array form of a
 kernel that now works on whole buffers (per-layer backward, per-array
 Adam, the per-class loss terms), or the training loop those forms make
 up (``reference_train``). None of it runs in training or scoring.
@@ -16,13 +17,14 @@ import numpy as np
 from ordproto.data import stratified_batches
 from ordproto.encoder import adam_step, forward, init_adam, init_params, learning_rate
 from ordproto.errors import (
+    DimMismatchError,
     EmptyInputError,
     NonFiniteError,
     OrdprotoError,
     TrainingError,
     ZeroVectorError,
 )
-from ordproto.linalg import NORM_EPS, UNIT_TOL, as_vector, cosine_similarity
+from ordproto.linalg import NORM_EPS, UNIT_TOL
 from ordproto.losses import SPREAD_EPS, FeatureBatch, LocalPrototypes, LossBundle, total_loss
 from ordproto.prototypes import GlobalPrototypeStore
 from ordproto.ranking import BlackboxConfig, rank_backward_rows, rank_rows
@@ -32,12 +34,50 @@ from ordproto.trainer import lambda_schedule
 ORACLE_MAX_N = 8
 
 
+def as_vector(values, name: str = "vector") -> np.ndarray:
+    """Coerce to a validated 1-D float64 array."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise EmptyInputError(f"{name} must be a non-empty 1-D array")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteError(f"{name} contains NaN or Inf entries")
+    return arr
+
+
+def _checked_pair(u, v) -> tuple[np.ndarray, np.ndarray, float, float]:
+    uu = as_vector(u, "u")
+    vv = as_vector(v, "v")
+    if uu.shape != vv.shape:
+        raise DimMismatchError(f"vector dims differ: {uu.size} vs {vv.size}")
+    nu = float(np.linalg.norm(uu))
+    nv = float(np.linalg.norm(vv))
+    if nu <= NORM_EPS:
+        raise ZeroVectorError("u has (near-)zero norm")
+    if nv <= NORM_EPS:
+        raise ZeroVectorError("v has (near-)zero norm")
+    return uu, vv, nu, nv
+
+
+def cosine_similarity(u, v) -> float:
+    """cos(u, v) = u.v / (||u|| ||v||)."""
+    uu, vv, nu, nv = _checked_pair(u, v)
+    return float(uu @ vv) / (nu * nv)
+
+
+def softmax(values) -> np.ndarray:
+    """Softmax with max-subtraction; exact on ties (two equal inputs -> 0.5)."""
+    arr = as_vector(values, "softmax input")
+    shifted = arr - arr.max()
+    e = np.exp(shifted)
+    return e / e.sum()
+
+
 def rank_argmin_oracle(a) -> np.ndarray:
     """Brute-force rank: the permutation minimizing a.pi.
 
     Ties between objective values resolve to the lexicographically
     smallest permutation, which coincides with earlier-index tie
-    breaking in ``rank``.
+    breaking in ``rank_rows``.
     """
     arr = as_vector(a, "a")
     n = arr.size
@@ -203,16 +243,16 @@ def reference_hybrid_ordinal_loss(
     if use_ins2cls:
         g = np.zeros_like(batch.features)
         for c in range(1, k + 1):
-            mu = protos.per_class[c - 1]
-            if mu is None:
+            if not protos.counts[c - 1]:
                 continue
+            mu = protos.means[c - 1]
             members = batch.labels == c
             diffs = batch.features[members] - mu
             terms[1] += float(np.sum(diffs * diffs)) / d
             g[members] = (2.0 / d) * diffs
         parts.append(g)
     if use_cls2cls:
-        mus = np.stack(protos.per_class)
+        mus = protos.means
         disp = mus - protos.overall
         denom = float(np.sum(protos.counts * np.sum(disp * disp, axis=1))) + SPREAD_EPS
         classes = np.arange(1, k + 1, dtype=np.float64)
@@ -328,9 +368,7 @@ def reference_train(config, data, seed: int):
                     enc, head, cache, combined.feature_grads, combined.logit_grads
                 )
                 adam_step(adam, np.concatenate([g.ravel() for g in pieces]), epoch)
-                reference_ema_update(
-                    store, protos.per_class[lo_cls - 1], protos.per_class[hi_cls - 1]
-                )
+                reference_ema_update(store, protos.means[lo_cls - 1], protos.means[hi_cls - 1])
             except OrdprotoError as exc:
                 raise TrainingError(f"iteration {iteration}: {exc}", iteration) from exc
             rows.append((iteration, epoch, lr, lam, combined.value, ce.value, *hyb.terms))

@@ -17,28 +17,27 @@ import numpy as np
 import pytest
 
 from fd import central_diff, rel_err
-from oracles import cosine_similarity_grad, param_arrays, rank_argmin_oracle
+from oracles import (
+    cosine_similarity,
+    cosine_similarity_grad,
+    param_arrays,
+    rank_argmin_oracle,
+    reference_local_prototypes,
+    reference_normalize,
+)
 from ordproto.cli import EXIT_OK, main
 from ordproto.data import GenConfig, generate
 from ordproto.encoder import backward, forward, init_params
-from ordproto.evaluation import mann_whitney_one_sided
-from ordproto.linalg import cosine_similarity, normalize
-from ordproto.losses import (
-    SPREAD_EPS,
-    FeatureBatch,
-    cls2cls_loss,
-    cross_entropy_loss,
-    ins2cls_loss,
-    local_prototypes,
-)
+from ordproto.evaluation import binary_metrics, mann_whitney_one_sided
+from ordproto.losses import SPREAD_EPS, FeatureBatch, cross_entropy_loss, hybrid_ordinal_loss
 from ordproto.prototypes import (
+    PROGRESSIVE,
     STABLE,
     GlobalPrototypeStore,
-    classify,
     ema_update,
-    predict_progression,
+    progression_scores,
 )
-from ordproto.ranking import BlackboxConfig, rank
+from ordproto.ranking import BlackboxConfig, rank_rows
 from ordproto.trainer import TrainConfig, ablation_config, run_seeds
 
 VARIANTS = ("ce-only", "ins2ins", "ins2cls", "full")
@@ -101,7 +100,7 @@ def test_criterion_1_rank_oracle(verdict):
         a = rng.standard_normal(n)
         while np.unique(a).size != n:  # enforce distinct values
             a = rng.standard_normal(n)
-        if not np.array_equal(rank(a), rank_argmin_oracle(a)):
+        if not np.array_equal(rank_rows(a[None, :])[0], rank_argmin_oracle(a)):
             mismatches += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 5.0
@@ -140,34 +139,33 @@ def test_criterion_2_gradient_suite(verdict):
         )
         return FeatureBatch(rng.standard_normal((m, int(rng.integers(3, 6)))) + 0.1, labels, k)
 
+    bb = BlackboxConfig(1.0)
+    ins2cls_only = dict(use_ins2ins=False, use_cls2cls=False)
     errs = []
     for _ in range(50):
         batch = batch_for()
 
         def value(feats, labels=batch.labels, k=batch.n_classes):
-            probe = FeatureBatch(feats, labels, k)
-            return ins2cls_loss(probe, local_prototypes(probe)).value
+            return hybrid_ordinal_loss(FeatureBatch(feats, labels, k), bb, **ins2cls_only).value
 
-        out = ins2cls_loss(batch, local_prototypes(batch))
+        out = hybrid_ordinal_loss(batch, bb, **ins2cls_only)
         errs.append(rel_err(out.feature_grads, central_diff(value, batch.features)))
     worst["ins2cls"] = max(errs)
 
-    bb = BlackboxConfig(1.0)
+    cls2cls_only = dict(use_ins2ins=False, use_ins2cls=False)
     errs = []
     for _ in range(50):
         batch = batch_for()
 
         def spread(feats, labels=batch.labels, k=batch.n_classes):
             probe = FeatureBatch(feats, labels, k)
-            protos = local_prototypes(probe)
-            mus = np.stack(protos.per_class)
-            disp = mus - protos.overall
+            protos = reference_local_prototypes(probe)
+            disp = protos.means - protos.overall
             denom = float(np.sum(protos.counts * np.sum(disp * disp, axis=1)))
             return probe.dim / (denom + SPREAD_EPS)
 
-        protos = local_prototypes(batch)
-        flowed = cls2cls_loss(batch, protos, bb, detach_spread=False)
-        detached = cls2cls_loss(batch, protos, bb, detach_spread=True)
+        flowed = hybrid_ordinal_loss(batch, bb, **cls2cls_only, detach_spread=False)
+        detached = hybrid_ordinal_loss(batch, bb, **cls2cls_only, detach_spread=True)
         analytic = flowed.feature_grads - detached.feature_grads
         errs.append(rel_err(analytic, central_diff(spread, batch.features)))
     worst["cls2cls-smooth"] = max(errs)
@@ -233,7 +231,7 @@ def test_criterion_3_ema_contract(verdict):
         snapshot = store.anchor_high.copy()
         ema_update(store, mu, mu)
         fixed_point_ok &= np.array_equal(store.anchor_high, snapshot)
-        fixed_point_ok &= np.array_equal(snapshot, normalize(mu))
+        fixed_point_ok &= np.array_equal(snapshot, reference_normalize(mu, "mu"))
 
     monotone_ok = True
     converged = 0
@@ -260,6 +258,11 @@ def test_criterion_3_ema_contract(verdict):
     )
 
 
+def reads_stable(p: float) -> bool:
+    """Whether ``binary_metrics`` counts a score of ``p`` as a stable prediction."""
+    return binary_metrics([p, 1.0], [STABLE, PROGRESSIVE])["acc"] == 1.0
+
+
 def test_criterion_4_inference_invariances(verdict):
     rng = np.random.default_rng(104)
     drift = 0.0
@@ -268,15 +271,15 @@ def test_criterion_4_inference_invariances(verdict):
         store = GlobalPrototypeStore(dim=d)
         ema_update(store, rng.standard_normal(d), rng.standard_normal(d))
         q = rng.standard_normal(d)
-        base = predict_progression(q, store)
+        base = progression_scores([q], store)[0]
         for scale in (1e-6, 1e-3, 0.5, 3.0, 1e3, 1e6):
-            drift = max(drift, abs(predict_progression(scale * q, store) - base))
+            drift = max(drift, abs(progression_scores([scale * q], store)[0] - base))
         scaled = GlobalPrototypeStore(
             dim=d,
             anchor_low=store.anchor_low * float(rng.uniform(0.5, 200.0)),
             anchor_high=store.anchor_high * float(rng.uniform(0.005, 2.0)),
         )
-        drift = max(drift, abs(predict_progression(q, scaled) - base))
+        drift = max(drift, abs(progression_scores([q], scaled)[0] - base))
 
     # Exact ties: orthonormal-axis anchors with a symmetric query, and
     # swapped-coordinate anchors built from dyadic values so both cosines
@@ -285,13 +288,13 @@ def test_criterion_4_inference_invariances(verdict):
     axis_store = GlobalPrototypeStore(
         dim=2, anchor_low=np.array([1.0, 0.0]), anchor_high=np.array([0.0, 1.0])
     )
-    p = predict_progression(np.array([0.7, 0.7]), axis_store)
-    halves_ok &= p == 0.5 and classify(p) == STABLE
+    p = progression_scores([[0.7, 0.7]], axis_store)[0]
+    halves_ok &= p == 0.5 and reads_stable(p)
     swap_store = GlobalPrototypeStore(
         dim=3, anchor_low=np.array([1.0, 0.5, 0.25]), anchor_high=np.array([0.5, 1.0, 0.25])
     )
-    p = predict_progression(np.array([1.0, 1.0, 2.0]), swap_store)
-    halves_ok &= p == 0.5 and classify(p) == STABLE
+    p = progression_scores([[1.0, 1.0, 2.0]], swap_store)[0]
+    halves_ok &= p == 0.5 and reads_stable(p)
 
     ok = drift <= 1e-12 and halves_ok
     assert verdict(

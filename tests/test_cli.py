@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from ordproto import trainer
+from ordproto import cli, errors, trainer
 from ordproto.cli import (
     EXIT_ARTIFACT,
     EXIT_CONFIG,
@@ -18,7 +18,7 @@ from ordproto.cli import (
 )
 from ordproto.data import load_dataset
 from ordproto.encoder import encode, load_checkpoint
-from ordproto.prototypes import load_store, predict_progression
+from ordproto.prototypes import load_store, progression_scores
 from ordproto.trainer import METRIC_KEYS
 
 GEN_CFG = """\
@@ -66,6 +66,16 @@ def trained(workspace):
     )
     assert code == EXIT_OK
     return out
+
+
+def without_class(workspace, tmp_path, label: int):
+    """data.csv without the samples of one coarse class, ids renumbered."""
+    header, *rows = (workspace / "data.csv").read_text().splitlines()
+    kept = [row.split(",")[1:] for row in rows if row.split(",")[1] != str(label)]
+    path = tmp_path / f"no-class-{label}.csv"
+    lines = [header] + [",".join([str(i), *fields]) for i, fields in enumerate(kept)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def relabeled_copy(workspace, name: str, label: int):
@@ -179,7 +189,7 @@ class TestTrain:
         # can differ from the batched result in the last ulp.
         z0 = encode(enc, ds.x)[0]
         assert [float(v) for v in first[3:7]] == z0.tolist()
-        assert float(first[7]) == predict_progression(z0, store)
+        assert float(first[7]) == progression_scores(z0[None, :], store)[0]
         probs = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
         assert all(0.0 < p < 1.0 for p in probs)
 
@@ -282,6 +292,33 @@ class TestTrain:
         assert code == EXIT_CONFIG
         assert "must" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "crossval"])
+    def test_missing_middle_class_is_config_error(self, workspace, capsys, tmp_path, command):
+        out = tmp_path / "out"
+        argv = [command, "--config", str(workspace / "train.cfg"),
+                "--data", str(without_class(workspace, tmp_path, 2))]
+        argv += ["--out", str(out)] + (["--k", "2"] if command == "crossval" else [])
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "training data must contain every class 1..3, found [1 3]" in err
+        assert not out.exists()
+
+    def test_failed_rerun_leaves_no_stale_manifest(self, workspace, tmp_path):
+        out = tmp_path / "out"
+        for seed in (1, 2):
+            (tmp_path / f"seed{seed}.cfg").write_text(
+                TRAIN_CFG.replace("seeds = 1, 2", f"seeds = {seed}")
+            )
+        argv = ["train", "--data", str(workspace / "data.csv"), "--out", str(out), "--config"]
+        assert main([*argv, str(tmp_path / "seed1.cfg")]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["seeds"] == [1]
+        # The second run fails at its embeddings write, after its checkpoint.
+        (out / "embeddings.csv").unlink()
+        (out / "embeddings.csv").mkdir()
+        assert main([*argv, str(tmp_path / "seed2.cfg")]) == EXIT_IO
+        assert load_checkpoint(out / "checkpoint.json")[2]["seed"] == 2
+        assert not (out / "manifest.json").exists()
 
     def test_missing_data_is_io_error(self, workspace):
         code = main(
@@ -587,6 +624,41 @@ class TestNumericFailure:
         assert serial[1] == pooled[1]
         assert serial[1].startswith("error: iteration ")
         assert not out.exists()
+
+
+# The exit code of each OrdprotoError subclass raised inside a command.
+# BadConfigError took in five classes that also exited 2 (bad layer dims,
+# bad fold count, batch too small, label or scalar out of range), and
+# DegenerateInputError two that exited 4 (a batch missing a class, metrics
+# with one class only).
+EXIT_CODES = {
+    "ArtifactMismatchError": EXIT_ARTIFACT,
+    "BadConfigError": EXIT_CONFIG,
+    "DatasetIOError": EXIT_IO,
+    "DatasetParseError": EXIT_IO,
+    "DegenerateInputError": EXIT_NUMERIC,
+    "DimMismatchError": EXIT_NUMERIC,
+    "EmptyInputError": EXIT_NUMERIC,
+    "NonFiniteError": EXIT_NUMERIC,
+    "TrainingError": EXIT_NUMERIC,
+    "UntrainedStoreError": EXIT_NUMERIC,
+    "ZeroVectorError": EXIT_NUMERIC,
+}
+
+
+class TestExitCodes:
+    def test_table_lists_every_error_class(self):
+        assert set(EXIT_CODES) == {c.__name__ for c in errors.OrdprotoError.__subclasses__()}
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_error_raised_inside_a_command(self, monkeypatch, capsys, tmp_path, name):
+        def failing_load(path):
+            raise getattr(errors, name)("raised by the command")
+
+        monkeypatch.setattr(cli, "load_gen_config", failing_load)
+        argv = ["gen-data", "--config", "gen.cfg", "--seed", "1", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_CODES[name]
+        assert capsys.readouterr().err == "error: raised by the command\n"
 
 
 class TestUsageErrors:

@@ -17,11 +17,9 @@ from ordproto.data import (
 )
 from ordproto.errors import (
     BadConfigError,
-    BadKError,
-    BatchTooSmallError,
     DatasetIOError,
     DatasetParseError,
-    DegenerateBatchError,
+    DegenerateInputError,
     EmptyInputError,
 )
 from ordproto.prototypes import PROGRESSIVE, STABLE
@@ -200,9 +198,9 @@ class TestStratifiedBatches:
     def test_validation(self):
         with pytest.raises(EmptyInputError):
             stratified_batches(np.array([], dtype=int), 4, seed=0, n_classes=3)
-        with pytest.raises(BatchTooSmallError):
+        with pytest.raises(BadConfigError):
             stratified_batches(np.array([1, 2, 3]), 2, seed=0, n_classes=3)
-        with pytest.raises(DegenerateBatchError):
+        with pytest.raises(DegenerateInputError):
             stratified_batches(np.array([1, 1, 3]), 4, seed=0, n_classes=3)
 
 
@@ -231,9 +229,9 @@ class TestKFold:
 
     def test_validation(self):
         labels = np.concatenate([np.full(4, 1), np.full(2, 2)])
-        with pytest.raises(BadKError):
+        with pytest.raises(BadConfigError):
             kfold_split(labels, k=1, seed=0)
-        with pytest.raises(BadKError):
+        with pytest.raises(BadConfigError):
             kfold_split(labels, k=3, seed=0)  # class 2 has only 2 samples
         with pytest.raises(EmptyInputError):
             kfold_split(np.array([], dtype=int), k=2, seed=0)

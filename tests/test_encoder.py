@@ -24,7 +24,7 @@ from ordproto.encoder import (
     save_checkpoint,
 )
 from ordproto.errors import (
-    BadDimsError,
+    BadConfigError,
     DatasetIOError,
     DatasetParseError,
     DimMismatchError,
@@ -67,11 +67,11 @@ class TestInit:
         assert abs(float(w.mean())) <= 0.005
 
     def test_bad_dims(self):
-        with pytest.raises(BadDimsError):
+        with pytest.raises(BadConfigError):
             init_params([4], 2, seed=0)
-        with pytest.raises(BadDimsError):
+        with pytest.raises(BadConfigError):
             init_params([4, 0], 2, seed=0)
-        with pytest.raises(BadDimsError):
+        with pytest.raises(BadConfigError):
             init_params([4, 3], 1, seed=0)
 
 

@@ -8,13 +8,11 @@ import numpy as np
 import pytest
 
 from ordproto.errors import (
+    BadConfigError,
     DegenerateInputError,
     DimMismatchError,
     EmptyInputError,
-    LabelOutOfRangeError,
     NonFiniteError,
-    OneClassOnlyError,
-    OutOfRangeError,
 )
 from ordproto.evaluation import binary_metrics, mann_whitney_one_sided, midranks, spearman
 from ordproto.prototypes import PROGRESSIVE, STABLE
@@ -132,11 +130,11 @@ class TestBinaryMetrics:
             binary_metrics([0.5], both)
         with pytest.raises(NonFiniteError):
             binary_metrics([np.nan, 0.5], both)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(BadConfigError):
             binary_metrics([0.5, 1.2], both)
-        with pytest.raises(LabelOutOfRangeError):
+        with pytest.raises(BadConfigError):
             binary_metrics([0.5, 0.6], [STABLE, "unknown"])
-        with pytest.raises(OneClassOnlyError):
+        with pytest.raises(DegenerateInputError):
             binary_metrics([0.5, 0.6], [STABLE, STABLE])
 
 
@@ -196,7 +194,7 @@ class TestMannWhitney:
             mann_whitney_one_sided([], [1.0])
         with pytest.raises(NonFiniteError):
             mann_whitney_one_sided([np.nan], [1.0])
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(BadConfigError):
             mann_whitney_one_sided([1.0], [2.0], method="two-sided")
 
 

@@ -1,6 +1,7 @@
 """Loss terms: similarity matrices, local prototypes, the three structural
 losses, cross entropy, and the combined objective, with finite-difference
-gradient oracles for every smooth term."""
+gradient oracles for every smooth term. Each structural term is the
+combined objective with the other two switched off."""
 
 from __future__ import annotations
 
@@ -10,30 +11,46 @@ import numpy as np
 import pytest
 
 from fd import central_diff, rel_err
-from oracles import feature_similarity
+from oracles import cosine_similarity, feature_similarity, reference_local_prototypes
 from ordproto.errors import (
-    DegenerateBatchError,
+    BadConfigError,
+    DegenerateInputError,
     DimMismatchError,
     EmptyInputError,
-    LabelOutOfRangeError,
     NonFiniteError,
     ZeroVectorError,
 )
 from ordproto.losses import (
     SPREAD_EPS,
     FeatureBatch,
-    cls2cls_loss,
+    _ins2ins,
+    _local_prototypes,
     cross_entropy_loss,
     hybrid_ordinal_loss,
-    ins2cls_loss,
-    ins2ins_loss,
     label_similarity,
-    local_prototypes,
     total_loss,
 )
-from ordproto.ranking import BlackboxConfig, rank
+from ordproto.ranking import BlackboxConfig, rank_rows
 
 CFG = BlackboxConfig(1.0)
+
+
+def local_prototypes(batch: FeatureBatch):
+    return _local_prototypes(batch.features, batch.labels, batch.n_classes)
+
+
+def ins2ins(batch: FeatureBatch):
+    return hybrid_ordinal_loss(batch, CFG, use_ins2cls=False, use_cls2cls=False)
+
+
+def ins2cls(batch: FeatureBatch, protos=None):
+    return hybrid_ordinal_loss(batch, CFG, use_ins2ins=False, use_cls2cls=False, protos=protos)
+
+
+def cls2cls(batch: FeatureBatch, detach_spread: bool = False):
+    return hybrid_ordinal_loss(
+        batch, CFG, use_ins2ins=False, use_ins2cls=False, detach_spread=detach_spread
+    )
 
 
 def random_batch(rng, m=None, d=None, k=None, all_classes=False) -> FeatureBatch:
@@ -52,9 +69,8 @@ def random_batch(rng, m=None, d=None, k=None, all_classes=False) -> FeatureBatch
 
 def spread_term(batch: FeatureBatch) -> float:
     """Independent evaluation of the smooth class-scatter reciprocal."""
-    protos = local_prototypes(batch)
-    mus = np.stack(protos.per_class)
-    disp = mus - protos.overall
+    protos = reference_local_prototypes(batch)
+    disp = protos.means - protos.overall
     return batch.dim / (float(np.sum(protos.counts * np.sum(disp * disp, axis=1))) + SPREAD_EPS)
 
 
@@ -62,7 +78,8 @@ def align_term(target_rows: np.ndarray, value_rows: np.ndarray, scale: float) ->
     """Independent evaluation of the mean squared rank gap."""
     total = 0.0
     for i in range(value_rows.shape[0]):
-        diff = (rank(value_rows[i]) - rank(target_rows[i])).astype(np.float64)
+        diff = (rank_rows(value_rows[i : i + 1]) - rank_rows(target_rows[i : i + 1]))[0]
+        diff = diff.astype(np.float64)
         total += float(diff @ diff)
     return scale * total
 
@@ -99,8 +116,6 @@ class TestSimilarityMatrices:
         assert np.all(np.abs(s) <= 1.0 + 1e-12)
 
     def test_feature_similarity_matches_pairwise_cosine(self):
-        from ordproto.linalg import cosine_similarity
-
         rng = np.random.default_rng(3)
         feats = rng.standard_normal((6, 4))
         s = feature_similarity(feats)
@@ -122,11 +137,11 @@ class TestFeatureBatch:
             FeatureBatch(np.array([[np.nan, 1, 1]]), np.array([1]), 2)
         with pytest.raises(DimMismatchError):
             FeatureBatch(good, np.array([1]), 2)
-        with pytest.raises(LabelOutOfRangeError):
+        with pytest.raises(BadConfigError):
             FeatureBatch(good, np.array([1, 3]), 2)
-        with pytest.raises(LabelOutOfRangeError):
+        with pytest.raises(BadConfigError):
             FeatureBatch(good, np.array([0, 1]), 2)
-        with pytest.raises(LabelOutOfRangeError):
+        with pytest.raises(BadConfigError):
             FeatureBatch(good, np.array([1, 1]), 1)
 
     def test_size_and_dim(self):
@@ -138,14 +153,14 @@ class TestLocalPrototypes:
     def test_singleton_class(self):
         z = np.array([[2.0, -1.0, 0.5]])
         protos = local_prototypes(FeatureBatch(z, np.array([2]), 2))
-        assert np.array_equal(protos.per_class[1], z[0])
-        assert protos.per_class[0] is None
+        assert np.array_equal(protos.means[1], z[0])
+        assert not protos.means[0].any()
         assert protos.counts.tolist() == [0, 1]
 
     def test_opposite_members_average_to_zero(self):
         feats = np.array([[1.0, 0.0], [-1.0, 0.0]])
         protos = local_prototypes(FeatureBatch(feats, np.array([1, 1]), 2))
-        assert np.array_equal(protos.per_class[0], np.zeros(2))
+        assert np.array_equal(protos.means[0], np.zeros(2))
 
     def test_overall_is_count_weighted_mean(self):
         rng = np.random.default_rng(4)
@@ -154,8 +169,8 @@ class TestLocalPrototypes:
             protos = local_prototypes(batch)
             acc = np.zeros(batch.dim)
             for c in range(batch.n_classes):
-                if protos.per_class[c] is not None:
-                    acc += protos.counts[c] * protos.per_class[c]
+                if protos.counts[c]:
+                    acc += protos.counts[c] * protos.means[c]
             assert acc / batch.size == pytest.approx(protos.overall, abs=1e-12)
             assert int(protos.counts.sum()) == batch.size
 
@@ -166,7 +181,7 @@ class TestIns2Ins:
         # every row of the cosine matrix ranks exactly like the label row.
         r = math.sqrt(0.5)
         feats = np.array([[1.0, 0.0], [r, r], [0.0, 1.0]])
-        out = ins2ins_loss(FeatureBatch(feats, np.array([1, 2, 3]), 3), CFG)
+        out = ins2ins(FeatureBatch(feats, np.array([1, 2, 3]), 3))
         assert out.value == 0.0
 
     def test_tied_features_hand_value(self):
@@ -174,13 +189,13 @@ class TestIns2Ins:
         # makes both rows rank [1, 2], and only the second label row
         # disagrees, giving (1/2) * (0 + 2) = 1.
         feats = np.array([[1.0, 0.0], [1.0, 0.0]])
-        out = ins2ins_loss(FeatureBatch(feats, np.array([1, 3]), 3), CFG)
+        out = ins2ins(FeatureBatch(feats, np.array([1, 3]), 3))
         assert out.value == 1.0
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
-            assert ins2ins_loss(random_batch(rng), CFG).value >= 0.0
+            assert ins2ins(random_batch(rng)).value >= 0.0
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(6)
@@ -188,8 +203,8 @@ class TestIns2Ins:
             batch = random_batch(rng, m=6, d=4)
             q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
             rotated = FeatureBatch(batch.features @ q, batch.labels, batch.n_classes)
-            a = ins2ins_loss(batch, CFG)
-            b = ins2ins_loss(rotated, CFG)
+            a = ins2ins(batch)
+            b = ins2ins(rotated)
             assert b.value == a.value
             assert b.feature_grads == pytest.approx(a.feature_grads @ q, abs=1e-9)
 
@@ -198,12 +213,12 @@ class TestIns2Ins:
         for _ in range(20):
             batch = random_batch(rng, k=3)
             relabeled = FeatureBatch(batch.features, 3 * batch.labels + 2, 11)
-            assert ins2ins_loss(relabeled, CFG).value == ins2ins_loss(batch, CFG).value
+            assert ins2ins(relabeled).value == ins2ins(batch).value
 
     def test_grads_shaped_and_finite(self):
         rng = np.random.default_rng(8)
         batch = random_batch(rng)
-        out = ins2ins_loss(batch, CFG)
+        out = ins2ins(batch)
         assert out.feature_grads.shape == batch.features.shape
         assert np.all(np.isfinite(out.feature_grads))
 
@@ -212,19 +227,19 @@ class TestIns2Cls:
     def test_zero_at_prototypes(self):
         feats = np.array([[1.0, 2.0], [1.0, 2.0], [-3.0, 0.0], [-3.0, 0.0]])
         batch = FeatureBatch(feats, np.array([1, 1, 2, 2]), 2)
-        assert ins2cls_loss(batch, local_prototypes(batch)).value == 0.0
+        assert ins2cls(batch).value == 0.0
 
     def test_hand_value(self):
         # One class, members [1,0] and [-1,0], d = 2: mean is the origin
         # and the value is (1 + 1) / 2 = 1.
         batch = FeatureBatch(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1, 1]), 2)
-        assert ins2cls_loss(batch, local_prototypes(batch)).value == 1.0
+        assert ins2cls(batch).value == 1.0
 
     def test_nonnegative(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
             batch = random_batch(rng)
-            assert ins2cls_loss(batch, local_prototypes(batch)).value >= 0.0
+            assert ins2cls(batch).value >= 0.0
 
     def test_gradient_matches_finite_differences(self):
         # The mean is a function of the batch, so the finite-difference
@@ -235,9 +250,9 @@ class TestIns2Cls:
 
             def value(feats):
                 probe = FeatureBatch(feats, batch.labels, batch.n_classes)
-                return ins2cls_loss(probe, local_prototypes(probe)).value
+                return ins2cls(probe).value
 
-            out = ins2cls_loss(batch, local_prototypes(batch))
+            out = ins2cls(batch)
             assert rel_err(out.feature_grads, central_diff(value, batch.features)) <= 1e-5
 
     def test_foreign_prototypes_rejected(self):
@@ -245,7 +260,7 @@ class TestIns2Cls:
         batch = random_batch(rng, k=3, all_classes=True)
         other = random_batch(rng, k=4, all_classes=True, d=batch.dim)
         with pytest.raises(DimMismatchError):
-            ins2cls_loss(batch, local_prototypes(other))
+            ins2cls(batch, protos=local_prototypes(other))
 
 
 class TestCls2Cls:
@@ -255,7 +270,7 @@ class TestCls2Cls:
         r = math.sqrt(0.5)
         feats = np.array([[1.0, 0.0], [r, r], [0.0, 1.0]])
         batch = FeatureBatch(feats, np.array([1, 2, 3]), 3)
-        out = cls2cls_loss(batch, local_prototypes(batch), CFG)
+        out = cls2cls(batch)
         assert out.value == pytest.approx(spread_term(batch), rel=1e-12)
 
     def test_value_decomposes_into_spread_plus_alignment(self):
@@ -263,11 +278,11 @@ class TestCls2Cls:
         for _ in range(30):
             batch = random_batch(rng, all_classes=True)
             protos = local_prototypes(batch)
-            out = cls2cls_loss(batch, protos, CFG)
+            out = cls2cls(batch)
             k = batch.n_classes
             align = align_term(
                 label_similarity(np.arange(1, k + 1)),
-                feature_similarity(np.stack(protos.per_class)),
+                feature_similarity(protos.means),
                 1.0 / k,
             )
             assert out.value == pytest.approx(spread_term(batch) + align, rel=1e-12)
@@ -286,10 +301,10 @@ class TestCls2Cls:
         assert spread_term(b1) / spread_term(b2) == pytest.approx(4.0, rel=1e-6)
         for batch in (b1, b2):
             protos = local_prototypes(batch)
-            value = cls2cls_loss(batch, protos, CFG).value
+            value = cls2cls(batch).value
             align = align_term(
                 label_similarity(np.arange(1, 4)),
-                feature_similarity(np.stack(protos.per_class)),
+                feature_similarity(protos.means),
                 1.0 / 3.0,
             )
             assert value - align == pytest.approx(spread_term(batch), rel=1e-9)
@@ -300,21 +315,20 @@ class TestCls2Cls:
         # leaving (0 + 2 + 8) / 3 from the class-index rows.
         v = np.array([1.0, 2.0, 0.5, 4.0])
         batch = FeatureBatch(np.stack([v, v, v]), np.array([1, 2, 3]), 3)
-        out = cls2cls_loss(batch, local_prototypes(batch), CFG)
+        out = cls2cls(batch)
         assert np.isfinite(out.value)
         assert out.value == pytest.approx(4.0 / SPREAD_EPS + 10.0 / 3.0, rel=1e-12)
 
     def test_absent_class_rejected(self):
         batch = FeatureBatch(np.eye(3), np.array([1, 2, 2]), 3)
-        with pytest.raises(DegenerateBatchError):
-            cls2cls_loss(batch, local_prototypes(batch), CFG)
+        with pytest.raises(DegenerateInputError):
+            cls2cls(batch)
 
     def test_detach_changes_gradient_not_value(self):
         rng = np.random.default_rng(14)
         batch = random_batch(rng, all_classes=True)
-        protos = local_prototypes(batch)
-        flowed = cls2cls_loss(batch, protos, CFG, detach_spread=False)
-        detached = cls2cls_loss(batch, protos, CFG, detach_spread=True)
+        flowed = cls2cls(batch, detach_spread=False)
+        detached = cls2cls(batch, detach_spread=True)
         assert flowed.value == detached.value
         assert not np.allclose(flowed.feature_grads, detached.feature_grads)
 
@@ -324,9 +338,8 @@ class TestCls2Cls:
         rng = np.random.default_rng(15)
         for _ in range(50):
             batch = random_batch(rng, all_classes=True)
-            protos = local_prototypes(batch)
-            flowed = cls2cls_loss(batch, protos, CFG, detach_spread=False)
-            detached = cls2cls_loss(batch, protos, CFG, detach_spread=True)
+            flowed = cls2cls(batch, detach_spread=False)
+            detached = cls2cls(batch, detach_spread=True)
             analytic = flowed.feature_grads - detached.feature_grads
 
             def value(feats):
@@ -340,12 +353,7 @@ class TestHybrid:
         rng = np.random.default_rng(16)
         for _ in range(20):
             batch = random_batch(rng, all_classes=True)
-            protos = local_prototypes(batch)
-            parts = (
-                ins2ins_loss(batch, CFG),
-                ins2cls_loss(batch, protos),
-                cls2cls_loss(batch, protos, CFG),
-            )
+            parts = (ins2ins(batch), ins2cls(batch), cls2cls(batch))
             combined = hybrid_ordinal_loss(batch, CFG)
             assert combined.value == pytest.approx(sum(p.value for p in parts), abs=1e-12)
             assert combined.feature_grads == pytest.approx(
@@ -357,7 +365,7 @@ class TestHybrid:
         batch = random_batch(rng, all_classes=True)
         protos = local_prototypes(batch)
         only_i2i = hybrid_ordinal_loss(batch, CFG, use_ins2cls=False, use_cls2cls=False)
-        assert only_i2i.value == ins2ins_loss(batch, CFG).value
+        assert only_i2i.value == _ins2ins(batch.features, batch.labels, CFG)[0]
         none = hybrid_ordinal_loss(
             batch, CFG, use_ins2ins=False, use_ins2cls=False, use_cls2cls=False
         )
@@ -370,11 +378,7 @@ class TestHybrid:
         rng = np.random.default_rng(24)
         batch = random_batch(rng, all_classes=True)
         protos = local_prototypes(batch)
-        values = (
-            ins2ins_loss(batch, CFG).value,
-            ins2cls_loss(batch, protos).value,
-            cls2cls_loss(batch, protos, CFG).value,
-        )
+        values = (ins2ins(batch).value, ins2cls(batch).value, cls2cls(batch).value)
         for switches in ((True, True, True), (False, True, True), (True, False, False)):
             out = hybrid_ordinal_loss(
                 batch,
@@ -426,7 +430,7 @@ class TestCrossEntropy:
         assert stepped.value < out.value
 
     def test_validation(self):
-        with pytest.raises(LabelOutOfRangeError):
+        with pytest.raises(BadConfigError):
             cross_entropy_loss(np.zeros((1, 3)), np.array([4]))
         with pytest.raises(EmptyInputError):
             cross_entropy_loss(np.zeros((0, 3)), np.array([], dtype=int))

@@ -5,25 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import cosine_similarity
 from ordproto.errors import (
     BadConfigError,
     DatasetIOError,
     DatasetParseError,
     DimMismatchError,
-    OutOfRangeError,
     UntrainedStoreError,
     ZeroVectorError,
 )
-from ordproto.linalg import cosine_similarity, normalize
+from ordproto.evaluation import binary_metrics
 from ordproto.prototypes import (
     PROGRESSIVE,
     STABLE,
     GlobalPrototypeStore,
-    classify,
     ema_update,
     is_trained,
     load_store,
-    predict_progression,
     progression_scores,
     save_store,
     store_from_dict,
@@ -114,21 +112,21 @@ class TestPrediction:
         store = trained_store([-1.0, 0.0], [1.0, 0.0])
         # Query on the high anchor: cosines are (1, -1), so the score is
         # 1 / (1 + e^-2).
-        assert predict_progression(np.array([1.0, 0.0]), store) == pytest.approx(
+        assert progression_scores([[1.0, 0.0]], store)[0] == pytest.approx(
             0.8807970779778823, abs=1e-12
         )
 
     def test_equidistant_query_is_exactly_half(self):
         store = trained_store([1.0, 0.0], [0.0, 1.0])
-        assert predict_progression(np.array([2.0, 2.0]), store) == 0.5
+        assert progression_scores([[2.0, 2.0]], store)[0] == 0.5
 
     def test_swapping_anchors_complements_score(self):
         rng = np.random.default_rng(26)
         for _ in range(20):
             low, high = rng.standard_normal(4), rng.standard_normal(4)
             q = rng.standard_normal(4)
-            p = predict_progression(q, trained_store(low, high))
-            flipped = predict_progression(q, trained_store(high, low))
+            p = progression_scores([q], trained_store(low, high))[0]
+            flipped = progression_scores([q], trained_store(high, low))[0]
             assert p + flipped == pytest.approx(1.0, abs=1e-12)
 
     def test_rescaling_query_barely_moves_score(self):
@@ -136,16 +134,16 @@ class TestPrediction:
         store = trained_store(rng.standard_normal(8), rng.standard_normal(8))
         for _ in range(50):
             q = rng.standard_normal(8)
-            base = predict_progression(q, store)
+            base = progression_scores([q], store)[0]
             for scale in (1e-6, 0.5, 3.0, 1e6):
-                assert abs(predict_progression(scale * q, store) - base) <= 1e-12
+                assert abs(progression_scores([scale * q], store)[0] - base) <= 1e-12
 
     def test_rescaling_anchors_barely_moves_score(self):
         rng = np.random.default_rng(28)
         low, high = rng.standard_normal(5), rng.standard_normal(5)
         q = rng.standard_normal(5)
-        base = predict_progression(q, trained_store(low, high))
-        scaled = predict_progression(q, trained_store(2.5 * low, 0.125 * high))
+        base = progression_scores([q], trained_store(low, high))[0]
+        scaled = progression_scores([q], trained_store(2.5 * low, 0.125 * high))[0]
         assert abs(scaled - base) <= 1e-12
 
     def test_scores_vectorize_per_row(self):
@@ -155,33 +153,34 @@ class TestPrediction:
         scores = progression_scores(feats, store)
         assert scores.shape == (6,)
         for i in range(6):
-            assert scores[i] == predict_progression(feats[i], store)
+            assert scores[i] == progression_scores(feats[i : i + 1], store)[0]
         assert np.all((scores > 0.0) & (scores < 1.0))
 
     def test_prediction_errors(self):
         with pytest.raises(UntrainedStoreError):
-            predict_progression(np.ones(2), GlobalPrototypeStore(dim=2))
+            progression_scores(np.ones((1, 2)), GlobalPrototypeStore(dim=2))
         half = GlobalPrototypeStore(dim=2, anchor_low=np.array([1.0, 0.0]))
         with pytest.raises(UntrainedStoreError):
-            predict_progression(np.ones(2), half)
+            progression_scores(np.ones((1, 2)), half)
         store = trained_store([1.0, 0.0], [0.0, 1.0])
         with pytest.raises(DimMismatchError):
-            predict_progression(np.ones(3), store)
+            progression_scores(np.ones((1, 3)), store)
         with pytest.raises(ZeroVectorError):
-            predict_progression(np.zeros(2), store)
+            progression_scores(np.zeros((1, 2)), store)
 
 
 class TestClassify:
+    """A score above 0.5 reads as progressive, as ``binary_metrics`` applies it."""
+
     def test_threshold(self):
-        assert classify(0.5) == STABLE
-        assert classify(np.nextafter(0.5, 1.0)) == PROGRESSIVE
-        assert classify(0.0) == STABLE
-        assert classify(1.0) == PROGRESSIVE
+        scores = [0.5, np.nextafter(0.5, 1.0), 0.0, 1.0]
+        truths = [STABLE, PROGRESSIVE, STABLE, PROGRESSIVE]
+        assert binary_metrics(scores, truths)["acc"] == 1.0
 
     def test_out_of_range(self):
         for bad in (-0.1, 1.1):
-            with pytest.raises(OutOfRangeError):
-                classify(bad)
+            with pytest.raises(BadConfigError):
+                binary_metrics([bad, 0.5], [STABLE, PROGRESSIVE])
 
 
 class TestPersistence:
@@ -205,8 +204,8 @@ class TestPersistence:
         back = load_store(path)
         assert np.array_equal(back.anchor_low, store.anchor_low)
         assert np.array_equal(back.anchor_high, store.anchor_high)
-        p = predict_progression(np.ones(6), store)
-        assert predict_progression(np.ones(6), back) == p
+        p = progression_scores(np.ones((1, 6)), store)[0]
+        assert progression_scores(np.ones((1, 6)), back)[0] == p
 
     def test_malformed_payloads(self, tmp_path):
         store = trained_store([1.0, 0.0], [0.0, 1.0])

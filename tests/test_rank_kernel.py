@@ -10,15 +10,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import feature_similarity
+from oracles import feature_similarity, reference_local_prototypes
 from ordproto.losses import (
     FeatureBatch,
     _rank_alignment,
     _unit_rows,
-    cls2cls_loss,
-    ins2ins_loss,
+    hybrid_ordinal_loss,
     label_similarity,
-    local_prototypes,
 )
 from ordproto.ranking import BlackboxConfig, rank_backward_rows, rank_rows
 
@@ -129,7 +127,7 @@ class TestRankAlignment:
             self.check(target, value, BlackboxConfig(lam), 1.0 / value.shape[0])
 
     def test_ins2ins_shape(self):
-        # An 8x8 label/cosine pair, the shape ins2ins_loss ranks each step.
+        # An 8x8 label/cosine pair, the shape the ins2ins term ranks each step.
         rng = np.random.default_rng(45)
         for _ in range(50):
             labels = rng.integers(1, 4, size=8)
@@ -138,7 +136,7 @@ class TestRankAlignment:
             self.check(target, value, BlackboxConfig(), 1.0 / 8)
 
     def test_class_mean_case(self):
-        # The 3x3 class-index/class-mean-cosine pair that cls2cls_loss ranks.
+        # The 3x3 class-index/class-mean-cosine pair that the cls2cls term ranks.
         rng = np.random.default_rng(46)
         target = label_similarity(np.arange(1, 4))
         for _ in range(50):
@@ -158,7 +156,7 @@ class TestLossesAgainstOracle:
             value, sim_grads = oracle_alignment(
                 label_similarity(batch.labels), s_z, cfg, 1.0 / batch.size
             )
-            got = ins2ins_loss(batch, cfg)
+            got = hybrid_ordinal_loss(batch, cfg, use_ins2cls=False, use_cls2cls=False)
             assert got.value == value
             assert_bit_equal(got.feature_grads, oracle_chain(sim_grads, batch.features))
 
@@ -168,12 +166,14 @@ class TestLossesAgainstOracle:
         for _ in range(50):
             labels = np.concatenate([[1, 2, 3], rng.integers(1, 4, size=5)])
             batch = FeatureBatch(rng.standard_normal((8, 6)), labels, 3)
-            protos = local_prototypes(batch)
-            mus = np.stack(protos.per_class)
+            protos = reference_local_prototypes(batch)
+            mus = protos.means
             _, sim_grads = oracle_alignment(
                 label_similarity(np.arange(1, 4)), feature_similarity(mus), cfg, 1.0 / 3
             )
             dmu = oracle_chain(sim_grads, mus)
             want = dmu[labels - 1] / protos.counts[labels - 1][:, None]
-            got = cls2cls_loss(batch, protos, cfg, detach_spread=True)
+            got = hybrid_ordinal_loss(
+                batch, cfg, use_ins2ins=False, use_ins2cls=False, detach_spread=True
+            )
             assert_bit_equal(got.feature_grads, want)

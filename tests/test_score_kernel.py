@@ -1,8 +1,8 @@
 """The row-batched progression-score kernel against its per-row predecessor.
 
-Before the kernel, ``progression_scores`` called ``predict_progression`` once
-per row, and each call took two ``cosine_similarity`` values and a 2-element
-``softmax``. That loop is kept here as the scalar oracle. The kernel sums
+Before the kernel, ``progression_scores`` scored one row per call, and each
+call took two ``cosine_similarity`` values and a 2-element ``softmax``. That
+loop is kept here as the scalar oracle. The kernel sums
 each row's dot products in a different order than the per-row BLAS ``ddot``
 does, so the two agree to within one float64 epsilon, not bit for bit. The
 kernel's own results are exact across row blockings, which is what lets a
@@ -14,23 +14,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import cosine_similarity, softmax
 from ordproto.data import GenConfig, generate
 from ordproto.encoder import encode
 from ordproto.errors import (
     DimMismatchError,
-    EmptyInputError,
     NonFiniteError,
     UntrainedStoreError,
     ZeroVectorError,
 )
 from ordproto.evaluation import binary_metrics, spearman
-from ordproto.linalg import cosine_similarity, softmax
-from ordproto.prototypes import (
-    GlobalPrototypeStore,
-    anchor_cosines,
-    predict_progression,
-    progression_scores,
-)
+from ordproto.prototypes import GlobalPrototypeStore, anchor_cosines, progression_scores
 from ordproto.trainer import TrainConfig, evaluate_on, train
 
 EPS = np.finfo(np.float64).eps
@@ -127,7 +121,7 @@ class TestRowInvariance:
         result, _, z = trained_run
         whole = progression_scores(z, result.store)
         for i in range(0, z.shape[0], 37):
-            assert predict_progression(z[i], result.store) == whole[i]
+            assert progression_scores(z[i : i + 1], result.store)[0] == whole[i]
 
     def test_memory_layout_does_not_change_bits(self, trained_run):
         result, _, z = trained_run
@@ -162,10 +156,6 @@ class TestValidation:
         for bad in (np.ones((2, 4)), np.ones(3), np.ones((1, 2, 3))):
             with pytest.raises(DimMismatchError, match=r"\(n, 3\)"):
                 progression_scores(bad, store)
-        with pytest.raises(DimMismatchError):
-            predict_progression(np.ones(4), store)
-        with pytest.raises(EmptyInputError):
-            predict_progression(1.0, store)
 
     def test_non_finite_row_is_named(self, store):
         feats = np.ones((4, 3))
@@ -181,7 +171,7 @@ class TestValidation:
         with pytest.raises(ZeroVectorError, match="row 3 "):
             progression_scores(feats, store)
         with pytest.raises(ZeroVectorError, match="row 0 "):
-            predict_progression(np.zeros(3), store)
+            progression_scores(np.zeros((1, 3)), store)
 
     def test_empty_matrix_scores_nothing(self, store):
         scores = progression_scores(np.empty((0, 3)), store)
