@@ -55,7 +55,6 @@ from .trainer import (
     ablation_config,
     cross_validate,
     evaluate_on,
-    lambda_schedule,
     run_seeds,
     train,
 )

@@ -41,5 +41,5 @@ def read_json(path, what: str):
             return json.load(fh)
     except OSError as exc:
         raise DatasetIOError(f"cannot read {what}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DatasetParseError(f"{what} is not valid JSON: {exc}") from exc

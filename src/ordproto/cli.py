@@ -13,8 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ._files import write_artifact, write_json
 from .config import load_gen_config, load_train_config
 from .data import generate, load_dataset, save_dataset
@@ -28,7 +26,7 @@ from .errors import (
     TrainingError,
 )
 from .prototypes import is_trained, load_store, progression_scores, save_store
-from .trainer import ablation_config, cross_validate, evaluate_on, run_seeds
+from .trainer import ablation_config, check_data_fits, cross_validate, evaluate_on, run_seeds
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,24 +82,6 @@ def _write_json(payload: dict, path) -> None:
     write_json(path, str(path), payload)
 
 
-def _check_data_matches(config, dataset) -> None:
-    if dataset.input_dim != config.input_dim:
-        raise BadConfigError(
-            f"config input_dim {config.input_dim} != data input_dim {dataset.input_dim}"
-        )
-    if dataset.n_classes != config.n_classes:
-        raise BadConfigError(
-            f"config classes {config.n_classes} != data classes {dataset.n_classes}"
-        )
-    # The nonzero bins are the classes present; np.unique would also import
-    # numpy.ma into this process (+1.5 MB peak RSS in a pooled seed sweep).
-    present = np.flatnonzero(np.bincount(dataset.coarse))
-    if present.size != config.n_classes:
-        raise BadConfigError(
-            f"training data must contain every class 1..{config.n_classes}, found {present}"
-        )
-
-
 def _load_artifacts(checkpoint_path, store_path, data_path):
     enc, head, meta = load_checkpoint(checkpoint_path)
     store = load_store(store_path)
@@ -111,10 +91,10 @@ def _load_artifacts(checkpoint_path, store_path, data_path):
             f"checkpoint expects {enc.input_dim} input dims, data has {dataset.input_dim}"
         )
     n_classes = head.weight.shape[1]
-    if dataset.n_classes > n_classes:
+    top = int(dataset.coarse.max())
+    if top > n_classes:
         raise ArtifactMismatchError(
-            f"data has coarse labels up to {dataset.n_classes}, the checkpoint's "
-            f"classes are 1..{n_classes}"
+            f"data has coarse labels up to {top}, the checkpoint's classes are 1..{n_classes}"
         )
     if store.dim != enc.feature_dim:
         raise ArtifactMismatchError(
@@ -166,18 +146,25 @@ def cmd_train(args) -> int:
     if args.ablate:
         config = ablation_config(config, args.ablate)
     dataset = load_dataset(args.data)
-    _check_data_matches(config, dataset)
+    check_data_fits(config, dataset.training_view())
     eval_dataset = load_dataset(args.eval_data) if args.eval_data else None
 
-    sweep = run_seeds(config, dataset, eval_dataset)
-    first = sweep.results[0]
-
+    # The output dir is made before training, so an unusable path costs no run.
     out_dir = Path(args.out)
+    fresh = not out_dir.exists()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DatasetIOError(f"cannot create output dir: {exc}") from exc
-
+    # The manifest goes last: until then a previous run's must not vouch for these files.
+    (out_dir / "manifest.json").unlink(missing_ok=True)
+    try:
+        sweep = run_seeds(config, dataset, eval_dataset)
+    except BaseException:
+        if fresh:
+            out_dir.rmdir()  # still empty: nothing is written until every seed has trained
+        raise
+    first = sweep.results[0]
     paths = {
         "checkpoint": out_dir / "checkpoint.json",
         "store": out_dir / "store.json",
@@ -185,8 +172,6 @@ def cmd_train(args) -> int:
         "metrics": out_dir / "metrics.json",
         "embeddings": out_dir / "embeddings.csv",
     }
-    # The manifest goes last: until then a previous run's must not vouch for these files.
-    (out_dir / "manifest.json").unlink(missing_ok=True)
     save_checkpoint(first.encoder, first.head, paths["checkpoint"], first.seed, config.epochs)
     save_store(first.store, paths["store"])
     first.history.write_csv(paths["history"])
@@ -230,7 +215,7 @@ def cmd_export_embeddings(args) -> int:
 def cmd_crossval(args) -> int:
     config = load_train_config(args.config)
     dataset = load_dataset(args.data)
-    _check_data_matches(config, dataset)
+    check_data_fits(config, dataset.training_view())
     results = cross_validate(config, dataset, args.k)
     for row in results["folds"]:
         print(

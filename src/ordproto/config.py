@@ -34,6 +34,8 @@ def read_kv_file(path) -> dict[str, str]:
             lines = fh.readlines()
     except OSError as exc:
         raise DatasetIOError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise BadConfigError(f"config is not valid UTF-8: {exc}") from exc
     pairs: dict[str, str] = {}
     for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -117,6 +119,4 @@ def load_train_config(path) -> TrainConfig:
         raise BadConfigError("anchor_low and anchor_high must be set together")
     if lo is not None:
         fields["anchor_classes"] = (lo, hi)
-    elif "n_classes" in fields:
-        fields["anchor_classes"] = (1, fields["n_classes"])
     return TrainConfig(**fields)

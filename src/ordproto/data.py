@@ -120,8 +120,7 @@ class TrainingSet:
     """What the trainer is allowed to see: inputs and coarse labels only."""
 
     x: np.ndarray  # (N, d)
-    labels: np.ndarray  # (N,) ints in 1..n_classes
-    n_classes: int
+    labels: np.ndarray  # (N,) ints in 1..K; K is the training config's n_classes
 
     @property
     def size(self) -> int:
@@ -135,10 +134,9 @@ class TrainingSet:
 @dataclass(frozen=True)
 class SyntheticOrdinalDataset:
     x: np.ndarray  # (N, d)
-    coarse: np.ndarray  # (N,) ints in 1..n_classes
+    coarse: np.ndarray  # (N,) ints >= 1
     latent_t: np.ndarray  # (N,) floats in [0, 1]
     fine: np.ndarray  # (N,) "", "stable", or "progressive"
-    n_classes: int
     config: GenConfig | None = None
     seed: int | None = None
 
@@ -154,7 +152,7 @@ class SyntheticOrdinalDataset:
         return self.fine != NO_FINE_LABEL
 
     def training_view(self) -> TrainingSet:
-        return TrainingSet(self.x, self.coarse, self.n_classes)
+        return TrainingSet(self.x, self.coarse)
 
     def subset(self, mask_or_indices) -> "SyntheticOrdinalDataset":
         idx = np.asarray(mask_or_indices)
@@ -189,7 +187,7 @@ def generate(config: GenConfig, seed: int) -> SyntheticOrdinalDataset:
         ],
         dtype=object,
     )
-    return SyntheticOrdinalDataset(x, coarse, t, fine, config.n_classes, config, seed)
+    return SyntheticOrdinalDataset(x, coarse, t, fine, config, seed)
 
 
 def stratified_batches(labels, batch_size: int, seed, n_classes: int) -> list[np.ndarray]:
@@ -309,6 +307,8 @@ def load_dataset(path) -> SyntheticOrdinalDataset:
             rows = list(reader)
     except OSError as exc:
         raise DatasetIOError(f"cannot read dataset: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(f"dataset is not valid UTF-8: {exc}") from exc
 
     fixed = ["id", "coarse_label", "fine_label", "latent_t"]
     for col in fixed:
@@ -360,4 +360,4 @@ def load_dataset(path) -> SyntheticOrdinalDataset:
         r = int(np.argmax(bad))
         col = "latent_t" if bad_t[r] else f"x{int(np.argmax(bad_x[r]))}"
         raise DatasetParseError(f"{col} must be finite", line=r + 2)
-    return SyntheticOrdinalDataset(x, coarse, latent, fine, int(coarse.max()))
+    return SyntheticOrdinalDataset(x, coarse, latent, fine)

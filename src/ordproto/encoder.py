@@ -197,7 +197,7 @@ def backward(
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam with per-epoch exponential learning-rate decay.
+    """Bias-corrected Adam; the caller passes each step's learning rate.
 
     ``params``, ``m`` and ``v`` are flat buffers in the same layout. The
     layer and head fields view ``params`` only in the process that called
@@ -210,8 +210,6 @@ class AdamState:
     step: int = 0
     beta1: float = 0.5
     beta2: float = 0.999
-    base_lr: float = 2e-4
-    lr_decay: float = 0.95
     epsilon: float = 1e-8
 
 
@@ -220,8 +218,6 @@ def init_adam(
     head: HeadParams,
     beta1: float = 0.5,
     beta2: float = 0.999,
-    base_lr: float = 2e-4,
-    lr_decay: float = 0.95,
     epsilon: float = 1e-8,
 ) -> AdamState:
     """Zeroed Adam state over a new buffer holding every parameter.
@@ -239,24 +235,16 @@ def init_adam(
         v=np.zeros_like(params),
         beta1=beta1,
         beta2=beta2,
-        base_lr=base_lr,
-        lr_decay=lr_decay,
         epsilon=epsilon,
     )
 
 
-def learning_rate(state: AdamState, epoch: int) -> float:
-    """base_lr * lr_decay**epoch (epochs counted from 0)."""
-    return state.base_lr * state.lr_decay**epoch
-
-
-def adam_step(state: AdamState, grads: np.ndarray, epoch: int) -> None:
-    """One in-place Adam update of the whole parameter buffer."""
+def adam_step(state: AdamState, grads: np.ndarray, lr: float) -> None:
+    """One in-place Adam update of the whole parameter buffer at learning rate ``lr``."""
     if grads.shape != state.params.shape:
         raise DimMismatchError(
             f"gradient shape {grads.shape} != parameter buffer shape {state.params.shape}"
         )
-    lr = learning_rate(state, epoch)
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1**t

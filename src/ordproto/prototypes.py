@@ -142,7 +142,11 @@ def progression_scores(features, store: GlobalPrototypeStore) -> np.ndarray:
     equidistant from both anchors scores exactly 0.5: the softmax subtracts
     the larger cosine first.
     """
-    c_low, c_high = anchor_cosines(features, store)
+    return _softmax_high(*anchor_cosines(features, store))
+
+
+def _softmax_high(c_low: np.ndarray, c_high: np.ndarray) -> np.ndarray:
+    """The high-anchor share of a two-way softmax over anchor cosines. No validation."""
     top = np.maximum(c_high, c_low)
     e_high = np.exp(c_high - top)
     e_low = np.exp(c_low - top)

@@ -31,11 +31,9 @@ from .encoder import (
     encode,
     init_adam,
     init_params,
-    learning_rate,
 )
 from .errors import (
     BadConfigError,
-    DegenerateInputError,
     DimMismatchError,
     EmptyInputError,
     NonFiniteError,
@@ -51,7 +49,7 @@ from .losses import (
     label_similarity,
     total_loss,
 )
-from .prototypes import GlobalPrototypeStore, anchor_cosines, ema_update, progression_scores
+from .prototypes import GlobalPrototypeStore, _softmax_high, anchor_cosines, ema_update
 from .ranking import BlackboxConfig
 
 METRIC_KEYS = ("acc", "auc", "f1", "precision", "recall", "spearman_ordinality")
@@ -79,12 +77,13 @@ class TrainConfig:
     use_ins2cls: bool = True
     use_cls2cls: bool = True
     detach_class_spread: bool = False
-    anchor_classes: tuple[int, int] = (1, 3)
+    anchor_classes: tuple[int, int] | None = None  # None: (1, n_classes), the two ends
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
 
     def __post_init__(self):
+        anchors = (1, self.n_classes) if self.anchor_classes is None else self.anchor_classes
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
-        object.__setattr__(self, "anchor_classes", tuple(int(c) for c in self.anchor_classes))
+        object.__setattr__(self, "anchor_classes", tuple(int(c) for c in anchors))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if self.n_classes < 2:
             raise BadConfigError("n_classes must be >= 2")
@@ -94,6 +93,10 @@ class TrainConfig:
             raise BadConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise BadConfigError("batch_size must be >= 1")
+        if self.batch_size < self.n_classes:
+            raise BadConfigError(
+                f"batch size {self.batch_size} cannot hold all {self.n_classes} classes"
+            )
         if not 0.0 < self.ema_sigma < 1.0:
             raise BadConfigError("ema_sigma must lie strictly inside (0, 1)")
         if not 0.0 <= self.lambda_start <= self.lambda_end <= 1.0:
@@ -123,13 +126,28 @@ class TrainConfig:
         return [self.input_dim, *self.hidden_dims, self.feature_dim]
 
 
-def lambda_schedule(iteration: int, total_iters: int) -> float:
-    """Linear ramp position iteration / total_iters, validated to [0, 1]."""
-    if total_iters < 1:
-        raise BadConfigError(f"total_iters must be >= 1, got {total_iters}")
-    if not 0 <= iteration <= total_iters:
-        raise BadConfigError(f"iteration {iteration} outside 0..{total_iters}")
-    return iteration / total_iters
+def check_data_fits(config: TrainConfig, data: TrainingSet) -> None:
+    """Reject training data the config cannot train on, as ``BadConfigError``.
+
+    In order: the input width must be ``config.input_dim``, the largest
+    label must be ``config.n_classes``, and every class 1..K must occur.
+    """
+    if data.input_dim != config.input_dim:
+        raise BadConfigError(
+            f"config input_dim {config.input_dim} != data input_dim {data.input_dim}"
+        )
+    labels = np.asarray(data.labels, dtype=np.int64)
+    top = int(labels.max(initial=0))
+    if top != config.n_classes:
+        raise BadConfigError(f"config classes {config.n_classes} != data classes {top}")
+    # The nonzero bins are the classes present; np.unique would also import
+    # numpy.ma into this process (+1.5 MB peak RSS in a pooled seed sweep).
+    low = int(labels.min())
+    present = np.flatnonzero(np.bincount(labels - low)) + low
+    if low != 1 or present.size != config.n_classes:
+        raise BadConfigError(
+            f"training data must contain every class 1..{config.n_classes}, found {present}"
+        )
 
 
 HISTORY_COLUMNS = (
@@ -179,20 +197,12 @@ class TrainResult:
 def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
     """Run the full loop on a coarse-labeled training set.
 
-    Inputs and labels are validated once, here; the loop runs the trusting
-    kernels behind the public loss and encoder functions and checks per
-    iteration only what changes: finite features and logits, nonzero norms.
+    Inputs and labels are validated once, here (``check_data_fits``, then
+    shape and finiteness); the loop runs the trusting kernels behind the
+    public loss and encoder functions and checks per iteration only what
+    changes: finite features and logits, nonzero norms.
     """
-    if data.input_dim != config.input_dim:
-        raise BadConfigError(
-            f"config input_dim {config.input_dim} != data input_dim {data.input_dim}"
-        )
-    present = np.unique(data.labels)
-    expected = np.arange(1, config.n_classes + 1)
-    if present.size != config.n_classes or np.any(present != expected):
-        raise DegenerateInputError(
-            f"training data must contain every class 1..{config.n_classes}, found {present}"
-        )
+    check_data_fits(config, data)
     # C order and float64 once, so every batch gather is a plain row copy.
     x = np.ascontiguousarray(data.x, dtype=np.float64)
     labels = np.asarray(data.labels, dtype=np.int64)
@@ -204,13 +214,7 @@ def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
 
     enc, head = init_params(config.dims, config.n_classes, seed)
     adam = init_adam(
-        enc,
-        head,
-        beta1=config.adam_beta1,
-        beta2=config.adam_beta2,
-        base_lr=config.base_lr,
-        lr_decay=config.lr_decay,
-        epsilon=config.adam_epsilon,
+        enc, head, beta1=config.adam_beta1, beta2=config.adam_beta2, epsilon=config.adam_epsilon
     )
     store = GlobalPrototypeStore(
         dim=config.feature_dim,
@@ -230,21 +234,21 @@ def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
     plan = stratified_batches(labels, config.batch_size, [seed, 0], config.n_classes)
     total_iters = config.epochs * len(plan)
     history = np.empty((total_iters, len(HISTORY_COLUMNS)), dtype=np.float64)
+    # λ ramps linearly from lambda_start to lambda_end over the run's
+    # iterations (or epochs), reaching lambda_end on the last one.
     span = config.lambda_end - config.lambda_start
+    ramp_steps = max((config.epochs if config.lambda_per_epoch else total_iters) - 1, 1)
     lo_cls, hi_cls = config.anchor_classes
 
     iteration = 0
     for epoch in range(config.epochs):
         if epoch:
             plan = stratified_batches(labels, config.batch_size, [seed, epoch], config.n_classes)
-        lr = learning_rate(adam, epoch)
+        lr = config.base_lr * config.lr_decay**epoch
         for idx in plan:
             iteration += 1
-            if config.lambda_per_epoch:
-                ramp = lambda_schedule(epoch, max(config.epochs - 1, 1))
-            else:
-                ramp = lambda_schedule(iteration - 1, max(total_iters - 1, 1))
-            lam = config.lambda_start + span * ramp
+            step = epoch if config.lambda_per_epoch else iteration - 1
+            lam = config.lambda_start + span * (step / ramp_steps)
             try:
                 cache = _forward(enc, head, x[idx])
                 _require_finite(cache.features, "features")
@@ -258,7 +262,7 @@ def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
                 _backward(
                     enc, head, cache, combined.feature_grads, combined.logit_grads, grad_views
                 )
-                adam_step(adam, grads, epoch)
+                adam_step(adam, grads, lr)
                 ema_update(store, protos.means[lo_cls - 1], protos.means[hi_cls - 1])
             except OrdprotoError as exc:
                 raise TrainingError(f"iteration {iteration}: {exc}", iteration) from exc
@@ -281,9 +285,10 @@ def evaluate_on(
     mask = dataset.middle_mask()
     if not mask.any():
         raise EmptyInputError("dataset has no middle-class samples to evaluate")
-    z_all = encode(enc, dataset.x)
-    metrics = binary_metrics(progression_scores(z_all[mask], store), dataset.fine[mask])
-    _, cos_high = anchor_cosines(z_all, store)
+    # One cosine pass over the whole cohort; cosines are row-wise, so the
+    # middle rows score exactly as progression_scores(z_all[mask]) would.
+    cos_low, cos_high = anchor_cosines(encode(enc, dataset.x), store)
+    metrics = binary_metrics(_softmax_high(cos_low[mask], cos_high[mask]), dataset.fine[mask])
     metrics["spearman_ordinality"] = spearman(cos_high, dataset.latent_t)
     return metrics
 

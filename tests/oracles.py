@@ -15,7 +15,7 @@ from itertools import permutations
 import numpy as np
 
 from ordproto.data import stratified_batches
-from ordproto.encoder import adam_step, forward, init_adam, init_params, learning_rate
+from ordproto.encoder import adam_step, forward, init_adam, init_params
 from ordproto.errors import (
     DimMismatchError,
     EmptyInputError,
@@ -28,7 +28,6 @@ from ordproto.linalg import NORM_EPS, UNIT_TOL
 from ordproto.losses import SPREAD_EPS, FeatureBatch, LocalPrototypes, LossBundle, total_loss
 from ordproto.prototypes import GlobalPrototypeStore
 from ordproto.ranking import BlackboxConfig, rank_backward_rows, rank_rows
-from ordproto.trainer import lambda_schedule
 
 # Factorial enumeration stays tractable up to 8! = 40320 candidates.
 ORACLE_MAX_N = 8
@@ -325,8 +324,6 @@ def reference_train(config, data, seed: int):
         head,
         beta1=config.adam_beta1,
         beta2=config.adam_beta2,
-        base_lr=config.base_lr,
-        lr_decay=config.lr_decay,
         epsilon=config.adam_epsilon,
     )
     store = GlobalPrototypeStore(
@@ -341,13 +338,13 @@ def reference_train(config, data, seed: int):
     rows = []
     iteration = 0
     for epoch in range(config.epochs):
-        lr = learning_rate(adam, epoch)
+        lr = config.base_lr * config.lr_decay**epoch
         for idx in stratified_batches(data.labels, config.batch_size, [seed, epoch], k):
             iteration += 1
             if config.lambda_per_epoch:
-                position = lambda_schedule(epoch, max(config.epochs - 1, 1))
+                position = epoch / max(config.epochs - 1, 1)
             else:
-                position = lambda_schedule(iteration - 1, max(total_iters - 1, 1))
+                position = (iteration - 1) / max(total_iters - 1, 1)
             lam = config.lambda_start + span * position
             try:
                 cache = forward(enc, head, data.x[idx])
@@ -367,7 +364,7 @@ def reference_train(config, data, seed: int):
                 pieces = per_layer_backward(
                     enc, head, cache, combined.feature_grads, combined.logit_grads
                 )
-                adam_step(adam, np.concatenate([g.ravel() for g in pieces]), epoch)
+                adam_step(adam, np.concatenate([g.ravel() for g in pieces]), lr)
                 reference_ema_update(store, protos.means[lo_cls - 1], protos.means[hi_cls - 1])
             except OrdprotoError as exc:
                 raise TrainingError(f"iteration {iteration}: {exc}", iteration) from exc

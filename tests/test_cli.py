@@ -92,7 +92,7 @@ def relabeled_copy(workspace, name: str, label: int):
 class TestGenData:
     def test_writes_a_loadable_cohort(self, workspace, capsys):
         ds = load_dataset(workspace / "data.csv")
-        assert ds.size == 50 and ds.input_dim == 6 and ds.n_classes == 3
+        assert ds.size == 50 and ds.input_dim == 6
         assert [int((ds.coarse == c).sum()) for c in (1, 2, 3)] == [14, 22, 14]
 
     def test_deterministic_output(self, workspace, capsys):
@@ -320,6 +320,32 @@ class TestTrain:
         assert load_checkpoint(out / "checkpoint.json")[2]["seed"] == 2
         assert not (out / "manifest.json").exists()
 
+    def test_unusable_out_fails_before_training(self, workspace, monkeypatch, capsys, tmp_path):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        monkeypatch.setattr(cli, "run_seeds", lambda *args: pytest.fail("trained before --out"))
+        code = main(
+            [
+                "train",
+                "--config", str(workspace / "train.cfg"),
+                "--data", str(workspace / "data.csv"),
+                "--out", str(afile / "run"),
+            ]
+        )
+        assert code == EXIT_IO
+        assert "cannot create output dir" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_config_error(self, workspace, capsys, tmp_path):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(TRAIN_CFG.encode() + "# r\xe9glage\n".encode("latin-1"))
+        out = tmp_path / "out"
+        code = main(
+            ["train", "--config", str(bad), "--data", str(workspace / "data.csv"), "--out", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        assert "config is not valid UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_is_io_error(self, workspace):
         code = main(
             [
@@ -483,6 +509,21 @@ class TestEval:
         ):
             assert main([*argv, "--data", str(nan_csv)]) == EXIT_IO, argv[0]
             assert "line 3: x1 must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "store", "data"])
+    def test_non_utf8_file_is_parse_error(self, workspace, trained, capsys, tmp_path, kind):
+        paths = {
+            "checkpoint": trained / "checkpoint.json",
+            "store": trained / "store.json",
+            "data": workspace / "data.csv",
+        }
+        # One byte that is not UTF-8, at the start of the second line.
+        first, rest = paths[kind].read_bytes().split(b"\n", 1)
+        paths[kind] = tmp_path / f"bad-{kind}"
+        paths[kind].write_bytes(first + b"\n\xff" + rest)
+        code = main(["eval", *(arg for k, p in paths.items() for arg in (f"--{k}", str(p)))])
+        assert code == EXIT_IO
+        assert "can't decode byte 0xff" in capsys.readouterr().err
 
     def test_corrupt_checkpoint_is_io_error(self, workspace, trained):
         broken = workspace / "broken-checkpoint.json"

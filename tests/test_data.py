@@ -71,7 +71,7 @@ class TestGenerate:
         cfg = GenConfig()
         ds = generate(cfg, seed=7)
         assert ds.size == 600 and ds.input_dim == 16
-        assert ds.n_classes == 3 and ds.seed == 7 and ds.config is cfg
+        assert ds.seed == 7 and ds.config is cfg
         for cls, (lo, hi), count in zip((1, 2, 3), cfg.bands, cfg.class_counts):
             mask = ds.coarse == cls
             assert int(mask.sum()) == count
@@ -125,7 +125,7 @@ class TestGenerate:
         view = ds.training_view()
         assert isinstance(view, TrainingSet)
         assert view.x is ds.x and np.array_equal(view.labels, ds.coarse)
-        assert view.n_classes == 3 and view.size == 600 and view.input_dim == 16
+        assert view.size == 600 and view.input_dim == 16
         assert not hasattr(view, "latent_t") and not hasattr(view, "fine")
 
         middle = ds.subset(ds.middle_mask())
@@ -247,7 +247,6 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.coarse, ds.coarse)
         assert np.array_equal(back.latent_t, ds.latent_t)
         assert np.array_equal(back.fine.astype(str), ds.fine.astype(str))
-        assert back.n_classes == 3
         assert back.config is None and back.seed is None
         first = path.read_text().splitlines()[0]
         assert first == "id,coarse_label,fine_label,latent_t," + ",".join(

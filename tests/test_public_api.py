@@ -38,7 +38,6 @@ PUBLIC_NAMES = [
     "init_params",
     "kfold_split",
     "label_similarity",
-    "lambda_schedule",
     "load_checkpoint",
     "load_dataset",
     "load_store",

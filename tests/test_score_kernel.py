@@ -16,6 +16,7 @@ import pytest
 
 from oracles import cosine_similarity, softmax
 from ordproto.data import GenConfig, generate
+from ordproto import trainer
 from ordproto.encoder import encode
 from ordproto.errors import (
     DimMismatchError,
@@ -93,7 +94,7 @@ class TestScalarOracle:
     @pytest.mark.parametrize(
         "counts, seed", [((40, 80, 80), 100), ((130, 270, 200), 5), ((2000, 4000, 2000), 7)]
     )
-    def test_evaluate_on_equals_the_two_encode_path(self, trained_run, counts, seed):
+    def test_evaluate_on_equals_the_two_encode_path(self, trained_run, counts, seed, monkeypatch):
         # evaluate_on encodes the cohort once and scores the middle rows of
         # that encoding; the oracle encodes the middle rows a second time.
         result, _, _ = trained_run
@@ -101,9 +102,28 @@ class TestScalarOracle:
         mask = cohort.middle_mask()
         z_mid = encode(result.encoder, cohort.x[mask])
         expected = binary_metrics(progression_scores(z_mid, result.store), cohort.fine[mask])
-        _, cos_high = anchor_cosines(encode(result.encoder, cohort.x), result.store)
+        z_all = encode(result.encoder, cohort.x)
+        _, cos_high = anchor_cosines(z_all, result.store)
         expected["spearman_ordinality"] = spearman(cos_high, cohort.latent_t)
         assert evaluate_on(result.encoder, result.store, cohort) == expected
+
+        # It takes one cosine pass over every row, and the middle rows'
+        # scores equal a separate progression_scores call on them bit for bit.
+        cosine_calls, scored = [], []
+
+        def counted(features, store):
+            cosine_calls.append(len(features))
+            return anchor_cosines(features, store)
+
+        def recorded(scores, labels):
+            scored.append(scores)
+            return binary_metrics(scores, labels)
+
+        monkeypatch.setattr(trainer, "anchor_cosines", counted)
+        monkeypatch.setattr(trainer, "binary_metrics", recorded)
+        assert evaluate_on(result.encoder, result.store, cohort) == expected
+        assert cosine_calls == [cohort.size]
+        assert np.array_equal(scored[0], progression_scores(z_all[mask], result.store))
 
 
 class TestRowInvariance:

@@ -130,7 +130,7 @@ class TestErrorPaths:
         calls = []
         monkeypatch.setattr(trainer, "_forward", lambda *args: calls.append(args))
         with pytest.raises(NonFiniteError, match="inputs row 5 "):
-            train(TINY_TRAIN, TrainingSet(x, tiny_view.labels, 3), seed=1)
+            train(TINY_TRAIN, TrainingSet(x, tiny_view.labels), seed=1)
         assert calls == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the expected overflow
@@ -162,7 +162,7 @@ class TestErrorPaths:
         cfg = TrainConfig(
             **{**TINY_TRAIN.__dict__, "use_ins2ins": i2i, "use_ins2cls": i2c, "use_cls2cls": c2c}
         )
-        zeros = TrainingSet(np.zeros_like(tiny_view.x), tiny_view.labels, 3)
+        zeros = TrainingSet(np.zeros_like(tiny_view.x), tiny_view.labels)
         with pytest.raises(TrainingError) as lean:
             train(cfg, zeros, seed=1)
         with pytest.raises(TrainingError) as reference:

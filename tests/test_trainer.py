@@ -9,14 +9,9 @@ import pytest
 
 from oracles import flat_params
 from ordproto import trainer
-from ordproto.data import GenConfig, generate, kfold_split, stratified_batches
+from ordproto.data import GenConfig, TrainingSet, generate, kfold_split, stratified_batches
 from ordproto.encoder import adam_step, backward, forward, init_adam, init_params
-from ordproto.errors import (
-    BadConfigError,
-    DegenerateInputError,
-    EmptyInputError,
-    TrainingError,
-)
+from ordproto.errors import BadConfigError, EmptyInputError, TrainingError
 from ordproto.losses import cross_entropy_loss
 from ordproto.trainer import (
     HISTORY_COLUMNS,
@@ -24,9 +19,9 @@ from ordproto.trainer import (
     TrainConfig,
     _mean_std,
     ablation_config,
+    check_data_fits,
     cross_validate,
     evaluate_on,
-    lambda_schedule,
     run_seeds,
     train,
 )
@@ -92,20 +87,46 @@ class TestTrainConfig:
         cfg = TrainConfig(hidden_dims=())
         assert cfg.dims == [16, 32]
 
+    def test_anchor_default_is_both_ends(self):
+        assert TrainConfig(n_classes=4).anchor_classes == (1, 4)
+        assert TrainConfig(n_classes=4, anchor_classes=(2, 3)).anchor_classes == (2, 3)
 
-class TestLambdaSchedule:
-    def test_linear_ramp(self):
-        assert lambda_schedule(0, 10) == 0.0
-        assert lambda_schedule(10, 10) == 1.0
-        assert lambda_schedule(3, 10) == pytest.approx(0.3, abs=1e-15)
+    def test_batch_must_hold_every_class(self):
+        with pytest.raises(BadConfigError, match="batch size 2 cannot hold all 3 classes"):
+            TrainConfig(batch_size=2)
+        assert TrainConfig(n_classes=4, batch_size=4).batch_size == 4
 
-    def test_validation(self):
-        with pytest.raises(BadConfigError):
-            lambda_schedule(1, 0)
-        with pytest.raises(BadConfigError):
-            lambda_schedule(-1, 10)
-        with pytest.raises(BadConfigError):
-            lambda_schedule(11, 10)
+
+class TestCheckDataFits:
+    """The one check of training data against the config, CLI texts in CLI order."""
+
+    @pytest.mark.parametrize(
+        "overrides, keep, message",
+        [
+            ({"input_dim": 7}, None, "config input_dim 7 != data input_dim 6"),
+            ({"n_classes": 4}, None, "config classes 4 != data classes 3"),
+            ({"n_classes": 2, "anchor_classes": None}, None, "config classes 2 != data classes 3"),
+            ({}, 2, "training data must contain every class 1..3, found [1 3]"),
+            ({}, 1, "training data must contain every class 1..3, found [2 3]"),
+        ],
+        ids=["input-dim", "more-classes", "fewer-classes", "no-class-2", "no-class-1"],
+    )
+    def test_rejects(self, tiny_dataset, overrides, keep, message):
+        data = tiny_dataset
+        if keep is not None:
+            data = data.subset(data.coarse != keep)
+        with pytest.raises(BadConfigError) as err:
+            check_data_fits(config_with(**overrides), data.training_view())
+        assert str(err.value) == message
+
+    def test_labels_below_one_and_empty_labels(self, tiny_dataset):
+        view = tiny_dataset.training_view()
+        labels = view.labels.copy()
+        labels[0] = 0
+        with pytest.raises(BadConfigError, match=r"found \[0 1 2 3\]"):
+            check_data_fits(TINY_TRAIN, TrainingSet(view.x, labels))
+        with pytest.raises(BadConfigError, match="config classes 3 != data classes 0"):
+            check_data_fits(TINY_TRAIN, TrainingSet(view.x[:0], view.labels[:0]))
 
 
 class TestTrainLoop:
@@ -141,6 +162,19 @@ class TestTrainLoop:
             assert total == pytest.approx(ce + lam * (i2i + i2c + c2c), rel=1e-9)
             assert i2i >= 0.0 and i2c >= 0.0 and c2c >= 0.0
 
+    def test_lambda_ramps_linearly(self, tiny_dataset):
+        # 18 iterations: lambda goes from lambda_start to lambda_end in 17 equal steps.
+        cfg = config_with(lambda_start=0.2, lambda_end=0.6)
+        col = history_columns(train(cfg, tiny_dataset.training_view(), seed=1).history)
+        assert col["lambda"] == [0.2 + (0.6 - 0.2) * (i / 17) for i in range(18)]
+        assert col["lambda"][0] == 0.2 and col["lambda"][-1] == pytest.approx(0.6, abs=1e-15)
+
+    def test_learning_rate_decays_per_epoch(self, tiny_dataset):
+        cfg = ablation_config(config_with(epochs=15), "ce-only")
+        col = history_columns(train(cfg, tiny_dataset.training_view(), seed=1).history)
+        assert col["lr"] == [2e-4 * 0.95 ** int(epoch) for epoch in col["epoch"]]
+        assert col["lr"][-1] == pytest.approx(9.7535e-5, rel=1e-4)
+
     def test_per_epoch_lambda_ramp(self, tiny_dataset):
         cfg = config_with(lambda_per_epoch=True, epochs=3)
         result = train(cfg, tiny_dataset.training_view(), seed=1)
@@ -166,8 +200,6 @@ class TestTrainLoop:
             head,
             beta1=cfg.adam_beta1,
             beta2=cfg.adam_beta2,
-            base_lr=cfg.base_lr,
-            lr_decay=cfg.lr_decay,
             epsilon=cfg.adam_epsilon,
         )
         for epoch in range(cfg.epochs):
@@ -175,7 +207,7 @@ class TestTrainLoop:
                 cache = forward(enc, head, view.x[idx])
                 ce = cross_entropy_loss(cache.logits, view.labels[idx])
                 grads = backward(enc, head, cache, d_logits=ce.logit_grads)
-                adam_step(adam, grads, epoch)
+                adam_step(adam, grads, cfg.base_lr * cfg.lr_decay**epoch)
 
         assert np.array_equal(flat_params(result.encoder, result.head), flat_params(enc, head))
         col = history_columns(result.history)
@@ -204,7 +236,7 @@ class TestTrainLoop:
         with pytest.raises(BadConfigError):
             train(config_with(input_dim=7), view, seed=1)
         missing = tiny_dataset.subset(tiny_dataset.coarse != 2).training_view()
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(BadConfigError):
             train(TINY_TRAIN, missing, seed=1)
 
     def test_history_csv(self, tiny_dataset, tmp_path):
