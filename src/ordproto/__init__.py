@@ -22,6 +22,7 @@ from .encoder import (
     HeadParams,
     adam_step,
     backward,
+    buffer,
     encode,
     forward,
     init_adam,
@@ -31,13 +32,12 @@ from .encoder import (
 )
 from .evaluation import binary_metrics, mann_whitney_one_sided, spearman
 from .losses import (
-    FeatureBatch,
     LocalPrototypes,
     LossBundle,
     cross_entropy_loss,
     hybrid_ordinal_loss,
     label_similarity,
-    total_loss,
+    local_prototypes,
 )
 from .prototypes import (
     PROGRESSIVE,

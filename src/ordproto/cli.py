@@ -23,7 +23,6 @@ from .errors import (
     DatasetIOError,
     DatasetParseError,
     OrdprotoError,
-    TrainingError,
 )
 from .prototypes import is_trained, load_store, progression_scores, save_store
 from .trainer import ablation_config, check_data_fits, cross_validate, evaluate_on, run_seeds
@@ -257,9 +256,6 @@ def main(argv=None) -> int:
     except ArtifactMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARTIFACT
-    except TrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except OrdprotoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -264,12 +264,14 @@ def kfold_split(labels, k: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     fold_of = np.zeros(labs.size, dtype=np.int64)
     offset = 0
-    for c in np.unique(labs):
+    # The nonzero bins are the classes present, in ascending order; np.unique
+    # would also import numpy.ma into the calling process.
+    low = int(labs.min())
+    for c in np.flatnonzero(np.bincount(labs - low)) + low:
         idx = rng.permutation(np.flatnonzero(labs == c))
         if idx.size < k:
             raise BadConfigError(f"class {c} has {idx.size} samples, fewer than k={k}")
-        for pos, i in enumerate(idx):
-            fold_of[i] = 1 + (offset + pos) % k
+        fold_of[idx] = 1 + (offset + np.arange(idx.size)) % k
         offset = (offset + idx.size) % k
     return fold_of
 

@@ -10,9 +10,10 @@ Adam works on one flat float64 buffer that holds every parameter in a
 fixed layout: each layer's weight (row-major) and bias in layer order,
 then the head's weight and bias. ``init_adam`` moves the parameters into
 that buffer and leaves the ``Layer`` and ``HeadParams`` fields as views
-into it; ``backward`` returns its gradient in the same layout. The
-training loop calls ``_forward`` and ``_backward``, the trusting kernels
-behind ``forward`` and ``backward``, with one gradient buffer per run.
+into it; ``backward`` writes its gradient into a buffer of the same
+layout (``buffer``), which the training loop allocates once per run.
+``forward`` and ``backward`` trust their input (the loop validates once);
+``encode``, the inference entry, validates its rows.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ def _as_batch(x, input_dim: int) -> np.ndarray:
     return arr
 
 
-def _forward(enc: EncoderParams, head: HeadParams, h: np.ndarray) -> ForwardCache:
-    """Forward kernel without validation: ``h`` is a finite (M, input_dim) float64 array."""
+def forward(enc: EncoderParams, head: HeadParams, h: np.ndarray) -> ForwardCache:
+    """Forward pass without validation: ``h`` is a finite (M, input_dim) float64 array."""
     n = len(enc.layers)
     inputs, preacts = [None] * n, [None] * n
     for i, layer in enumerate(enc.layers):
@@ -111,10 +112,6 @@ def _forward(enc: EncoderParams, head: HeadParams, h: np.ndarray) -> ForwardCach
     return ForwardCache(inputs, preacts, h, logits)
 
 
-def forward(enc: EncoderParams, head: HeadParams, x) -> ForwardCache:
-    return _forward(enc, head, _as_batch(x, enc.input_dim))
-
-
 def encode(enc: EncoderParams, x) -> np.ndarray:
     """Feature vectors only (no logits, no cache kept)."""
     h = _as_batch(x, enc.input_dim)
@@ -124,7 +121,7 @@ def encode(enc: EncoderParams, x) -> np.ndarray:
     return h
 
 
-def _buffer(enc: EncoderParams, head: HeadParams) -> tuple[np.ndarray, list[np.ndarray]]:
+def buffer(enc: EncoderParams, head: HeadParams) -> tuple[np.ndarray, list[np.ndarray]]:
     """An uninitialized flat buffer in the parameter layout, and one view per array."""
     arrays = [a for layer in enc.layers for a in (layer.weight, layer.bias)]
     arrays += [head.weight, head.bias]
@@ -133,7 +130,7 @@ def _buffer(enc: EncoderParams, head: HeadParams) -> tuple[np.ndarray, list[np.n
     return flat, [flat[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
 
 
-def _backward(
+def backward(
     enc: EncoderParams,
     head: HeadParams,
     cache: ForwardCache,
@@ -141,10 +138,13 @@ def _backward(
     d_logits: np.ndarray | None,
     grads: list[np.ndarray],
 ) -> None:
-    """Backward kernel without validation: writes every gradient into ``grads``.
+    """Reverse-mode pass from feature- and/or logit-space gradients, without validation.
 
-    ``grads`` are the per-array views of one flat buffer (``_buffer``).
-    The first layer's input gradient is not computed; nothing reads it.
+    Feature gradients from structural losses and logit gradients from the
+    classification loss merge where the head branches off the features.
+    Every gradient is written into ``grads``, the per-array views of one
+    flat buffer (``buffer``). The first layer's input gradient is not
+    computed; nothing reads it.
     """
     if d_logits is not None:
         np.matmul(cache.features.T, d_logits, out=grads[-2])
@@ -163,36 +163,6 @@ def _backward(
         np.add.reduce(da, axis=0, out=grads[2 * i + 1])
         if i:
             dh = da @ layer.weight.T
-
-
-def backward(
-    enc: EncoderParams,
-    head: HeadParams,
-    cache: ForwardCache,
-    d_features: np.ndarray | None = None,
-    d_logits: np.ndarray | None = None,
-) -> np.ndarray:
-    """Reverse-mode pass from feature- and/or logit-space gradients.
-
-    Feature gradients from structural losses and logit gradients from the
-    classification loss merge where the head branches off the features.
-    Returns one flat gradient vector in the parameter-buffer layout.
-    """
-    if d_logits is not None:
-        d_logits = np.asarray(d_logits, dtype=np.float64)
-        if d_logits.shape != cache.logits.shape:
-            raise DimMismatchError(
-                f"d_logits shape {d_logits.shape} != logits shape {cache.logits.shape}"
-            )
-    if d_features is not None:
-        d_features = np.asarray(d_features, dtype=np.float64)
-        if d_features.shape != cache.features.shape:
-            raise DimMismatchError(
-                f"d_features shape {d_features.shape} != features shape {cache.features.shape}"
-            )
-    flat, views = _buffer(enc, head)
-    _backward(enc, head, cache, d_features, d_logits, views)
-    return flat
 
 
 @dataclass
@@ -225,7 +195,7 @@ def init_adam(
     The parameters of ``enc`` and ``head`` are copied into the buffer and
     their fields rebound as views into it, so ``adam_step`` updates them.
     """
-    params, views = _buffer(enc, head)
+    params, views = buffer(enc, head)
     for owner, weight, bias in zip([*enc.layers, head], views[::2], views[1::2]):
         weight[...], bias[...] = owner.weight, owner.bias
         owner.weight, owner.bias = weight, bias

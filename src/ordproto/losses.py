@@ -12,12 +12,12 @@ Rank terms differentiate through the interpolated rank backward pass;
 everything else has closed-form gradients, including the chain rule
 through the batch class means.
 
-The private kernels (``_local_prototypes``, ``_hybrid`` and its per-term
-``_ins2ins``/``_ins2cls``/``_cls2cls``, ``_cross_entropy``) trust finite
-float64 features and 1-based int64 labels: the training loop validates once
-and calls them; ``hybrid_ordinal_loss`` runs the same kernels on a validated
-``FeatureBatch`` (one term alone by switching the others off), and
-``cross_entropy_loss`` on validated logits and labels.
+Every function here trusts its input: finite float64 features and 1-based
+int64 labels in 1..K. The training loop validates once at its entry
+(``trainer.train``) and checks per iteration only what can change.
+``hybrid_ordinal_loss`` is the one entry for the structural terms (one term
+alone is the call with the other two switched off), and
+``cross_entropy_loss`` the one for the classification loss.
 """
 
 from __future__ import annotations
@@ -26,55 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadConfigError,
-    DegenerateInputError,
-    DimMismatchError,
-    EmptyInputError,
-    NonFiniteError,
-    ZeroVectorError,
-)
+from .errors import NonFiniteError, ZeroVectorError
 from .linalg import NORM_EPS
 from .ranking import BlackboxConfig, rank_backward_rows, rank_rows
 
 # Additive guard in the class-scatter denominator: coincident class means
 # give a huge but finite value instead of a division by zero.
 SPREAD_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class FeatureBatch:
-    """A batch of feature vectors with 1-based class labels."""
-
-    features: np.ndarray  # (M, d) float64
-    labels: np.ndarray  # (M,) ints in 1..n_classes
-    n_classes: int
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        labs = np.asarray(self.labels, dtype=np.int64)
-        if feats.ndim != 2 or feats.shape[0] == 0 or feats.shape[1] == 0:
-            raise EmptyInputError("features must be a non-empty (M, d) array")
-        _require_finite(feats, "features")
-        if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
-            raise DimMismatchError("labels must be one per feature row")
-        if self.n_classes < 2:
-            raise BadConfigError("need at least 2 classes")
-        if labs.min() < 1 or labs.max() > self.n_classes:
-            raise BadConfigError(
-                f"labels must lie in 1..{self.n_classes}, got range "
-                f"[{labs.min()}, {labs.max()}]"
-            )
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
 
 
 @dataclass(frozen=True)
@@ -107,17 +65,9 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"{what} contain NaN or Inf entries")
 
 
-def _label_similarity(y: np.ndarray) -> np.ndarray:
+def label_similarity(y: np.ndarray) -> np.ndarray:
+    """Pairwise similarity -(|y_i - y_j|) of a 1-D label array as a square matrix."""
     return -np.abs(y[:, None] - y[None, :])
-
-
-def label_similarity(labels) -> np.ndarray:
-    """Pairwise similarity -(|y_i - y_j|) as a square matrix."""
-    y = np.asarray(labels, dtype=np.float64)
-    if y.ndim != 1 or y.size == 0:
-        raise EmptyInputError("labels must be a non-empty 1-D array")
-    _require_finite(y, "labels")
-    return _label_similarity(y)
 
 
 def _unit_rows(vectors: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -128,7 +78,7 @@ def _unit_rows(vectors: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return vectors / norms[:, None], norms
 
 
-def _local_prototypes(features: np.ndarray, labels: np.ndarray, k: int) -> LocalPrototypes:
+def local_prototypes(features: np.ndarray, labels: np.ndarray, k: int) -> LocalPrototypes:
     """Class means, class counts, and the overall mean of a batch."""
     # sum / n gives the bits of .mean(axis=0) without its Python wrappers.
     members = labels == np.arange(1, k + 1)[:, None]
@@ -183,7 +133,7 @@ def _ins2ins(features: np.ndarray, labels: np.ndarray, cfg: BlackboxConfig):
     value = (1/M) sum_i ||rank(S^y_i) - rank(S^z_i)||^2 with S^y from
     label distances and S^z the feature cosine matrix.
     """
-    s_y = _label_similarity(labels)
+    s_y = label_similarity(labels)
     return _cosine_rank_alignment(s_y, features, "features", cfg, 1.0 / labels.size)
 
 
@@ -230,19 +180,17 @@ def _cls2cls(
     return d / denom + align, grads
 
 
-def _class_target(protos: LocalPrototypes) -> np.ndarray:
-    """The cls2cls target, label_similarity(1..K); every class must be in the batch."""
-    k = protos.counts.size
-    if not protos.counts.all():
-        missing = [c + 1 for c in range(k) if protos.counts[c] == 0]
-        raise DegenerateInputError(f"classes absent from batch: {missing}")
-    return _label_similarity(np.arange(1, k + 1))
-
-
-def _hybrid(
+def hybrid_ordinal_loss(
     features, labels, protos, s_pr, cfg, use_ins2ins, use_ins2cls, use_cls2cls, detach_spread
 ) -> LossBundle:
-    """``hybrid_ordinal_loss`` on trusted arrays; ``s_pr`` is the cls2cls target."""
+    """Sum of the enabled structural terms on a batch and its ``local_prototypes``.
+
+    ``s_pr`` is the cls2cls target, ``label_similarity`` of 1..K; cls2cls
+    needs every class in the batch. ``terms`` holds the (ins2ins, ins2cls,
+    cls2cls) values, 0.0 for a disabled term. One term alone is the call
+    with the other two switched off: its value is in ``terms`` and its
+    gradient in ``feature_grads``.
+    """
     grads = np.zeros(features.shape)
     terms = [0.0, 0.0, 0.0]
     if use_ins2ins:
@@ -257,33 +205,12 @@ def _hybrid(
     return LossBundle(sum(terms), feature_grads=grads, terms=tuple(terms))
 
 
-def hybrid_ordinal_loss(
-    batch: FeatureBatch,
-    cfg: BlackboxConfig,
-    *,
-    use_ins2ins: bool = True,
-    use_ins2cls: bool = True,
-    use_cls2cls: bool = True,
-    detach_spread: bool = False,
-    protos: LocalPrototypes | None = None,
-) -> LossBundle:
-    """Sum of the enabled structural terms (all three by default).
+def cross_entropy_loss(logits: np.ndarray, onehot: np.ndarray) -> LossBundle:
+    """Mean cross entropy of softmax(logits) against the labels ``onehot`` marks.
 
-    ``terms`` holds the (ins2ins, ins2cls, cls2cls) values, 0.0 for a
-    disabled term. One term alone is the call with the other two switched
-    off: its value is in ``terms`` and its gradient in ``feature_grads``.
+    ``onehot`` is (M, K) bool with one True per row, at its label's column;
+    logit_grads = (softmax(logits) - onehot) / M.
     """
-    if protos is None:
-        protos = _local_prototypes(batch.features, batch.labels, batch.n_classes)
-    elif use_ins2cls and protos.counts.size != batch.n_classes:
-        raise DimMismatchError("prototypes were built for a different class count")
-    s_pr = _class_target(protos) if use_cls2cls else None
-    return _hybrid(
-        batch.features, batch.labels, protos, s_pr, cfg,
-        use_ins2ins, use_ins2cls, use_cls2cls, detach_spread,
-    )
-def _cross_entropy(logits: np.ndarray, onehot: np.ndarray) -> LossBundle:
-    """Cross entropy of finite logits; ``onehot`` (M, K) marks each row's label."""
     m = logits.shape[0]
     shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     log_z = np.log(np.add.reduce(np.exp(shifted), axis=1))
@@ -294,31 +221,3 @@ def _cross_entropy(logits: np.ndarray, onehot: np.ndarray) -> LossBundle:
     grads[onehot] -= 1.0
     grads /= m
     return LossBundle(value, logit_grads=grads)
-
-
-def cross_entropy_loss(logits, labels) -> LossBundle:
-    """Mean cross entropy of softmax(logits) against 1-based labels.
-
-    logit_grads = (softmax(logits) - onehot(labels)) / M.
-    """
-    lg = np.asarray(logits, dtype=np.float64)
-    labs = np.asarray(labels, dtype=np.int64)
-    if lg.ndim != 2 or lg.shape[0] == 0:
-        raise EmptyInputError("logits must be a non-empty (M, K) array")
-    _require_finite(lg, "logits")
-    if labs.ndim != 1 or labs.shape[0] != lg.shape[0]:
-        raise DimMismatchError("labels must be one per logit row")
-    k = lg.shape[1]
-    if labs.min() < 1 or labs.max() > k:
-        raise BadConfigError(f"labels must lie in 1..{k}")
-    return _cross_entropy(lg, labs[:, None] == np.arange(1, k + 1))
-
-
-def total_loss(ce: LossBundle, hyb: LossBundle, lambda_hyb: float) -> LossBundle:
-    """ce + lambda_hyb * hyb: CE's logit gradients, lambda_hyb times hyb's feature gradients."""
-    lam = float(lambda_hyb)
-    return LossBundle(
-        ce.value + lam * hyb.value,
-        feature_grads=lam * hyb.feature_grads,
-        logit_grads=ce.logit_grads,
-    )

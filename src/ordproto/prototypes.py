@@ -40,8 +40,8 @@ class GlobalPrototypeStore:
     """
 
     dim: int
+    anchor_classes: tuple[int, int]  # no default: TrainConfig owns the (1, K) default
     sigma: float = 0.9
-    anchor_classes: tuple[int, int] = (1, 3)
     anchor_low: np.ndarray = field(default=None)  # type: ignore[assignment]
     anchor_high: np.ndarray = field(default=None)  # type: ignore[assignment]
 

@@ -9,8 +9,8 @@ gradient and divides the rank movement by the step size; the result is
 a descent direction for any loss expressed on the rank vector.
 
 ``rank_rows`` and ``rank_backward_rows`` rank and differentiate every row
-of a 2-D array at once; they trust their (finite) input, which the losses
-validate at their ``FeatureBatch`` boundary.
+of a 2-D array at once; they trust their (finite) input, which the
+training loop validates at its entry.
 """
 
 from __future__ import annotations

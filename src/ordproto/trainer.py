@@ -24,11 +24,11 @@ from .encoder import (
     AdamState,
     EncoderParams,
     HeadParams,
-    _backward,
-    _buffer,
-    _forward,
     adam_step,
+    backward,
+    buffer,
     encode,
+    forward,
     init_adam,
     init_params,
 )
@@ -42,12 +42,11 @@ from .errors import (
 )
 from .evaluation import binary_metrics, spearman
 from .losses import (
-    _cross_entropy,
-    _hybrid,
-    _local_prototypes,
     _require_finite,
+    cross_entropy_loss,
+    hybrid_ordinal_loss,
     label_similarity,
-    total_loss,
+    local_prototypes,
 )
 from .prototypes import GlobalPrototypeStore, _softmax_high, anchor_cosines, ema_update
 from .ranking import BlackboxConfig
@@ -198,9 +197,9 @@ def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
     """Run the full loop on a coarse-labeled training set.
 
     Inputs and labels are validated once, here (``check_data_fits``, then
-    shape and finiteness); the loop runs the trusting kernels behind the
-    public loss and encoder functions and checks per iteration only what
-    changes: finite features and logits, nonzero norms.
+    shape and finiteness); the loop runs the loss and encoder functions,
+    which trust their input, and checks per iteration only what changes:
+    finite features and logits, nonzero norms.
     """
     check_data_fits(config, data)
     # C order and float64 once, so every batch gather is a plain row copy.
@@ -222,11 +221,11 @@ def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
         anchor_classes=config.anchor_classes,
     )
     bb = BlackboxConfig(config.blackbox_lambda)
-    s_pr = label_similarity(np.arange(1, config.n_classes + 1))
+    s_pr = label_similarity(np.arange(1.0, config.n_classes + 1))
     switches = (
         config.use_ins2ins, config.use_ins2cls, config.use_cls2cls, config.detach_class_spread
     )
-    grads, grad_views = _buffer(enc, head)
+    grads, grad_views = buffer(enc, head)
 
     # The batch plan depends only on class counts, so every epoch has the
     # same number of iterations and the schedule length is known up front.
@@ -250,25 +249,24 @@ def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
             step = epoch if config.lambda_per_epoch else iteration - 1
             lam = config.lambda_start + span * (step / ramp_steps)
             try:
-                cache = _forward(enc, head, x[idx])
+                cache = forward(enc, head, x[idx])
                 _require_finite(cache.features, "features")
                 batch_labels = labels[idx]
-                protos = _local_prototypes(cache.features, batch_labels, config.n_classes)
-                hyb = _hybrid(cache.features, batch_labels, protos, s_pr, bb, *switches)
-                _require_finite(cache.logits, "logits")
-                ce = _cross_entropy(cache.logits, protos.members.T)
-                combined = total_loss(ce, hyb, lam)
-
-                _backward(
-                    enc, head, cache, combined.feature_grads, combined.logit_grads, grad_views
+                protos = local_prototypes(cache.features, batch_labels, config.n_classes)
+                hyb = hybrid_ordinal_loss(
+                    cache.features, batch_labels, protos, s_pr, bb, *switches
                 )
+                _require_finite(cache.logits, "logits")
+                ce = cross_entropy_loss(cache.logits, protos.members.T)
+
+                backward(enc, head, cache, lam * hyb.feature_grads, ce.logit_grads, grad_views)
                 adam_step(adam, grads, lr)
                 ema_update(store, protos.means[lo_cls - 1], protos.means[hi_cls - 1])
             except OrdprotoError as exc:
                 raise TrainingError(f"iteration {iteration}: {exc}", iteration) from exc
 
             history[iteration - 1] = (
-                iteration, epoch, lr, lam, combined.value, ce.value, *hyb.terms
+                iteration, epoch, lr, lam, ce.value + lam * hyb.value, ce.value, *hyb.terms
             )
     return TrainResult(enc, head, store, TrainHistory(history), adam, seed)
 

@@ -25,7 +25,7 @@ from ordproto.errors import (
     ZeroVectorError,
 )
 from ordproto.linalg import NORM_EPS, UNIT_TOL
-from ordproto.losses import SPREAD_EPS, FeatureBatch, LocalPrototypes, LossBundle, total_loss
+from ordproto.losses import SPREAD_EPS, LocalPrototypes, LossBundle
 from ordproto.prototypes import GlobalPrototypeStore
 from ordproto.ranking import BlackboxConfig, rank_backward_rows, rank_rows
 
@@ -196,17 +196,16 @@ class PerArrayAdam:
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
 
 
-def reference_local_prototypes(batch) -> LocalPrototypes:
-    """Class means of a FeatureBatch, one boolean mask and ``.mean`` per class."""
-    k = batch.n_classes
-    members = np.stack([batch.labels == c for c in range(1, k + 1)])
+def reference_local_prototypes(features, labels, k: int) -> LocalPrototypes:
+    """Class means of a batch, one boolean mask and ``.mean`` per class."""
+    members = np.stack([labels == c for c in range(1, k + 1)])
     counts = np.zeros(k, dtype=np.int64)
-    means = np.zeros((k, batch.dim))
+    means = np.zeros((k, features.shape[1]))
     for c in range(k):
         counts[c] = int(members[c].sum())
         if counts[c]:
-            means[c] = batch.features[members[c]].mean(axis=0)
-    return LocalPrototypes(means, counts, batch.features.mean(axis=0), members)
+            means[c] = features[members[c]].mean(axis=0)
+    return LocalPrototypes(means, counts, features.mean(axis=0), members)
 
 
 def _reference_cosine_alignment(target_rows, vectors, what, cfg, scale):
@@ -226,27 +225,25 @@ def _reference_cosine_alignment(target_rows, vectors, what, cfg, scale):
 
 
 def reference_hybrid_ordinal_loss(
-    batch, protos, cfg, *, use_ins2ins, use_ins2cls, use_cls2cls, detach_spread
+    features, labels, protos, cfg, *, use_ins2ins, use_ins2cls, use_cls2cls, detach_spread
 ) -> LossBundle:
     """The structural terms in their per-class form: masks, np.stack, np.sum."""
-    d, k = batch.dim, batch.n_classes
+    d, k = features.shape[1], protos.counts.size
     terms = [0.0, 0.0, 0.0]
     parts = []
     if use_ins2ins:
-        y = batch.labels.astype(np.float64)
+        y = labels.astype(np.float64)
         s_y = -np.abs(y[:, None] - y[None, :])
-        terms[0], g = _reference_cosine_alignment(
-            s_y, batch.features, "features", cfg, 1.0 / batch.size
-        )
+        terms[0], g = _reference_cosine_alignment(s_y, features, "features", cfg, 1.0 / y.size)
         parts.append(g)
     if use_ins2cls:
-        g = np.zeros_like(batch.features)
+        g = np.zeros_like(features)
         for c in range(1, k + 1):
             if not protos.counts[c - 1]:
                 continue
             mu = protos.means[c - 1]
-            members = batch.labels == c
-            diffs = batch.features[members] - mu
+            members = labels == c
+            diffs = features[members] - mu
             terms[1] += float(np.sum(diffs * diffs)) / d
             g[members] = (2.0 / d) * diffs
         parts.append(g)
@@ -257,13 +254,13 @@ def reference_hybrid_ordinal_loss(
         classes = np.arange(1, k + 1, dtype=np.float64)
         s_pr = -np.abs(classes[:, None] - classes[None, :])
         align, dmu = _reference_cosine_alignment(s_pr, mus, "class means", cfg, 1.0 / k)
-        labels0 = batch.labels - 1
+        labels0 = labels - 1
         g = dmu[labels0] / protos.counts[labels0][:, None]
         if not detach_spread:
             g = g + (-d / (denom * denom)) * 2.0 * disp[labels0]
         terms[2] = d / denom + align
         parts.append(g)
-    grads = np.zeros_like(batch.features)
+    grads = np.zeros_like(features)
     for g in parts:
         grads += g
     return LossBundle(sum(terms), feature_grads=grads, terms=tuple(terms))
@@ -309,12 +306,26 @@ def reference_ema_update(store, mu_low, mu_high) -> None:
         setattr(store, name, p_hat + (1.0 - store.sigma) * delta if delta.any() else p_hat)
 
 
-def reference_train(config, data, seed: int):
-    """The training loop with every batch validated again and every term in its per-class form.
+def reference_kfold_split(labels, k: int, seed) -> np.ndarray:
+    """Stratified fold ids through np.unique and one Python assignment per sample."""
+    labs = np.asarray(labels, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    fold_of = np.zeros(labs.size, dtype=np.int64)
+    offset = 0
+    for c in np.unique(labs):
+        idx = rng.permutation(np.flatnonzero(labs == c))
+        for pos, i in enumerate(idx):
+            fold_of[i] = 1 + (offset + pos) % k
+        offset = (offset + idx.size) % k
+    return fold_of
 
-    Each iteration runs the validating ``forward`` and ``FeatureBatch``, the
-    reference prototypes, loss terms and cross entropy above, the
-    concatenated per-layer gradients, ``adam_step`` and
+
+def reference_train(config, data, seed: int):
+    """The training loop with every batch checked again and every term in its per-class form.
+
+    Each iteration runs ``forward`` and its own finiteness check on the
+    features, the reference prototypes, loss terms and cross entropy above,
+    the concatenated per-layer gradients, ``adam_step`` and
     ``reference_ema_update``. Returns the history values, the Adam state and
     the prototype store.
     """
@@ -348,10 +359,13 @@ def reference_train(config, data, seed: int):
             lam = config.lambda_start + span * position
             try:
                 cache = forward(enc, head, data.x[idx])
-                batch = FeatureBatch(cache.features, data.labels[idx], k)
-                protos = reference_local_prototypes(batch)
+                if not np.all(np.isfinite(cache.features)):
+                    raise NonFiniteError("features contain NaN or Inf entries")
+                labels = data.labels[idx]
+                protos = reference_local_prototypes(cache.features, labels, k)
                 hyb = reference_hybrid_ordinal_loss(
-                    batch,
+                    cache.features,
+                    labels,
                     protos,
                     bb,
                     use_ins2ins=config.use_ins2ins,
@@ -359,14 +373,14 @@ def reference_train(config, data, seed: int):
                     use_cls2cls=config.use_cls2cls,
                     detach_spread=config.detach_class_spread,
                 )
-                ce = reference_cross_entropy_loss(cache.logits, batch.labels)
-                combined = total_loss(ce, hyb, lam)
+                ce = reference_cross_entropy_loss(cache.logits, labels)
+                total = ce.value + lam * hyb.value
                 pieces = per_layer_backward(
-                    enc, head, cache, combined.feature_grads, combined.logit_grads
+                    enc, head, cache, lam * hyb.feature_grads, ce.logit_grads
                 )
                 adam_step(adam, np.concatenate([g.ravel() for g in pieces]), lr)
                 reference_ema_update(store, protos.means[lo_cls - 1], protos.means[hi_cls - 1])
             except OrdprotoError as exc:
                 raise TrainingError(f"iteration {iteration}: {exc}", iteration) from exc
-            rows.append((iteration, epoch, lr, lam, combined.value, ce.value, *hyb.terms))
+            rows.append((iteration, epoch, lr, lam, total, ce.value, *hyb.terms))
     return np.array(rows, dtype=np.float64), adam, store

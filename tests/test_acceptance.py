@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from fd import central_diff, rel_err
+from kernels import Batch, cross_entropy, flat_backward, hybrid
 from oracles import (
     cosine_similarity,
     cosine_similarity_grad,
@@ -27,9 +28,9 @@ from oracles import (
 )
 from ordproto.cli import EXIT_OK, main
 from ordproto.data import GenConfig, generate
-from ordproto.encoder import backward, forward, init_params
+from ordproto.encoder import forward, init_params
 from ordproto.evaluation import binary_metrics, mann_whitney_one_sided
-from ordproto.losses import SPREAD_EPS, FeatureBatch, cross_entropy_loss, hybrid_ordinal_loss
+from ordproto.losses import SPREAD_EPS
 from ordproto.prototypes import (
     PROGRESSIVE,
     STABLE,
@@ -137,7 +138,7 @@ def test_criterion_2_gradient_suite(verdict):
         labels = np.concatenate(
             [np.arange(1, k + 1), rng.integers(1, k + 1, size=m - k)]
         )
-        return FeatureBatch(rng.standard_normal((m, int(rng.integers(3, 6)))) + 0.1, labels, k)
+        return Batch(rng.standard_normal((m, int(rng.integers(3, 6)))) + 0.1, labels, k)
 
     bb = BlackboxConfig(1.0)
     ins2cls_only = dict(use_ins2ins=False, use_cls2cls=False)
@@ -146,9 +147,9 @@ def test_criterion_2_gradient_suite(verdict):
         batch = batch_for()
 
         def value(feats, labels=batch.labels, k=batch.n_classes):
-            return hybrid_ordinal_loss(FeatureBatch(feats, labels, k), bb, **ins2cls_only).value
+            return hybrid(Batch(feats, labels, k), bb, **ins2cls_only).value
 
-        out = hybrid_ordinal_loss(batch, bb, **ins2cls_only)
+        out = hybrid(batch, bb, **ins2cls_only)
         errs.append(rel_err(out.feature_grads, central_diff(value, batch.features)))
     worst["ins2cls"] = max(errs)
 
@@ -158,14 +159,14 @@ def test_criterion_2_gradient_suite(verdict):
         batch = batch_for()
 
         def spread(feats, labels=batch.labels, k=batch.n_classes):
-            probe = FeatureBatch(feats, labels, k)
-            protos = reference_local_prototypes(probe)
+            probe = Batch(feats, labels, k)
+            protos = reference_local_prototypes(*probe)
             disp = protos.means - protos.overall
             denom = float(np.sum(protos.counts * np.sum(disp * disp, axis=1)))
             return probe.dim / (denom + SPREAD_EPS)
 
-        flowed = hybrid_ordinal_loss(batch, bb, **cls2cls_only, detach_spread=False)
-        detached = hybrid_ordinal_loss(batch, bb, **cls2cls_only, detach_spread=True)
+        flowed = hybrid(batch, bb, **cls2cls_only, detach_spread=False)
+        detached = hybrid(batch, bb, **cls2cls_only, detach_spread=True)
         analytic = flowed.feature_grads - detached.feature_grads
         errs.append(rel_err(analytic, central_diff(spread, batch.features)))
     worst["cls2cls-smooth"] = max(errs)
@@ -175,11 +176,11 @@ def test_criterion_2_gradient_suite(verdict):
         m, k = int(rng.integers(1, 7)), int(rng.integers(2, 5))
         logits = rng.standard_normal((m, k)) * 2
         labels = rng.integers(1, k + 1, size=m)
-        out = cross_entropy_loss(logits, labels)
+        out = cross_entropy(logits, labels)
         errs.append(
             rel_err(
                 out.logit_grads,
-                central_diff(lambda lg: cross_entropy_loss(lg, labels).value, logits),
+                central_diff(lambda lg: cross_entropy(lg, labels).value, logits),
             )
         )
     worst["cross-entropy"] = max(errs)
@@ -201,13 +202,13 @@ def test_criterion_2_gradient_suite(verdict):
                 p[...] = flat[i : i + p.size].reshape(p.shape)
                 i += p.size
             cache = forward(enc, head, x)
-            return float((cache.features * probe).sum()) + cross_entropy_loss(
+            return float((cache.features * probe).sum()) + cross_entropy(
                 cache.logits, labels
             ).value
 
         cache = forward(enc, head, x)
-        ce = cross_entropy_loss(cache.logits, labels)
-        analytic = backward(enc, head, cache, d_features=probe, d_logits=ce.logit_grads)
+        ce = cross_entropy(cache.logits, labels)
+        analytic = flat_backward(enc, head, cache, d_features=probe, d_logits=ce.logit_grads)
         errs.append(rel_err(analytic, central_diff(objective, base)))
     worst["backprop"] = max(errs)
 
@@ -226,7 +227,9 @@ def test_criterion_3_ema_contract(verdict):
     fixed_point_ok = True
     for _ in range(30):
         mu = rng.standard_normal(int(rng.integers(2, 9)))
-        store = GlobalPrototypeStore(dim=mu.size, sigma=float(rng.uniform(0.1, 0.99)))
+        store = GlobalPrototypeStore(
+            dim=mu.size, anchor_classes=(1, 3), sigma=float(rng.uniform(0.1, 0.99))
+        )
         ema_update(store, mu, mu)  # bootstrap to mu/||mu||
         snapshot = store.anchor_high.copy()
         ema_update(store, mu, mu)
@@ -239,7 +242,7 @@ def test_criterion_3_ema_contract(verdict):
         for _ in range(20):
             target = rng.standard_normal(8)
             start = rng.standard_normal(8)
-            store = GlobalPrototypeStore(dim=8, sigma=sigma)
+            store = GlobalPrototypeStore(dim=8, anchor_classes=(1, 3), sigma=sigma)
             ema_update(store, start, start)
             cos_prev = cosine_similarity(store.anchor_high, target)
             for _ in range(100):
@@ -268,7 +271,7 @@ def test_criterion_4_inference_invariances(verdict):
     drift = 0.0
     for _ in range(100):
         d = int(rng.integers(2, 9))
-        store = GlobalPrototypeStore(dim=d)
+        store = GlobalPrototypeStore(dim=d, anchor_classes=(1, 3))
         ema_update(store, rng.standard_normal(d), rng.standard_normal(d))
         q = rng.standard_normal(d)
         base = progression_scores([q], store)[0]
@@ -276,6 +279,7 @@ def test_criterion_4_inference_invariances(verdict):
             drift = max(drift, abs(progression_scores([scale * q], store)[0] - base))
         scaled = GlobalPrototypeStore(
             dim=d,
+            anchor_classes=(1, 3),
             anchor_low=store.anchor_low * float(rng.uniform(0.5, 200.0)),
             anchor_high=store.anchor_high * float(rng.uniform(0.005, 2.0)),
         )
@@ -286,12 +290,18 @@ def test_criterion_4_inference_invariances(verdict):
     # come out bitwise identical regardless of summation order.
     halves_ok = True
     axis_store = GlobalPrototypeStore(
-        dim=2, anchor_low=np.array([1.0, 0.0]), anchor_high=np.array([0.0, 1.0])
+        dim=2,
+        anchor_classes=(1, 3),
+        anchor_low=np.array([1.0, 0.0]),
+        anchor_high=np.array([0.0, 1.0]),
     )
     p = progression_scores([[0.7, 0.7]], axis_store)[0]
     halves_ok &= p == 0.5 and reads_stable(p)
     swap_store = GlobalPrototypeStore(
-        dim=3, anchor_low=np.array([1.0, 0.5, 0.25]), anchor_high=np.array([0.5, 1.0, 0.25])
+        dim=3,
+        anchor_classes=(1, 3),
+        anchor_low=np.array([1.0, 0.5, 0.25]),
+        anchor_high=np.array([0.5, 1.0, 0.25]),
     )
     p = progression_scores([[1.0, 1.0, 2.0]], swap_store)[0]
     halves_ok &= p == 0.5 and reads_stable(p)

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from oracles import reference_kfold_split
 from ordproto.data import (
     NO_FINE_LABEL,
     GenConfig,
@@ -235,6 +241,42 @@ class TestKFold:
             kfold_split(labels, k=3, seed=0)  # class 2 has only 2 samples
         with pytest.raises(EmptyInputError):
             kfold_split(np.array([], dtype=int), k=2, seed=0)
+
+    def test_matches_the_per_sample_loop(self):
+        rng = np.random.default_rng(14)
+        label_sets = [
+            np.repeat([1, 2, 3], [10, 10, 10]),
+            np.repeat([1, 2, 3], [7, 12, 5]),
+            rng.permutation(np.repeat([1, 2, 3, 4], [9, 6, 11, 8])),
+            rng.permutation(np.repeat([2, 5, 9], [6, 8, 7])),  # gaps, no class 1
+            rng.permutation(np.repeat([-1, 0, 3], [5, 6, 5])),
+        ]
+        for labels in label_sets:
+            for k in (2, 3, 5):
+                for seed in (0, 1, [7, 3]):
+                    got = kfold_split(labels, k, seed)
+                    assert np.array_equal(got, reference_kfold_split(labels, k, seed))
+
+    def test_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on first use; crossval's parent process
+        # should not pay for it.
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from ordproto.data import kfold_split\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "kfold_split(np.repeat([1, 2, 3], [7, 9, 5]), 3, 0)\n"
+            "print(before, 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.split() == ["False", "False"]
 
 
 class TestCsvRoundTrip:

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from fd import central_diff, rel_err
+from kernels import cross_entropy, flat_backward
 from oracles import PerArrayAdam, flat_params, param_arrays, per_layer_backward, split_like
 from ordproto.encoder import (
     EncoderParams,
     HeadParams,
     Layer,
-    _backward,
-    _buffer,
     adam_step,
     backward,
+    buffer,
     encode,
     forward,
     init_adam,
@@ -29,7 +29,6 @@ from ordproto.errors import (
     DimMismatchError,
     NonFiniteError,
 )
-from ordproto.losses import cross_entropy_loss
 
 
 def tiny_net(dims=(4, 5, 3), n_classes=3, seed=0):
@@ -99,11 +98,12 @@ class TestForward:
         assert np.array_equal(cache.logits, np.zeros((2, 3)))
 
     def test_input_validation(self):
-        enc, head = tiny_net()
+        # forward trusts its rows; encode, the inference entry, checks them.
+        enc, _ = tiny_net()
         with pytest.raises(DimMismatchError):
-            forward(enc, head, np.zeros((2, 5)))
+            encode(enc, np.zeros((2, 5)))
         with pytest.raises(NonFiniteError):
-            forward(enc, head, np.full((1, 4), np.nan))
+            encode(enc, np.full((1, 4), np.nan))
 
 
 class TestBackward:
@@ -112,14 +112,14 @@ class TestBackward:
         x = np.random.default_rng(33).standard_normal((1, 4))
         cache = forward(enc, head, x)
         d_logits = np.array([[1.0, -2.0, 0.5]])
-        head_w, head_b = head_grads(backward(enc, head, cache, d_logits=d_logits), enc, head)
+        head_w, head_b = head_grads(flat_backward(enc, head, cache, d_logits=d_logits), enc, head)
         assert np.array_equal(head_w, np.outer(cache.features[0], d_logits[0]))
         assert np.array_equal(head_b, d_logits[0])
 
     def test_feature_route_leaves_head_untouched(self):
         enc, head = tiny_net()
         cache = forward(enc, head, np.ones((2, 4)))
-        grads = backward(enc, head, cache, d_features=np.ones((2, 3)))
+        grads = flat_backward(enc, head, cache, d_features=np.ones((2, 3)))
         head_w, head_b = head_grads(grads, enc, head)
         assert np.array_equal(head_w, np.zeros((3, 3)))
         assert np.array_equal(head_b, np.zeros(3))
@@ -127,7 +127,7 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         enc, head = tiny_net()
         cache = forward(enc, head, np.random.default_rng(34).standard_normal((3, 4)))
-        grads = backward(enc, head, cache, d_features=np.zeros((3, 3)))
+        grads = flat_backward(enc, head, cache, d_features=np.zeros((3, 3)))
         assert grads.shape == (55,) and not grads.any()
 
     def test_merged_routes_add(self):
@@ -135,8 +135,8 @@ class TestBackward:
         cache = forward(enc, head, np.random.default_rng(35).standard_normal((3, 4)))
         df = np.random.default_rng(36).standard_normal((3, 3))
         dl = np.random.default_rng(37).standard_normal((3, 3))
-        merged = backward(enc, head, cache, d_features=df, d_logits=dl)
-        split = backward(enc, head, cache, d_features=df) + backward(enc, head, cache, d_logits=dl)
+        merged = flat_backward(enc, head, cache, d_features=df, d_logits=dl)
+        split = flat_backward(enc, head, cache, df) + flat_backward(enc, head, cache, d_logits=dl)
         assert merged == pytest.approx(split, abs=1e-12)
 
     def test_full_gradient_matches_finite_differences(self):
@@ -157,13 +157,13 @@ class TestBackward:
             params[...] = flat
             cache = forward(enc, head, x)
             value = float((cache.features * probe).sum())
-            value += cross_entropy_loss(cache.logits, labels).value
+            value += cross_entropy(cache.logits, labels).value
             return value
 
         try:
             cache = forward(enc, head, x)
-            ce = cross_entropy_loss(cache.logits, labels)
-            analytic = backward(enc, head, cache, d_features=probe, d_logits=ce.logit_grads)
+            ce = cross_entropy(cache.logits, labels)
+            analytic = flat_backward(enc, head, cache, d_features=probe, d_logits=ce.logit_grads)
             numeric = central_diff(objective, base)
         finally:
             params[...] = base
@@ -175,8 +175,8 @@ class TestBackward:
         enc, head = tiny_net(dims, n_classes=3, seed=len(dims))
         # One buffer reused by every call, as the training loop reuses it;
         # NaN first, so an entry the kernel leaves unwritten shows.
-        buffer, views = _buffer(enc, head)
-        buffer[...] = np.nan
+        flat, views = buffer(enc, head)
+        flat[...] = np.nan
         for m in (1, 3, 8):
             cache = forward(enc, head, rng.standard_normal((m, dims[0])))
             df = rng.standard_normal((m, dims[-1]))
@@ -186,17 +186,8 @@ class TestBackward:
                 expected = np.concatenate(
                     [g.ravel() for g in per_layer_backward(enc, head, cache, **kwargs)]
                 )
-                assert np.array_equal(backward(enc, head, cache, **kwargs), expected)
-                _backward(enc, head, cache, kwargs.get("d_features"), kwargs.get("d_logits"), views)
-                assert np.array_equal(buffer, expected)
-
-    def test_shape_checks(self):
-        enc, head = tiny_net()
-        cache = forward(enc, head, np.ones((2, 4)))
-        with pytest.raises(DimMismatchError):
-            backward(enc, head, cache, d_features=np.ones((2, 4)))
-        with pytest.raises(DimMismatchError):
-            backward(enc, head, cache, d_logits=np.ones((1, 3)))
+                backward(enc, head, cache, kwargs.get("d_features"), kwargs.get("d_logits"), views)
+                assert np.array_equal(flat, expected)
 
 
 class TestAdam:
@@ -233,7 +224,8 @@ class TestAdam:
     def test_state_mismatch_rejected(self):
         enc, head = tiny_net()
         other_state = init_adam(*init_params([4, 3], 3, seed=1))
-        grads = backward(enc, head, forward(enc, head, np.ones((1, 4))), d_logits=np.ones((1, 3)))
+        cache = forward(enc, head, np.ones((1, 4)))
+        grads = flat_backward(enc, head, cache, d_logits=np.ones((1, 3)))
         with pytest.raises(DimMismatchError):
             adam_step(other_state, grads, 2e-4)
 

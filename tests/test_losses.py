@@ -1,7 +1,7 @@
 """Loss terms: similarity matrices, local prototypes, the three structural
-losses, cross entropy, and the combined objective, with finite-difference
-gradient oracles for every smooth term. Each structural term is the
-combined objective with the other two switched off."""
+losses, cross entropy, and the combined objective the training loop
+records, with finite-difference gradient oracles for every smooth term.
+Each structural term is the hybrid loss with the other two switched off."""
 
 from __future__ import annotations
 
@@ -11,49 +11,30 @@ import numpy as np
 import pytest
 
 from fd import central_diff, rel_err
+from kernels import Batch, cross_entropy, hybrid, protos_of
 from oracles import cosine_similarity, feature_similarity, reference_local_prototypes
-from ordproto.errors import (
-    BadConfigError,
-    DegenerateInputError,
-    DimMismatchError,
-    EmptyInputError,
-    NonFiniteError,
-    ZeroVectorError,
-)
-from ordproto.losses import (
-    SPREAD_EPS,
-    FeatureBatch,
-    _ins2ins,
-    _local_prototypes,
-    cross_entropy_loss,
-    hybrid_ordinal_loss,
-    label_similarity,
-    total_loss,
-)
+from ordproto.data import GenConfig, generate
+from ordproto.errors import ZeroVectorError
+from ordproto.losses import SPREAD_EPS, _ins2ins, label_similarity
 from ordproto.ranking import BlackboxConfig, rank_rows
+from ordproto.trainer import HISTORY_COLUMNS, TrainConfig, train
 
 CFG = BlackboxConfig(1.0)
 
 
-def local_prototypes(batch: FeatureBatch):
-    return _local_prototypes(batch.features, batch.labels, batch.n_classes)
+def ins2ins(batch: Batch):
+    return hybrid(batch, CFG, use_ins2cls=False, use_cls2cls=False)
 
 
-def ins2ins(batch: FeatureBatch):
-    return hybrid_ordinal_loss(batch, CFG, use_ins2cls=False, use_cls2cls=False)
+def ins2cls(batch: Batch):
+    return hybrid(batch, CFG, use_ins2ins=False, use_cls2cls=False)
 
 
-def ins2cls(batch: FeatureBatch, protos=None):
-    return hybrid_ordinal_loss(batch, CFG, use_ins2ins=False, use_cls2cls=False, protos=protos)
+def cls2cls(batch: Batch, detach_spread: bool = False):
+    return hybrid(batch, CFG, use_ins2ins=False, use_ins2cls=False, detach_spread=detach_spread)
 
 
-def cls2cls(batch: FeatureBatch, detach_spread: bool = False):
-    return hybrid_ordinal_loss(
-        batch, CFG, use_ins2ins=False, use_ins2cls=False, detach_spread=detach_spread
-    )
-
-
-def random_batch(rng, m=None, d=None, k=None, all_classes=False) -> FeatureBatch:
+def random_batch(rng, m=None, d=None, k=None, all_classes=False) -> Batch:
     m = m or int(rng.integers(4, 9))
     d = d or int(rng.integers(3, 7))
     k = k or int(rng.integers(2, 4))
@@ -64,12 +45,12 @@ def random_batch(rng, m=None, d=None, k=None, all_classes=False) -> FeatureBatch
     else:
         labels = rng.integers(1, k + 1, size=m)
     features = rng.standard_normal((m, d)) + 0.1  # keep rows safely nonzero
-    return FeatureBatch(features, labels, k)
+    return Batch(features, labels, k)
 
 
-def spread_term(batch: FeatureBatch) -> float:
+def spread_term(batch: Batch) -> float:
     """Independent evaluation of the smooth class-scatter reciprocal."""
-    protos = reference_local_prototypes(batch)
+    protos = reference_local_prototypes(*batch)
     disp = protos.means - protos.overall
     return batch.dim / (float(np.sum(protos.counts * np.sum(disp * disp, axis=1))) + SPREAD_EPS)
 
@@ -87,10 +68,10 @@ def align_term(target_rows: np.ndarray, value_rows: np.ndarray, scale: float) ->
 class TestSimilarityMatrices:
     def test_label_similarity_example(self):
         expected = [[0, -1, -2], [-1, 0, -1], [-2, -1, 0]]
-        assert label_similarity([1, 2, 3]).tolist() == expected
+        assert label_similarity(np.array([1, 2, 3])).tolist() == expected
 
     def test_label_similarity_identical_labels(self):
-        assert label_similarity([2, 2]).tolist() == [[0, 0], [0, 0]]
+        assert label_similarity(np.array([2, 2])).tolist() == [[0, 0], [0, 0]]
 
     def test_label_similarity_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(1)
@@ -100,10 +81,6 @@ class TestSimilarityMatrices:
             assert np.array_equal(s, s.T)
             assert np.all(np.diag(s) == 0.0)
             assert np.all(s <= 0.0)
-
-    def test_label_similarity_empty(self):
-        with pytest.raises(EmptyInputError):
-            label_similarity([])
 
     def test_feature_similarity_orthonormal(self):
         s = feature_similarity(np.eye(2))
@@ -128,45 +105,24 @@ class TestSimilarityMatrices:
             feature_similarity(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
-class TestFeatureBatch:
-    def test_validation(self):
-        good = np.ones((2, 3))
-        with pytest.raises(EmptyInputError):
-            FeatureBatch(np.zeros((0, 3)), np.array([], dtype=int), 2)
-        with pytest.raises(NonFiniteError):
-            FeatureBatch(np.array([[np.nan, 1, 1]]), np.array([1]), 2)
-        with pytest.raises(DimMismatchError):
-            FeatureBatch(good, np.array([1]), 2)
-        with pytest.raises(BadConfigError):
-            FeatureBatch(good, np.array([1, 3]), 2)
-        with pytest.raises(BadConfigError):
-            FeatureBatch(good, np.array([0, 1]), 2)
-        with pytest.raises(BadConfigError):
-            FeatureBatch(good, np.array([1, 1]), 1)
-
-    def test_size_and_dim(self):
-        batch = FeatureBatch(np.ones((4, 3)), np.array([1, 2, 1, 2]), 2)
-        assert batch.size == 4 and batch.dim == 3
-
-
 class TestLocalPrototypes:
     def test_singleton_class(self):
         z = np.array([[2.0, -1.0, 0.5]])
-        protos = local_prototypes(FeatureBatch(z, np.array([2]), 2))
+        protos = protos_of(Batch(z, np.array([2]), 2))
         assert np.array_equal(protos.means[1], z[0])
         assert not protos.means[0].any()
         assert protos.counts.tolist() == [0, 1]
 
     def test_opposite_members_average_to_zero(self):
         feats = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        protos = local_prototypes(FeatureBatch(feats, np.array([1, 1]), 2))
+        protos = protos_of(Batch(feats, np.array([1, 1]), 2))
         assert np.array_equal(protos.means[0], np.zeros(2))
 
     def test_overall_is_count_weighted_mean(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
             batch = random_batch(rng)
-            protos = local_prototypes(batch)
+            protos = protos_of(batch)
             acc = np.zeros(batch.dim)
             for c in range(batch.n_classes):
                 if protos.counts[c]:
@@ -181,7 +137,7 @@ class TestIns2Ins:
         # every row of the cosine matrix ranks exactly like the label row.
         r = math.sqrt(0.5)
         feats = np.array([[1.0, 0.0], [r, r], [0.0, 1.0]])
-        out = ins2ins(FeatureBatch(feats, np.array([1, 2, 3]), 3))
+        out = ins2ins(Batch(feats, np.array([1, 2, 3]), 3))
         assert out.value == 0.0
 
     def test_tied_features_hand_value(self):
@@ -189,7 +145,7 @@ class TestIns2Ins:
         # makes both rows rank [1, 2], and only the second label row
         # disagrees, giving (1/2) * (0 + 2) = 1.
         feats = np.array([[1.0, 0.0], [1.0, 0.0]])
-        out = ins2ins(FeatureBatch(feats, np.array([1, 3]), 3))
+        out = ins2ins(Batch(feats, np.array([1, 3]), 3))
         assert out.value == 1.0
 
     def test_nonnegative(self):
@@ -202,7 +158,7 @@ class TestIns2Ins:
         for _ in range(20):
             batch = random_batch(rng, m=6, d=4)
             q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-            rotated = FeatureBatch(batch.features @ q, batch.labels, batch.n_classes)
+            rotated = Batch(batch.features @ q, batch.labels, batch.n_classes)
             a = ins2ins(batch)
             b = ins2ins(rotated)
             assert b.value == a.value
@@ -212,7 +168,7 @@ class TestIns2Ins:
         rng = np.random.default_rng(7)
         for _ in range(20):
             batch = random_batch(rng, k=3)
-            relabeled = FeatureBatch(batch.features, 3 * batch.labels + 2, 11)
+            relabeled = Batch(batch.features, 3 * batch.labels + 2, 11)
             assert ins2ins(relabeled).value == ins2ins(batch).value
 
     def test_grads_shaped_and_finite(self):
@@ -226,13 +182,13 @@ class TestIns2Ins:
 class TestIns2Cls:
     def test_zero_at_prototypes(self):
         feats = np.array([[1.0, 2.0], [1.0, 2.0], [-3.0, 0.0], [-3.0, 0.0]])
-        batch = FeatureBatch(feats, np.array([1, 1, 2, 2]), 2)
+        batch = Batch(feats, np.array([1, 1, 2, 2]), 2)
         assert ins2cls(batch).value == 0.0
 
     def test_hand_value(self):
         # One class, members [1,0] and [-1,0], d = 2: mean is the origin
         # and the value is (1 + 1) / 2 = 1.
-        batch = FeatureBatch(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1, 1]), 2)
+        batch = Batch(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1, 1]), 2)
         assert ins2cls(batch).value == 1.0
 
     def test_nonnegative(self):
@@ -249,19 +205,11 @@ class TestIns2Cls:
             batch = random_batch(rng)
 
             def value(feats):
-                probe = FeatureBatch(feats, batch.labels, batch.n_classes)
+                probe = Batch(feats, batch.labels, batch.n_classes)
                 return ins2cls(probe).value
 
             out = ins2cls(batch)
             assert rel_err(out.feature_grads, central_diff(value, batch.features)) <= 1e-5
-
-    def test_foreign_prototypes_rejected(self):
-        rng = np.random.default_rng(11)
-        batch = random_batch(rng, k=3, all_classes=True)
-        other = random_batch(rng, k=4, all_classes=True, d=batch.dim)
-        with pytest.raises(DimMismatchError):
-            ins2cls(batch, protos=local_prototypes(other))
-
 
 class TestCls2Cls:
     def test_aligned_singletons_have_zero_rank_term(self):
@@ -269,7 +217,7 @@ class TestCls2Cls:
         # the class indices, so the value reduces to the scatter term.
         r = math.sqrt(0.5)
         feats = np.array([[1.0, 0.0], [r, r], [0.0, 1.0]])
-        batch = FeatureBatch(feats, np.array([1, 2, 3]), 3)
+        batch = Batch(feats, np.array([1, 2, 3]), 3)
         out = cls2cls(batch)
         assert out.value == pytest.approx(spread_term(batch), rel=1e-12)
 
@@ -277,7 +225,7 @@ class TestCls2Cls:
         rng = np.random.default_rng(12)
         for _ in range(30):
             batch = random_batch(rng, all_classes=True)
-            protos = local_prototypes(batch)
+            protos = protos_of(batch)
             out = cls2cls(batch)
             k = batch.n_classes
             align = align_term(
@@ -296,11 +244,11 @@ class TestCls2Cls:
         delta = rng.standard_normal((3, 4))
         delta -= delta.mean(axis=0)  # displacements sum to zero
         labels = np.array([1, 2, 3])
-        b1 = FeatureBatch(center + delta, labels, 3)
-        b2 = FeatureBatch(center + 2.0 * delta, labels, 3)
+        b1 = Batch(center + delta, labels, 3)
+        b2 = Batch(center + 2.0 * delta, labels, 3)
         assert spread_term(b1) / spread_term(b2) == pytest.approx(4.0, rel=1e-6)
         for batch in (b1, b2):
-            protos = local_prototypes(batch)
+            protos = protos_of(batch)
             value = cls2cls(batch).value
             align = align_term(
                 label_similarity(np.arange(1, 4)),
@@ -314,15 +262,10 @@ class TestCls2Cls:
         # epsilon guard and every cosine row ties to rank [1, 2, 3],
         # leaving (0 + 2 + 8) / 3 from the class-index rows.
         v = np.array([1.0, 2.0, 0.5, 4.0])
-        batch = FeatureBatch(np.stack([v, v, v]), np.array([1, 2, 3]), 3)
+        batch = Batch(np.stack([v, v, v]), np.array([1, 2, 3]), 3)
         out = cls2cls(batch)
         assert np.isfinite(out.value)
         assert out.value == pytest.approx(4.0 / SPREAD_EPS + 10.0 / 3.0, rel=1e-12)
-
-    def test_absent_class_rejected(self):
-        batch = FeatureBatch(np.eye(3), np.array([1, 2, 2]), 3)
-        with pytest.raises(DegenerateInputError):
-            cls2cls(batch)
 
     def test_detach_changes_gradient_not_value(self):
         rng = np.random.default_rng(14)
@@ -343,7 +286,7 @@ class TestCls2Cls:
             analytic = flowed.feature_grads - detached.feature_grads
 
             def value(feats):
-                return spread_term(FeatureBatch(feats, batch.labels, batch.n_classes))
+                return spread_term(Batch(feats, batch.labels, batch.n_classes))
 
             assert rel_err(analytic, central_diff(value, batch.features)) <= 1e-5
 
@@ -354,7 +297,7 @@ class TestHybrid:
         for _ in range(20):
             batch = random_batch(rng, all_classes=True)
             parts = (ins2ins(batch), ins2cls(batch), cls2cls(batch))
-            combined = hybrid_ordinal_loss(batch, CFG)
+            combined = hybrid(batch, CFG)
             assert combined.value == pytest.approx(sum(p.value for p in parts), abs=1e-12)
             assert combined.feature_grads == pytest.approx(
                 sum(p.feature_grads for p in parts), abs=1e-12
@@ -363,24 +306,22 @@ class TestHybrid:
     def test_switches_drop_terms(self):
         rng = np.random.default_rng(17)
         batch = random_batch(rng, all_classes=True)
-        protos = local_prototypes(batch)
-        only_i2i = hybrid_ordinal_loss(batch, CFG, use_ins2cls=False, use_cls2cls=False)
+        protos = protos_of(batch)
+        only_i2i = hybrid(batch, CFG, use_ins2cls=False, use_cls2cls=False)
         assert only_i2i.value == _ins2ins(batch.features, batch.labels, CFG)[0]
-        none = hybrid_ordinal_loss(
-            batch, CFG, use_ins2ins=False, use_ins2cls=False, use_cls2cls=False
-        )
+        none = hybrid(batch, CFG, use_ins2ins=False, use_ins2cls=False, use_cls2cls=False)
         assert none.value == 0.0
         assert np.array_equal(none.feature_grads, np.zeros_like(batch.features))
-        with_protos = hybrid_ordinal_loss(batch, CFG, protos=protos)
-        assert with_protos.value == hybrid_ordinal_loss(batch, CFG).value
+        with_protos = hybrid(batch, CFG, protos=protos)
+        assert with_protos.value == hybrid(batch, CFG).value
 
     def test_terms_list_each_part_with_zero_for_a_disabled_one(self):
         rng = np.random.default_rng(24)
         batch = random_batch(rng, all_classes=True)
-        protos = local_prototypes(batch)
+        protos = protos_of(batch)
         values = (ins2ins(batch).value, ins2cls(batch).value, cls2cls(batch).value)
         for switches in ((True, True, True), (False, True, True), (True, False, False)):
-            out = hybrid_ordinal_loss(
+            out = hybrid(
                 batch,
                 CFG,
                 use_ins2ins=switches[0],
@@ -395,12 +336,12 @@ class TestHybrid:
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        out = cross_entropy_loss(np.zeros((2, 3)), np.array([1, 3]))
+        out = cross_entropy(np.zeros((2, 3)), np.array([1, 3]))
         assert out.value == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_saturation(self):
         logits = np.array([[50.0, 0.0, 0.0]])
-        assert cross_entropy_loss(logits, np.array([1])).value <= 1e-20
+        assert cross_entropy(logits, np.array([1])).value <= 1e-20
 
     def test_gradient_rows_sum_to_zero(self):
         rng = np.random.default_rng(18)
@@ -408,7 +349,7 @@ class TestCrossEntropy:
             m, k = int(rng.integers(1, 8)), int(rng.integers(2, 5))
             logits = rng.standard_normal((m, k)) * 3
             labels = rng.integers(1, k + 1, size=m)
-            out = cross_entropy_loss(logits, labels)
+            out = cross_entropy(logits, labels)
             assert np.abs(out.logit_grads.sum(axis=1)).max() <= 1e-12
 
     def test_gradient_matches_finite_differences(self):
@@ -417,51 +358,41 @@ class TestCrossEntropy:
             m, k = int(rng.integers(1, 7)), int(rng.integers(2, 5))
             logits = rng.standard_normal((m, k)) * 2
             labels = rng.integers(1, k + 1, size=m)
-            out = cross_entropy_loss(logits, labels)
-            fd = central_diff(lambda lg: cross_entropy_loss(lg, labels).value, logits)
+            out = cross_entropy(logits, labels)
+            fd = central_diff(lambda lg: cross_entropy(lg, labels).value, logits)
             assert rel_err(out.logit_grads, fd) <= 1e-5
 
     def test_small_step_descends(self):
         rng = np.random.default_rng(20)
         logits = rng.standard_normal((5, 3))
         labels = rng.integers(1, 4, size=5)
-        out = cross_entropy_loss(logits, labels)
-        stepped = cross_entropy_loss(logits - 1e-3 * out.logit_grads, labels)
+        out = cross_entropy(logits, labels)
+        stepped = cross_entropy(logits - 1e-3 * out.logit_grads, labels)
         assert stepped.value < out.value
 
-    def test_validation(self):
-        with pytest.raises(BadConfigError):
-            cross_entropy_loss(np.zeros((1, 3)), np.array([4]))
-        with pytest.raises(EmptyInputError):
-            cross_entropy_loss(np.zeros((0, 3)), np.array([], dtype=int))
-        with pytest.raises(NonFiniteError):
-            cross_entropy_loss(np.array([[np.inf, 0.0]]), np.array([1]))
-
-
 class TestTotalLoss:
-    def _bundles(self, rng):
-        batch = random_batch(rng, all_classes=True)
-        logits = rng.standard_normal((batch.size, batch.n_classes))
-        ce = cross_entropy_loss(logits, batch.labels)
-        hyb = hybrid_ordinal_loss(batch, CFG)
-        return ce, hyb
+    """ce + lambda * hyb, which ``train`` assembles and records in its history."""
+
+    def _columns(self, **overrides):
+        view = generate(GenConfig(class_counts=(12, 18, 14), input_dim=6), 25).training_view()
+        cfg = TrainConfig(
+            input_dim=6, hidden_dims=(8,), feature_dim=4, epochs=2, batch_size=6, **overrides
+        )
+        values = train(cfg, view, seed=1).history.values
+        return {name: values[:, i] for i, name in enumerate(HISTORY_COLUMNS)}
 
     def test_lambda_zero_is_ce(self):
-        ce, hyb = self._bundles(np.random.default_rng(21))
-        out = total_loss(ce, hyb, 0.0)
-        assert out.value == ce.value
-        assert np.array_equal(out.logit_grads, ce.logit_grads)
-        assert np.array_equal(out.feature_grads, np.zeros_like(hyb.feature_grads))
+        col = self._columns(lambda_start=0.0, lambda_end=0.0)
+        assert np.array_equal(col["loss_total"], col["loss_ce"])
+        assert col["loss_i2i"].any() and col["loss_c2c"].any()
 
     def test_lambda_one_is_plain_sum(self):
-        ce, hyb = self._bundles(np.random.default_rng(22))
-        out = total_loss(ce, hyb, 1.0)
-        assert out.value == ce.value + hyb.value
-        assert np.array_equal(out.feature_grads, hyb.feature_grads)
+        col = self._columns(lambda_start=1.0, lambda_end=1.0)
+        hyb = col["loss_i2i"] + col["loss_i2c"] + col["loss_c2c"]
+        assert np.array_equal(col["loss_total"], col["loss_ce"] + hyb)
 
     def test_affine_in_lambda(self):
-        ce, hyb = self._bundles(np.random.default_rng(23))
-        v0 = total_loss(ce, hyb, 0.0).value
-        v1 = total_loss(ce, hyb, 1.0).value
-        vh = total_loss(ce, hyb, 0.5).value
-        assert vh == pytest.approx(0.5 * (v0 + v1), abs=1e-12)
+        col = self._columns()
+        assert col["lambda"][0] == 0.0 and col["lambda"][-1] == 1.0
+        hyb = col["loss_i2i"] + col["loss_i2c"] + col["loss_c2c"]
+        assert np.array_equal(col["loss_total"], col["loss_ce"] + col["lambda"] * hyb)

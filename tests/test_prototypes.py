@@ -29,37 +29,39 @@ from ordproto.prototypes import (
 )
 
 
-def trained_store(low, high, **kw) -> GlobalPrototypeStore:
+def trained_store(low, high, anchor_classes=(1, 3), **kw) -> GlobalPrototypeStore:
     low = np.asarray(low, dtype=np.float64)
-    store = GlobalPrototypeStore(dim=low.shape[0], **kw)
+    store = GlobalPrototypeStore(dim=low.shape[0], anchor_classes=anchor_classes, **kw)
     return ema_update(store, low, np.asarray(high, dtype=np.float64))
 
 
 class TestStoreConstruction:
     def test_defaults(self):
-        store = GlobalPrototypeStore(dim=3)
+        store = GlobalPrototypeStore(dim=3, anchor_classes=(1, 3))
         assert store.sigma == 0.9
         assert store.anchor_classes == (1, 3)
+        with pytest.raises(TypeError):  # the anchor pair has no default here
+            GlobalPrototypeStore(dim=3)
         assert np.array_equal(store.anchor_low, np.zeros(3))
         assert np.array_equal(store.anchor_high, np.zeros(3))
         assert not is_trained(store)
 
     def test_validation(self):
         with pytest.raises(BadConfigError):
-            GlobalPrototypeStore(dim=0)
+            GlobalPrototypeStore(dim=0, anchor_classes=(1, 3))
         with pytest.raises(BadConfigError):
-            GlobalPrototypeStore(dim=2, sigma=1.0)
+            GlobalPrototypeStore(dim=2, anchor_classes=(1, 3), sigma=1.0)
         with pytest.raises(BadConfigError):
-            GlobalPrototypeStore(dim=2, sigma=0.0)
+            GlobalPrototypeStore(dim=2, anchor_classes=(1, 3), sigma=0.0)
         with pytest.raises(BadConfigError):
             GlobalPrototypeStore(dim=2, anchor_classes=(2, 2))
         with pytest.raises(DimMismatchError):
-            GlobalPrototypeStore(dim=3, anchor_low=np.ones(2))
+            GlobalPrototypeStore(dim=3, anchor_classes=(1, 3), anchor_low=np.ones(2))
 
 
 class TestEmaUpdate:
     def test_bootstrap_adopts_normalized_mean(self):
-        store = GlobalPrototypeStore(dim=2)
+        store = GlobalPrototypeStore(dim=2, anchor_classes=(1, 3))
         ema_update(store, np.array([3.0, 4.0]), np.array([0.0, 2.0]))
         assert store.anchor_low == pytest.approx([0.6, 0.8], abs=1e-15)
         assert np.array_equal(store.anchor_high, np.array([0.0, 1.0]))
@@ -100,7 +102,7 @@ class TestEmaUpdate:
                     assert cos_prev >= 1.0 - 1e-6
 
     def test_update_validation(self):
-        store = GlobalPrototypeStore(dim=3)
+        store = GlobalPrototypeStore(dim=3, anchor_classes=(1, 3))
         with pytest.raises(DimMismatchError):
             ema_update(store, np.ones(2), np.ones(3))
         with pytest.raises(ZeroVectorError):
@@ -158,8 +160,10 @@ class TestPrediction:
 
     def test_prediction_errors(self):
         with pytest.raises(UntrainedStoreError):
-            progression_scores(np.ones((1, 2)), GlobalPrototypeStore(dim=2))
-        half = GlobalPrototypeStore(dim=2, anchor_low=np.array([1.0, 0.0]))
+            progression_scores(
+                np.ones((1, 2)), GlobalPrototypeStore(dim=2, anchor_classes=(1, 3))
+            )
+        half = GlobalPrototypeStore(dim=2, anchor_classes=(1, 3), anchor_low=np.array([1.0, 0.0]))
         with pytest.raises(UntrainedStoreError):
             progression_scores(np.ones((1, 2)), half)
         store = trained_store([1.0, 0.0], [0.0, 1.0])

@@ -10,7 +10,6 @@ PUBLIC_NAMES = [
     "AdamState",
     "BlackboxConfig",
     "EncoderParams",
-    "FeatureBatch",
     "GenConfig",
     "GlobalPrototypeStore",
     "HeadParams",
@@ -26,6 +25,7 @@ PUBLIC_NAMES = [
     "adam_step",
     "backward",
     "binary_metrics",
+    "buffer",
     "cross_entropy_loss",
     "cross_validate",
     "ema_update",
@@ -41,6 +41,7 @@ PUBLIC_NAMES = [
     "load_checkpoint",
     "load_dataset",
     "load_store",
+    "local_prototypes",
     "mann_whitney_one_sided",
     "progression_scores",
     "run_seeds",
@@ -49,7 +50,6 @@ PUBLIC_NAMES = [
     "save_store",
     "spearman",
     "stratified_batches",
-    "total_loss",
     "train",
 ]
 

@@ -10,14 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from kernels import Batch, hybrid
 from oracles import feature_similarity, reference_local_prototypes
-from ordproto.losses import (
-    FeatureBatch,
-    _rank_alignment,
-    _unit_rows,
-    hybrid_ordinal_loss,
-    label_similarity,
-)
+from ordproto.losses import _rank_alignment, _unit_rows, label_similarity
 from ordproto.ranking import BlackboxConfig, rank_backward_rows, rank_rows
 
 
@@ -151,12 +146,12 @@ class TestLossesAgainstOracle:
         rng = np.random.default_rng(47)
         cfg = BlackboxConfig()
         for _ in range(50):
-            batch = FeatureBatch(rng.standard_normal((8, 6)), rng.integers(1, 4, size=8), 3)
+            batch = Batch(rng.standard_normal((8, 6)), rng.integers(1, 4, size=8), 3)
             s_z = feature_similarity(batch.features)
             value, sim_grads = oracle_alignment(
                 label_similarity(batch.labels), s_z, cfg, 1.0 / batch.size
             )
-            got = hybrid_ordinal_loss(batch, cfg, use_ins2cls=False, use_cls2cls=False)
+            got = hybrid(batch, cfg, use_ins2cls=False, use_cls2cls=False)
             assert got.value == value
             assert_bit_equal(got.feature_grads, oracle_chain(sim_grads, batch.features))
 
@@ -165,15 +160,13 @@ class TestLossesAgainstOracle:
         cfg = BlackboxConfig()
         for _ in range(50):
             labels = np.concatenate([[1, 2, 3], rng.integers(1, 4, size=5)])
-            batch = FeatureBatch(rng.standard_normal((8, 6)), labels, 3)
-            protos = reference_local_prototypes(batch)
+            batch = Batch(rng.standard_normal((8, 6)), labels, 3)
+            protos = reference_local_prototypes(*batch)
             mus = protos.means
             _, sim_grads = oracle_alignment(
                 label_similarity(np.arange(1, 4)), feature_similarity(mus), cfg, 1.0 / 3
             )
             dmu = oracle_chain(sim_grads, mus)
             want = dmu[labels - 1] / protos.counts[labels - 1][:, None]
-            got = hybrid_ordinal_loss(
-                batch, cfg, use_ins2ins=False, use_ins2cls=False, detach_spread=True
-            )
+            got = hybrid(batch, cfg, use_ins2ins=False, use_ins2cls=False, detach_spread=True)
             assert_bit_equal(got.feature_grads, want)

@@ -43,7 +43,10 @@ def scalar_scores(features, store) -> np.ndarray:
 
 def random_store(rng, dim) -> GlobalPrototypeStore:
     return GlobalPrototypeStore(
-        dim=dim, anchor_low=rng.standard_normal(dim), anchor_high=rng.standard_normal(dim)
+        dim=dim,
+        anchor_classes=(1, 3),
+        anchor_low=rng.standard_normal(dim),
+        anchor_high=rng.standard_normal(dim),
     )
 
 
@@ -151,7 +154,10 @@ class TestRowInvariance:
 
     def test_exact_ties_score_one_half(self):
         store = GlobalPrototypeStore(
-            dim=3, anchor_low=np.array([1.0, 0.5, 0.25]), anchor_high=np.array([0.5, 1.0, 0.25])
+            dim=3,
+            anchor_classes=(1, 3),
+            anchor_low=np.array([1.0, 0.5, 0.25]),
+            anchor_high=np.array([0.5, 1.0, 0.25]),
         )
         feats = np.array([[1.0, 1.0, 2.0], [3.0, 3.0, -1.0], [0.0, 0.0, 1.0]])
         assert np.all(progression_scores(feats, store) == 0.5)
@@ -161,12 +167,15 @@ class TestValidation:
     @pytest.fixture
     def store(self):
         return GlobalPrototypeStore(
-            dim=3, anchor_low=np.array([1.0, 0.0, 0.0]), anchor_high=np.array([0.0, 1.0, 0.0])
+            dim=3,
+            anchor_classes=(1, 3),
+            anchor_low=np.array([1.0, 0.0, 0.0]),
+            anchor_high=np.array([0.0, 1.0, 0.0]),
         )
 
     def test_untrained_store(self):
-        half = GlobalPrototypeStore(dim=3, anchor_low=np.ones(3))
-        for store in (GlobalPrototypeStore(dim=3), half):
+        half = GlobalPrototypeStore(dim=3, anchor_classes=(1, 3), anchor_low=np.ones(3))
+        for store in (GlobalPrototypeStore(dim=3, anchor_classes=(1, 3)), half):
             with pytest.raises(UntrainedStoreError):
                 progression_scores(np.ones((2, 3)), store)
             with pytest.raises(UntrainedStoreError):

@@ -1,8 +1,9 @@
-"""The training step: bit identity with the validating loop, error paths, call budget.
+"""The training step: bit identity with the reference loop, error paths, call budget.
 
-``trainer.train`` validates its inputs once and runs trusting kernels per
-iteration; ``oracles.reference_train`` spells the same loop with the public,
-validating functions. They must agree bit for bit, and fail the same way.
+``trainer.train`` validates its inputs once and runs the trusting loss and
+encoder functions per iteration; ``oracles.reference_train`` spells the same
+loop with the per-class loss forms and per-layer gradients. They must agree
+bit for bit, and fail the same way.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pstats
 import numpy as np
 import pytest
 
+from kernels import Batch, cross_entropy, hybrid, protos_of
 from oracles import (
     reference_cross_entropy_loss,
     reference_hybrid_ordinal_loss,
@@ -21,13 +23,7 @@ from oracles import (
 )
 from ordproto import trainer
 from ordproto.data import GenConfig, TrainingSet, generate
-from ordproto.errors import NonFiniteError, TrainingError, ZeroVectorError
-from ordproto.losses import (
-    FeatureBatch,
-    _local_prototypes,
-    cross_entropy_loss,
-    hybrid_ordinal_loss,
-)
+from ordproto.errors import DimMismatchError, NonFiniteError, TrainingError, ZeroVectorError
 from ordproto.ranking import BlackboxConfig
 from ordproto.trainer import TrainConfig, ablation_config, train
 
@@ -69,15 +65,15 @@ def random_batches(seed: int):
     rng = np.random.default_rng(seed)
     for m, d in ((8, 32), (6, 4), (13, 5)):
         labels = rng.permutation(np.resize([1, 2, 3, 2, 3, 3], m))
-        yield FeatureBatch(rng.standard_normal((m, d)) * rng.uniform(0.1, 10.0), labels, 3)
-    yield FeatureBatch(rng.standard_normal((5, 3)), np.array([1, 3, 3, 1, 3]), 3)
+        yield Batch(rng.standard_normal((m, d)) * rng.uniform(0.1, 10.0), labels, 3)
+    yield Batch(rng.standard_normal((5, 3)), np.array([1, 3, 3, 1, 3]), 3)
 
 
 class TestKernelsMatchReference:
     def test_local_prototypes(self):
         for batch in random_batches(71):
-            got = _local_prototypes(batch.features, batch.labels, batch.n_classes)
-            want = reference_local_prototypes(batch)
+            got = protos_of(batch)
+            want = reference_local_prototypes(*batch)
             assert np.array_equal(got.means, want.means)
             assert np.array_equal(got.counts, want.counts)
             assert np.array_equal(got.overall, want.overall)
@@ -87,13 +83,13 @@ class TestKernelsMatchReference:
     def test_hybrid_ordinal_loss(self, detach):
         cfg = BlackboxConfig(0.7)
         for batch in random_batches(72):
-            full = bool(reference_local_prototypes(batch).counts.all())
+            full = bool(reference_local_prototypes(*batch).counts.all())
             switches = dict(
                 use_ins2ins=True, use_ins2cls=True, use_cls2cls=full, detach_spread=detach
             )
-            got = hybrid_ordinal_loss(batch, cfg, **switches)
+            got = hybrid(batch, cfg, **switches)
             want = reference_hybrid_ordinal_loss(
-                batch, reference_local_prototypes(batch), cfg, **switches
+                batch.features, batch.labels, reference_local_prototypes(*batch), cfg, **switches
             )
             assert got.value == want.value and got.terms == want.terms
             assert np.array_equal(got.feature_grads, want.feature_grads)
@@ -103,7 +99,7 @@ class TestKernelsMatchReference:
         for m, k in ((8, 3), (1, 2), (7, 5)):
             logits = rng.standard_normal((m, k)) * 5.0
             labels = rng.integers(1, k + 1, size=m)
-            got = cross_entropy_loss(logits, labels)
+            got = cross_entropy(logits, labels)
             want = reference_cross_entropy_loss(logits, labels)
             assert got.value == want.value
             assert np.array_equal(got.logit_grads, want.logit_grads)
@@ -128,10 +124,31 @@ class TestErrorPaths:
         x[5, 2] = bad
         x[9, 0] = bad
         calls = []
-        monkeypatch.setattr(trainer, "_forward", lambda *args: calls.append(args))
+        monkeypatch.setattr(trainer, "forward", lambda *args: calls.append(args))
         with pytest.raises(NonFiniteError, match="inputs row 5 "):
             train(TINY_TRAIN, TrainingSet(x, tiny_view.labels), seed=1)
         assert calls == []
+
+    def test_label_count_mismatch_fails_before_the_first_iteration(self, tiny_view):
+        short = TrainingSet(tiny_view.x, tiny_view.labels[:-1])
+        with pytest.raises(DimMismatchError, match="need one label per input row"):
+            train(TINY_TRAIN, short, seed=1)
+
+    def test_non_finite_logits_are_a_training_error(self, tiny_view, monkeypatch):
+        # Finite features can still overflow the head; the loop checks the
+        # logits before cross entropy uses them.
+        real_forward = trainer.forward
+
+        def overflowing(*args):
+            cache = real_forward(*args)
+            cache.logits[0, 0] = np.inf
+            return cache
+
+        monkeypatch.setattr(trainer, "forward", overflowing)
+        with pytest.raises(TrainingError) as err:
+            train(TINY_TRAIN, tiny_view, seed=1)
+        assert str(err.value) == "iteration 1: logits contain NaN or Inf entries"
+        assert isinstance(err.value.__cause__, NonFiniteError)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the expected overflow
     @pytest.mark.parametrize("seed", [1, 2])
@@ -174,14 +191,15 @@ class TestErrorPaths:
 
 def test_call_budget(default_view):
     # cProfile counts every Python-level call, numpy's Python wrappers
-    # included. Measured with numpy 2.4.6 on Python 3.11: about 140 calls
+    # included. Measured with numpy 2.4.6 on Python 3.11: about 136 calls
     # per iteration for a 1-epoch default run (the loop that re-validated
-    # every batch made about 530). The first run in a process also pays
-    # numpy's lazy imports (np.unique imports numpy.ma), so one run goes first.
+    # every batch made about 530); the bound leaves no room for a validating
+    # layer per iteration. The first run in a process also pays numpy's lazy
+    # imports, so one run goes first.
     train(TrainConfig(epochs=1, seeds=(1,)), default_view, 1)
     profile = cProfile.Profile()
     profile.enable()
     result = train(TrainConfig(epochs=1, seeds=(1,)), default_view, 1)
     profile.disable()
     per_iteration = pstats.Stats(profile).total_calls / len(result.history.values)
-    assert per_iteration <= 250
+    assert per_iteration <= 160

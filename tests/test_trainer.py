@@ -7,12 +7,12 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from kernels import cross_entropy, flat_backward
 from oracles import flat_params
 from ordproto import trainer
 from ordproto.data import GenConfig, TrainingSet, generate, kfold_split, stratified_batches
-from ordproto.encoder import adam_step, backward, forward, init_adam, init_params
+from ordproto.encoder import adam_step, forward, init_adam, init_params
 from ordproto.errors import BadConfigError, EmptyInputError, TrainingError
-from ordproto.losses import cross_entropy_loss
 from ordproto.trainer import (
     HISTORY_COLUMNS,
     METRIC_KEYS,
@@ -205,8 +205,8 @@ class TestTrainLoop:
         for epoch in range(cfg.epochs):
             for idx in stratified_batches(view.labels, cfg.batch_size, [3, epoch], 3):
                 cache = forward(enc, head, view.x[idx])
-                ce = cross_entropy_loss(cache.logits, view.labels[idx])
-                grads = backward(enc, head, cache, d_logits=ce.logit_grads)
+                ce = cross_entropy(cache.logits, view.labels[idx])
+                grads = flat_backward(enc, head, cache, d_logits=ce.logit_grads)
                 adam_step(adam, grads, cfg.base_lr * cfg.lr_decay**epoch)
 
         assert np.array_equal(flat_params(result.encoder, result.head), flat_params(enc, head))
