@@ -12,6 +12,13 @@ then the head's weight and bias. ``init_adam`` moves the parameters into
 that buffer and leaves the ``Layer`` and ``HeadParams`` fields as views
 into it; ``backward`` writes its gradient into a buffer of the same
 layout (``buffer``), which the training loop allocates once per run.
+
+The training loop trains S seeds at once: ``stack_params`` puts their
+parameters on a leading seed axis, so every array gains a first axis of
+length S and the buffers are (S, P), one C-ordered row per seed.
+``forward``, ``backward``, ``buffer``, ``init_adam`` and ``adam_step`` work
+on plain and stacked parameters alike; every product is a ``matmul`` on
+whole arrays, which gives each seed the bits of its own 2-D product.
 ``forward`` and ``backward`` trust their input (the loop validates once);
 ``encode``, the inference entry, validates its rows.
 """
@@ -19,7 +26,7 @@ layout (``buffer``), which the training loop allocates once per run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,8 +38,8 @@ ACTIVATIONS = ("relu", "identity")
 
 @dataclass
 class Layer:
-    weight: np.ndarray  # (fan_in, fan_out)
-    bias: np.ndarray  # (fan_out,)
+    weight: np.ndarray  # (fan_in, fan_out), or (S, fan_in, fan_out) in a seed stack
+    bias: np.ndarray  # (fan_out,), or (S, fan_out)
     activation: str
 
     def __post_init__(self):
@@ -46,17 +53,17 @@ class EncoderParams:
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].weight.shape[0]
+        return self.layers[0].weight.shape[-2]
 
     @property
     def feature_dim(self) -> int:
-        return self.layers[-1].weight.shape[1]
+        return self.layers[-1].weight.shape[-1]
 
 
 @dataclass
 class HeadParams:
-    weight: np.ndarray  # (feature_dim, n_classes)
-    bias: np.ndarray  # (n_classes,)
+    weight: np.ndarray  # (feature_dim, n_classes), or (S, feature_dim, n_classes)
+    bias: np.ndarray  # (n_classes,), or (S, n_classes)
 
 
 def init_params(dims, n_classes: int, seed: int) -> tuple[EncoderParams, HeadParams]:
@@ -80,8 +87,30 @@ def init_params(dims, n_classes: int, seed: int) -> tuple[EncoderParams, HeadPar
     return EncoderParams(layers), head
 
 
+def stack_params(pairs) -> tuple[EncoderParams, HeadParams]:
+    """S seeds' ``(encoder, head)`` pairs of one shape, as one pair of (S, ...) arrays."""
+    encs, heads = zip(*pairs)
+    layers = [
+        Layer(
+            np.stack([enc.layers[i].weight for enc in encs]),
+            np.stack([enc.layers[i].bias for enc in encs]),
+            layer.activation,
+        )
+        for i, layer in enumerate(encs[0].layers)
+    ]
+    head = HeadParams(np.stack([h.weight for h in heads]), np.stack([h.bias for h in heads]))
+    return EncoderParams(layers), head
+
+
+def seed_params(enc: EncoderParams, head: HeadParams, row: int):
+    """Seed ``row`` of stacked parameters, as views."""
+    layers = [Layer(layer.weight[row], layer.bias[row], layer.activation) for layer in enc.layers]
+    return EncoderParams(layers), HeadParams(head.weight[row], head.bias[row])
+
+
 @dataclass
 class ForwardCache:
+    # Shapes of one batch; a seed stack puts S in front of each.
     inputs: list[np.ndarray]  # input to each layer, (M, fan_in)
     preacts: list[np.ndarray]  # pre-activation of each layer, (M, fan_out)
     features: np.ndarray  # (M, feature_dim)
@@ -100,15 +129,19 @@ def _as_batch(x, input_dim: int) -> np.ndarray:
 
 
 def forward(enc: EncoderParams, head: HeadParams, h: np.ndarray) -> ForwardCache:
-    """Forward pass without validation: ``h`` is a finite (M, input_dim) float64 array."""
+    """Forward pass without validation.
+
+    ``h`` is a finite C-ordered float64 array, (M, input_dim), or
+    (S, M, input_dim) for stacked parameters.
+    """
     n = len(enc.layers)
     inputs, preacts = [None] * n, [None] * n
     for i, layer in enumerate(enc.layers):
         inputs[i] = h
-        a = h @ layer.weight + layer.bias
+        a = h @ layer.weight + layer.bias[..., None, :]
         preacts[i] = a
         h = np.maximum(a, 0.0) if layer.activation == "relu" else a
-    logits = h @ head.weight + head.bias
+    logits = h @ head.weight + head.bias[..., None, :]
     return ForwardCache(inputs, preacts, h, logits)
 
 
@@ -122,12 +155,21 @@ def encode(enc: EncoderParams, x) -> np.ndarray:
 
 
 def buffer(enc: EncoderParams, head: HeadParams) -> tuple[np.ndarray, list[np.ndarray]]:
-    """An uninitialized flat buffer in the parameter layout, and one view per array."""
+    """An uninitialized flat buffer in the parameter layout, and one view per array.
+
+    Stacked parameters get an (S, P) buffer, one row per seed, and (S, ...) views.
+    """
     arrays = [a for layer in enc.layers for a in (layer.weight, layer.bias)]
     arrays += [head.weight, head.bias]
-    flat = np.empty(sum(a.size for a in arrays))
-    ends = np.cumsum([a.size for a in arrays])
-    return flat, [flat[end - a.size : end].reshape(a.shape) for a, end in zip(arrays, ends)]
+    lead = head.bias.shape[:-1]
+    shapes = [a.shape[len(lead) :] for a in arrays]
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.empty((*lead, sum(sizes)))
+    ends = np.cumsum(sizes)
+    return flat, [
+        flat[..., end - size : end].reshape(*lead, *shape)
+        for shape, size, end in zip(shapes, sizes, ends)
+    ]
 
 
 def backward(
@@ -144,12 +186,13 @@ def backward(
     classification loss merge where the head branches off the features.
     Every gradient is written into ``grads``, the per-array views of one
     flat buffer (``buffer``). The first layer's input gradient is not
-    computed; nothing reads it.
+    computed; nothing reads it. Stacked parameters take stacked gradients;
+    the batch axis is always the second-to-last.
     """
     if d_logits is not None:
-        np.matmul(cache.features.T, d_logits, out=grads[-2])
-        np.add.reduce(d_logits, axis=0, out=grads[-1])
-        dh = d_logits @ head.weight.T
+        np.matmul(cache.features.swapaxes(-1, -2), d_logits, out=grads[-2])
+        np.add.reduce(d_logits, axis=-2, out=grads[-1])
+        dh = d_logits @ head.weight.swapaxes(-1, -2)
     else:
         grads[-2][...] = 0.0
         grads[-1][...] = 0.0
@@ -159,19 +202,21 @@ def backward(
     for i in range(len(enc.layers) - 1, -1, -1):
         layer = enc.layers[i]
         da = dh * (cache.preacts[i] > 0.0) if layer.activation == "relu" else dh
-        np.matmul(cache.inputs[i].T, da, out=grads[2 * i])
-        np.add.reduce(da, axis=0, out=grads[2 * i + 1])
+        np.matmul(cache.inputs[i].swapaxes(-1, -2), da, out=grads[2 * i])
+        np.add.reduce(da, axis=-2, out=grads[2 * i + 1])
         if i:
-            dh = da @ layer.weight.T
+            dh = da @ layer.weight.swapaxes(-1, -2)
 
 
 @dataclass
 class AdamState:
     """Bias-corrected Adam; the caller passes each step's learning rate.
 
-    ``params``, ``m`` and ``v`` are flat buffers in the same layout. The
-    layer and head fields view ``params`` only in the process that called
-    ``init_adam``; a pickled copy (a pooled run's result) keeps the values.
+    ``params``, ``m`` and ``v`` are flat buffers in the same layout, (P,)
+    or (S, P) for a seed stack. The layer and head fields view ``params``
+    only in the process that called ``init_adam``; a pickled copy (a pooled
+    run's result) keeps the values. ``scratch`` holds the two buffers
+    ``adam_step`` computes in, made by its first call.
     """
 
     params: np.ndarray
@@ -181,6 +226,14 @@ class AdamState:
     beta1: float = 0.5
     beta2: float = 0.999
     epsilon: float = 1e-8
+    scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+
+    def row(self, row: int) -> "AdamState":
+        """Seed ``row`` of a stacked state: views of its buffers, without scratch."""
+        return AdamState(
+            self.params[row], self.m[row], self.v[row], self.step,
+            self.beta1, self.beta2, self.epsilon,
+        )
 
 
 def init_adam(
@@ -215,15 +268,31 @@ def adam_step(state: AdamState, grads: np.ndarray, lr: float) -> None:
         raise DimMismatchError(
             f"gradient shape {grads.shape} != parameter buffer shape {state.params.shape}"
         )
+    if state.scratch is None:
+        state.scratch = (np.empty_like(state.params), np.empty_like(state.params))
+    a, b = state.scratch
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grads
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * (grads * grads)
-    state.params -= lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.epsilon)
+    m, v = state.m, state.v
+    # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g);
+    # params -= lr*(m/bc1) / (sqrt(v/bc2) + eps): the same IEEE operations in
+    # the same order as the expressions, written into the scratch buffers.
+    m *= state.beta1
+    np.multiply(1.0 - state.beta1, grads, out=a)
+    m += a
+    v *= state.beta2
+    np.square(grads, out=a)
+    np.multiply(1.0 - state.beta2, a, out=a)
+    v += a
+    np.divide(m, bc1, out=a)
+    np.multiply(lr, a, out=a)
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    b += state.epsilon
+    np.divide(a, b, out=a)
+    state.params -= a
 
 
 def save_checkpoint(

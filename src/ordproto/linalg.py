@@ -1,17 +1,14 @@
-"""Shared vector tolerances and the unit-vector kernel.
+"""Shared vector tolerances and the unit-row kernel.
 
 Directions must have norm above ``NORM_EPS``. The row-batched kernels (the
 losses, ``prototypes.progression_scores``) validate a whole matrix once at
-their boundary; ``_unit`` normalizes one vector its caller has checked.
+their boundary; ``_unit`` normalizes rows whose norms its caller has
+computed with ``_dot_norms`` and checked.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from .errors import ZeroVectorError
 
 NORM_EPS = 1e-12
 # Norms this close to 1 are treated as exactly 1, which makes normalization
@@ -19,11 +16,13 @@ NORM_EPS = 1e-12
 UNIT_TOL = 1e-13
 
 
-def _unit(arr: np.ndarray, name: str) -> np.ndarray:
-    """v / ||v|| of a finite 1-D float64 array, unchanged when ||v|| is 1 within UNIT_TOL."""
-    n = math.sqrt(arr.dot(arr))  # np.linalg.norm's 1-D form
-    if n <= NORM_EPS:
-        raise ZeroVectorError(f"cannot normalize {name} with norm {n!r}")
-    if abs(n - 1.0) <= UNIT_TOL:
-        return arr
-    return arr / n
+def _dot_norms(rows: np.ndarray) -> np.ndarray:
+    """Norms of the rows (last axis) of an array: the bits of math.sqrt(row.dot(row))."""
+    # A (1, d) @ (d, 1) matmul is one BLAS dot, as the 1-D .dot is.
+    return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
+
+
+def _unit(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """rows / norms along the last axis; a row whose norm is 1 within UNIT_TOL stays as it is."""
+    # x / 1.0 is x, so the near-unit rows keep their bits.
+    return rows / np.where(np.abs(norms - 1.0) <= UNIT_TOL, 1.0, norms)[..., None]

@@ -18,6 +18,15 @@ int64 labels in 1..K. The training loop validates once at its entry
 ``hybrid_ordinal_loss`` is the one entry for the structural terms (one term
 alone is the call with the other two switched off), and
 ``cross_entropy_loss`` the one for the classification loss.
+
+The loop trains a stack of S seeds at once, so batches come with a leading
+seed axis: features (S, M, d), labels (S, M), logits (S, M, K). Every
+seed's batch holds the same number of rows of each class (the stratified
+plans share their class slots), which lets each per-class sum run over all
+seeds in one call. Values come back per seed, and each seed gets the bits
+its own 2-D batch would give: reductions run along the same axes in the
+same order, and products are ``matmul`` on whole arrays. A check that
+fails raises for the first seed it fails on (``errors.in_row``).
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ZeroVectorError
+from .errors import NonFiniteError, ZeroVectorError, in_row
 from .linalg import NORM_EPS
 from .ranking import BlackboxConfig, rank_backward_rows, rank_rows
 
@@ -37,94 +46,118 @@ SPREAD_EPS = 1e-8
 
 @dataclass(frozen=True)
 class LocalPrototypes:
-    """Within-batch class means and the batch rows that make them up."""
+    """Within-batch class means and the batch rows that make them up, per seed."""
 
-    means: np.ndarray  # (K, d); the row of a class absent from the batch is zero
-    counts: np.ndarray  # (K,) int64
-    overall: np.ndarray  # (d,) mean of all features
-    members: np.ndarray  # (K, M) bool, row k marks the samples of class k + 1
+    means: np.ndarray  # (S, K, d); the row of a class absent from the batch is zero
+    counts: np.ndarray  # (K,) int64, the same in every seed's batch
+    overall: np.ndarray  # (S, d) mean of all features
+    members: np.ndarray  # (S, K, M) bool, row k marks the samples of class k + 1
 
 
 @dataclass(frozen=True)
 class LossBundle:
-    """A scalar loss plus the gradients it produces.
+    """A per-seed loss plus the gradients it produces.
 
-    Structural losses fill ``feature_grads`` (one row per batch feature);
-    the classification loss fills ``logit_grads``. A sum of terms lists
-    the term values in ``terms``.
+    ``value`` is (S,). Structural losses fill ``feature_grads`` (one row
+    per batch feature); the classification loss fills ``logit_grads``. A
+    sum of terms lists the term values in ``terms``, (n_terms, S).
     """
 
-    value: float
+    value: np.ndarray
     feature_grads: np.ndarray | None = None
     logit_grads: np.ndarray | None = None
-    terms: tuple[float, ...] = ()
+    terms: np.ndarray | None = None
+
+
+def _first_row(bad: np.ndarray) -> int:
+    """The first leading-axis row of ``bad`` (S, ...) with a True entry."""
+    return int(np.argmax(np.logical_or.reduce(bad.reshape(len(bad), -1), axis=1)))
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
-    if not np.isfinite(values).all():
-        raise NonFiniteError(f"{what} contain NaN or Inf entries")
+    """Raise for the first seed of a stacked array (S, ...) with a NaN or Inf."""
+    finite = np.isfinite(values)
+    if not np.logical_and.reduce(finite, axis=None):
+        raise in_row(NonFiniteError(f"{what} contain NaN or Inf entries"), _first_row(~finite))
 
 
 def label_similarity(y: np.ndarray) -> np.ndarray:
-    """Pairwise similarity -(|y_i - y_j|) of a 1-D label array as a square matrix."""
-    return -np.abs(y[:, None] - y[None, :])
+    """Pairwise similarity -(|y_i - y_j|) of label vectors (..., n) as (..., n, n) matrices."""
+    return -np.abs(y[..., :, None] - y[..., None, :])
 
 
 def _unit_rows(vectors: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.sqrt(np.add.reduce(vectors * vectors, axis=1))
-    if np.logical_or.reduce(norms <= NORM_EPS):
-        bad = int(np.argmin(norms))
-        raise ZeroVectorError(f"{what} row {bad} has (near-)zero norm")
-    return vectors / norms[:, None], norms
+    """Unit rows and row norms of (..., n, d) vectors; a (near-)zero row raises.
+
+    The error names the first seed (leading index) with such a row, and
+    its smallest-norm row.
+    """
+    norms = np.sqrt(np.add.reduce(vectors * vectors, axis=-1))
+    tiny = norms <= NORM_EPS
+    if np.logical_or.reduce(tiny, axis=None):
+        row = _first_row(tiny.reshape(-1, tiny.shape[-1]))
+        bad = int(np.argmin(norms.reshape(-1, norms.shape[-1])[row]))
+        raise in_row(ZeroVectorError(f"{what} row {bad} has (near-)zero norm"), row)
+    return vectors / norms[..., None], norms
 
 
 def local_prototypes(features: np.ndarray, labels: np.ndarray, k: int) -> LocalPrototypes:
-    """Class means, class counts, and the overall mean of a batch."""
-    # sum / n gives the bits of .mean(axis=0) without its Python wrappers.
-    members = labels == np.arange(1, k + 1)[:, None]
-    counts = np.add.reduce(members, axis=1)
-    means = np.zeros((k, features.shape[1]))
+    """Class means, class counts, and the overall mean of each seed's batch.
+
+    ``features`` is (S, M, d) and ``labels`` (S, M); every seed's batch must
+    hold the same number of rows of each class.
+    """
+    s, m, d = features.shape
+    members = labels[:, None, :] == np.arange(1, k + 1)[:, None]
+    counts = np.add.reduce(members[0], axis=1)
+    means = np.zeros((s, k, d))
+    # A class's rows, seed by seed, in batch order: sum / n over them gives
+    # the bits of .mean(axis=0) of each seed's rows, without its wrappers.
     for c, n in enumerate(counts.tolist()):
         if n:
-            means[c] = np.add.reduce(features[members[c]], axis=0) / n
-    overall = np.add.reduce(features, axis=0) / features.shape[0]
+            means[:, c] = np.add.reduce(features[members[:, c]].reshape(s, n, d), axis=1)
+    means /= np.maximum(counts, 1)[:, None]  # an absent class's zero row stays zero
+    overall = np.add.reduce(features, axis=1) / m
     return LocalPrototypes(means, counts, overall, members)
 
 
 def _rank_alignment(
     target_rows: np.ndarray, value_rows: np.ndarray, cfg: BlackboxConfig, scale: float
-) -> tuple[float, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Mean squared rank gap between rows, and the gradient on value_rows.
 
-    Returns (scale * sum_i ||rank(target_i) - rank(value_i)||^2, dL/dvalues).
-    The upstream fed to the rank backward pass is the exact derivative
-    2*scale*(rank(value_i) - rank(target_i)); the scale cannot be pulled
-    out afterwards because the backward pass is not linear in upstream.
-    Rank gaps are small integers, so the squared sum is exact.
+    Returns (scale * sum_i ||rank(target_i) - rank(value_i)||^2, dL/dvalues)
+    for (..., n, n) rows, one value per leading index; ``target_rows``
+    broadcasts against ``value_rows``. The upstream fed to the rank
+    backward pass is the exact derivative 2*scale*(rank(value_i) -
+    rank(target_i)); the scale cannot be pulled out afterwards because the
+    backward pass is not linear in upstream. Rank gaps are small integers,
+    so the squared sum is exact.
     """
     value_ranks = rank_rows(value_rows)
     diff = (value_ranks - rank_rows(target_rows)).astype(np.float64)
     grads = rank_backward_rows(value_rows, value_ranks, (2.0 * scale) * diff, cfg)
-    return scale * float(np.add.reduce(diff * diff, axis=None)), grads
+    return scale * np.add.reduce(diff * diff, axis=(-2, -1)), grads
 
 
 def _cosine_rank_alignment(
     target_rows: np.ndarray, vectors: np.ndarray, what: str, cfg: BlackboxConfig, scale: float
-) -> tuple[float, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Rank alignment of S[i,j] = cos(v_i, v_j) against target_rows.
 
-    Returns the alignment value and dL/dvectors. Row i of S sees v_i as
-    first argument, column i sees it as second; both routes collapse into
-    W = G + G^T because cos is symmetric. Diagonal entries carry a zero
-    gradient and are masked out.
+    Returns the alignment value and dL/dvectors for (..., n, d) vectors.
+    Row i of S sees v_i as first argument, column i sees it as second;
+    both routes collapse into W = G + G^T because cos is symmetric.
+    Diagonal entries carry a zero gradient and are masked out.
     """
     units, norms = _unit_rows(vectors, what)
-    cos = units @ units.T
+    cos = units @ units.swapaxes(-1, -2)
     value, sim_grads = _rank_alignment(target_rows, cos, cfg, scale)
-    w = sim_grads + sim_grads.T
-    w.flat[:: w.shape[0] + 1] = 0.0  # the diagonal, as np.fill_diagonal sets it
-    row_wc = np.add.reduce(w * cos, axis=1)
-    return value, (w @ units - row_wc[:, None] * units) / norms[:, None]
+    w = sim_grads + sim_grads.swapaxes(-1, -2)
+    n = w.shape[-1]
+    w.reshape(-1, n * n)[:, :: n + 1] = 0.0  # each diagonal, as np.fill_diagonal sets it
+    row_wc = np.add.reduce(w * cos, axis=-1)
+    return value, (w @ units - row_wc[..., None] * units) / norms[..., None]
 
 
 def _ins2ins(features: np.ndarray, labels: np.ndarray, cfg: BlackboxConfig):
@@ -134,29 +167,28 @@ def _ins2ins(features: np.ndarray, labels: np.ndarray, cfg: BlackboxConfig):
     label distances and S^z the feature cosine matrix.
     """
     s_y = label_similarity(labels)
-    return _cosine_rank_alignment(s_y, features, "features", cfg, 1.0 / labels.size)
+    return _cosine_rank_alignment(s_y, features, "features", cfg, 1.0 / labels.shape[-1])
 
 
-def _ins2cls(features: np.ndarray, labels: np.ndarray, protos: LocalPrototypes):
+def _ins2cls(features: np.ndarray, protos: LocalPrototypes, seat):
     """Within-class compactness: (1/d) sum_k sum_{i in k} ||z_i - mu_k||^2.
 
     The gradient for a member of class k is (2/d)(z_i - mu_k); the chain
     rule through mu_k contributes nothing because within-class deviations
-    sum to zero.
+    sum to zero. ``seat`` indexes each row's class in (S, K) tables.
     """
-    d = features.shape[1]
-    diffs = features - protos.means[labels - 1]
+    s, _, d = features.shape
+    diffs = features - protos.means[seat]
     squares = diffs * diffs
     value = 0.0
     for c, n in enumerate(protos.counts.tolist()):
         if n:
-            value += float(np.add.reduce(squares[protos.members[c]], axis=None)) / d
+            class_rows = squares[protos.members[:, c]].reshape(s, n * d)
+            value = value + np.add.reduce(class_rows, axis=1) / d
     return value, (2.0 / d) * diffs
 
 
-def _cls2cls(
-    labels: np.ndarray, protos: LocalPrototypes, s_pr: np.ndarray, cfg: BlackboxConfig, detach
-):
+def _cls2cls(protos: LocalPrototypes, seat, s_pr: np.ndarray, cfg: BlackboxConfig, detach):
     """Class-mean spread plus rank alignment of the class-mean similarities.
 
     value = d / (sum_k n_k ||mu_k - mu_bar||^2 + eps)
@@ -169,55 +201,59 @@ def _cls2cls(
     mu_bar, which collapses to -d/(denom^2) * 2 (mu_{c(i)} - mu_bar) per
     instance because the count-weighted means telescope.
     """
-    k, d = protos.means.shape
-    disp = protos.means - protos.overall
-    denom = float(np.add.reduce(protos.counts * np.add.reduce(disp * disp, axis=1))) + SPREAD_EPS
+    _, k, d = protos.means.shape
+    disp = protos.means - protos.overall[:, None, :]
+    denom = np.add.reduce(protos.counts * np.add.reduce(disp * disp, axis=-1), axis=-1)
+    denom = denom + SPREAD_EPS
     align, dmu = _cosine_rank_alignment(s_pr, protos.means, "class means", cfg, 1.0 / k)
-    labels0 = labels - 1
-    grads = dmu[labels0] / protos.counts[labels0][:, None]
+    grads = dmu[seat] / protos.counts[seat[1]][..., None]
     if not detach:
-        grads = grads + (-d / (denom * denom)) * 2.0 * disp[labels0]
+        grads = grads + ((-d / (denom * denom)) * 2.0)[:, None, None] * disp[seat]
     return d / denom + align, grads
 
 
 def hybrid_ordinal_loss(
     features, labels, protos, s_pr, cfg, use_ins2ins, use_ins2cls, use_cls2cls, detach_spread
 ) -> LossBundle:
-    """Sum of the enabled structural terms on a batch and its ``local_prototypes``.
+    """Sum of the enabled structural terms on each seed's batch and its ``local_prototypes``.
 
-    ``s_pr`` is the cls2cls target, ``label_similarity`` of 1..K; cls2cls
-    needs every class in the batch. ``terms`` holds the (ins2ins, ins2cls,
-    cls2cls) values, 0.0 for a disabled term. One term alone is the call
-    with the other two switched off: its value is in ``terms`` and its
-    gradient in ``feature_grads``.
+    ``features`` is (S, M, d) and ``labels`` (S, M). ``s_pr`` is the cls2cls
+    target, ``label_similarity`` of 1..K; cls2cls needs every class in the
+    batch. ``terms`` holds the (ins2ins, ins2cls, cls2cls) values, (3, S),
+    0.0 for a disabled term. One term alone is the call with the other two
+    switched off: its value is in ``terms`` and its gradient in
+    ``feature_grads``.
     """
+    s = features.shape[0]
     grads = np.zeros(features.shape)
-    terms = [0.0, 0.0, 0.0]
+    terms = np.zeros((3, s))
     if use_ins2ins:
         terms[0], part = _ins2ins(features, labels, cfg)
         grads += part
+    if use_ins2cls or use_cls2cls:
+        seat = (np.arange(s)[:, None], labels - 1)  # (seed, class) of every batch row
     if use_ins2cls:
-        terms[1], part = _ins2cls(features, labels, protos)
+        terms[1], part = _ins2cls(features, protos, seat)
         grads += part
     if use_cls2cls:
-        terms[2], part = _cls2cls(labels, protos, s_pr, cfg, detach_spread)
+        terms[2], part = _cls2cls(protos, seat, s_pr, cfg, detach_spread)
         grads += part
-    return LossBundle(sum(terms), feature_grads=grads, terms=tuple(terms))
+    return LossBundle(terms[0] + terms[1] + terms[2], feature_grads=grads, terms=terms)
 
 
 def cross_entropy_loss(logits: np.ndarray, onehot: np.ndarray) -> LossBundle:
-    """Mean cross entropy of softmax(logits) against the labels ``onehot`` marks.
+    """Mean cross entropy of softmax(logits) against the labels ``onehot`` marks, per seed.
 
-    ``onehot`` is (M, K) bool with one True per row, at its label's column;
-    logit_grads = (softmax(logits) - onehot) / M.
+    ``logits`` is (S, M, K) and ``onehot`` (S, M, K) bool with one True per
+    row, at its label's column; logit_grads = (softmax(logits) - onehot) / M.
     """
-    m = logits.shape[0]
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    log_z = np.log(np.add.reduce(np.exp(shifted), axis=1))
-    log_probs = shifted - log_z[:, None]
+    s, m = logits.shape[:2]
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=-1))
+    log_probs = shifted - log_z[..., None]
     # sum / m gives the bits of np.mean; boolean indexing keeps row order.
-    value = -float(np.add.reduce(log_probs[onehot]) / m)
+    value = -(np.add.reduce(log_probs[onehot].reshape(s, m), axis=1) / m)
     grads = np.exp(log_probs)
-    grads[onehot] -= 1.0
+    grads -= onehot  # x - 1.0 at the label, x - 0.0 (x itself) elsewhere
     grads /= m
     return LossBundle(value, logit_grads=grads)

@@ -23,8 +23,9 @@ from .errors import (
     NonFiniteError,
     UntrainedStoreError,
     ZeroVectorError,
+    in_row,
 )
-from .linalg import NORM_EPS, _unit
+from .linalg import NORM_EPS, _dot_norms, _unit
 
 STABLE = "stable"
 PROGRESSIVE = "progressive"
@@ -37,6 +38,9 @@ class GlobalPrototypeStore:
     Anchors start as zero vectors and are bootstrapped by the first update.
     After the first update they are never zero again, but they are not
     unit norm either (the EMA is a convex combination of unit vectors).
+    The training loop keeps the anchors of a stack of S seeds in one store
+    by giving it (S, dim) anchors, one row per seed; the constructor and a
+    saved store take one seed's (dim,) vectors.
     """
 
     dim: int
@@ -72,35 +76,65 @@ def is_trained(store: GlobalPrototypeStore) -> bool:
     )
 
 
-def _advance(p: np.ndarray, mu: np.ndarray, sigma: float) -> np.ndarray:
-    """One EMA step of anchor ``p`` toward the direction of a finite class mean."""
-    mu_hat = _unit(mu, "class mean")
-    n_p = math.sqrt(p.dot(p))
-    if n_p <= NORM_EPS:
-        return mu_hat.copy()  # bootstrap: adopt the normalized mean
-    # NaN or Inf entries make the norm non-finite, and so can an overflow.
-    if not n_p < math.inf and not np.isfinite(p).all():
-        raise NonFiniteError("anchor contains NaN or Inf entries")
-    p_hat = _unit(p, "anchor")
-    delta = mu_hat - p_hat
-    if not delta.any():
-        return p_hat  # exact fixed point, skip the arithmetic entirely
-    # Same value as sigma*p_hat + (1-sigma)*mu_hat, but exact when delta=0.
-    return p_hat + (1.0 - sigma) * delta
+def _refuse_bad_rows(finite: np.ndarray, mean_norms: np.ndarray) -> None:
+    """Raise for the first seed whose means or anchors ``ema_update`` must refuse.
+
+    ``finite`` (S, 4) marks finite low mean, high mean, low anchor and high
+    anchor; ``mean_norms`` (S, 2) holds the means' norms. Each seed's
+    checks run in the order of its own update: both means finite, then
+    per anchor its mean's norm and the anchor itself.
+    """
+    for row, (ok, norms) in enumerate(zip(finite.tolist(), mean_norms.tolist())):
+        for j, name in enumerate(("mu_low", "mu_high")):
+            if not ok[j]:
+                raise in_row(NonFiniteError(f"{name} contains NaN or Inf entries"), row)
+        for j, norm in enumerate(norms):
+            if norm <= NORM_EPS:
+                message = f"cannot normalize class mean with norm {norm!r}"
+                raise in_row(ZeroVectorError(message), row)
+            # An anchor with NaN or Inf entries; a finite one whose norm
+            # overflows moves as any other.
+            if not ok[2 + j]:
+                raise in_row(NonFiniteError("anchor contains NaN or Inf entries"), row)
 
 
 def ema_update(store: GlobalPrototypeStore, mu_low, mu_high) -> GlobalPrototypeStore:
-    """Move both anchors toward the normalized batch class means (in place)."""
+    """Move both anchors toward the normalized batch class means (in place).
+
+    The means have the anchors' shape: (dim,), or (S, dim) for a stack of
+    seeds, where each row moves its own seed's anchors. A bad row raises
+    for the first seed it belongs to, with that seed's own message; the
+    store changes only once every row has passed.
+    """
     lo = np.asarray(mu_low, dtype=np.float64)
     hi = np.asarray(mu_high, dtype=np.float64)
-    if lo.shape != (store.dim,) or hi.shape != (store.dim,):
-        raise DimMismatchError(f"class means must have shape ({store.dim},)")
-    finite = np.isfinite((lo, hi)).all(axis=1)
-    if not finite.all():
-        name = "mu_low" if not finite[0] else "mu_high"
-        raise NonFiniteError(f"{name} contains NaN or Inf entries")
-    store.anchor_low = _advance(store.anchor_low, lo, store.sigma)
-    store.anchor_high = _advance(store.anchor_high, hi, store.sigma)
+    shape = store.anchor_low.shape
+    if lo.shape != shape or hi.shape != shape:
+        raise DimMismatchError(f"class means must have shape {shape}")
+    d = store.dim
+    # Per seed four rows: the low and high means, then the low and high anchors.
+    v = np.concatenate((lo, hi, store.anchor_low, store.anchor_high), axis=-1).reshape(-1, 4, d)
+    norms = _dot_norms(v)
+    # One test passes every usual step: finite rows (a NaN or Inf entry makes
+    # a norm non-finite, as can an overflow), nonzero means, trained anchors.
+    if not np.logical_and.reduce((norms > NORM_EPS) & (norms < math.inf), axis=None):
+        _refuse_bad_rows(np.logical_and.reduce(np.isfinite(v), axis=2), norms[:, :2])
+        # Bootstrap: a zero anchor adopts its normalized mean, as an anchor
+        # equal to its mean, which stays where it is.
+        boot = norms[:, 2:] <= NORM_EPS
+        v[:, 2:][boot] = v[:, :2][boot]
+        norms[:, 2:][boot] = norms[:, :2][boot]
+    units = _unit(v, norms)
+    mu_hat, p_hat = units[:, :2], units[:, 2:]
+    delta = mu_hat - p_hat
+    # Same value as sigma*p_hat + (1-sigma)*mu_hat, but exact when delta=0;
+    # an exact fixed point keeps p_hat as it is.
+    anchors = p_hat + (1.0 - store.sigma) * delta
+    moved = np.logical_or.reduce(delta, axis=2)
+    if not np.logical_and.reduce(moved, axis=None):
+        anchors[~moved] = p_hat[~moved]
+    anchors = anchors.reshape(*shape[:-1], 2, d)
+    store.anchor_low, store.anchor_high = anchors[..., 0, :], anchors[..., 1, :]
     return store
 
 

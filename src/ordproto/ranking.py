@@ -9,8 +9,9 @@ gradient and divides the rank movement by the step size; the result is
 a descent direction for any loss expressed on the rank vector.
 
 ``rank_rows`` and ``rank_backward_rows`` rank and differentiate every row
-of a 2-D array at once; they trust their (finite) input, which the
-training loop validates at its entry.
+(last axis) of an array at once, such as the (S, M, M) similarity rows of
+a stack of seeds; they trust their (finite) input, which the training
+loop validates at its entry.
 """
 
 from __future__ import annotations
@@ -38,15 +39,15 @@ class BlackboxConfig:
 
 
 def rank_rows(a: np.ndarray) -> np.ndarray:
-    """Descending competition rank of every row of a 2-D array.
+    """Descending competition rank of every row (last axis) of an array.
 
     rank_rows(a)[r, i] = 1 + #{j : a[r, j] > a[r, i]} + #{j < i : a[r, j] = a[r, i]}.
     No validation: callers pass finite float rows.
     """
     # A stable sort of the negated row orders by value descending, then by
     # index ascending; the position in that order is the definition above.
-    order = (-a).argsort(axis=1, kind="stable")
-    return order.argsort(axis=1, kind="stable") + 1
+    order = (-a).argsort(axis=-1, kind="stable")
+    return order.argsort(axis=-1, kind="stable") + 1
 
 
 def rank_backward_rows(

@@ -3,10 +3,14 @@
 Each iteration forwards a stratified batch, builds the enabled loss terms
 on the resulting features, combines them with the scheduled structural
 weight, applies one Adam step, and then lets the anchor prototypes track
-the batch class means. Runs are deterministic given (config, data, seed),
-so the runs of a seed sweep or a k-fold split are independent jobs; they
-run in a pool of forked worker processes, one per usable core, and come
-back in job order.
+the batch class means. Runs are deterministic given (config, data, seed).
+
+One loop trains a stack of S seeds at once: every array gains a leading
+seed axis, so each step makes one set of numpy calls for all S seeds, and
+each seed gets the bits its own run would. ``train`` is the loop with one
+seed. A seed sweep splits its seeds into one contiguous stack per usable
+core; the folds of a k-fold split train on different data, one job each.
+The jobs run in a pool of forked worker processes and come back in order.
 """
 
 from __future__ import annotations
@@ -19,7 +23,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._files import write_artifact
-from .data import SyntheticOrdinalDataset, TrainingSet, kfold_split, stratified_batches
+from .data import (
+    SyntheticOrdinalDataset,
+    TrainingSet,
+    classes_present,
+    kfold_split,
+    stratified_batches,
+)
 from .encoder import (
     AdamState,
     EncoderParams,
@@ -31,6 +41,8 @@ from .encoder import (
     forward,
     init_adam,
     init_params,
+    seed_params,
+    stack_params,
 )
 from .errors import (
     BadConfigError,
@@ -39,6 +51,7 @@ from .errors import (
     NonFiniteError,
     OrdprotoError,
     TrainingError,
+    in_row,
 )
 from .evaluation import binary_metrics, spearman
 from .losses import (
@@ -139,11 +152,8 @@ def check_data_fits(config: TrainConfig, data: TrainingSet) -> None:
     top = int(labels.max(initial=0))
     if top != config.n_classes:
         raise BadConfigError(f"config classes {config.n_classes} != data classes {top}")
-    # The nonzero bins are the classes present; np.unique would also import
-    # numpy.ma into this process (+1.5 MB peak RSS in a pooled seed sweep).
-    low = int(labels.min())
-    present = np.flatnonzero(np.bincount(labels - low)) + low
-    if low != 1 or present.size != config.n_classes:
+    present = classes_present(labels)
+    if present[0] != 1 or present.size != config.n_classes:
         raise BadConfigError(
             f"training data must contain every class 1..{config.n_classes}, found {present}"
         )
@@ -201,6 +211,20 @@ def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
     which trust their input, and checks per iteration only what changes:
     finite features and logits, nonzero norms.
     """
+    return _train_stack(config, data, (seed,))[0]
+
+
+def _train_stack(
+    config: TrainConfig, data: TrainingSet, seeds: tuple[int, ...]
+) -> list[TrainResult]:
+    """``[train(config, data, seed) for seed in seeds]``, as one stack; the same errors.
+
+    A failing seed raises its own ``TrainingError`` at its own iteration,
+    and the first failing seed in seed order wins, as in the serial loop.
+    The seeds after a failing one cannot change that outcome, so they
+    leave the stack with it; the ones before it train again without it,
+    and may fail themselves, later than it did.
+    """
     check_data_fits(config, data)
     # C order and float64 once, so every batch gather is a plain row copy.
     x = np.ascontiguousarray(data.x, dtype=np.float64)
@@ -210,8 +234,39 @@ def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         raise NonFiniteError(f"inputs row {int(np.argmin(finite))} contains NaN or Inf entries")
+    failure = None
+    while seeds:
+        try:
+            results = _stacked_loop(config, x, labels, seeds)
+            break
+        except TrainingError as exc:
+            failure, seeds = exc, seeds[: exc.stack_row]
+    if failure is not None:
+        raise failure
+    return results
 
-    enc, head = init_params(config.dims, config.n_classes, seed)
+
+def _plan(config: TrainConfig, labels: np.ndarray, seeds, epoch: int) -> np.ndarray:
+    """One epoch's (batches, S, M) index plan: each seed's batches, stacked per batch."""
+    return np.stack(
+        [
+            stratified_batches(labels, config.batch_size, [seed, epoch], config.n_classes)
+            for seed in seeds
+        ],
+        axis=1,
+    )
+
+
+def _stacked_loop(
+    config: TrainConfig, x: np.ndarray, labels: np.ndarray, seeds: tuple[int, ...]
+) -> list[TrainResult]:
+    """The training loop over validated inputs, every seed of ``seeds`` at once.
+
+    Parameters, Adam moments and gradients are (S, P) buffers, anchors
+    (S, d) and the history (S, iterations, 9). A failing check raises a
+    ``TrainingError`` whose ``stack_row`` is the first seed it failed on.
+    """
+    enc, head = stack_params([init_params(config.dims, config.n_classes, s) for s in seeds])
     adam = init_adam(
         enc, head, beta1=config.adam_beta1, beta2=config.adam_beta2, epsilon=config.adam_epsilon
     )
@@ -220,6 +275,9 @@ def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
         sigma=config.ema_sigma,
         anchor_classes=config.anchor_classes,
     )
+    # One anchor row per seed; the constructor takes one seed's vectors.
+    store.anchor_low = np.zeros((len(seeds), config.feature_dim))
+    store.anchor_high = np.zeros((len(seeds), config.feature_dim))
     bb = BlackboxConfig(config.blackbox_lambda)
     s_pr = label_similarity(np.arange(1.0, config.n_classes + 1))
     switches = (
@@ -229,10 +287,15 @@ def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
 
     # The batch plan depends only on class counts, so every epoch has the
     # same number of iterations and the schedule length is known up front.
-    # Every batch holds every class, so cls2cls needs no per-batch check.
-    plan = stratified_batches(labels, config.batch_size, [seed, 0], config.n_classes)
+    # Every batch holds every class, so cls2cls needs no per-batch check,
+    # and every seed's batch b has the same class slots.
+    plan = _plan(config, labels, seeds, 0)
     total_iters = config.epochs * len(plan)
-    history = np.empty((total_iters, len(HISTORY_COLUMNS)), dtype=np.float64)
+    # Per iteration: (iteration, epoch, lr, lambda), and each seed's CE and
+    # structural terms; the history is assembled from them after the run.
+    schedule = []
+    ce_values = np.empty((total_iters, len(seeds)))
+    term_values = np.empty((total_iters, 3, len(seeds)))
     # λ ramps linearly from lambda_start to lambda_end over the run's
     # iterations (or epochs), reaching lambda_end on the last one.
     span = config.lambda_end - config.lambda_start
@@ -242,33 +305,56 @@ def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
     iteration = 0
     for epoch in range(config.epochs):
         if epoch:
-            plan = stratified_batches(labels, config.batch_size, [seed, epoch], config.n_classes)
+            plan = _plan(config, labels, seeds, epoch)
         lr = config.base_lr * config.lr_decay**epoch
-        for idx in plan:
+        for xb, batch_labels in zip(x[plan], labels[plan]):
             iteration += 1
             step = epoch if config.lambda_per_epoch else iteration - 1
             lam = config.lambda_start + span * (step / ramp_steps)
             try:
-                cache = forward(enc, head, x[idx])
+                cache = forward(enc, head, xb)
                 _require_finite(cache.features, "features")
-                batch_labels = labels[idx]
                 protos = local_prototypes(cache.features, batch_labels, config.n_classes)
                 hyb = hybrid_ordinal_loss(
                     cache.features, batch_labels, protos, s_pr, bb, *switches
                 )
                 _require_finite(cache.logits, "logits")
-                ce = cross_entropy_loss(cache.logits, protos.members.T)
+                ce = cross_entropy_loss(cache.logits, protos.members.swapaxes(-1, -2))
 
                 backward(enc, head, cache, lam * hyb.feature_grads, ce.logit_grads, grad_views)
                 adam_step(adam, grads, lr)
-                ema_update(store, protos.means[lo_cls - 1], protos.means[hi_cls - 1])
+                ema_update(store, protos.means[:, lo_cls - 1], protos.means[:, hi_cls - 1])
             except OrdprotoError as exc:
-                raise TrainingError(f"iteration {iteration}: {exc}", iteration) from exc
+                error = TrainingError(f"iteration {iteration}: {exc}", iteration)
+                raise in_row(error, exc.stack_row) from exc
+            schedule.append((iteration, epoch, lr, lam))
+            ce_values[iteration - 1] = ce.value
+            term_values[iteration - 1] = hyb.terms
 
-            history[iteration - 1] = (
-                iteration, epoch, lr, lam, ce.value + lam * hyb.value, ce.value, *hyb.terms
-            )
-    return TrainResult(enc, head, store, TrainHistory(history), adam, seed)
+    # The loop's own float operations, over all iterations at once:
+    # loss_total = ce + lambda * (ins2ins + ins2cls + cls2cls).
+    history = np.empty((len(seeds), total_iters, len(HISTORY_COLUMNS)), dtype=np.float64)
+    history[:, :, :4] = schedule
+    hyb_values = term_values[:, 0] + term_values[:, 1] + term_values[:, 2]
+    history[:, :, 4] = (ce_values + history[0, :, 3:4] * hyb_values).T
+    history[:, :, 5] = ce_values.T
+    history[:, :, 6:] = term_values.transpose(2, 0, 1)
+    return [
+        TrainResult(
+            *seed_params(enc, head, row),
+            GlobalPrototypeStore(
+                dim=store.dim,
+                sigma=store.sigma,
+                anchor_classes=store.anchor_classes,
+                anchor_low=store.anchor_low[row],
+                anchor_high=store.anchor_high[row],
+            ),
+            TrainHistory(history[row]),
+            adam.row(row),
+            seed,
+        )
+        for row, seed in enumerate(seeds)
+    ]
 
 
 def evaluate_on(
@@ -333,10 +419,20 @@ def _map_in_order(job, jobs: list[tuple]) -> list:
 
 
 def _train_and_evaluate(
-    config: TrainConfig, view: TrainingSet, eval_ds: SyntheticOrdinalDataset, seed: int
-) -> tuple[TrainResult, dict]:
-    result = train(config, view, seed)
-    return result, evaluate_on(result.encoder, result.store, eval_ds)
+    config: TrainConfig, view: TrainingSet, eval_ds: SyntheticOrdinalDataset, seeds
+) -> list[tuple[TrainResult, dict]]:
+    """Train a stack of seeds, then evaluate each run."""
+    return [
+        (result, evaluate_on(result.encoder, result.store, eval_ds))
+        for result in _train_stack(config, view, seeds)
+    ]
+
+
+def _stacks(seeds: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    """``seeds`` in ``n`` contiguous stacks, sizes differing by at most one, larger first."""
+    size, extra = divmod(len(seeds), n)
+    bounds = [i * size + min(i, extra) for i in range(n + 1)]
+    return [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -352,14 +448,17 @@ def run_seeds(
 ) -> SeedSweepResult:
     """Train once per configured seed and evaluate each run.
 
-    Evaluation uses ``eval_dataset`` when given, otherwise the training
-    dataset's own fine split (those labels are invisible to the trainer).
+    The seeds train as one stack per usable core (at most one per seed),
+    each a contiguous run of ``config.seeds``; with one core they all train
+    as one stack in this process. Evaluation uses ``eval_dataset`` when
+    given, otherwise the training dataset's own fine split (those labels
+    are invisible to the trainer).
     """
     eval_ds = eval_dataset if eval_dataset is not None else dataset
     view = dataset.training_view()
-    runs = _map_in_order(
-        _train_and_evaluate, [(config, view, eval_ds, seed) for seed in config.seeds]
-    )
+    stacks = _stacks(config.seeds, min(len(config.seeds), _usable_cores()))
+    jobs = [(config, view, eval_ds, stack) for stack in stacks]
+    runs = [run for stack_runs in _map_in_order(_train_and_evaluate, jobs) for run in stack_runs]
     rows = [{"seed": seed, **metrics} for seed, (_, metrics) in zip(config.seeds, runs)]
     mean, std = _mean_std(rows)
     summary = {"per_seed": rows, "mean": mean, "std": std}
@@ -376,11 +475,11 @@ def cross_validate(config: TrainConfig, dataset: SyntheticOrdinalDataset, k: int
     seed = config.seeds[0]
     folds = kfold_split(dataset.coarse, k, seed)
     jobs = [
-        (config, dataset.subset(folds != f).training_view(), dataset.subset(folds == f), seed)
+        (config, dataset.subset(folds != f).training_view(), dataset.subset(folds == f), (seed,))
         for f in range(1, k + 1)
     ]
     runs = _map_in_order(_train_and_evaluate, jobs)
-    rows = [{"fold": f, **metrics} for f, (_, metrics) in enumerate(runs, start=1)]
+    rows = [{"fold": f, **metrics} for f, [(_, metrics)] in enumerate(runs, start=1)]
     mean, std = _mean_std(rows)
     return {"folds": rows, "mean": mean, "std": std}
 

@@ -4,7 +4,9 @@
 ``hybrid`` fills in what the training loop passes (the batch prototypes,
 the cls2cls target, every term on by default), ``cross_entropy`` builds
 the one-hot label mask from labels, and ``flat_backward`` returns the
-gradient in a new flat buffer.
+gradient in a new flat buffer. The loss functions take a leading seed
+axis; these shorthands call them with one seed and return that seed's
+prototypes and bundles in their one-batch shapes, with float values.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import numpy as np
 
 from ordproto.encoder import backward, buffer
 from ordproto.losses import (
+    LocalPrototypes,
+    LossBundle,
     cross_entropy_loss,
     hybrid_ordinal_loss,
     label_similarity,
@@ -36,8 +40,17 @@ class Batch(NamedTuple):
         return self.features.shape[1]
 
 
-def protos_of(batch: Batch):
-    return local_prototypes(batch.features, batch.labels, batch.n_classes)
+def protos_of(batch: Batch) -> LocalPrototypes:
+    stacked = local_prototypes(batch.features[None], batch.labels[None], batch.n_classes)
+    return LocalPrototypes(
+        stacked.means[0], stacked.counts, stacked.overall[0], stacked.members[0]
+    )
+
+
+def _stacked(protos: LocalPrototypes) -> LocalPrototypes:
+    return LocalPrototypes(
+        protos.means[None], protos.counts, protos.overall[None], protos.members[None]
+    )
 
 
 def hybrid(
@@ -52,10 +65,10 @@ def hybrid(
 ):
     """``hybrid_ordinal_loss`` on a batch, as the training loop calls it."""
     s_pr = label_similarity(np.arange(1.0, batch.n_classes + 1))
-    return hybrid_ordinal_loss(
-        batch.features,
-        batch.labels,
-        protos_of(batch) if protos is None else protos,
+    out = hybrid_ordinal_loss(
+        batch.features[None],
+        batch.labels[None],
+        _stacked(protos_of(batch) if protos is None else protos),
         s_pr,
         cfg,
         use_ins2ins,
@@ -63,11 +76,15 @@ def hybrid(
         use_cls2cls,
         detach_spread,
     )
+    terms = tuple(float(t) for t in out.terms[:, 0])
+    return LossBundle(float(out.value[0]), feature_grads=out.feature_grads[0], terms=terms)
 
 
 def cross_entropy(logits, labels):
     """``cross_entropy_loss`` against 1-based labels."""
-    return cross_entropy_loss(logits, labels[:, None] == np.arange(1, logits.shape[1] + 1))
+    onehot = labels[:, None] == np.arange(1, logits.shape[1] + 1)
+    out = cross_entropy_loss(logits[None], onehot[None])
+    return LossBundle(float(out.value[0]), logit_grads=out.logit_grads[0])
 
 
 def flat_backward(enc, head, cache, d_features=None, d_logits=None) -> np.ndarray:

@@ -4,19 +4,22 @@ Each function here is either a brute-force definition (the permutation
 rank, the pairwise cosine matrix, the one-vector cosine and softmax the
 batched scoring kernel replaced) or the earlier per-array form of a
 kernel that now works on whole buffers (per-layer backward, per-array
-Adam, the per-class loss terms), or the training loop those forms make
-up (``reference_train``). None of it runs in training or scoring.
+Adam, Adam with temporaries, the per-class loss terms, batch planning by
+list slicing), or the one-seed training loop those forms make up
+(``reference_train``). None of it runs in training or scoring.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 
 import numpy as np
 
-from ordproto.data import stratified_batches
-from ordproto.encoder import adam_step, forward, init_adam, init_params
+from ordproto.encoder import forward, init_adam, init_params
 from ordproto.errors import (
+    BadConfigError,
+    DegenerateInputError,
     DimMismatchError,
     EmptyInputError,
     NonFiniteError,
@@ -196,6 +199,68 @@ class PerArrayAdam:
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
 
 
+def reference_adam_step(state, grads, lr: float) -> None:
+    """One Adam step as five whole-buffer expressions, each making its own temporaries."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grads
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * (grads * grads)
+    state.params -= lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.epsilon)
+
+
+def reference_stratified_batches(labels, batch_size: int, seed, n_classes: int) -> list:
+    """Stratified batches built by walking every batch and class, slicing pools in Python."""
+    labs = np.asarray(labels, dtype=np.int64)
+    if labs.size == 0:
+        raise EmptyInputError("labels are empty")
+    if batch_size < n_classes:
+        raise BadConfigError(f"batch size {batch_size} cannot hold all {n_classes} classes")
+    counts = np.array([(labs == c).sum() for c in range(1, n_classes + 1)])
+    if np.any(counts == 0):
+        missing = [c + 1 for c in range(n_classes) if counts[c] == 0]
+        raise DegenerateInputError(f"classes absent from dataset: {missing}")
+
+    quota = batch_size * counts / counts.sum()
+    slots = np.maximum(np.floor(quota).astype(np.int64), 1)
+    frac = quota - np.floor(quota)
+    by_frac = sorted(range(n_classes), key=lambda c: (-frac[c], c))
+    i = 0
+    while slots.sum() < batch_size:
+        slots[by_frac[i % n_classes]] += 1
+        i += 1
+    while slots.sum() > batch_size:
+        slots[max(range(n_classes), key=lambda c: (slots[c], -c))] -= 1
+
+    rng = np.random.default_rng(seed)
+    pools = [rng.permutation(np.flatnonzero(labs == c + 1)) for c in range(n_classes)]
+    positions = [0] * n_classes
+    n_batches = int(max(math.ceil(counts[c] / slots[c]) for c in range(n_classes)))
+
+    batches = []
+    for _ in range(n_batches):
+        chosen: list[np.ndarray] = []
+        for c in range(n_classes):
+            need = int(slots[c])
+            taken: list[np.ndarray] = []
+            while need > 0:
+                pool, pos = pools[c], positions[c]
+                grab = min(need, pool.size - pos)
+                taken.append(pool[pos : pos + grab])
+                positions[c] = pos + grab
+                need -= grab
+                if positions[c] == pool.size:
+                    pools[c] = rng.permutation(pool)
+                    positions[c] = 0
+            chosen.append(np.concatenate(taken))
+        batch = np.concatenate(chosen)
+        batches.append(batch[rng.permutation(batch.size)])
+    return batches
+
+
 def reference_local_prototypes(features, labels, k: int) -> LocalPrototypes:
     """Class means of a batch, one boolean mask and ``.mean`` per class."""
     members = np.stack([labels == c for c in range(1, k + 1)])
@@ -321,11 +386,12 @@ def reference_kfold_split(labels, k: int, seed) -> np.ndarray:
 
 
 def reference_train(config, data, seed: int):
-    """The training loop with every batch checked again and every term in its per-class form.
+    """The one-seed training loop, every batch checked again, every term in its per-class form.
 
-    Each iteration runs ``forward`` and its own finiteness check on the
+    Each epoch plans with ``reference_stratified_batches``; each iteration
+    runs ``forward`` on one 2-D batch and its own finiteness check on the
     features, the reference prototypes, loss terms and cross entropy above,
-    the concatenated per-layer gradients, ``adam_step`` and
+    the concatenated per-layer gradients, ``reference_adam_step`` and
     ``reference_ema_update``. Returns the history values, the Adam state and
     the prototype store.
     """
@@ -342,7 +408,7 @@ def reference_train(config, data, seed: int):
     )
     bb = BlackboxConfig(config.blackbox_lambda)
     k = config.n_classes
-    per_epoch = len(stratified_batches(data.labels, config.batch_size, [seed, 0], k))
+    per_epoch = len(reference_stratified_batches(data.labels, config.batch_size, [seed, 0], k))
     total_iters = config.epochs * per_epoch
     span = config.lambda_end - config.lambda_start
     lo_cls, hi_cls = config.anchor_classes
@@ -350,7 +416,7 @@ def reference_train(config, data, seed: int):
     iteration = 0
     for epoch in range(config.epochs):
         lr = config.base_lr * config.lr_decay**epoch
-        for idx in stratified_batches(data.labels, config.batch_size, [seed, epoch], k):
+        for idx in reference_stratified_batches(data.labels, config.batch_size, [seed, epoch], k):
             iteration += 1
             if config.lambda_per_epoch:
                 position = epoch / max(config.epochs - 1, 1)
@@ -378,7 +444,7 @@ def reference_train(config, data, seed: int):
                 pieces = per_layer_backward(
                     enc, head, cache, lam * hyb.feature_grads, ce.logit_grads
                 )
-                adam_step(adam, np.concatenate([g.ravel() for g in pieces]), lr)
+                reference_adam_step(adam, np.concatenate([g.ravel() for g in pieces]), lr)
                 reference_ema_update(store, protos.means[lo_cls - 1], protos.means[hi_cls - 1])
             except OrdprotoError as exc:
                 raise TrainingError(f"iteration {iteration}: {exc}", iteration) from exc

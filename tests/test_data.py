@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import reference_kfold_split
+from oracles import reference_kfold_split, reference_stratified_batches
 from ordproto.data import (
     NO_FINE_LABEL,
     GenConfig,
     TrainingSet,
+    classes_present,
     generate,
     kfold_split,
     load_dataset,
@@ -201,6 +202,28 @@ class TestStratifiedBatches:
                 per_class = seen[np.flatnonzero(labels == c)]
                 assert per_class.max() - per_class.min() <= 1
 
+    def test_matches_the_per_class_walk(self):
+        # Slot arithmetic must make the walk's generator calls in the walk's
+        # order, so every batch of every epoch is the same.
+        rng = np.random.default_rng(41)
+        label_sets = [
+            (np.repeat([1, 2, 3], [130, 270, 200]), 3),
+            (np.repeat([1, 2, 3], [12, 18, 14]), 3),
+            (rng.permutation(np.repeat([1, 2, 3], [1, 1, 98])), 3),
+            (rng.permutation(np.repeat([1, 2, 3, 4], [9, 14, 12, 10])), 4),
+            (rng.permutation(np.repeat([1, 2], [2, 3])), 2),  # pools wrap within a batch
+        ]
+        for labels, k in label_sets:
+            for batch_size in (3, 8, 13):
+                if batch_size < k:
+                    continue
+                for seed in range(20):
+                    key = [seed, seed % 3]
+                    got = stratified_batches(labels, batch_size, key, k)
+                    want = reference_stratified_batches(labels, batch_size, key, k)
+                    assert got.shape == (len(want), batch_size)
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     def test_validation(self):
         with pytest.raises(EmptyInputError):
             stratified_batches(np.array([], dtype=int), 4, seed=0, n_classes=3)
@@ -256,6 +279,21 @@ class TestKFold:
                 for seed in (0, 1, [7, 3]):
                     got = kfold_split(labels, k, seed)
                     assert np.array_equal(got, reference_kfold_split(labels, k, seed))
+
+    def test_labels_far_apart(self):
+        # Sizing anything by the label range would need 2**62 bins here.
+        labels = np.array([1] * 5 + [2**62] * 5)
+        folds = kfold_split(labels, 2, 0)
+        assert np.array_equal(folds, reference_kfold_split(labels, 2, 0))
+        assert np.bincount(folds).tolist() == [0, 5, 5]
+
+    def test_classes_present_is_unique(self):
+        rng = np.random.default_rng(15)
+        extremes = np.array([-(2**62), -(10**9), 2**62, 2**63 - 1, -(2**63)])
+        for size in (1, 2, 7, 40):
+            labels = rng.choice(np.concatenate([extremes, np.arange(-3, 4)]), size=size)
+            assert np.array_equal(classes_present(labels), np.unique(labels))
+        assert classes_present(np.array([], dtype=np.int64)).size == 0
 
     def test_leaves_numpy_ma_unimported(self):
         # np.unique imports numpy.ma on first use; crossval's parent process

@@ -1,4 +1,4 @@
-"""The unit-vector kernel, and the one-vector oracles other tests compare
+"""The unit-row kernel, and the one-vector oracles other tests compare
 against: cosine similarity and its gradients, label distance, softmax."""
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from ordproto.errors import (
     NonFiniteError,
     ZeroVectorError,
 )
-from ordproto.linalg import _unit
+from ordproto.linalg import _dot_norms, _unit
+from ordproto.prototypes import GlobalPrototypeStore, ema_update
 
 
 class TestCosineSimilarity:
@@ -160,18 +161,28 @@ class TestNormalizeAndAsVector:
     def test_unit_norm(self):
         rng = np.random.default_rng(51)
         for _ in range(50):
-            v = rng.standard_normal(4) * rng.uniform(0.01, 100)
-            assert np.linalg.norm(_unit(v, "v")) == pytest.approx(1.0, abs=1e-12)
+            rows = rng.standard_normal((3, 4)) * rng.uniform(0.01, 100, size=(3, 1))
+            units = _unit(rows, _dot_norms(rows))
+            assert np.linalg.norm(units, axis=1) == pytest.approx(np.ones(3), abs=1e-12)
 
     def test_idempotent_bitwise(self):
         rng = np.random.default_rng(52)
         for _ in range(50):
-            once = _unit(rng.standard_normal(6), "v")
-            assert np.array_equal(_unit(once, "v"), once)
+            rows = rng.standard_normal((2, 6))
+            once = _unit(rows, _dot_norms(rows))
+            assert np.array_equal(_unit(once, _dot_norms(once)), once)
+
+    def test_dot_norms_are_the_one_vector_dot(self):
+        rng = np.random.default_rng(53)
+        for d in (1, 3, 32):
+            rows = rng.standard_normal((5, d))
+            assert _dot_norms(rows).tolist() == [float(np.sqrt(r.dot(r))) for r in rows]
 
     def test_zero_rejected(self):
-        with pytest.raises(ZeroVectorError):
-            _unit(np.zeros(3), "v")
+        # The EMA step checks the norms before it normalizes a class mean.
+        store = GlobalPrototypeStore(dim=3, anchor_classes=(1, 3))
+        with pytest.raises(ZeroVectorError, match="cannot normalize class mean with norm 0.0"):
+            ema_update(store, np.zeros(3), np.ones(3))
 
     def test_as_vector_validation(self):
         with pytest.raises(EmptyInputError):

@@ -11,6 +11,7 @@ from ordproto.errors import (
     DatasetIOError,
     DatasetParseError,
     DimMismatchError,
+    NonFiniteError,
     UntrainedStoreError,
     ZeroVectorError,
 )
@@ -107,6 +108,46 @@ class TestEmaUpdate:
             ema_update(store, np.ones(2), np.ones(3))
         with pytest.raises(ZeroVectorError):
             ema_update(store, np.zeros(3), np.ones(3))
+
+
+class TestStackedEmaUpdate:
+    """(S, dim) anchors: each row moves as its own one-seed store would."""
+
+    @staticmethod
+    def stacked(rows: int, dim: int) -> GlobalPrototypeStore:
+        store = GlobalPrototypeStore(dim=dim, anchor_classes=(1, 3))
+        store.anchor_low, store.anchor_high = np.zeros((rows, dim)), np.zeros((rows, dim))
+        return store
+
+    def test_rows_match_one_seed_stores(self):
+        rng = np.random.default_rng(31)
+        stack = self.stacked(3, 5)
+        singles = [GlobalPrototypeStore(dim=5, anchor_classes=(1, 3)) for _ in range(3)]
+        for step in range(6):
+            lo, hi = rng.standard_normal((2, 3, 5))
+            if step == 3:
+                hi[1] = singles[1].anchor_high  # an exact fixed point for row 1
+            ema_update(stack, lo, hi)
+            for row, single in enumerate(singles):
+                ema_update(single, lo[row], hi[row])
+                assert np.array_equal(stack.anchor_low[row], single.anchor_low)
+                assert np.array_equal(stack.anchor_high[row], single.anchor_high)
+
+    def test_first_bad_seed_raises_its_own_error(self):
+        stack = self.stacked(3, 4)
+        ema_update(stack, np.ones((3, 4)), np.ones((3, 4)))
+        before = stack.anchor_low.copy(), stack.anchor_high.copy()
+        lo, hi = np.ones((3, 4)), np.ones((3, 4))
+        hi[1] = 0.0  # seed 1: a zero high mean
+        lo[2, 0] = np.nan  # seed 2: a NaN low mean, which a one-seed store checks first
+        with pytest.raises(ZeroVectorError, match="class mean with norm 0.0") as err:
+            ema_update(stack, lo, hi)
+        assert err.value.stack_row == 1
+        assert np.array_equal(stack.anchor_low, before[0])
+        assert np.array_equal(stack.anchor_high, before[1])
+        with pytest.raises(NonFiniteError, match="mu_low contains") as err:
+            ema_update(self.stacked(1, 4), lo[2:], hi[2:])
+        assert err.value.stack_row == 0
 
 
 class TestPrediction:

@@ -128,6 +128,18 @@ class TestCheckDataFits:
         with pytest.raises(BadConfigError, match="config classes 3 != data classes 0"):
             check_data_fits(TINY_TRAIN, TrainingSet(view.x[:0], view.labels[:0]))
 
+    def test_labels_far_below_one(self, tiny_dataset):
+        # A class scan sized by the label range would need 2**62 bins; such
+        # a label is a config error, not a crash.
+        view = tiny_dataset.training_view()
+        labels = view.labels.copy()
+        low = labels[3] = -(2**62)
+        with pytest.raises(BadConfigError, match=r"every class 1\.\.3, found \[") as err:
+            check_data_fits(TINY_TRAIN, TrainingSet(view.x, labels))
+        assert str(low) in str(err.value)
+        with pytest.raises(BadConfigError):
+            train(TINY_TRAIN, TrainingSet(view.x, labels), seed=1)
+
 
 class TestTrainLoop:
     def test_deterministic_per_seed(self, tiny_dataset):
