@@ -24,5 +24,6 @@ def _dot_norms(rows: np.ndarray) -> np.ndarray:
 
 def _unit(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """rows / norms along the last axis; a row whose norm is 1 within UNIT_TOL stays as it is."""
-    # x / 1.0 is x, so the near-unit rows keep their bits.
-    return rows / np.where(np.abs(norms - 1.0) <= UNIT_TOL, 1.0, norms)[..., None]
+    # x / 1.0 is x, so near-unit rows keep their bits; Python floats pick the few divisors fastest.
+    divisors = [1.0 if -UNIT_TOL <= n - 1.0 <= UNIT_TOL else n for n in norms.ravel().tolist()]
+    return rows / np.array(divisors).reshape(*norms.shape, 1)

@@ -12,21 +12,23 @@ Rank terms differentiate through the interpolated rank backward pass;
 everything else has closed-form gradients, including the chain rule
 through the batch class means.
 
-Every function here trusts its input: finite float64 features and 1-based
-int64 labels in 1..K. The training loop validates once at its entry
-(``trainer.train``) and checks per iteration only what can change.
-``hybrid_ordinal_loss`` is the one entry for the structural terms (one term
-alone is the call with the other two switched off), and
+Every function here trusts its input: finite float64 features and tables
+built from 1-based int64 labels in 1..K. The training loop validates once
+at its entry (``trainer.train``) and checks per iteration only what can
+change. ``hybrid_ordinal_loss`` is the one entry for the structural terms
+(one term alone is the call with the other two switched off), and
 ``cross_entropy_loss`` the one for the classification loss.
 
 The loop trains a stack of S seeds at once, so batches come with a leading
-seed axis: features (S, M, d), labels (S, M), logits (S, M, K). Every
-seed's batch holds the same number of rows of each class (the stratified
-plans share their class slots), which lets each per-class sum run over all
-seeds in one call. Values come back per seed, and each seed gets the bits
-its own 2-D batch would give: reductions run along the same axes in the
-same order, and products are ``matmul`` on whole arrays. A check that
-fails raises for the first seed it fails on (``errors.in_row``).
+seed axis: features (S, M, d), logits (S, M, K). Every seed's batch holds
+the same number of rows of each class (the stratified plans share their
+class slots), which lets each per-class sum run over all seeds in one
+call. Values come back per seed, and each seed gets the bits its own 2-D
+batch would give: reductions run along the same axes in the same order,
+and products are ``matmul`` on whole arrays. A check that fails raises
+for the first seed it fails on (``errors.in_row``). Label-only work is done
+per epoch (``label_tables``) or per run (the cls2cls target ranks), not per
+call; the class terms slice each class's rows from one class-grouped gather.
 """
 
 from __future__ import annotations
@@ -46,12 +48,13 @@ SPREAD_EPS = 1e-8
 
 @dataclass(frozen=True)
 class LocalPrototypes:
-    """Within-batch class means and the batch rows that make them up, per seed."""
+    """Within-batch class means per seed, and where each batch row sits among them."""
 
     means: np.ndarray  # (S, K, d); the row of a class absent from the batch is zero
     counts: np.ndarray  # (K,) int64, the same in every seed's batch
     overall: np.ndarray  # (S, d) mean of all features
-    members: np.ndarray  # (S, K, M) bool, row k marks the samples of class k + 1
+    grouped: np.ndarray  # (S, M) flat (seed, row) index of the rows, class by class
+    seat: np.ndarray  # (S, M) flat (seed, class) index of each row's mean
 
 
 @dataclass(frozen=True)
@@ -101,49 +104,66 @@ def _unit_rows(vectors: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     return vectors / norms[..., None], norms
 
 
-def local_prototypes(features: np.ndarray, labels: np.ndarray, k: int) -> LocalPrototypes:
+def label_tables(labels: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """What the loss terms read from (..., S, M) labels in 1..K, one batched call per table.
+
+    The class counts (K,), which every batch shares, then with the labels'
+    leading axes: ``grouped`` and ``seat`` (see ``LocalPrototypes``; a class
+    keeps its batch order), ins2ins target ranks and the one-hot label mask.
+    """
+    seeds, m = np.arange(labels.shape[-2])[:, None], labels.shape[-1]
+    return (
+        np.bincount(labels.reshape(-1, m)[0] - 1, minlength=k),
+        labels.argsort(axis=-1, kind="stable") + m * seeds,
+        labels - 1 + k * seeds,
+        rank_rows(label_similarity(labels)),
+        labels[..., None] == np.arange(1, k + 1),
+    )
+
+
+def local_prototypes(features, grouped, seat, counts) -> LocalPrototypes:
     """Class means, class counts, and the overall mean of each seed's batch.
 
-    ``features`` is (S, M, d) and ``labels`` (S, M); every seed's batch must
-    hold the same number of rows of each class.
+    ``features`` is (S, M, d); ``grouped``, ``seat`` and ``counts`` are the
+    batch's ``label_tables``.
     """
     s, m, d = features.shape
-    members = labels[:, None, :] == np.arange(1, k + 1)[:, None]
-    counts = np.add.reduce(members[0], axis=1)
-    means = np.zeros((s, k, d))
+    rows = features.reshape(s * m, d).take(grouped, axis=0)
+    means = np.zeros((s, counts.size, d))
     # A class's rows, seed by seed, in batch order: sum / n over them gives
     # the bits of .mean(axis=0) of each seed's rows, without its wrappers.
+    start = 0
     for c, n in enumerate(counts.tolist()):
-        if n:
-            means[:, c] = np.add.reduce(features[members[:, c]].reshape(s, n, d), axis=1)
+        means[:, c] = np.add.reduce(rows[:, start : start + n], axis=1)
+        start += n
     means /= np.maximum(counts, 1)[:, None]  # an absent class's zero row stays zero
     overall = np.add.reduce(features, axis=1) / m
-    return LocalPrototypes(means, counts, overall, members)
+    return LocalPrototypes(means, counts, overall, grouped, seat)
 
 
 def _rank_alignment(
-    target_rows: np.ndarray, value_rows: np.ndarray, cfg: BlackboxConfig, scale: float
+    target_ranks: np.ndarray, value_rows: np.ndarray, cfg: BlackboxConfig, scale: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean squared rank gap between rows, and the gradient on value_rows.
 
-    Returns (scale * sum_i ||rank(target_i) - rank(value_i)||^2, dL/dvalues)
-    for (..., n, n) rows, one value per leading index; ``target_rows``
-    broadcasts against ``value_rows``. The upstream fed to the rank
-    backward pass is the exact derivative 2*scale*(rank(value_i) -
-    rank(target_i)); the scale cannot be pulled out afterwards because the
-    backward pass is not linear in upstream. Rank gaps are small integers,
-    so the squared sum is exact.
+    Returns (scale * sum_i ||target_ranks_i - rank(value_i)||^2, dL/dvalues)
+    for (..., n, n) rows, one value per leading index; ``target_ranks``
+    (``rank_rows`` of the targets) broadcasts against ``value_rows``. The
+    upstream fed to the rank backward pass is the exact derivative
+    2*scale*(rank(value_i) - target_ranks_i); the scale cannot be pulled out
+    afterwards because the backward pass is not linear in upstream. Rank
+    gaps are small integers, so the squared sum is exact.
     """
     value_ranks = rank_rows(value_rows)
-    diff = (value_ranks - rank_rows(target_rows)).astype(np.float64)
+    diff = (value_ranks - target_ranks).astype(np.float64)
     grads = rank_backward_rows(value_rows, value_ranks, (2.0 * scale) * diff, cfg)
     return scale * np.add.reduce(diff * diff, axis=(-2, -1)), grads
 
 
 def _cosine_rank_alignment(
-    target_rows: np.ndarray, vectors: np.ndarray, what: str, cfg: BlackboxConfig, scale: float
+    target_ranks: np.ndarray, vectors: np.ndarray, what: str, cfg: BlackboxConfig, scale: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rank alignment of S[i,j] = cos(v_i, v_j) against target_rows.
+    """Rank alignment of S[i,j] = cos(v_i, v_j) against target_ranks.
 
     Returns the alignment value and dL/dvectors for (..., n, d) vectors.
     Row i of S sees v_i as first argument, column i sees it as second;
@@ -152,7 +172,7 @@ def _cosine_rank_alignment(
     """
     units, norms = _unit_rows(vectors, what)
     cos = units @ units.swapaxes(-1, -2)
-    value, sim_grads = _rank_alignment(target_rows, cos, cfg, scale)
+    value, sim_grads = _rank_alignment(target_ranks, cos, cfg, scale)
     w = sim_grads + sim_grads.swapaxes(-1, -2)
     n = w.shape[-1]
     w.reshape(-1, n * n)[:, :: n + 1] = 0.0  # each diagonal, as np.fill_diagonal sets it
@@ -160,83 +180,79 @@ def _cosine_rank_alignment(
     return value, (w @ units - row_wc[..., None] * units) / norms[..., None]
 
 
-def _ins2ins(features: np.ndarray, labels: np.ndarray, cfg: BlackboxConfig):
+def _ins2ins(features: np.ndarray, ins_target: np.ndarray, cfg: BlackboxConfig):
     """Per-instance rank alignment between label and feature similarities.
 
-    value = (1/M) sum_i ||rank(S^y_i) - rank(S^z_i)||^2 with S^y from
-    label distances and S^z the feature cosine matrix.
+    value = (1/M) sum_i ||rank(S^y_i) - rank(S^z_i)||^2 with S^y from label
+    distances (``ins_target`` is rank(S^y)) and S^z the feature cosine matrix.
     """
-    s_y = label_similarity(labels)
-    return _cosine_rank_alignment(s_y, features, "features", cfg, 1.0 / labels.shape[-1])
+    return _cosine_rank_alignment(ins_target, features, "features", cfg, 1.0 / features.shape[-2])
 
 
-def _ins2cls(features: np.ndarray, protos: LocalPrototypes, seat):
+def _ins2cls(features: np.ndarray, protos: LocalPrototypes):
     """Within-class compactness: (1/d) sum_k sum_{i in k} ||z_i - mu_k||^2.
 
-    The gradient for a member of class k is (2/d)(z_i - mu_k); the chain
-    rule through mu_k contributes nothing because within-class deviations
-    sum to zero. ``seat`` indexes each row's class in (S, K) tables.
+    The gradient for a member of class k is (2/d)(z_i - mu_k); the chain rule
+    through mu_k contributes nothing because within-class deviations sum to zero.
     """
-    s, _, d = features.shape
-    diffs = features - protos.means[seat]
-    squares = diffs * diffs
-    value = 0.0
-    for c, n in enumerate(protos.counts.tolist()):
-        if n:
-            class_rows = squares[protos.members[:, c]].reshape(s, n * d)
-            value = value + np.add.reduce(class_rows, axis=1) / d
+    s, m, d = features.shape
+    diffs = features - protos.means.reshape(-1, d).take(protos.seat, axis=0)
+    # A class's squares, seed by seed, as one run in batch order.
+    rows = (diffs * diffs).reshape(s * m, d).take(protos.grouped, axis=0).reshape(s, m * d)
+    value, start = 0.0, 0
+    for n in protos.counts.tolist():
+        value = value + np.add.reduce(rows[:, start : start + n * d], axis=1) / d
+        start += n * d
     return value, (2.0 / d) * diffs
 
 
-def _cls2cls(protos: LocalPrototypes, seat, s_pr: np.ndarray, cfg: BlackboxConfig, detach):
+def _cls2cls(protos: LocalPrototypes, cls_target, cfg: BlackboxConfig, detach):
     """Class-mean spread plus rank alignment of the class-mean similarities.
 
     value = d / (sum_k n_k ||mu_k - mu_bar||^2 + eps)
           + (1/K) sum_k ||rank(S^pr_k) - rank(S^mu_k)||^2
 
-    where S^pr = ``s_pr`` comes from the class indices (1..K) and S^mu is the
-    cosine matrix of the class means. Requires every class in the batch.
-    With ``detach`` the first term is treated as constant with respect to
-    the features; otherwise its gradient flows through both mu_k and
-    mu_bar, which collapses to -d/(denom^2) * 2 (mu_{c(i)} - mu_bar) per
-    instance because the count-weighted means telescope.
+    where S^pr comes from the class indices 1..K (``cls_target`` is rank(S^pr))
+    and S^mu is the cosine matrix of the class means. Requires every class
+    in the batch. With ``detach`` the first term is treated as constant with
+    respect to the features; otherwise its gradient flows through both mu_k
+    and mu_bar, which collapses to -d/(denom^2) * 2 (mu_k - mu_bar) for each
+    row of class k because the count-weighted means telescope.
     """
     _, k, d = protos.means.shape
     disp = protos.means - protos.overall[:, None, :]
     denom = np.add.reduce(protos.counts * np.add.reduce(disp * disp, axis=-1), axis=-1)
     denom = denom + SPREAD_EPS
-    align, dmu = _cosine_rank_alignment(s_pr, protos.means, "class means", cfg, 1.0 / k)
-    grads = dmu[seat] / protos.counts[seat[1]][..., None]
+    align, dmu = _cosine_rank_alignment(cls_target, protos.means, "class means", cfg, 1.0 / k)
+    per_class = dmu / protos.counts[:, None]
     if not detach:
-        grads = grads + ((-d / (denom * denom)) * 2.0)[:, None, None] * disp[seat]
-    return d / denom + align, grads
+        per_class = per_class + ((-d / (denom * denom)) * 2.0)[:, None, None] * disp
+    return d / denom + align, per_class.reshape(-1, d).take(protos.seat, axis=0)
 
 
 def hybrid_ordinal_loss(
-    features, labels, protos, s_pr, cfg, use_ins2ins, use_ins2cls, use_cls2cls, detach_spread
+    features, protos, ins_target, cls_target, cfg, use_ins2ins, use_ins2cls, use_cls2cls,
+    detach_spread,
 ) -> LossBundle:
     """Sum of the enabled structural terms on each seed's batch and its ``local_prototypes``.
 
-    ``features`` is (S, M, d) and ``labels`` (S, M). ``s_pr`` is the cls2cls
-    target, ``label_similarity`` of 1..K; cls2cls needs every class in the
-    batch. ``terms`` holds the (ins2ins, ins2cls, cls2cls) values, (3, S),
-    0.0 for a disabled term. One term alone is the call with the other two
-    switched off: its value is in ``terms`` and its gradient in
-    ``feature_grads``.
+    ``features`` is (S, M, d); ``ins_target`` and ``cls_target`` are the
+    ranks of the label and class-index similarities. cls2cls needs every
+    class in the batch. ``terms`` holds the (ins2ins, ins2cls, cls2cls)
+    values, (3, S), 0.0 for a disabled term. One term alone is the call with
+    the other two switched off: its value is in ``terms`` and its gradient
+    in ``feature_grads``.
     """
-    s = features.shape[0]
     grads = np.zeros(features.shape)
-    terms = np.zeros((3, s))
+    terms = np.zeros((3, features.shape[0]))
     if use_ins2ins:
-        terms[0], part = _ins2ins(features, labels, cfg)
+        terms[0], part = _ins2ins(features, ins_target, cfg)
         grads += part
-    if use_ins2cls or use_cls2cls:
-        seat = (np.arange(s)[:, None], labels - 1)  # (seed, class) of every batch row
     if use_ins2cls:
-        terms[1], part = _ins2cls(features, protos, seat)
+        terms[1], part = _ins2cls(features, protos)
         grads += part
     if use_cls2cls:
-        terms[2], part = _cls2cls(protos, seat, s_pr, cfg, detach_spread)
+        terms[2], part = _cls2cls(protos, cls_target, cfg, detach_spread)
         grads += part
     return LossBundle(terms[0] + terms[1] + terms[2], feature_grads=grads, terms=terms)
 

@@ -115,9 +115,10 @@ def ema_update(store: GlobalPrototypeStore, mu_low, mu_high) -> GlobalPrototypeS
     # Per seed four rows: the low and high means, then the low and high anchors.
     v = np.concatenate((lo, hi, store.anchor_low, store.anchor_high), axis=-1).reshape(-1, 4, d)
     norms = _dot_norms(v)
-    # One test passes every usual step: finite rows (a NaN or Inf entry makes
-    # a norm non-finite, as can an overflow), nonzero means, trained anchors.
-    if not np.logical_and.reduce((norms > NORM_EPS) & (norms < math.inf), axis=None):
+    # The usual step passes one test of the 4 S norms, as Python floats: finite rows (NaN or
+    # Inf make the sum non-finite; an overflow costs the slow path), nonzero means, trained anchors.
+    flat = norms.ravel().tolist()
+    if not (math.isfinite(sum(flat)) and min(flat) > NORM_EPS):
         _refuse_bad_rows(np.logical_and.reduce(np.isfinite(v), axis=2), norms[:, :2])
         # Bootstrap: a zero anchor adopts its normalized mean, as an anchor
         # equal to its mean, which stays where it is.
@@ -131,7 +132,7 @@ def ema_update(store: GlobalPrototypeStore, mu_low, mu_high) -> GlobalPrototypeS
     # an exact fixed point keeps p_hat as it is.
     anchors = p_hat + (1.0 - store.sigma) * delta
     moved = np.logical_or.reduce(delta, axis=2)
-    if not np.logical_and.reduce(moved, axis=None):
+    if not all(moved.ravel().tolist()):
         anchors[~moved] = p_hat[~moved]
     anchors = anchors.reshape(*shape[:-1], 2, d)
     store.anchor_low, store.anchor_high = anchors[..., 0, :], anchors[..., 1, :]

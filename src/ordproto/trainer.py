@@ -59,10 +59,11 @@ from .losses import (
     cross_entropy_loss,
     hybrid_ordinal_loss,
     label_similarity,
+    label_tables,
     local_prototypes,
 )
 from .prototypes import GlobalPrototypeStore, _softmax_high, anchor_cosines, ema_update
-from .ranking import BlackboxConfig
+from .ranking import BlackboxConfig, rank_rows
 
 METRIC_KEYS = ("acc", "auc", "f1", "precision", "recall", "spearman_ordinality")
 
@@ -279,7 +280,7 @@ def _stacked_loop(
     store.anchor_low = np.zeros((len(seeds), config.feature_dim))
     store.anchor_high = np.zeros((len(seeds), config.feature_dim))
     bb = BlackboxConfig(config.blackbox_lambda)
-    s_pr = label_similarity(np.arange(1.0, config.n_classes + 1))
+    cls_target = rank_rows(label_similarity(np.arange(1.0, config.n_classes + 1)))
     switches = (
         config.use_ins2ins, config.use_ins2cls, config.use_cls2cls, config.detach_class_spread
     )
@@ -307,19 +308,20 @@ def _stacked_loop(
         if epoch:
             plan = _plan(config, labels, seeds, epoch)
         lr = config.base_lr * config.lr_decay**epoch
-        for xb, batch_labels in zip(x[plan], labels[plan]):
+        counts, *tables = label_tables(labels[plan], config.n_classes)
+        for xb, grouped, seat, ins_target, onehot in zip(x[plan], *tables):
             iteration += 1
             step = epoch if config.lambda_per_epoch else iteration - 1
             lam = config.lambda_start + span * (step / ramp_steps)
             try:
                 cache = forward(enc, head, xb)
                 _require_finite(cache.features, "features")
-                protos = local_prototypes(cache.features, batch_labels, config.n_classes)
+                protos = local_prototypes(cache.features, grouped, seat, counts)
                 hyb = hybrid_ordinal_loss(
-                    cache.features, batch_labels, protos, s_pr, bb, *switches
+                    cache.features, protos, ins_target, cls_target, bb, *switches
                 )
                 _require_finite(cache.logits, "logits")
-                ce = cross_entropy_loss(cache.logits, protos.members.swapaxes(-1, -2))
+                ce = cross_entropy_loss(cache.logits, onehot)
 
                 backward(enc, head, cache, lam * hyb.feature_grads, ce.logit_grads, grad_views)
                 adam_step(adam, grads, lr)

@@ -1,12 +1,13 @@
 """Test shorthands for the loss and encoder functions, which trust their input.
 
 ``Batch`` carries a feature batch with its 1-based labels and class count;
-``hybrid`` fills in what the training loop passes (the batch prototypes,
-the cls2cls target, every term on by default), ``cross_entropy`` builds
-the one-hot label mask from labels, and ``flat_backward`` returns the
-gradient in a new flat buffer. The loss functions take a leading seed
-axis; these shorthands call them with one seed and return that seed's
-prototypes and bundles in their one-batch shapes, with float values.
+``tables_of`` builds its ``label_tables``, ``hybrid`` fills in what the
+training loop passes (the batch prototypes, the target ranks, every term
+on by default), ``cross_entropy`` builds the one-hot label mask from
+labels, and ``flat_backward`` returns the gradient in a new flat buffer.
+The loss functions take a leading seed axis; these shorthands call them
+with one seed and return that seed's prototypes and bundles in their
+one-batch shapes, with float values.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from ordproto.losses import (
     cross_entropy_loss,
     hybrid_ordinal_loss,
     label_similarity,
+    label_tables,
     local_prototypes,
 )
+from ordproto.ranking import rank_rows
 
 
 class Batch(NamedTuple):
@@ -40,16 +43,23 @@ class Batch(NamedTuple):
         return self.features.shape[1]
 
 
+def tables_of(batch: Batch) -> tuple[np.ndarray, ...]:
+    """The batch's ``label_tables``, for a stack of one seed."""
+    return label_tables(batch.labels[None], batch.n_classes)
+
+
 def protos_of(batch: Batch) -> LocalPrototypes:
-    stacked = local_prototypes(batch.features[None], batch.labels[None], batch.n_classes)
+    counts, grouped, seat, _, _ = tables_of(batch)
+    stacked = local_prototypes(batch.features[None], grouped, seat, counts)
     return LocalPrototypes(
-        stacked.means[0], stacked.counts, stacked.overall[0], stacked.members[0]
+        stacked.means[0], stacked.counts, stacked.overall[0], stacked.grouped[0], stacked.seat[0]
     )
 
 
 def _stacked(protos: LocalPrototypes) -> LocalPrototypes:
     return LocalPrototypes(
-        protos.means[None], protos.counts, protos.overall[None], protos.members[None]
+        protos.means[None], protos.counts, protos.overall[None], protos.grouped[None],
+        protos.seat[None],
     )
 
 
@@ -64,12 +74,13 @@ def hybrid(
     protos=None,
 ):
     """``hybrid_ordinal_loss`` on a batch, as the training loop calls it."""
-    s_pr = label_similarity(np.arange(1.0, batch.n_classes + 1))
+    cls_target = rank_rows(label_similarity(np.arange(1.0, batch.n_classes + 1)))
+    _, _, _, ins_target, _ = tables_of(batch)
     out = hybrid_ordinal_loss(
         batch.features[None],
-        batch.labels[None],
         _stacked(protos_of(batch) if protos is None else protos),
-        s_pr,
+        ins_target,
+        cls_target,
         cfg,
         use_ins2ins,
         use_ins2cls,

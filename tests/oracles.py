@@ -5,8 +5,9 @@ rank, the pairwise cosine matrix, the one-vector cosine and softmax the
 batched scoring kernel replaced) or the earlier per-array form of a
 kernel that now works on whole buffers (per-layer backward, per-array
 Adam, Adam with temporaries, the per-class loss terms, batch planning by
-list slicing), or the one-seed training loop those forms make up
-(``reference_train``). None of it runs in training or scoring.
+list slicing, the EMA step checked on whole arrays), or the one-seed
+training loop those forms make up (``reference_train``). None of it runs
+in training or scoring.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from ordproto.errors import (
     TrainingError,
     ZeroVectorError,
 )
-from ordproto.linalg import NORM_EPS, UNIT_TOL
+from ordproto.linalg import NORM_EPS, UNIT_TOL, _dot_norms
 from ordproto.losses import SPREAD_EPS, LocalPrototypes, LossBundle
-from ordproto.prototypes import GlobalPrototypeStore
+from ordproto.prototypes import GlobalPrototypeStore, _refuse_bad_rows
 from ordproto.ranking import BlackboxConfig, rank_backward_rows, rank_rows
 
 # Factorial enumeration stays tractable up to 8! = 40320 candidates.
@@ -262,7 +263,11 @@ def reference_stratified_batches(labels, batch_size: int, seed, n_classes: int) 
 
 
 def reference_local_prototypes(features, labels, k: int) -> LocalPrototypes:
-    """Class means of a batch, one boolean mask and ``.mean`` per class."""
+    """Class means of a batch, one boolean mask and ``.mean`` per class.
+
+    ``grouped`` lists the batch rows class by class, in batch order within
+    a class, and ``seat`` is each row's 0-based class: the one-seed tables.
+    """
     members = np.stack([labels == c for c in range(1, k + 1)])
     counts = np.zeros(k, dtype=np.int64)
     means = np.zeros((k, features.shape[1]))
@@ -270,7 +275,8 @@ def reference_local_prototypes(features, labels, k: int) -> LocalPrototypes:
         counts[c] = int(members[c].sum())
         if counts[c]:
             means[c] = features[members[c]].mean(axis=0)
-    return LocalPrototypes(means, counts, features.mean(axis=0), members)
+    grouped = np.concatenate([np.flatnonzero(row) for row in members])
+    return LocalPrototypes(means, counts, features.mean(axis=0), grouped, labels - 1)
 
 
 def _reference_cosine_alignment(target_rows, vectors, what, cfg, scale):
@@ -369,6 +375,37 @@ def reference_ema_update(store, mu_low, mu_high) -> None:
         p_hat = reference_normalize(p, "anchor")
         delta = mu_hat - p_hat
         setattr(store, name, p_hat + (1.0 - store.sigma) * delta if delta.any() else p_hat)
+
+
+def reference_stacked_ema_update(store, mu_low, mu_high) -> None:
+    """The stacked EMA step as whole-array numpy: every check on the (S, 4) norm array.
+
+    Per seed four rows (the low and high means, then the low and high
+    anchors) are normalized at once, with ``np.where`` picking each divisor;
+    the first seed with a bad row raises through ``_refuse_bad_rows``.
+    """
+    lo = np.asarray(mu_low, dtype=np.float64)
+    hi = np.asarray(mu_high, dtype=np.float64)
+    shape = store.anchor_low.shape
+    if lo.shape != shape or hi.shape != shape:
+        raise DimMismatchError(f"class means must have shape {shape}")
+    d = store.dim
+    v = np.concatenate((lo, hi, store.anchor_low, store.anchor_high), axis=-1).reshape(-1, 4, d)
+    norms = _dot_norms(v)
+    if not np.logical_and.reduce((norms > NORM_EPS) & (norms < math.inf), axis=None):
+        _refuse_bad_rows(np.logical_and.reduce(np.isfinite(v), axis=2), norms[:, :2])
+        boot = norms[:, 2:] <= NORM_EPS
+        v[:, 2:][boot] = v[:, :2][boot]
+        norms[:, 2:][boot] = norms[:, :2][boot]
+    units = v / np.where(np.abs(norms - 1.0) <= UNIT_TOL, 1.0, norms)[..., None]
+    mu_hat, p_hat = units[:, :2], units[:, 2:]
+    delta = mu_hat - p_hat
+    anchors = p_hat + (1.0 - store.sigma) * delta
+    moved = np.logical_or.reduce(delta, axis=2)
+    if not np.logical_and.reduce(moved, axis=None):
+        anchors[~moved] = p_hat[~moved]
+    anchors = anchors.reshape(*shape[:-1], 2, d)
+    store.anchor_low, store.anchor_high = anchors[..., 0, :], anchors[..., 1, :]
 
 
 def reference_kfold_split(labels, k: int, seed) -> np.ndarray:

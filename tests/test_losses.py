@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fd import central_diff, rel_err
-from kernels import Batch, cross_entropy, hybrid, protos_of
+from kernels import Batch, cross_entropy, hybrid, protos_of, tables_of
 from oracles import cosine_similarity, feature_similarity, reference_local_prototypes
 from ordproto.data import GenConfig, generate
 from ordproto.errors import ZeroVectorError
@@ -308,7 +308,8 @@ class TestHybrid:
         batch = random_batch(rng, all_classes=True)
         protos = protos_of(batch)
         only_i2i = hybrid(batch, CFG, use_ins2cls=False, use_cls2cls=False)
-        assert only_i2i.value == _ins2ins(batch.features, batch.labels, CFG)[0]
+        _, _, _, ins_target, _ = tables_of(batch)
+        assert only_i2i.value == _ins2ins(batch.features, ins_target[0], CFG)[0]
         none = hybrid(batch, CFG, use_ins2ins=False, use_ins2cls=False, use_cls2cls=False)
         assert none.value == 0.0
         assert np.array_equal(none.feature_grads, np.zeros_like(batch.features))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import cosine_similarity
+from oracles import cosine_similarity, reference_stacked_ema_update
 from ordproto.errors import (
     BadConfigError,
     DatasetIOError,
@@ -148,6 +148,69 @@ class TestStackedEmaUpdate:
         with pytest.raises(NonFiniteError, match="mu_low contains") as err:
             ema_update(self.stacked(1, 4), lo[2:], hi[2:])
         assert err.value.stack_row == 0
+
+    @staticmethod
+    def assert_same_bytes(ours, theirs):
+        # tobytes, not array_equal: a -0.0 must stay -0.0.
+        assert ours.anchor_low.tobytes() == theirs.anchor_low.tobytes()
+        assert ours.anchor_high.tobytes() == theirs.anchor_high.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the 1e200 mean
+    def test_matches_the_whole_array_form(self):
+        rng = np.random.default_rng(32)
+        ours, theirs = self.stacked(3, 5), self.stacked(3, 5)
+        for step in range(10):  # step 0 bootstraps every seed
+            lo, hi = rng.standard_normal((2, 3, 5))
+            if step == 3:
+                hi[1] = ours.anchor_high[1]  # an exact fixed point for seed 1
+            if step == 4:
+                lo[0] = np.eye(5)[2] * (1.0 + 5e-14)  # a norm 1 within UNIT_TOL
+                hi[0] = 1e200 * hi[0]  # a finite mean whose norm overflows
+            if step == 6:  # seed 2 alone starts again, from a mean with -0.0 entries
+                for store in (ours, theirs):
+                    store.anchor_low = store.anchor_low.copy()
+                    store.anchor_high = store.anchor_high.copy()
+                    store.anchor_low[2] = store.anchor_high[2] = 0.0
+                hi[2] = [1.0, -0.0, -0.0, -0.0, -0.0]
+            if step == 7:
+                hi[2] = ours.anchor_high[2]  # a fixed point that keeps its -0.0 entries
+            ema_update(ours, lo, hi)
+            reference_stacked_ema_update(theirs, lo, hi)
+            self.assert_same_bytes(ours, theirs)
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    @pytest.mark.parametrize(
+        ("bad", "error", "message"),
+        [
+            ("nan low mean", NonFiniteError, "mu_low contains NaN or Inf entries"),
+            ("inf high mean", NonFiniteError, "mu_high contains NaN or Inf entries"),
+            ("zero high mean", ZeroVectorError, "cannot normalize class mean with norm 0.0"),
+            ("nan anchor", NonFiniteError, "anchor contains NaN or Inf entries"),
+        ],
+    )
+    def test_refusals_match_the_whole_array_form(self, row, bad, error, message):
+        rng = np.random.default_rng(33)
+        ours = self.stacked(3, 4)
+        ema_update(ours, *rng.standard_normal((2, 3, 4)))
+        lo, hi = rng.standard_normal((2, 3, 4))
+        ours.anchor_low, ours.anchor_high = ours.anchor_low.copy(), ours.anchor_high.copy()
+        if bad == "nan low mean":
+            lo[row, 1] = np.nan
+        elif bad == "inf high mean":
+            hi[row, 2] = -np.inf
+        elif bad == "zero high mean":
+            hi[row] = 0.0
+        else:
+            ours.anchor_high[row, 0] = np.nan
+        theirs = self.stacked(3, 4)
+        theirs.anchor_low, theirs.anchor_high = ours.anchor_low.copy(), ours.anchor_high.copy()
+        with pytest.raises(error) as got:
+            ema_update(ours, lo, hi)
+        with pytest.raises(error) as want:
+            reference_stacked_ema_update(theirs, lo, hi)
+        assert str(got.value) == str(want.value) == message
+        assert got.value.stack_row == want.value.stack_row == row
+        self.assert_same_bytes(ours, theirs)  # neither store moved
 
 
 class TestPrediction:

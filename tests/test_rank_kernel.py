@@ -103,7 +103,7 @@ class TestRankBackwardRows:
 
 class TestRankAlignment:
     def check(self, target, value, cfg, scale):
-        got_value, got_grads = _rank_alignment(target, value, cfg, scale)
+        got_value, got_grads = _rank_alignment(rank_rows(target), value, cfg, scale)
         want_value, want_grads = oracle_alignment(target, value, cfg, scale)
         assert got_value == want_value
         assert_bit_equal(got_grads, want_grads)

@@ -14,11 +14,13 @@ import concurrent.futures
 import numpy as np
 import pytest
 
-from oracles import flat_params, reference_adam_step, reference_train
+from oracles import flat_params, reference_adam_step, reference_local_prototypes, reference_train
 from ordproto import trainer
 from ordproto.data import GenConfig, generate
 from ordproto.encoder import AdamState, adam_step
 from ordproto.errors import NonFiniteError, TrainingError
+from ordproto.losses import label_similarity, label_tables
+from ordproto.ranking import rank_rows
 from ordproto.trainer import TrainConfig, ablation_config, evaluate_on, run_seeds, train
 
 TINY_GEN = GenConfig(class_counts=(12, 18, 14), input_dim=6, noise_sigma=0.1)
@@ -88,6 +90,27 @@ class TestStackEqualsReference:
         view = generate(GenConfig(), 0).training_view()
         for result in trainer._train_stack(cfg, view, (1, 2)):
             assert_equals_reference(result, cfg, view)
+
+
+@pytest.mark.parametrize("epoch", [0, 1])
+def test_epoch_tables_equal_the_per_batch_tables(epoch):
+    # One batched call per table over every batch of an epoch's plan: a
+    # 3-seed stack on the 4-class cohort, checked batch by batch and seed by
+    # seed against the tables one batch's labels give.
+    labels = np.asarray(generate(K4_GEN, 61).training_view().labels, dtype=np.int64)
+    plan_labels = labels[trainer._plan(K4_TRAIN, labels, (1, 2, 3), epoch)]
+    batches, seeds, m = plan_labels.shape
+    counts, grouped, seat, ins_target, onehot = label_tables(plan_labels, 4)
+    assert ins_target.shape == (batches, seeds, m, m) and onehot.shape == (batches, seeds, m, 4)
+    for b in range(batches):
+        for row in range(seeds):
+            y = plan_labels[b, row]
+            assert counts.tolist() == [int(np.sum(y == c)) for c in range(1, 5)]
+            assert np.array_equal(ins_target[b, row], rank_rows(label_similarity(y)))
+            assert np.array_equal(onehot[b, row], y[:, None] == np.arange(1, 5))
+            want = reference_local_prototypes(np.zeros((m, 1)), y, 4)
+            assert np.array_equal(grouped[b, row], want.grouped + row * m)
+            assert np.array_equal(seat[b, row], want.seat + row * 4)
 
 
 def test_adam_step_keeps_the_bits_of_the_expressions():
