@@ -213,10 +213,9 @@ class AdamState:
     """Bias-corrected Adam; the caller passes each step's learning rate.
 
     ``params``, ``m`` and ``v`` are flat buffers in the same layout, (P,)
-    or (S, P) for a seed stack. The layer and head fields view ``params``
-    only in the process that called ``init_adam``; a pickled copy (a pooled
-    run's result) keeps the values. ``scratch`` holds the two buffers
-    ``adam_step`` computes in, made by its first call.
+    or (S, P) for a seed stack; the layer and head fields view ``params``.
+    ``scratch`` holds the two buffers ``adam_step`` computes in, made by
+    its first call.
     """
 
     params: np.ndarray
@@ -227,13 +226,6 @@ class AdamState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
-
-    def row(self, row: int) -> "AdamState":
-        """Seed ``row`` of a stacked state: views of its buffers, without scratch."""
-        return AdamState(
-            self.params[row], self.m[row], self.v[row], self.step,
-            self.beta1, self.beta2, self.epsilon,
-        )
 
 
 def init_adam(

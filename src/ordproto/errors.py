@@ -2,20 +2,7 @@
 
 
 class OrdprotoError(Exception):
-    """Base class for all ordproto errors.
-
-    ``stack_row`` is the position of the seed an error belongs to when the
-    training loop runs several seeds stacked on one leading axis; a check
-    that finds a bad row sets it with ``in_row``. Outside a stack it is 0.
-    """
-
-    stack_row = 0
-
-
-def in_row(error: OrdprotoError, row: int) -> OrdprotoError:
-    """``error``, marked as belonging to seed ``row`` of a stack."""
-    error.stack_row = row
-    return error
+    """Base class for all ordproto errors."""
 
 
 class EmptyInputError(OrdprotoError):

@@ -25,10 +25,11 @@ the same number of rows of each class (the stratified plans share their
 class slots), which lets each per-class sum run over all seeds in one
 call. Values come back per seed, and each seed gets the bits its own 2-D
 batch would give: reductions run along the same axes in the same order,
-and products are ``matmul`` on whole arrays. A check that fails raises
-for the first seed it fails on (``errors.in_row``). Label-only work is done
-per epoch (``label_tables``) or per run (the cls2cls target ranks), not per
-call; the class terms slice each class's rows from one class-grouped gather.
+and products are ``matmul`` on whole arrays. A check that fails raises for
+the whole stack; the training loop replays a failing stack one seed at a
+time to name the seed. Label-only work is done per epoch (``label_tables``)
+or per run (the cls2cls target ranks), not per call; the class terms slice
+each class's rows from one class-grouped gather.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ZeroVectorError, in_row
+from .errors import NonFiniteError, ZeroVectorError
 from .linalg import NORM_EPS
 from .ranking import BlackboxConfig, rank_backward_rows, rank_rows
 
@@ -72,16 +73,10 @@ class LossBundle:
     terms: np.ndarray | None = None
 
 
-def _first_row(bad: np.ndarray) -> int:
-    """The first leading-axis row of ``bad`` (S, ...) with a True entry."""
-    return int(np.argmax(np.logical_or.reduce(bad.reshape(len(bad), -1), axis=1)))
-
-
 def _require_finite(values: np.ndarray, what: str) -> None:
-    """Raise for the first seed of a stacked array (S, ...) with a NaN or Inf."""
-    finite = np.isfinite(values)
-    if not np.logical_and.reduce(finite, axis=None):
-        raise in_row(NonFiniteError(f"{what} contain NaN or Inf entries"), _first_row(~finite))
+    """Raise if ``values`` holds a NaN or Inf."""
+    if not np.logical_and.reduce(np.isfinite(values), axis=None):
+        raise NonFiniteError(f"{what} contain NaN or Inf entries")
 
 
 def label_similarity(y: np.ndarray) -> np.ndarray:
@@ -92,15 +87,12 @@ def label_similarity(y: np.ndarray) -> np.ndarray:
 def _unit_rows(vectors: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Unit rows and row norms of (..., n, d) vectors; a (near-)zero row raises.
 
-    The error names the first seed (leading index) with such a row, and
-    its smallest-norm row.
+    The error names the position, within its n rows, of the smallest norm.
     """
     norms = np.sqrt(np.add.reduce(vectors * vectors, axis=-1))
-    tiny = norms <= NORM_EPS
-    if np.logical_or.reduce(tiny, axis=None):
-        row = _first_row(tiny.reshape(-1, tiny.shape[-1]))
-        bad = int(np.argmin(norms.reshape(-1, norms.shape[-1])[row]))
-        raise in_row(ZeroVectorError(f"{what} row {bad} has (near-)zero norm"), row)
+    if np.logical_or.reduce(norms <= NORM_EPS, axis=None):
+        bad = int(np.argmin(norms)) % norms.shape[-1]
+        raise ZeroVectorError(f"{what} row {bad} has (near-)zero norm")
     return vectors / norms[..., None], norms
 
 

@@ -23,7 +23,6 @@ from .errors import (
     NonFiniteError,
     UntrainedStoreError,
     ZeroVectorError,
-    in_row,
 )
 from .linalg import NORM_EPS, _dot_norms, _unit
 
@@ -84,18 +83,17 @@ def _refuse_bad_rows(finite: np.ndarray, mean_norms: np.ndarray) -> None:
     checks run in the order of its own update: both means finite, then
     per anchor its mean's norm and the anchor itself.
     """
-    for row, (ok, norms) in enumerate(zip(finite.tolist(), mean_norms.tolist())):
+    for ok, norms in zip(finite.tolist(), mean_norms.tolist()):
         for j, name in enumerate(("mu_low", "mu_high")):
             if not ok[j]:
-                raise in_row(NonFiniteError(f"{name} contains NaN or Inf entries"), row)
+                raise NonFiniteError(f"{name} contains NaN or Inf entries")
         for j, norm in enumerate(norms):
             if norm <= NORM_EPS:
-                message = f"cannot normalize class mean with norm {norm!r}"
-                raise in_row(ZeroVectorError(message), row)
+                raise ZeroVectorError(f"cannot normalize class mean with norm {norm!r}")
             # An anchor with NaN or Inf entries; a finite one whose norm
             # overflows moves as any other.
             if not ok[2 + j]:
-                raise in_row(NonFiniteError("anchor contains NaN or Inf entries"), row)
+                raise NonFiniteError("anchor contains NaN or Inf entries")
 
 
 def ema_update(store: GlobalPrototypeStore, mu_low, mu_high) -> GlobalPrototypeStore:

@@ -31,7 +31,6 @@ from .data import (
     stratified_batches,
 )
 from .encoder import (
-    AdamState,
     EncoderParams,
     HeadParams,
     adam_step,
@@ -51,7 +50,6 @@ from .errors import (
     NonFiniteError,
     OrdprotoError,
     TrainingError,
-    in_row,
 )
 from .evaluation import binary_metrics, spearman
 from .losses import (
@@ -200,7 +198,6 @@ class TrainResult:
     head: HeadParams
     store: GlobalPrototypeStore
     history: TrainHistory
-    adam: AdamState
     seed: int
 
 
@@ -220,11 +217,10 @@ def _train_stack(
 ) -> list[TrainResult]:
     """``[train(config, data, seed) for seed in seeds]``, as one stack; the same errors.
 
-    A failing seed raises its own ``TrainingError`` at its own iteration,
-    and the first failing seed in seed order wins, as in the serial loop.
-    The seeds after a failing one cannot change that outcome, so they
-    leave the stack with it; the ones before it train again without it,
-    and may fail themselves, later than it did.
+    A stack of several seeds that fails trains its seeds again one at a
+    time, in seed order, so the first failing seed raises its own
+    ``TrainingError``, as in the serial loop. A passing stack runs once; a
+    failing one pays at most one more one-seed run per seed.
     """
     check_data_fits(config, data)
     # C order and float64 once, so every batch gather is a plain row copy.
@@ -235,16 +231,12 @@ def _train_stack(
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         raise NonFiniteError(f"inputs row {int(np.argmin(finite))} contains NaN or Inf entries")
-    failure = None
-    while seeds:
-        try:
-            results = _stacked_loop(config, x, labels, seeds)
-            break
-        except TrainingError as exc:
-            failure, seeds = exc, seeds[: exc.stack_row]
-    if failure is not None:
-        raise failure
-    return results
+    try:
+        return _stacked_loop(config, x, labels, seeds)
+    except TrainingError:
+        if len(seeds) == 1:
+            raise
+    return [result for seed in seeds for result in _stacked_loop(config, x, labels, (seed,))]
 
 
 def _plan(config: TrainConfig, labels: np.ndarray, seeds, epoch: int) -> np.ndarray:
@@ -265,7 +257,7 @@ def _stacked_loop(
 
     Parameters, Adam moments and gradients are (S, P) buffers, anchors
     (S, d) and the history (S, iterations, 9). A failing check raises a
-    ``TrainingError`` whose ``stack_row`` is the first seed it failed on.
+    ``TrainingError`` for the whole stack.
     """
     enc, head = stack_params([init_params(config.dims, config.n_classes, s) for s in seeds])
     adam = init_adam(
@@ -327,8 +319,7 @@ def _stacked_loop(
                 adam_step(adam, grads, lr)
                 ema_update(store, protos.means[:, lo_cls - 1], protos.means[:, hi_cls - 1])
             except OrdprotoError as exc:
-                error = TrainingError(f"iteration {iteration}: {exc}", iteration)
-                raise in_row(error, exc.stack_row) from exc
+                raise TrainingError(f"iteration {iteration}: {exc}", iteration) from exc
             schedule.append((iteration, epoch, lr, lam))
             ce_values[iteration - 1] = ce.value
             term_values[iteration - 1] = hyb.terms
@@ -352,7 +343,6 @@ def _stacked_loop(
                 anchor_high=store.anchor_high[row],
             ),
             TrainHistory(history[row]),
-            adam.row(row),
             seed,
         )
         for row, seed in enumerate(seeds)

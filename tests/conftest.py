@@ -1,4 +1,5 @@
-"""Shared test plumbing: acceptance-verdict collection and summary printing.
+"""Shared test plumbing: acceptance-verdict collection and summary printing,
+and the final optimizer state of training runs.
 
 Acceptance tests record one verdict per criterion through the ``verdict``
 fixture; the terminal-summary hook prints them as a single pass/fail line
@@ -10,7 +11,29 @@ from __future__ import annotations
 
 import pytest
 
+from ordproto import trainer
+
 _VERDICTS: list[tuple[int, str, bool, str]] = []
+
+
+@pytest.fixture
+def adam_states(monkeypatch):
+    """The ``AdamState`` of each training loop run in this process, in run order.
+
+    A ``TrainResult`` carries no optimizer state. The loop updates the
+    state ``trainer.init_adam`` returns in place, so once a run is over its
+    recorded state holds the final (S, P) ``params``, ``m`` and ``v`` (one
+    row per seed of the stack) and ``step``.
+    """
+    states = []
+    real_init_adam = trainer.init_adam
+
+    def recording(*args, **kwargs):
+        states.append(real_init_adam(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(trainer, "init_adam", recording)
+    return states
 
 
 @pytest.fixture(scope="session")

@@ -140,14 +140,12 @@ class TestStackedEmaUpdate:
         lo, hi = np.ones((3, 4)), np.ones((3, 4))
         hi[1] = 0.0  # seed 1: a zero high mean
         lo[2, 0] = np.nan  # seed 2: a NaN low mean, which a one-seed store checks first
-        with pytest.raises(ZeroVectorError, match="class mean with norm 0.0") as err:
+        with pytest.raises(ZeroVectorError, match="class mean with norm 0.0"):
             ema_update(stack, lo, hi)
-        assert err.value.stack_row == 1
         assert np.array_equal(stack.anchor_low, before[0])
         assert np.array_equal(stack.anchor_high, before[1])
-        with pytest.raises(NonFiniteError, match="mu_low contains") as err:
+        with pytest.raises(NonFiniteError, match="mu_low contains"):
             ema_update(self.stacked(1, 4), lo[2:], hi[2:])
-        assert err.value.stack_row == 0
 
     @staticmethod
     def assert_same_bytes(ours, theirs):
@@ -209,7 +207,6 @@ class TestStackedEmaUpdate:
         with pytest.raises(error) as want:
             reference_stacked_ema_update(theirs, lo, hi)
         assert str(got.value) == str(want.value) == message
-        assert got.value.stack_row == want.value.stack_row == row
         self.assert_same_bytes(ours, theirs)  # neither store moved
 
 

@@ -10,6 +10,7 @@ way the serial loop over its seeds fails.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 
 import numpy as np
 import pytest
@@ -53,43 +54,45 @@ def tiny_dataset():
     return generate(TINY_GEN, 60)
 
 
-def assert_equals_reference(result, config, view) -> None:
-    history, adam, store = reference_train(config, view, result.seed)
-    assert np.array_equal(result.history.values, history)
-    for name in ("params", "m", "v"):
-        assert np.array_equal(getattr(result.adam, name), getattr(adam, name)), name
-    assert result.adam.step == adam.step
-    assert np.array_equal(flat_params(result.encoder, result.head), result.adam.params)
-    assert np.array_equal(result.store.anchor_low, store.anchor_low)
-    assert np.array_equal(result.store.anchor_high, store.anchor_high)
+def assert_equals_reference(results, adam_states, config, view) -> None:
+    """Each seed of one stack's run against ``reference_train``, with its Adam state."""
+    [state] = adam_states
+    for row, result in enumerate(results):
+        history, adam, store = reference_train(config, view, result.seed)
+        assert np.array_equal(result.history.values, history)
+        for name in ("params", "m", "v"):
+            assert np.array_equal(getattr(state, name)[row], getattr(adam, name)), name
+        assert state.step == adam.step
+        assert np.array_equal(flat_params(result.encoder, result.head), state.params[row])
+        assert np.array_equal(result.store.anchor_low, store.anchor_low)
+        assert np.array_equal(result.store.anchor_high, store.anchor_high)
 
 
 class TestStackEqualsReference:
     @pytest.mark.parametrize("seeds", [(1,), (1, 2), (3, 1, 2), (1, 2, 3, 4, 5), (1, 1)])
-    def test_stack_sizes(self, tiny_dataset, seeds):
+    def test_stack_sizes(self, tiny_dataset, adam_states, seeds):
         view = tiny_dataset.training_view()
         results = trainer._train_stack(TINY_TRAIN, view, seeds)
         assert [r.seed for r in results] == list(seeds)
-        for result in results:
-            assert_equals_reference(result, TINY_TRAIN, view)
+        assert_equals_reference(results, adam_states, TINY_TRAIN, view)
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
-    def test_variants(self, tiny_dataset, variant):
+    def test_variants(self, tiny_dataset, adam_states, variant):
         cfg = VARIANTS[variant](TINY_TRAIN)
         view = tiny_dataset.training_view()
-        for result in trainer._train_stack(cfg, view, (2, 5, 6)):
-            assert_equals_reference(result, cfg, view)
+        results = trainer._train_stack(cfg, view, (2, 5, 6))
+        assert_equals_reference(results, adam_states, cfg, view)
 
-    def test_four_classes_middle_anchors(self):
+    def test_four_classes_middle_anchors(self, adam_states):
         view = generate(K4_GEN, 61).training_view()
-        for result in trainer._train_stack(K4_TRAIN, view, (1, 2, 3)):
-            assert_equals_reference(result, K4_TRAIN, view)
+        results = trainer._train_stack(K4_TRAIN, view, (1, 2, 3))
+        assert_equals_reference(results, adam_states, K4_TRAIN, view)
 
-    def test_default_shape(self):
+    def test_default_shape(self, adam_states):
         cfg = TrainConfig(epochs=1)
         view = generate(GenConfig(), 0).training_view()
-        for result in trainer._train_stack(cfg, view, (1, 2)):
-            assert_equals_reference(result, cfg, view)
+        results = trainer._train_stack(cfg, view, (1, 2))
+        assert_equals_reference(results, adam_states, cfg, view)
 
 
 @pytest.mark.parametrize("epoch", [0, 1])
@@ -204,6 +207,33 @@ class TestStackErrors:
         assert str(stacked.value) == str(serial.value)
         assert stacked.value.iteration == serial.value.iteration
 
+    @pytest.mark.parametrize(
+        "failures, runs",
+        [
+            ({}, [(1, 2, 3)]),
+            ({3: 2, 1: 9}, [(1, 2, 3), (1,)]),
+            ({2: 4}, [(1, 2, 3), (1,), (2,)]),
+        ],
+    )
+    def test_failing_stack_replays_its_seeds_one_at_a_time(
+        self, tiny_dataset, nan_features, monkeypatch, failures, runs
+    ):
+        # A passing stack runs once; a failing one trains its seeds again
+        # alone, in seed order, until the first of them fails.
+        calls = []
+        real_loop = trainer._stacked_loop
+
+        def recording(config, x, labels, seeds):
+            calls.append(seeds)
+            return real_loop(config, x, labels, seeds)
+
+        monkeypatch.setattr(trainer, "_stacked_loop", recording)
+        nan_features.update(failures)
+        outcome = pytest.raises(TrainingError) if failures else contextlib.nullcontext()
+        with outcome:
+            trainer._train_stack(TINY_TRAIN, tiny_dataset.training_view(), (1, 2, 3))
+        assert calls == runs
+
 
 class TestSweepStacks:
     def test_contiguous_stacks_larger_first(self):
@@ -235,6 +265,8 @@ class TestSweepStacks:
         for seed, row, result in zip(cfg.seeds, sweep.summary["per_seed"], sweep.results):
             serial = train(cfg, view, seed)
             assert np.array_equal(result.history.values, serial.history.values)
-            assert np.array_equal(result.adam.params, serial.adam.params)
+            assert np.array_equal(
+                flat_params(result.encoder, result.head), flat_params(serial.encoder, serial.head)
+            )
             assert np.array_equal(result.store.anchor_high, serial.store.anchor_high)
             assert row == {"seed": seed, **evaluate_on(serial.encoder, serial.store, holdout)}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
@@ -146,8 +147,7 @@ class TestTrainLoop:
         view = tiny_dataset.training_view()
         a = train(TINY_TRAIN, view, seed=1)
         b = train(TINY_TRAIN, view, seed=1)
-        assert np.array_equal(a.adam.params, b.adam.params)
-        assert np.array_equal(flat_params(a.encoder, a.head), a.adam.params)
+        assert np.array_equal(flat_params(a.encoder, a.head), flat_params(b.encoder, b.head))
         assert np.array_equal(a.store.anchor_low, b.store.anchor_low)
         assert np.array_equal(a.store.anchor_high, b.store.anchor_high)
         assert a.history.values.tobytes() == b.history.values.tobytes()
@@ -319,9 +319,6 @@ class TestRunSeeds:
 def assert_same_run(a, b):
     assert np.array_equal(a.history.values, b.history.values)
     assert np.array_equal(flat_params(a.encoder, a.head), flat_params(b.encoder, b.head))
-    for name in ("params", "m", "v"):
-        assert np.array_equal(getattr(a.adam, name), getattr(b.adam, name))
-    assert a.adam.step == b.adam.step
     assert np.array_equal(a.store.anchor_low, b.store.anchor_low)
     assert np.array_equal(a.store.anchor_high, b.store.anchor_high)
     assert a.seed == b.seed
@@ -334,6 +331,13 @@ class TestSeedPool:
     def two_cores(self, monkeypatch):
         # Forces the pool path even on a one-core runner.
         monkeypatch.setattr(trainer, "_usable_cores", lambda: 2)
+
+    def test_result_pickles_without_optimizer_state(self):
+        # A pooled result crosses the pipe as a pickle: the weights once,
+        # the history, and a little framing; no Adam buffers.
+        result = train(TrainConfig(epochs=1), generate(GenConfig(), 0).training_view(), 1)
+        weights = flat_params(result.encoder, result.head).nbytes
+        assert len(pickle.dumps(result)) <= weights + result.history.values.nbytes + 8192
 
     def test_run_seeds_equals_serial_loop(self, tiny_dataset, two_cores):
         cfg = config_with(seeds=(1, 2, 3))
