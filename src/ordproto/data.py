@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -312,18 +313,25 @@ def save_dataset(ds: SyntheticOrdinalDataset, path) -> None:
 
 
 def load_dataset(path) -> SyntheticOrdinalDataset:
+    """Read a dataset CSV in the format ``save_dataset`` writes.
+
+    The body is parsed by one ``np.loadtxt`` call (``_bulk_columns``).
+    When that parse is in any doubt, the per-row loop (``_row_columns``)
+    parses the same lines again; it alone words the errors, so every
+    message and line number is the same on either path.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DatasetParseError("dataset file is empty", line=1) from None
-            rows = list(reader)
+            lines = fh.readlines()
     except OSError as exc:
         raise DatasetIOError(f"cannot read dataset: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DatasetParseError(f"dataset is not valid UTF-8: {exc}") from exc
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DatasetParseError("dataset file is empty", line=1) from None
 
     fixed = ["id", "coarse_label", "fine_label", "latent_t"]
     for col in fixed:
@@ -340,33 +348,10 @@ def load_dataset(path) -> SyntheticOrdinalDataset:
             f"feature columns must be x0..x{dim - 1} in order", line=1
         )
 
-    n = len(rows)
-    if n == 0:
-        raise DatasetParseError("dataset has a header but no samples", line=2)
-    x = np.empty((n, dim), dtype=np.float64)
-    coarse = np.empty(n, dtype=np.int64)
-    latent = np.empty(n, dtype=np.float64)
-    fine = np.empty(n, dtype=object)
-    for r, row in enumerate(rows):
-        line = r + 2  # 1-based, after the header
-        if len(row) != len(header):
-            raise DatasetParseError(
-                f"expected {len(header)} fields, found {len(row)}", line=line
-            )
-        try:
-            ident = int(row[0])
-            coarse[r] = int(row[1])
-            latent[r] = float(row[3])
-            x[r] = [float(v) for v in row[4:]]
-        except ValueError as exc:
-            raise DatasetParseError(str(exc), line=line) from exc
-        if ident != r:
-            raise DatasetParseError(f"ids must be 0..N-1 in order, got {ident}", line=line)
-        if coarse[r] < 1:
-            raise DatasetParseError(f"coarse_label must be >= 1, got {coarse[r]}", line=line)
-        if row[2] not in (NO_FINE_LABEL, STABLE, PROGRESSIVE):
-            raise DatasetParseError(f"bad fine_label {row[2]!r}", line=line)
-        fine[r] = row[2]
+    columns = _bulk_columns(lines, dim)
+    if columns is None:
+        columns = _row_columns(list(reader), len(header))
+    x, coarse, latent, fine = columns
     # float() accepts "nan" and "inf"; one vectorized pass finds the first such row.
     bad_t = ~np.isfinite(latent)
     bad_x = ~np.isfinite(x)
@@ -376,3 +361,89 @@ def load_dataset(path) -> SyntheticOrdinalDataset:
         col = "latent_t" if bad_t[r] else f"x{int(np.argmax(bad_x[r]))}"
         raise DatasetParseError(f"{col} must be finite", line=r + 2)
     return SyntheticOrdinalDataset(x, coarse, latent, fine)
+
+
+def _bulk_columns(lines: list[str], dim: int):
+    """x, coarse, latent_t and fine from one ``np.loadtxt`` call, or None.
+
+    Returns None, and leaves the file to ``_row_columns``, whenever the
+    result might differ from that loop's: for a body with no lines; for
+    text that ``csv`` and ``loadtxt`` may split differently (a quote, a
+    carriage return outside a CRLF, or a NUL, which the ``U`` dtype drops
+    from the end of a field); when ``loadtxt`` raises or warns (some numpy
+    versions read ``1.0`` as an integer with only a DeprecationWarning);
+    and unless every line became a row (``loadtxt`` skips blank lines)
+    whose id, coarse label and fine label the loop would accept.
+    """
+    n = len(lines) - 1
+    text = "".join(lines)
+    if n == 0 or '"' in text or "\x00" in text:
+        return None
+    if "\r" in text and text.count("\r") != text.count("\r\n"):
+        return None
+    row = np.dtype(
+        [("id", "i8"), ("coarse", "i8"), ("fine", "U12"), ("latent_t", "f8"), ("x", "f8", (dim,))]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(
+                lines, dtype=row, delimiter=",", comments=None,
+                quotechar=None, skiprows=1, ndmin=1,
+            )
+        except (ValueError, OverflowError, Warning):
+            return None
+    fine = table["fine"]
+    # Ids 0..n-1 also mean that no line was skipped.
+    accepted = (
+        np.array_equal(table["id"], np.arange(n))
+        and bool(np.all(table["coarse"] >= 1))
+        and bool(np.all((fine == NO_FINE_LABEL) | (fine == STABLE) | (fine == PROGRESSIVE)))
+    )
+    if not accepted:
+        return None
+    return (
+        np.ascontiguousarray(table["x"]),
+        np.ascontiguousarray(table["coarse"]),
+        np.ascontiguousarray(table["latent_t"]),
+        fine.astype(object),
+    )
+
+
+def _row_columns(rows: list[list[str]], n_fields: int):
+    """x, coarse, latent_t and fine from the ``csv`` rows of the body, one row at a time.
+
+    Raises the dataset's first error, with its line number.
+    """
+    n = len(rows)
+    if n == 0:
+        raise DatasetParseError("dataset has a header but no samples", line=2)
+    x = np.empty((n, n_fields - 4), dtype=np.float64)
+    coarse = np.empty(n, dtype=np.int64)
+    latent = np.empty(n, dtype=np.float64)
+    fine = np.empty(n, dtype=object)
+    for r, row in enumerate(rows):
+        line = r + 2  # 1-based, after the header
+        if len(row) != n_fields:
+            raise DatasetParseError(
+                f"expected {n_fields} fields, found {len(row)}", line=line
+            )
+        try:
+            ident = int(row[0])
+            coarse[r] = int(row[1])
+            latent[r] = float(row[3])
+            x[r] = [float(v) for v in row[4:]]
+        except ValueError as exc:
+            raise DatasetParseError(str(exc), line=line) from exc
+        except OverflowError:
+            raise DatasetParseError(
+                f"coarse_label must fit in int64, got {int(row[1])}", line=line
+            ) from None
+        if ident != r:
+            raise DatasetParseError(f"ids must be 0..N-1 in order, got {ident}", line=line)
+        if coarse[r] < 1:
+            raise DatasetParseError(f"coarse_label must be >= 1, got {coarse[r]}", line=line)
+        if row[2] not in (NO_FINE_LABEL, STABLE, PROGRESSIVE):
+            raise DatasetParseError(f"bad fine_label {row[2]!r}", line=line)
+        fine[r] = row[2]
+    return x, coarse, latent, fine

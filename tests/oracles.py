@@ -5,21 +5,26 @@ rank, the pairwise cosine matrix, the one-vector cosine and softmax the
 batched scoring kernel replaced) or the earlier per-array form of a
 kernel that now works on whole buffers (per-layer backward, per-array
 Adam, Adam with temporaries, the per-class loss terms, batch planning by
-list slicing, the EMA step checked on whole arrays), or the one-seed
+list slicing, the EMA step checked on whole arrays, the per-row CSV
+loader), or the one-seed
 training loop those forms make up (``reference_train``). None of it runs
 in training or scoring.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from itertools import permutations
 
 import numpy as np
 
+from ordproto.data import NO_FINE_LABEL, SyntheticOrdinalDataset
 from ordproto.encoder import forward, init_adam, init_params
 from ordproto.errors import (
     BadConfigError,
+    DatasetIOError,
+    DatasetParseError,
     DegenerateInputError,
     DimMismatchError,
     EmptyInputError,
@@ -30,7 +35,7 @@ from ordproto.errors import (
 )
 from ordproto.linalg import NORM_EPS, UNIT_TOL, _dot_norms
 from ordproto.losses import SPREAD_EPS, LocalPrototypes, LossBundle
-from ordproto.prototypes import GlobalPrototypeStore, _refuse_bad_rows
+from ordproto.prototypes import PROGRESSIVE, STABLE, GlobalPrototypeStore, _refuse_bad_rows
 from ordproto.ranking import BlackboxConfig, rank_backward_rows, rank_rows
 
 # Factorial enumeration stays tractable up to 8! = 40320 candidates.
@@ -420,6 +425,74 @@ def reference_kfold_split(labels, k: int, seed) -> np.ndarray:
             fold_of[i] = 1 + (offset + pos) % k
         offset = (offset + idx.size) % k
     return fold_of
+
+
+def reference_load_dataset(path) -> SyntheticOrdinalDataset:
+    """The per-row CSV loader ``load_dataset`` replaced: ``csv`` and one ``int``/``float`` per field."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DatasetParseError("dataset file is empty", line=1) from None
+            rows = list(reader)
+    except OSError as exc:
+        raise DatasetIOError(f"cannot read dataset: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(f"dataset is not valid UTF-8: {exc}") from exc
+
+    fixed = ["id", "coarse_label", "fine_label", "latent_t"]
+    for col in fixed:
+        if col not in header:
+            raise DatasetParseError(f"missing required column {col!r}", line=1)
+    if header[: len(fixed)] != fixed:
+        raise DatasetParseError(f"columns must start with {fixed}", line=1)
+    dim = len(header) - len(fixed)
+    if dim < 1:
+        raise DatasetParseError("missing required column 'x0'", line=1)
+    expected_x = [f"x{j}" for j in range(dim)]
+    if header[len(fixed) :] != expected_x:
+        raise DatasetParseError(
+            f"feature columns must be x0..x{dim - 1} in order", line=1
+        )
+
+    n = len(rows)
+    if n == 0:
+        raise DatasetParseError("dataset has a header but no samples", line=2)
+    x = np.empty((n, dim), dtype=np.float64)
+    coarse = np.empty(n, dtype=np.int64)
+    latent = np.empty(n, dtype=np.float64)
+    fine = np.empty(n, dtype=object)
+    for r, row in enumerate(rows):
+        line = r + 2  # 1-based, after the header
+        if len(row) != len(header):
+            raise DatasetParseError(
+                f"expected {len(header)} fields, found {len(row)}", line=line
+            )
+        try:
+            ident = int(row[0])
+            coarse[r] = int(row[1])
+            latent[r] = float(row[3])
+            x[r] = [float(v) for v in row[4:]]
+        except ValueError as exc:
+            raise DatasetParseError(str(exc), line=line) from exc
+        if ident != r:
+            raise DatasetParseError(f"ids must be 0..N-1 in order, got {ident}", line=line)
+        if coarse[r] < 1:
+            raise DatasetParseError(f"coarse_label must be >= 1, got {coarse[r]}", line=line)
+        if row[2] not in (NO_FINE_LABEL, STABLE, PROGRESSIVE):
+            raise DatasetParseError(f"bad fine_label {row[2]!r}", line=line)
+        fine[r] = row[2]
+    # float() accepts "nan" and "inf"; one vectorized pass finds the first such row.
+    bad_t = ~np.isfinite(latent)
+    bad_x = ~np.isfinite(x)
+    bad = bad_t | bad_x.any(axis=1)
+    if bad.any():
+        r = int(np.argmax(bad))
+        col = "latent_t" if bad_t[r] else f"x{int(np.argmax(bad_x[r]))}"
+        raise DatasetParseError(f"{col} must be finite", line=r + 2)
+    return SyntheticOrdinalDataset(x, coarse, latent, fine)
 
 
 def reference_train(config, data, seed: int):

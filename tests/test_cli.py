@@ -357,6 +357,19 @@ class TestTrain:
         )
         assert code == EXIT_IO
 
+    def test_coarse_label_outside_int64_is_parse_error(self, workspace, capsys):
+        data = relabeled_copy(workspace, "huge-label.csv", 99999999999999999999)
+        code = main(
+            [
+                "train",
+                "--config", str(workspace / "train.cfg"),
+                "--data", str(data),
+                "--out", str(workspace / "run-huge-label"),
+            ]
+        )
+        assert code == EXIT_IO
+        assert "line 2: coarse_label must fit in int64" in capsys.readouterr().err
+
 
 class TestEval:
     def test_matches_training_metrics(self, workspace, trained, capsys):

@@ -5,12 +5,18 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import reference_kfold_split, reference_stratified_batches
+from oracles import (
+    reference_kfold_split,
+    reference_load_dataset,
+    reference_stratified_batches,
+)
+from ordproto import data
 from ordproto.data import (
     NO_FINE_LABEL,
     GenConfig,
@@ -28,6 +34,7 @@ from ordproto.errors import (
     DatasetParseError,
     DegenerateInputError,
     EmptyInputError,
+    OrdprotoError,
 )
 from ordproto.prototypes import PROGRESSIVE, STABLE
 
@@ -352,6 +359,8 @@ class TestCsvRoundTrip:
             ([header, good, "7,2,stable,0.5,3.0,4.0"], 3, "ids must be"),
             ([header, "0,zero,,0.25,1.0,2.0"], 2, "invalid literal"),
             ([header, "0,0,,0.25,1.0,2.0"], 2, ">= 1"),
+            ([header, good, "1,99999999999999999999,,0.5,3.0,4.0"], 3, "fit in int64"),
+            ([header, good, "1,-99999999999999999999,,0.5,3.0,4.0"], 3, "fit in int64"),
             ([header, good, "1,2,unknown,0.5,3.0,4.0"], 3, "fine_label"),
             ([header, good, "1,2,stable,nan,3.0,4.0"], 3, "latent_t must be finite"),
             ([header, good, "1,2,stable,0.5,3.0,-inf"], 3, "x1 must be finite"),
@@ -366,3 +375,158 @@ class TestCsvRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetIOError):
             load_dataset(tmp_path / "nope.csv")
+
+
+def _saved_text(tmp_path, ds) -> str:
+    path = tmp_path / "saved.csv"
+    save_dataset(ds, path)
+    return path.read_text()
+
+
+@pytest.fixture(scope="module")
+def saved_texts(tmp_path_factory):
+    """save_dataset's text at input widths 1 and 16, of one row and of 70 rows."""
+    tmp = tmp_path_factory.mktemp("saved")
+    rng = np.random.default_rng(19)
+    texts = {}
+    for dim in (1, 16):
+        ds = generate(GenConfig(class_counts=(20, 30, 20), input_dim=dim), seed=dim)
+        for rows in (1, ds.size):
+            texts[dim, rows] = _saved_text(tmp, ds.subset(rng.permutation(ds.size)[:rows]))
+    return texts
+
+
+HEADER = "id,coarse_label,fine_label,latent_t,x0,x1"
+ROWS = (
+    "0,1,,0.25,1.0,2.0",
+    "1,2,stable,0.5,3.0,-4e-3",
+    "2,2,progressive,0.625,5.5,6.0",
+    "3,3,,0.875,7.0,8.0",
+)
+
+
+def _csv(*rows) -> str:
+    return "\n".join([HEADER, *rows]) + "\n"
+
+
+def _with(i: int, row: str) -> str:
+    """The ROWS file with row i replaced."""
+    return _csv(*ROWS[:i], row, *ROWS[i + 1 :])
+
+
+# name -> file text, or a function of the saved_texts fixture giving it.
+CORPUS = {
+    "saved-d1-one-row": lambda saved: saved[1, 1],
+    "saved-d1-many-rows": lambda saved: saved[1, 70],
+    "saved-d16-one-row": lambda saved: saved[16, 1],
+    "saved-d16-many-rows": lambda saved: saved[16, 70],
+    "crlf": lambda saved: saved[16, 70].replace("\n", "\r\n"),
+    "lone-cr": lambda saved: saved[16, 70].replace("\n", "\r"),
+    "lone-cr-in-a-field": _with(1, "1,2,stable,0.5\r,3.0,4.0"),
+    "no-final-newline": lambda saved: saved[16, 70][:-1],
+    "plain": _csv(*ROWS),
+    "blank-line-in-the-middle": _csv(ROWS[0], "", *ROWS[1:]),
+    "blank-line-at-the-end": _csv(*ROWS) + "\n",
+    "whitespace-line": _csv(ROWS[0], "   ", *ROWS[1:]),
+    "hash-prefixed-row": _with(2, "#" + ROWS[2]),
+    "quoted-fields": _csv('"0","1","","0.25","1.0","2.0"', '1,"2","stable",0.5,3.0,4.0'),
+    "quoted-comma": _with(1, '1,2,"stable,x",0.5,3.0,4.0'),
+    "quoted-newline": _with(1, '1,2,"sta\nble",0.5,3.0,4.0'),
+    "quoted-header": _csv(*ROWS).replace("fine_label", '"fine_label"', 1),
+    "spaces-around-numbers": _csv(" 0 , 1 ,, 0.25 , 1.0 ,2.0 ", *ROWS[1:]),
+    "space-before-fine-label": _with(1, "1,2, stable,0.5,3.0,4.0"),
+    "tab-after-fine-label": _with(1, "1,2,stable\t,0.5,3.0,4.0"),
+    "form-feed-and-nbsp-around-floats": _with(1, "1,2,stable,0.5\x0c,\xa03.0,4.0"),
+    "nul-fine-label": _with(0, "0,1,\x00,0.25,1.0,2.0"),
+    "trailing-nul-fine-label": _with(1, "1,2,stable\x00,0.5,3.0,4.0"),
+    "long-fine-label": _with(2, "2,2,progressiveXYZ,0.625,5.5,6.0"),
+    "float-id": _with(1, "1.0,2,stable,0.5,3.0,4.0"),
+    "float-coarse-label": _with(1, "1,2.0,stable,0.5,3.0,4.0"),
+    "plus-signs": _with(1, "+1,+2,stable,+0.5,+3.0,4.0"),
+    "leading-zeros": _with(1, "01,002,stable,00.5,3.0,4.0"),
+    "underscore-id": _csv(*(f"{i},1,,0.5,1.0,2.0" for i in range(10)), "1_0,2,stable,0.5,1.0,2.0"),
+    "underscore-float": _with(1, "1,2,stable,0.2_5,3.0,4.0"),
+    "non-ascii-digits": _with(1, "\u0661,\u0662,stable,\u0660.\u0665,3.0,4.0"),
+    "long-float-literal": _with(1, "1,2,stable,0.1000000000000000055511151231257827021181583404541015625,3.0,4.0"),
+    "trailing-comma": _with(1, "1,2,stable,0.5,3.0,4.0,"),
+    "too-few-fields": _with(1, "1,2,stable,0.5,3.0"),
+    "empty-id": _with(1, ",2,stable,0.5,3.0,4.0"),
+    "empty-latent": _with(1, "1,2,stable,,3.0,4.0"),
+    "empty-feature": _with(3, "3,3,,0.875,7.0,"),
+    "ids-out-of-order": _csv(ROWS[1], ROWS[0], *ROWS[2:]),
+    "id-outside-int64": _with(1, "99999999999999999999,2,stable,0.5,3.0,4.0"),
+    "zero-coarse-label": _with(1, "1,0,stable,0.5,3.0,4.0"),
+    "nan-latent": _with(2, "2,2,progressive,nan,5.5,6.0"),
+    "overflowing-feature": _with(2, "2,2,progressive,0.625,5.5,1e400"),
+    "header-only": HEADER + "\n",
+    "header-only-no-newline": HEADER,
+    "empty-file": "",
+    "bom": "\ufeff" + _csv(*ROWS),
+    "not-utf8": _csv(*ROWS).encode() + b"\xff\n",
+}
+
+
+def _load(loader, path):
+    try:
+        return loader(path)
+    except OrdprotoError as exc:
+        return exc
+
+
+class TestLoadParity:
+    """load_dataset against the per-row loader it replaced, file by file."""
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_matches_the_per_row_loader(self, tmp_path, saved_texts, name):
+        content = CORPUS[name]
+        if callable(content):
+            content = content(saved_texts)
+        path = tmp_path / "corpus.csv"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        got, want = _load(load_dataset, path), _load(reference_load_dataset, path)
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+            assert (got.line, str(got)) == (want.line, str(want))
+            return
+        for field in ("x", "coarse", "latent_t"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert g.dtype == w.dtype and g.shape == w.shape, field
+            assert g.flags.c_contiguous, field
+            assert g.tobytes() == w.tobytes(), field
+        assert got.fine.dtype == object
+        assert all(type(v) is str for v in got.fine)
+        assert got.fine.tolist() == want.fine.tolist()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_saved_file_takes_the_bulk_path(self, tmp_path, monkeypatch, newline, final_newline):
+        ds = generate(GenConfig(class_counts=(6, 8, 7), input_dim=5), seed=13)
+        text = _saved_text(tmp_path, ds).replace("\n", newline)
+        path = tmp_path / "cohort.csv"
+        path.write_bytes((text if final_newline else text.rstrip()).encode())
+
+        def refuse(*args):
+            raise AssertionError("the per-row parse ran")
+
+        monkeypatch.setattr(data, "_row_columns", refuse)
+        back = load_dataset(path)
+        assert back.x.dtype == np.float64 and back.x.flags.c_contiguous
+        assert np.array_equal(back.x, ds.x)
+        assert np.array_equal(back.coarse, ds.coarse)
+        assert np.array_equal(back.latent_t, ds.latent_t)
+        assert back.fine.tolist() == ds.fine.tolist()
+
+    def test_a_loadtxt_warning_leaves_the_file_to_the_per_row_loop(self, tmp_path, monkeypatch):
+        # numpy versions before the float-to-int coercion was removed read
+        # "1.0" into an integer column and only warn.
+        path = tmp_path / "float-id.csv"
+        path.write_text(_with(1, "1.0,2,stable,0.5,3.0,4.0"))
+        loadtxt = np.loadtxt
+
+        def lenient(lines, **kwargs):
+            warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
+            return loadtxt(["1" + ln[3:] if ln.startswith("1.0,") else ln for ln in lines], **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", lenient)
+        with pytest.raises(DatasetParseError, match="line 3: invalid literal for int"):
+            load_dataset(path)
