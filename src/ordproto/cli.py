@@ -119,12 +119,9 @@ def _export_embeddings(enc, store, dataset, out_path) -> None:
     def rows(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for i in range(dataset.size):
-            writer.writerow(
-                [i, int(dataset.coarse[i]), dataset.fine[i]]
-                + [repr(float(v)) for v in z[i]]
-                + [repr(float(scores[i]))]
-            )
+        columns = zip(dataset.coarse.tolist(), dataset.fine.tolist(), z.tolist(), scores.tolist())
+        for i, (coarse, fine, features, score) in enumerate(columns):
+            writer.writerow([i, coarse, fine, *map(repr, features), repr(score)])
 
     write_artifact(out_path, "embeddings", rows)
 

@@ -29,6 +29,7 @@ from .errors import (
 from .prototypes import PROGRESSIVE, STABLE
 
 NO_FINE_LABEL = ""
+_FIXED_COLUMNS = ["id", "coarse_label", "fine_label", "latent_t"]  # then x0..x{d-1}
 
 
 @dataclass(frozen=True)
@@ -296,18 +297,14 @@ def save_dataset(ds: SyntheticOrdinalDataset, path) -> None:
     Floats are written with repr, so a load reproduces every field
     exactly. Decimal points only, no grouping.
     """
-    header = ["id", "coarse_label", "fine_label", "latent_t"] + [
-        f"x{j}" for j in range(ds.input_dim)
-    ]
+    header = _FIXED_COLUMNS + [f"x{j}" for j in range(ds.input_dim)]
 
     def rows(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for i in range(ds.size):
-            writer.writerow(
-                [i, int(ds.coarse[i]), ds.fine[i], repr(float(ds.latent_t[i]))]
-                + [repr(float(v)) for v in ds.x[i]]
-            )
+        columns = zip(ds.coarse.tolist(), ds.fine.tolist(), ds.latent_t.tolist(), ds.x.tolist())
+        for i, (coarse, fine, latent, x) in enumerate(columns):
+            writer.writerow([i, coarse, fine, repr(latent), *map(repr, x)])
 
     write_artifact(path, "dataset", rows)
 
@@ -332,25 +329,33 @@ def load_dataset(path) -> SyntheticOrdinalDataset:
         header = next(reader)
     except StopIteration:
         raise DatasetParseError("dataset file is empty", line=1) from None
+    except csv.Error as exc:  # a field longer than csv's limit
+        raise DatasetParseError(str(exc), line=1) from None
 
-    fixed = ["id", "coarse_label", "fine_label", "latent_t"]
-    for col in fixed:
+    for col in _FIXED_COLUMNS:
         if col not in header:
             raise DatasetParseError(f"missing required column {col!r}", line=1)
-    if header[: len(fixed)] != fixed:
-        raise DatasetParseError(f"columns must start with {fixed}", line=1)
-    dim = len(header) - len(fixed)
+    if header[: len(_FIXED_COLUMNS)] != _FIXED_COLUMNS:
+        raise DatasetParseError(f"columns must start with {_FIXED_COLUMNS}", line=1)
+    dim = len(header) - len(_FIXED_COLUMNS)
     if dim < 1:
         raise DatasetParseError("missing required column 'x0'", line=1)
     expected_x = [f"x{j}" for j in range(dim)]
-    if header[len(fixed) :] != expected_x:
+    if header[len(_FIXED_COLUMNS) :] != expected_x:
         raise DatasetParseError(
             f"feature columns must be x0..x{dim - 1} in order", line=1
         )
 
     columns = _bulk_columns(lines, dim)
     if columns is None:
-        columns = _row_columns(list(reader), len(header))
+        rows = []
+        try:
+            rows.extend(reader)
+        except csv.Error as exc:
+            if rows:
+                _row_columns(rows, len(header))  # an earlier row's error comes first
+            raise DatasetParseError(str(exc), line=len(rows) + 2) from None
+        columns = _row_columns(rows, len(header))
     x, coarse, latent, fine = columns
     # float() accepts "nan" and "inf"; one vectorized pass finds the first such row.
     bad_t = ~np.isfinite(latent)

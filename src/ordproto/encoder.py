@@ -123,7 +123,7 @@ def _as_batch(x, input_dim: int) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != input_dim:
         raise DimMismatchError(f"inputs must have {input_dim} columns, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError("inputs contain NaN or Inf entries")
     return arr
 
@@ -149,8 +149,10 @@ def encode(enc: EncoderParams, x) -> np.ndarray:
     """Feature vectors only (no logits, no cache kept)."""
     h = _as_batch(x, enc.input_dim)
     for layer in enc.layers:
-        a = h @ layer.weight + layer.bias
-        h = np.maximum(a, 0.0) if layer.activation == "relu" else a
+        h = h @ layer.weight
+        h += layer.bias
+        if layer.activation == "relu":
+            np.maximum(h, 0.0, out=h)
     return h
 
 
@@ -278,10 +280,9 @@ def adam_step(state: AdamState, grads: np.ndarray, lr: float) -> None:
     np.square(grads, out=a)
     np.multiply(1.0 - state.beta2, a, out=a)
     v += a
-    np.divide(m, bc1, out=a)
-    np.multiply(lr, a, out=a)
-    np.divide(v, bc2, out=b)
-    np.sqrt(b, out=b)
+    # x / 1.0 is x: a correction that has rounded to 1.0 skips its divide.
+    np.multiply(lr, np.divide(m, bc1, out=a) if bc1 != 1.0 else m, out=a)
+    np.sqrt(np.divide(v, bc2, out=b) if bc2 != 1.0 else v, out=b)
     b += state.epsilon
     np.divide(a, b, out=a)
     state.params -= a

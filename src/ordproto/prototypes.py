@@ -67,12 +67,15 @@ class GlobalPrototypeStore:
             setattr(self, name, v)
 
 
+def _norm(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` of a 1-D float64 vector: one dot product on C-ordered data."""
+    v = np.ascontiguousarray(v)  # a strided BLAS dot sums in another order
+    return math.sqrt(v.dot(v))
+
+
 def is_trained(store: GlobalPrototypeStore) -> bool:
     """True once both anchors have left their zero initialization."""
-    return (
-        float(np.linalg.norm(store.anchor_low)) > NORM_EPS
-        and float(np.linalg.norm(store.anchor_high)) > NORM_EPS
-    )
+    return _norm(store.anchor_low) > NORM_EPS and _norm(store.anchor_high) > NORM_EPS
 
 
 def _refuse_bad_rows(finite: np.ndarray, mean_norms: np.ndarray) -> None:
@@ -137,35 +140,29 @@ def ema_update(store: GlobalPrototypeStore, mu_low, mu_high) -> GlobalPrototypeS
     return store
 
 
-def _row_cosines(f: np.ndarray, norms: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """cos(f[r], anchor) for every row; ``norms`` are the row norms of ``f``.
-
-    Row-wise reductions (not a matrix product), so a row's value does not
-    depend on which other rows share the call. No validation.
-    """
-    return np.sum(f * anchor, axis=1) / (norms * float(np.linalg.norm(anchor)))
-
-
 def anchor_cosines(features, store: GlobalPrototypeStore) -> tuple[np.ndarray, np.ndarray]:
     """Cosines of every row of an ``(n, dim)`` matrix to the (low, high) anchors.
 
     Validates once per call: the store is trained, the shape is ``(n, dim)``,
-    every value is finite and no row has a (near-)zero norm.
+    every value is finite and no row has a (near-)zero norm. Row-wise reductions,
+    not matrix products: a row's value does not depend on the other rows of the call.
     """
-    if not is_trained(store):
+    n_low, n_high = _norm(store.anchor_low), _norm(store.anchor_high)
+    if not (n_low > NORM_EPS and n_high > NORM_EPS):
         raise UntrainedStoreError("prototype store has not been updated yet")
     # C order keeps each row's reduction order fixed whatever the input layout.
     f = np.ascontiguousarray(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[1] != store.dim:
         raise DimMismatchError(f"features must have shape (n, {store.dim}), got {f.shape}")
-    finite = np.isfinite(f).all(axis=1)
-    if not finite.all():
-        raise NonFiniteError(f"features row {int(np.argmin(finite))} contains NaN or Inf entries")
-    norms = np.sqrt(np.sum(f * f, axis=1))
+    if not np.isfinite(f).all():
+        row = int(np.argmin(np.isfinite(f).all(axis=1)))
+        raise NonFiniteError(f"features row {row} contains NaN or Inf entries")
+    norms = np.sqrt(np.add.reduce(f * f, axis=1))
     zero = norms <= NORM_EPS
     if zero.any():
         raise ZeroVectorError(f"features row {int(np.argmax(zero))} has (near-)zero norm")
-    return _row_cosines(f, norms, store.anchor_low), _row_cosines(f, norms, store.anchor_high)
+    low = np.add.reduce(f * store.anchor_low, axis=1) / (norms * n_low)
+    return low, np.add.reduce(f * store.anchor_high, axis=1) / (norms * n_high)
 
 
 def progression_scores(features, store: GlobalPrototypeStore) -> np.ndarray:

@@ -6,7 +6,8 @@ batched scoring kernel replaced) or the earlier per-array form of a
 kernel that now works on whole buffers (per-layer backward, per-array
 Adam, Adam with temporaries, the per-class loss terms, batch planning by
 list slicing, the EMA step checked on whole arrays, the per-row CSV
-loader), or the one-seed
+loader, the inference kernels that recomputed each anchor norm and made
+three arrays per layer), or the one-seed
 training loop those forms make up (``reference_train``). None of it runs
 in training or scoring.
 """
@@ -20,7 +21,7 @@ from itertools import permutations
 import numpy as np
 
 from ordproto.data import NO_FINE_LABEL, SyntheticOrdinalDataset
-from ordproto.encoder import forward, init_adam, init_params
+from ordproto.encoder import _as_batch, forward, init_adam, init_params
 from ordproto.errors import (
     BadConfigError,
     DatasetIOError,
@@ -31,6 +32,7 @@ from ordproto.errors import (
     NonFiniteError,
     OrdprotoError,
     TrainingError,
+    UntrainedStoreError,
     ZeroVectorError,
 )
 from ordproto.linalg import NORM_EPS, UNIT_TOL, _dot_norms
@@ -411,6 +413,54 @@ def reference_stacked_ema_update(store, mu_low, mu_high) -> None:
         anchors[~moved] = p_hat[~moved]
     anchors = anchors.reshape(*shape[:-1], 2, d)
     store.anchor_low, store.anchor_high = anchors[..., 0, :], anchors[..., 1, :]
+
+
+def reference_encode(enc, x) -> np.ndarray:
+    """Feature vectors only (no logits, no cache kept)."""
+    h = _as_batch(x, enc.input_dim)
+    for layer in enc.layers:
+        a = h @ layer.weight + layer.bias
+        h = np.maximum(a, 0.0) if layer.activation == "relu" else a
+    return h
+
+
+def reference_is_trained(store: GlobalPrototypeStore) -> bool:
+    """True once both anchors have left their zero initialization."""
+    return (
+        float(np.linalg.norm(store.anchor_low)) > NORM_EPS
+        and float(np.linalg.norm(store.anchor_high)) > NORM_EPS
+    )
+
+
+def _row_cosines(f: np.ndarray, norms: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """cos(f[r], anchor) for every row; ``norms`` are the row norms of ``f``.
+
+    Row-wise reductions (not a matrix product), so a row's value does not
+    depend on which other rows share the call. No validation.
+    """
+    return np.sum(f * anchor, axis=1) / (norms * float(np.linalg.norm(anchor)))
+
+
+def reference_anchor_cosines(features, store: GlobalPrototypeStore):
+    """Cosines of every row of an ``(n, dim)`` matrix to the (low, high) anchors.
+
+    Validates once per call: the store is trained, the shape is ``(n, dim)``,
+    every value is finite and no row has a (near-)zero norm.
+    """
+    if not reference_is_trained(store):
+        raise UntrainedStoreError("prototype store has not been updated yet")
+    # C order keeps each row's reduction order fixed whatever the input layout.
+    f = np.ascontiguousarray(features, dtype=np.float64)
+    if f.ndim != 2 or f.shape[1] != store.dim:
+        raise DimMismatchError(f"features must have shape (n, {store.dim}), got {f.shape}")
+    finite = np.isfinite(f).all(axis=1)
+    if not finite.all():
+        raise NonFiniteError(f"features row {int(np.argmin(finite))} contains NaN or Inf entries")
+    norms = np.sqrt(np.sum(f * f, axis=1))
+    zero = norms <= NORM_EPS
+    if zero.any():
+        raise ZeroVectorError(f"features row {int(np.argmax(zero))} has (near-)zero norm")
+    return _row_cosines(f, norms, store.anchor_low), _row_cosines(f, norms, store.anchor_high)
 
 
 def reference_kfold_split(labels, k: int, seed) -> np.ndarray:

@@ -370,6 +370,21 @@ class TestTrain:
         assert code == EXIT_IO
         assert "line 2: coarse_label must fit in int64" in capsys.readouterr().err
 
+    def test_field_over_the_csv_limit_is_parse_error(self, workspace, capsys):
+        # The quoted fine label sends the file down the per-row csv path.
+        data = workspace / "long-field.csv"
+        data.write_text(f'id,coarse_label,fine_label,latent_t,x0\n0,1,"",0.5,{"1" * 200_000}\n')
+        code = main(
+            [
+                "train",
+                "--config", str(workspace / "train.cfg"),
+                "--data", str(data),
+                "--out", str(workspace / "run-long-field"),
+            ]
+        )
+        assert code == EXIT_IO
+        assert "line 2: field larger than field limit" in capsys.readouterr().err
+
 
 class TestEval:
     def test_matches_training_metrics(self, workspace, trained, capsys):

@@ -365,6 +365,10 @@ class TestCsvRoundTrip:
             ([header, good, "1,2,stable,nan,3.0,4.0"], 3, "latent_t must be finite"),
             ([header, good, "1,2,stable,0.5,3.0,-inf"], 3, "x1 must be finite"),
             ([header, "0,1,,0.25,NaN,inf"], 2, "x0 must be finite"),
+            # Fields over csv's 131072-character limit; the quote keeps the body on the csv path.
+            ([header[:-2] + f'"x1{"0" * 200_000}"'], 1, "field larger than field limit"),
+            ([header, good, f'1,2,"",0.5,3.0,{"4" * 200_000}'], 3, "field larger than field limit"),
+            ([header, "0,0,,0.25,1.0,2.0", f'1,2,"",0.5,3.0,{"4" * 200_000}'], 2, ">= 1"),
         ]
         for lines, line, fragment in cases:
             with pytest.raises(DatasetParseError) as err:

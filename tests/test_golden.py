@@ -11,12 +11,17 @@ from __future__ import annotations
 
 import hashlib
 
-from ordproto.data import GenConfig, generate
+from ordproto import cli
+from ordproto.data import GenConfig, generate, save_dataset
+from ordproto.encoder import save_checkpoint
 from ordproto.prototypes import save_store
 from ordproto.trainer import TrainConfig, train
 
 HISTORY_SHA256 = "ee3126b86bb7b0eac1c52fec419920439eb2c5daf71e840f99894b5ae368619b"
 STORE_SHA256 = "ace4843670ef3774c070fb0624626ba8b93b132039066af4a0d76ae8ee1cfb10"
+# Inference outputs of the same run's artifacts on a held-out cohort.
+EMBEDDINGS_SHA256 = "992cf3fdb69d32ed520d6c86fe0d8d3b1a7d67c3f42a83f5b50a0c34b71f9236"
+EVAL_SHA256 = "b2735e70f66d5b7378b8f3956bb9193c89324d84982afd5af21c54a6033767da"
 
 
 def _sha256(path) -> str:
@@ -30,3 +35,19 @@ def test_two_epoch_run_matches_pinned_digests(tmp_path):
     save_store(result.store, tmp_path / "store.json")
     assert _sha256(tmp_path / "history.csv") == HISTORY_SHA256
     assert _sha256(tmp_path / "store.json") == STORE_SHA256
+
+
+def test_two_epoch_inference_matches_pinned_digests(tmp_path):
+    result = train(TrainConfig(epochs=2, seeds=(1,)), generate(GenConfig(), 0).training_view(), 1)
+    save_checkpoint(result.encoder, result.head, tmp_path / "checkpoint.json", 1, 2)
+    save_store(result.store, tmp_path / "store.json")
+    save_dataset(generate(GenConfig(), 1), tmp_path / "cohort.csv")
+    artifacts = [
+        "--checkpoint", str(tmp_path / "checkpoint.json"),
+        "--store", str(tmp_path / "store.json"),
+        "--data", str(tmp_path / "cohort.csv"),
+    ]
+    assert cli.main(["export-embeddings", *artifacts, "--out", str(tmp_path / "emb.csv")]) == 0
+    assert cli.main(["eval", *artifacts, "--out", str(tmp_path / "metrics.json")]) == 0
+    assert _sha256(tmp_path / "emb.csv") == EMBEDDINGS_SHA256
+    assert _sha256(tmp_path / "metrics.json") == EVAL_SHA256

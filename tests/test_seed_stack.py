@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import itertools
 
 import numpy as np
 import pytest
@@ -117,12 +118,18 @@ def test_epoch_tables_equal_the_per_batch_tables(epoch):
 
 
 def test_adam_step_keeps_the_bits_of_the_expressions():
+    # 60 steps pass step 54, where 1 - 0.5**t rounds to 1.0 and adam_step
+    # skips that bias correction's divide: beta1 = 0.5 skips it for m,
+    # beta2 = 0.5 for v while the m correction still divides.
     rng = np.random.default_rng(80)
-    for shape in ((7427,), (3, 7427)):
+    cases = itertools.product([(0.5, 0.999), (0.9, 0.5)], [(7427,), (3, 7427)])
+    for (beta1, beta2), shape in cases:
         params = rng.standard_normal(shape)
-        ours = AdamState(params.copy(), np.zeros(shape), np.zeros(shape))
-        theirs = AdamState(params.copy(), np.zeros(shape), np.zeros(shape))
-        for step in range(5):
+        ours, theirs = (
+            AdamState(params.copy(), np.zeros(shape), np.zeros(shape), beta1=beta1, beta2=beta2)
+            for _ in range(2)
+        )
+        for step in range(60):
             grads = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 2)
             adam_step(ours, grads, 2e-4 * 0.95**step)
             reference_adam_step(theirs, grads, 2e-4 * 0.95**step)
