@@ -33,7 +33,6 @@ from .encoder import (
 from .evaluation import binary_metrics, mann_whitney_one_sided, spearman
 from .losses import (
     LocalPrototypes,
-    LossBundle,
     cross_entropy_loss,
     hybrid_ordinal_loss,
     label_similarity,
@@ -48,7 +47,6 @@ from .prototypes import (
     progression_scores,
     save_store,
 )
-from .ranking import BlackboxConfig
 from .trainer import (
     TrainConfig,
     TrainResult,

@@ -180,15 +180,9 @@ def generate(config: GenConfig, seed: int) -> SyntheticOrdinalDataset:
     x = _trajectory(t, config.input_dim)
     if config.noise_sigma > 0:
         x = x + config.noise_sigma * rng.standard_normal(x.shape)
-    cut = config.resolved_cut()
-    middle = set(config.middle_classes)
-    fine = np.array(
-        [
-            (PROGRESSIVE if ti >= cut else STABLE) if ci in middle else NO_FINE_LABEL
-            for ci, ti in zip(coarse, t)
-        ],
-        dtype=object,
-    )
+    middle = (coarse > 1) & (coarse < config.n_classes)
+    split = np.where(t >= config.resolved_cut(), PROGRESSIVE, STABLE)
+    fine = np.where(middle, split, NO_FINE_LABEL).astype(object)
     return SyntheticOrdinalDataset(x, coarse, t, fine, config, seed)
 
 

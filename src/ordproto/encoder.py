@@ -301,39 +301,49 @@ def save_checkpoint(
         "layers": [
             {
                 "activation": layer.activation,
-                "weight": [float(x) for x in layer.weight.ravel()],
-                "bias": [float(x) for x in layer.bias],
+                "weight": layer.weight.ravel().tolist(),
+                "bias": layer.bias.tolist(),
             }
             for layer in enc.layers
         ],
-        "head": {
-            "weight": [float(x) for x in head.weight.ravel()],
-            "bias": [float(x) for x in head.bias],
-        },
+        "head": {"weight": head.weight.ravel().tolist(), "bias": head.bias.tolist()},
     }
     write_json(path, "checkpoint", payload)
 
 
+def _flat_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A flat list of finite floats as an array of ``shape``; anything else raises ValueError."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape != (math.prod(shape),) or not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be {math.prod(shape)} finite floats, has shape {arr.shape}")
+    return arr.reshape(shape)
+
+
 def load_checkpoint(path) -> tuple[EncoderParams, HeadParams, dict]:
-    """Rebuild (encoder, head) from a checkpoint; returns metadata too."""
+    """Rebuild (encoder, head) from a checkpoint; returns metadata too.
+
+    Any payload ``save_checkpoint`` cannot write (dims, layer count, array
+    sizes, a non-finite entry, an activation) raises ``DatasetParseError``.
+    """
     payload = read_json(path, "checkpoint")
     try:
         dims = [int(d) for d in payload["dims"]]
         n_classes = int(payload["n_classes"])
+        if len(dims) < 2 or min(*dims, n_classes) < 1:
+            raise ValueError(f"need 2+ positive dims and classes, got {dims}, {n_classes}")
+        specs = payload["layers"]
+        if len(specs) != len(dims) - 1:
+            raise ValueError(f"{len(specs)} layers for dims {dims}")
         layers = []
-        for spec, fan_in, fan_out in zip(payload["layers"], dims[:-1], dims[1:]):
-            weight = np.asarray(spec["weight"], dtype=np.float64).reshape(fan_in, fan_out)
-            bias = np.asarray(spec["bias"], dtype=np.float64)
-            if bias.shape != (fan_out,):
-                raise ValueError(f"bias shape {bias.shape} != ({fan_out},)")
+        for i, (spec, shape) in enumerate(zip(specs, zip(dims[:-1], dims[1:]))):
+            weight = _flat_array(spec["weight"], shape, f"layer {i} weight")
+            bias = _flat_array(spec["bias"], shape[1:], f"layer {i} bias")
             layers.append(Layer(weight, bias, str(spec["activation"])))
-        if len(layers) != len(dims) - 1:
-            raise ValueError("layer count does not match dims")
-        head_w = np.asarray(payload["head"]["weight"], dtype=np.float64).reshape(
-            dims[-1], n_classes
+        head = HeadParams(
+            _flat_array(payload["head"]["weight"], (dims[-1], n_classes), "head weight"),
+            _flat_array(payload["head"]["bias"], (n_classes,), "head bias"),
         )
-        head_b = np.asarray(payload["head"]["bias"], dtype=np.float64)
         meta = {"seed": int(payload["seed"]), "epoch": int(payload["epoch"]), "dims": dims}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, BadConfigError) as exc:
         raise DatasetParseError(f"malformed checkpoint payload: {exc}") from exc
-    return EncoderParams(layers), HeadParams(head_w, head_b), meta
+    return EncoderParams(layers), head, meta

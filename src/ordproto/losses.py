@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import NonFiniteError, ZeroVectorError
 from .linalg import NORM_EPS
-from .ranking import BlackboxConfig, rank_backward_rows, rank_rows
+from .ranking import rank_backward_rows, rank_rows
 
 # Additive guard in the class-scatter denominator: coincident class means
 # give a huge but finite value instead of a division by zero.
@@ -56,21 +56,6 @@ class LocalPrototypes:
     overall: np.ndarray  # (S, d) mean of all features
     grouped: np.ndarray  # (S, M) flat (seed, row) index of the rows, class by class
     seat: np.ndarray  # (S, M) flat (seed, class) index of each row's mean
-
-
-@dataclass(frozen=True)
-class LossBundle:
-    """A per-seed loss plus the gradients it produces.
-
-    ``value`` is (S,). Structural losses fill ``feature_grads`` (one row
-    per batch feature); the classification loss fills ``logit_grads``. A
-    sum of terms lists the term values in ``terms``, (n_terms, S).
-    """
-
-    value: np.ndarray
-    feature_grads: np.ndarray | None = None
-    logit_grads: np.ndarray | None = None
-    terms: np.ndarray | None = None
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -134,26 +119,26 @@ def local_prototypes(features, grouped, seat, counts) -> LocalPrototypes:
 
 
 def _rank_alignment(
-    target_ranks: np.ndarray, value_rows: np.ndarray, cfg: BlackboxConfig, scale: float
+    target_ranks: np.ndarray, value_rows: np.ndarray, step: float, scale: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean squared rank gap between rows, and the gradient on value_rows.
 
     Returns (scale * sum_i ||target_ranks_i - rank(value_i)||^2, dL/dvalues)
     for (..., n, n) rows, one value per leading index; ``target_ranks``
-    (``rank_rows`` of the targets) broadcasts against ``value_rows``. The
-    upstream fed to the rank backward pass is the exact derivative
-    2*scale*(rank(value_i) - target_ranks_i); the scale cannot be pulled out
-    afterwards because the backward pass is not linear in upstream. Rank
-    gaps are small integers, so the squared sum is exact.
+    (``rank_rows`` of the targets) broadcasts against ``value_rows``; ``step``
+    is ``blackbox_lambda``. The upstream fed to the rank backward pass is the
+    exact derivative 2*scale*(rank(value_i) - target_ranks_i); the scale
+    cannot be pulled out afterwards because the backward pass is not linear
+    in upstream. Rank gaps are small integers, so the squared sum is exact.
     """
     value_ranks = rank_rows(value_rows)
     diff = (value_ranks - target_ranks).astype(np.float64)
-    grads = rank_backward_rows(value_rows, value_ranks, (2.0 * scale) * diff, cfg)
+    grads = rank_backward_rows(value_rows, value_ranks, (2.0 * scale) * diff, step)
     return scale * np.add.reduce(diff * diff, axis=(-2, -1)), grads
 
 
 def _cosine_rank_alignment(
-    target_ranks: np.ndarray, vectors: np.ndarray, what: str, cfg: BlackboxConfig, scale: float
+    target_ranks: np.ndarray, vectors: np.ndarray, what: str, step: float, scale: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rank alignment of S[i,j] = cos(v_i, v_j) against target_ranks.
 
@@ -164,7 +149,7 @@ def _cosine_rank_alignment(
     """
     units, norms = _unit_rows(vectors, what)
     cos = units @ units.swapaxes(-1, -2)
-    value, sim_grads = _rank_alignment(target_ranks, cos, cfg, scale)
+    value, sim_grads = _rank_alignment(target_ranks, cos, step, scale)
     w = sim_grads + sim_grads.swapaxes(-1, -2)
     n = w.shape[-1]
     w.reshape(-1, n * n)[:, :: n + 1] = 0.0  # each diagonal, as np.fill_diagonal sets it
@@ -172,13 +157,13 @@ def _cosine_rank_alignment(
     return value, (w @ units - row_wc[..., None] * units) / norms[..., None]
 
 
-def _ins2ins(features: np.ndarray, ins_target: np.ndarray, cfg: BlackboxConfig):
+def _ins2ins(features: np.ndarray, ins_target: np.ndarray, step: float):
     """Per-instance rank alignment between label and feature similarities.
 
     value = (1/M) sum_i ||rank(S^y_i) - rank(S^z_i)||^2 with S^y from label
     distances (``ins_target`` is rank(S^y)) and S^z the feature cosine matrix.
     """
-    return _cosine_rank_alignment(ins_target, features, "features", cfg, 1.0 / features.shape[-2])
+    return _cosine_rank_alignment(ins_target, features, "features", step, 1.0 / features.shape[-2])
 
 
 def _ins2cls(features: np.ndarray, protos: LocalPrototypes):
@@ -198,7 +183,7 @@ def _ins2cls(features: np.ndarray, protos: LocalPrototypes):
     return value, (2.0 / d) * diffs
 
 
-def _cls2cls(protos: LocalPrototypes, cls_target, cfg: BlackboxConfig, detach):
+def _cls2cls(protos: LocalPrototypes, cls_target, step: float, detach):
     """Class-mean spread plus rank alignment of the class-mean similarities.
 
     value = d / (sum_k n_k ||mu_k - mu_bar||^2 + eps)
@@ -215,45 +200,45 @@ def _cls2cls(protos: LocalPrototypes, cls_target, cfg: BlackboxConfig, detach):
     disp = protos.means - protos.overall[:, None, :]
     denom = np.add.reduce(protos.counts * np.add.reduce(disp * disp, axis=-1), axis=-1)
     denom = denom + SPREAD_EPS
-    align, dmu = _cosine_rank_alignment(cls_target, protos.means, "class means", cfg, 1.0 / k)
+    align, dmu = _cosine_rank_alignment(cls_target, protos.means, "class means", step, 1.0 / k)
     per_class = dmu / protos.counts[:, None]
     if not detach:
         per_class = per_class + ((-d / (denom * denom)) * 2.0)[:, None, None] * disp
     return d / denom + align, per_class.reshape(-1, d).take(protos.seat, axis=0)
 
 
-def hybrid_ordinal_loss(
-    features, protos, ins_target, cls_target, cfg, use_ins2ins, use_ins2cls, use_cls2cls,
-    detach_spread,
-) -> LossBundle:
-    """Sum of the enabled structural terms on each seed's batch and its ``local_prototypes``.
+def hybrid_ordinal_loss(features, protos, ins_target, cls_target, config):
+    """The enabled structural terms on each seed's batch and its ``local_prototypes``.
 
     ``features`` is (S, M, d); ``ins_target`` and ``cls_target`` are the
-    ranks of the label and class-index similarities. cls2cls needs every
-    class in the batch. ``terms`` holds the (ins2ins, ins2cls, cls2cls)
-    values, (3, S), 0.0 for a disabled term. One term alone is the call with
-    the other two switched off: its value is in ``terms`` and its gradient
-    in ``feature_grads``.
+    ranks of the label and class-index similarities; ``config`` (the run's
+    ``TrainConfig``) gives ``blackbox_lambda``, the term switches and
+    ``detach_class_spread``. cls2cls needs every class in the batch. Returns
+    the (3, S) (ins2ins, ins2cls, cls2cls) values, 0.0 for a disabled term,
+    and the summed feature gradient; one term alone is the call with the
+    other two switched off.
     """
     grads = np.zeros(features.shape)
     terms = np.zeros((3, features.shape[0]))
-    if use_ins2ins:
-        terms[0], part = _ins2ins(features, ins_target, cfg)
+    step = config.blackbox_lambda
+    if config.use_ins2ins:
+        terms[0], part = _ins2ins(features, ins_target, step)
         grads += part
-    if use_ins2cls:
+    if config.use_ins2cls:
         terms[1], part = _ins2cls(features, protos)
         grads += part
-    if use_cls2cls:
-        terms[2], part = _cls2cls(protos, cls_target, cfg, detach_spread)
+    if config.use_cls2cls:
+        terms[2], part = _cls2cls(protos, cls_target, step, config.detach_class_spread)
         grads += part
-    return LossBundle(terms[0] + terms[1] + terms[2], feature_grads=grads, terms=terms)
+    return terms, grads
 
 
-def cross_entropy_loss(logits: np.ndarray, onehot: np.ndarray) -> LossBundle:
+def cross_entropy_loss(logits: np.ndarray, onehot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross entropy of softmax(logits) against the labels ``onehot`` marks, per seed.
 
     ``logits`` is (S, M, K) and ``onehot`` (S, M, K) bool with one True per
-    row, at its label's column; logit_grads = (softmax(logits) - onehot) / M.
+    row, at its label's column. Returns the (S,) values and the gradient on
+    the logits, (softmax(logits) - onehot) / M.
     """
     s, m = logits.shape[:2]
     shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
@@ -264,4 +249,4 @@ def cross_entropy_loss(logits: np.ndarray, onehot: np.ndarray) -> LossBundle:
     grads = np.exp(log_probs)
     grads -= onehot  # x - 1.0 at the label, x - 0.0 (x itself) elsewhere
     grads /= m
-    return LossBundle(value, logit_grads=grads)
+    return value, grads

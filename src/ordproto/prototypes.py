@@ -188,8 +188,8 @@ def store_to_dict(store: GlobalPrototypeStore) -> dict:
         "dim": store.dim,
         "sigma": store.sigma,
         "anchor_classes": list(store.anchor_classes),
-        "anchor_low": [float(x) for x in store.anchor_low],
-        "anchor_high": [float(x) for x in store.anchor_high],
+        "anchor_low": store.anchor_low.tolist(),
+        "anchor_high": store.anchor_high.tolist(),
     }
 
 

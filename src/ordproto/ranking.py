@@ -16,26 +16,7 @@ loop validates at its entry.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import BadConfigError
-
-
-@dataclass(frozen=True)
-class BlackboxConfig:
-    """Interpolation step size for the rank backward pass."""
-
-    lambda_interp: float = 1.0
-
-    def __post_init__(self):
-        # An infinite step turns every rank gradient into NaN.
-        if not (math.isfinite(self.lambda_interp) and self.lambda_interp > 0.0):
-            raise BadConfigError(
-                f"lambda_interp must be finite and positive, got {self.lambda_interp!r}"
-            )
 
 
 def rank_rows(a: np.ndarray) -> np.ndarray:
@@ -51,13 +32,12 @@ def rank_rows(a: np.ndarray) -> np.ndarray:
 
 
 def rank_backward_rows(
-    a: np.ndarray, ranks: np.ndarray, upstream: np.ndarray, cfg: BlackboxConfig
+    a: np.ndarray, ranks: np.ndarray, upstream: np.ndarray, blackbox_lambda: float
 ) -> np.ndarray:
     """Row-batched interpolated gradient; ``ranks`` must be ``rank_rows(a)``.
 
-    Returns (rank_rows(a + lam*upstream) - ranks) / lam without validation.
-    Zero upstream, or a step too small to cross any ranking boundary,
-    yields a zero gradient.
+    Returns (rank_rows(a + lam*upstream) - ranks) / lam, lam = ``blackbox_lambda``,
+    without validation. Zero upstream, or a step too small to cross any
+    ranking boundary, yields a zero gradient.
     """
-    lam = cfg.lambda_interp
-    return (rank_rows(a + lam * upstream) - ranks) / lam
+    return (rank_rows(a + blackbox_lambda * upstream) - ranks) / blackbox_lambda

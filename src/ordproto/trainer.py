@@ -61,7 +61,7 @@ from .losses import (
     local_prototypes,
 )
 from .prototypes import GlobalPrototypeStore, _softmax_high, anchor_cosines, ema_update
-from .ranking import BlackboxConfig, rank_rows
+from .ranking import rank_rows
 
 METRIC_KEYS = ("acc", "auc", "f1", "precision", "recall", "spearman_ordinality")
 
@@ -112,14 +112,11 @@ class TrainConfig:
             raise BadConfigError("ema_sigma must lie strictly inside (0, 1)")
         if not 0.0 <= self.lambda_start <= self.lambda_end <= 1.0:
             raise BadConfigError("need 0 <= lambda_start <= lambda_end <= 1")
-        for name in ("base_lr", "lr_decay", "adam_epsilon"):
+        # An infinite blackbox_lambda would turn every rank gradient into NaN.
+        for name in ("base_lr", "lr_decay", "adam_epsilon", "blackbox_lambda"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise BadConfigError(f"{name} must be finite and positive, got {value!r}")
-        try:
-            BlackboxConfig(self.blackbox_lambda)
-        except BadConfigError as exc:
-            raise BadConfigError(f"blackbox_lambda: {exc}") from None
         for name in ("adam_beta1", "adam_beta2"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
@@ -271,11 +268,7 @@ def _stacked_loop(
     # One anchor row per seed; the constructor takes one seed's vectors.
     store.anchor_low = np.zeros((len(seeds), config.feature_dim))
     store.anchor_high = np.zeros((len(seeds), config.feature_dim))
-    bb = BlackboxConfig(config.blackbox_lambda)
     cls_target = rank_rows(label_similarity(np.arange(1.0, config.n_classes + 1)))
-    switches = (
-        config.use_ins2ins, config.use_ins2cls, config.use_cls2cls, config.detach_class_spread
-    )
     grads, grad_views = buffer(enc, head)
 
     # The batch plan depends only on class counts, so every epoch has the
@@ -309,20 +302,20 @@ def _stacked_loop(
                 cache = forward(enc, head, xb)
                 _require_finite(cache.features, "features")
                 protos = local_prototypes(cache.features, grouped, seat, counts)
-                hyb = hybrid_ordinal_loss(
-                    cache.features, protos, ins_target, cls_target, bb, *switches
+                terms, feature_grads = hybrid_ordinal_loss(
+                    cache.features, protos, ins_target, cls_target, config
                 )
                 _require_finite(cache.logits, "logits")
-                ce = cross_entropy_loss(cache.logits, onehot)
+                ce, logit_grads = cross_entropy_loss(cache.logits, onehot)
 
-                backward(enc, head, cache, lam * hyb.feature_grads, ce.logit_grads, grad_views)
+                backward(enc, head, cache, lam * feature_grads, logit_grads, grad_views)
                 adam_step(adam, grads, lr)
                 ema_update(store, protos.means[:, lo_cls - 1], protos.means[:, hi_cls - 1])
             except OrdprotoError as exc:
                 raise TrainingError(f"iteration {iteration}: {exc}", iteration) from exc
             schedule.append((iteration, epoch, lr, lam))
-            ce_values[iteration - 1] = ce.value
-            term_values[iteration - 1] = hyb.terms
+            ce_values[iteration - 1] = ce
+            term_values[iteration - 1] = terms
 
     # The loop's own float operations, over all iterations at once:
     # loss_total = ce + lambda * (ins2ins + ins2cls + cls2cls).
@@ -349,6 +342,14 @@ def _stacked_loop(
     ]
 
 
+def _middle_rows(dataset: SyntheticOrdinalDataset) -> np.ndarray:
+    """The mask of the rows that carry a fine label; ``EmptyInputError`` if there are none."""
+    mask = dataset.middle_mask()
+    if not mask.any():
+        raise EmptyInputError("dataset has no middle-class samples to evaluate")
+    return mask
+
+
 def evaluate_on(
     enc: EncoderParams, store: GlobalPrototypeStore, dataset: SyntheticOrdinalDataset
 ) -> dict:
@@ -358,9 +359,7 @@ def evaluate_on(
     a fine label; the Spearman diagnostic correlates cos(z, anchor_high)
     with the latent position over the whole dataset.
     """
-    mask = dataset.middle_mask()
-    if not mask.any():
-        raise EmptyInputError("dataset has no middle-class samples to evaluate")
+    mask = _middle_rows(dataset)
     # One cosine pass over the whole cohort; cosines are row-wise, so the
     # middle rows score exactly as progression_scores(z_all[mask]) would.
     cos_low, cos_high = anchor_cosines(encode(enc, dataset.x), store)
@@ -444,9 +443,15 @@ def run_seeds(
     each a contiguous run of ``config.seeds``; with one core they all train
     as one stack in this process. Evaluation uses ``eval_dataset`` when
     given, otherwise the training dataset's own fine split (those labels
-    are invisible to the trainer).
+    are invisible to the trainer). An evaluation set the runs cannot score
+    raises before any seed trains.
     """
     eval_ds = eval_dataset if eval_dataset is not None else dataset
+    if eval_dataset is not None and eval_dataset.input_dim != config.input_dim:
+        raise BadConfigError(
+            f"config input_dim {config.input_dim} != eval data input_dim {eval_dataset.input_dim}"
+        )
+    _middle_rows(eval_ds)
     view = dataset.training_view()
     stacks = _stacks(config.seeds, min(len(config.seeds), _usable_cores()))
     jobs = [(config, view, eval_ds, stack) for stack in stacks]

@@ -5,9 +5,9 @@
 training loop passes (the batch prototypes, the target ranks, every term
 on by default), ``cross_entropy`` builds the one-hot label mask from
 labels, and ``flat_backward`` returns the gradient in a new flat buffer.
-The loss functions take a leading seed axis; these shorthands call them
-with one seed and return that seed's prototypes and bundles in their
-one-batch shapes, with float values.
+The loss functions take a leading seed axis and return plain arrays; these
+shorthands call them with one seed and return that seed's prototypes and
+a ``Loss`` in their one-batch shapes, with float values.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 from ordproto.encoder import backward, buffer
 from ordproto.losses import (
     LocalPrototypes,
-    LossBundle,
     cross_entropy_loss,
     hybrid_ordinal_loss,
     label_similarity,
@@ -27,6 +26,21 @@ from ordproto.losses import (
     local_prototypes,
 )
 from ordproto.ranking import rank_rows
+from ordproto.trainer import TrainConfig
+
+
+class Loss(NamedTuple):
+    """One seed's loss value and the gradients it produces, by name.
+
+    A structural loss fills ``feature_grads`` and lists its (ins2ins,
+    ins2cls, cls2cls) values in ``terms``; cross entropy fills
+    ``logit_grads``.
+    """
+
+    value: float
+    feature_grads: np.ndarray | None = None
+    logit_grads: np.ndarray | None = None
+    terms: tuple[float, ...] | None = None
 
 
 class Batch(NamedTuple):
@@ -65,7 +79,7 @@ def _stacked(protos: LocalPrototypes) -> LocalPrototypes:
 
 def hybrid(
     batch: Batch,
-    cfg,
+    blackbox_lambda: float,
     *,
     use_ins2ins=True,
     use_ins2cls=True,
@@ -73,29 +87,36 @@ def hybrid(
     detach_spread=False,
     protos=None,
 ):
-    """``hybrid_ordinal_loss`` on a batch, as the training loop calls it."""
+    """``hybrid_ordinal_loss`` on a batch, as the training loop calls it.
+
+    ``value`` is the sum of the three terms, in term order.
+    """
     cls_target = rank_rows(label_similarity(np.arange(1.0, batch.n_classes + 1)))
     _, _, _, ins_target, _ = tables_of(batch)
-    out = hybrid_ordinal_loss(
+    config = TrainConfig(
+        blackbox_lambda=blackbox_lambda,
+        use_ins2ins=use_ins2ins,
+        use_ins2cls=use_ins2cls,
+        use_cls2cls=use_cls2cls,
+        detach_class_spread=detach_spread,
+    )
+    terms, feature_grads = hybrid_ordinal_loss(
         batch.features[None],
         _stacked(protos_of(batch) if protos is None else protos),
         ins_target,
         cls_target,
-        cfg,
-        use_ins2ins,
-        use_ins2cls,
-        use_cls2cls,
-        detach_spread,
+        config,
     )
-    terms = tuple(float(t) for t in out.terms[:, 0])
-    return LossBundle(float(out.value[0]), feature_grads=out.feature_grads[0], terms=terms)
+    value = terms[0] + terms[1] + terms[2]
+    terms = tuple(float(t) for t in terms[:, 0])
+    return Loss(float(value[0]), feature_grads=feature_grads[0], terms=terms)
 
 
 def cross_entropy(logits, labels):
     """``cross_entropy_loss`` against 1-based labels."""
     onehot = labels[:, None] == np.arange(1, logits.shape[1] + 1)
-    out = cross_entropy_loss(logits[None], onehot[None])
-    return LossBundle(float(out.value[0]), logit_grads=out.logit_grads[0])
+    value, logit_grads = cross_entropy_loss(logits[None], onehot[None])
+    return Loss(float(value[0]), logit_grads=logit_grads[0])
 
 
 def flat_backward(enc, head, cache, d_features=None, d_logits=None) -> np.ndarray:

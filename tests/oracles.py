@@ -20,6 +20,7 @@ from itertools import permutations
 
 import numpy as np
 
+from kernels import Loss
 from ordproto.data import NO_FINE_LABEL, SyntheticOrdinalDataset
 from ordproto.encoder import _as_batch, forward, init_adam, init_params
 from ordproto.errors import (
@@ -36,9 +37,9 @@ from ordproto.errors import (
     ZeroVectorError,
 )
 from ordproto.linalg import NORM_EPS, UNIT_TOL, _dot_norms
-from ordproto.losses import SPREAD_EPS, LocalPrototypes, LossBundle
+from ordproto.losses import SPREAD_EPS, LocalPrototypes
 from ordproto.prototypes import PROGRESSIVE, STABLE, GlobalPrototypeStore, _refuse_bad_rows
-from ordproto.ranking import BlackboxConfig, rank_backward_rows, rank_rows
+from ordproto.ranking import rank_backward_rows, rank_rows
 
 # Factorial enumeration stays tractable up to 8! = 40320 candidates.
 ORACLE_MAX_N = 8
@@ -286,7 +287,7 @@ def reference_local_prototypes(features, labels, k: int) -> LocalPrototypes:
     return LocalPrototypes(means, counts, features.mean(axis=0), grouped, labels - 1)
 
 
-def _reference_cosine_alignment(target_rows, vectors, what, cfg, scale):
+def _reference_cosine_alignment(target_rows, vectors, what, step, scale):
     norms = np.linalg.norm(vectors, axis=1)
     if np.any(norms <= NORM_EPS):
         raise ZeroVectorError(f"{what} row {int(np.argmin(norms))} has (near-)zero norm")
@@ -294,7 +295,7 @@ def _reference_cosine_alignment(target_rows, vectors, what, cfg, scale):
     cos = units @ units.T
     value_ranks = rank_rows(cos)
     diff = (value_ranks - rank_rows(target_rows)).astype(np.float64)
-    sim_grads = rank_backward_rows(cos, value_ranks, (2.0 * scale) * diff, cfg)
+    sim_grads = rank_backward_rows(cos, value_ranks, (2.0 * scale) * diff, step)
     w = sim_grads + sim_grads.T
     np.fill_diagonal(w, 0.0)
     row_wc = np.sum(w * cos, axis=1)
@@ -303,8 +304,8 @@ def _reference_cosine_alignment(target_rows, vectors, what, cfg, scale):
 
 
 def reference_hybrid_ordinal_loss(
-    features, labels, protos, cfg, *, use_ins2ins, use_ins2cls, use_cls2cls, detach_spread
-) -> LossBundle:
+    features, labels, protos, step, *, use_ins2ins, use_ins2cls, use_cls2cls, detach_spread
+) -> Loss:
     """The structural terms in their per-class form: masks, np.stack, np.sum."""
     d, k = features.shape[1], protos.counts.size
     terms = [0.0, 0.0, 0.0]
@@ -312,7 +313,7 @@ def reference_hybrid_ordinal_loss(
     if use_ins2ins:
         y = labels.astype(np.float64)
         s_y = -np.abs(y[:, None] - y[None, :])
-        terms[0], g = _reference_cosine_alignment(s_y, features, "features", cfg, 1.0 / y.size)
+        terms[0], g = _reference_cosine_alignment(s_y, features, "features", step, 1.0 / y.size)
         parts.append(g)
     if use_ins2cls:
         g = np.zeros_like(features)
@@ -331,7 +332,7 @@ def reference_hybrid_ordinal_loss(
         denom = float(np.sum(protos.counts * np.sum(disp * disp, axis=1))) + SPREAD_EPS
         classes = np.arange(1, k + 1, dtype=np.float64)
         s_pr = -np.abs(classes[:, None] - classes[None, :])
-        align, dmu = _reference_cosine_alignment(s_pr, mus, "class means", cfg, 1.0 / k)
+        align, dmu = _reference_cosine_alignment(s_pr, mus, "class means", step, 1.0 / k)
         labels0 = labels - 1
         g = dmu[labels0] / protos.counts[labels0][:, None]
         if not detach_spread:
@@ -341,10 +342,10 @@ def reference_hybrid_ordinal_loss(
     grads = np.zeros_like(features)
     for g in parts:
         grads += g
-    return LossBundle(sum(terms), feature_grads=grads, terms=tuple(terms))
+    return Loss(sum(terms), feature_grads=grads, terms=tuple(terms))
 
 
-def reference_cross_entropy_loss(logits, labels) -> LossBundle:
+def reference_cross_entropy_loss(logits, labels) -> Loss:
     """Mean cross entropy, picking each row's label by (row, label - 1) index pairs."""
     if not np.all(np.isfinite(logits)):
         raise NonFiniteError("logits contain NaN or Inf entries")
@@ -356,7 +357,7 @@ def reference_cross_entropy_loss(logits, labels) -> LossBundle:
     grads = np.exp(log_probs)
     grads[rows, labels - 1] -= 1.0
     grads /= m
-    return LossBundle(value, logit_grads=grads)
+    return Loss(value, logit_grads=grads)
 
 
 def reference_normalize(v, name: str) -> np.ndarray:
@@ -566,7 +567,6 @@ def reference_train(config, data, seed: int):
     store = GlobalPrototypeStore(
         dim=config.feature_dim, sigma=config.ema_sigma, anchor_classes=config.anchor_classes
     )
-    bb = BlackboxConfig(config.blackbox_lambda)
     k = config.n_classes
     per_epoch = len(reference_stratified_batches(data.labels, config.batch_size, [seed, 0], k))
     total_iters = config.epochs * per_epoch
@@ -593,7 +593,7 @@ def reference_train(config, data, seed: int):
                     cache.features,
                     labels,
                     protos,
-                    bb,
+                    config.blackbox_lambda,
                     use_ins2ins=config.use_ins2ins,
                     use_ins2cls=config.use_ins2cls,
                     use_cls2cls=config.use_cls2cls,

@@ -38,7 +38,7 @@ from ordproto.prototypes import (
     ema_update,
     progression_scores,
 )
-from ordproto.ranking import BlackboxConfig, rank_rows
+from ordproto.ranking import rank_rows
 from ordproto.trainer import TrainConfig, ablation_config, run_seeds
 
 VARIANTS = ("ce-only", "ins2ins", "ins2cls", "full")
@@ -140,16 +140,16 @@ def test_criterion_2_gradient_suite(verdict):
         )
         return Batch(rng.standard_normal((m, int(rng.integers(3, 6)))) + 0.1, labels, k)
 
-    bb = BlackboxConfig(1.0)
+    step = 1.0  # blackbox_lambda
     ins2cls_only = dict(use_ins2ins=False, use_cls2cls=False)
     errs = []
     for _ in range(50):
         batch = batch_for()
 
         def value(feats, labels=batch.labels, k=batch.n_classes):
-            return hybrid(Batch(feats, labels, k), bb, **ins2cls_only).value
+            return hybrid(Batch(feats, labels, k), step, **ins2cls_only).value
 
-        out = hybrid(batch, bb, **ins2cls_only)
+        out = hybrid(batch, step, **ins2cls_only)
         errs.append(rel_err(out.feature_grads, central_diff(value, batch.features)))
     worst["ins2cls"] = max(errs)
 
@@ -165,8 +165,8 @@ def test_criterion_2_gradient_suite(verdict):
             denom = float(np.sum(protos.counts * np.sum(disp * disp, axis=1)))
             return probe.dim / (denom + SPREAD_EPS)
 
-        flowed = hybrid(batch, bb, **cls2cls_only, detach_spread=False)
-        detached = hybrid(batch, bb, **cls2cls_only, detach_spread=True)
+        flowed = hybrid(batch, step, **cls2cls_only, detach_spread=False)
+        detached = hybrid(batch, step, **cls2cls_only, detach_spread=True)
         analytic = flowed.feature_grads - detached.feature_grads
         errs.append(rel_err(analytic, central_diff(spread, batch.features)))
     worst["cls2cls-smooth"] = max(errs)

@@ -385,6 +385,41 @@ class TestTrain:
         assert code == EXIT_IO
         assert "line 2: field larger than field limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fault, exit_code, message",
+        [
+            ("width", EXIT_CONFIG, "config input_dim 6 != eval data input_dim 8"),
+            ("no-middle-rows", EXIT_NUMERIC, "dataset has no middle-class samples to evaluate"),
+        ],
+        ids=["width", "no-middle-rows"],
+    )
+    def test_unusable_eval_data_fails_before_training(
+        self, workspace, monkeypatch, capsys, tmp_path, fault, exit_code, message
+    ):
+        if fault == "width":
+            (tmp_path / "wide.cfg").write_text(GEN_CFG.replace("input_dim = 6", "input_dim = 8"))
+            eval_data = tmp_path / "wide.csv"
+            argv = ["--config", str(tmp_path / "wide.cfg"), "--seed", "5", "--out", str(eval_data)]
+            assert main(["gen-data", *argv]) == EXIT_OK
+        else:
+            eval_data = without_class(workspace, tmp_path, 2)
+        jobs = []
+        real = trainer._map_in_order
+        monkeypatch.setattr(trainer, "_map_in_order", lambda *a: jobs.append(a) or real(*a))
+        out = tmp_path / "run"
+        code = main(
+            [
+                "train",
+                "--config", str(workspace / "train.cfg"),
+                "--data", str(workspace / "data.csv"),
+                "--eval-data", str(eval_data),
+                "--out", str(out),
+            ]
+        )
+        assert code == exit_code
+        assert message in capsys.readouterr().err
+        assert jobs == [] and not out.exists()
+
 
 class TestEval:
     def test_matches_training_metrics(self, workspace, trained, capsys):
@@ -552,6 +587,45 @@ class TestEval:
         code = main(["eval", *(arg for k, p in paths.items() for arg in (f"--{k}", str(p)))])
         assert code == EXIT_IO
         assert "can't decode byte 0xff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            "unknown-activation",
+            "nan-weight",
+            "one-dim-no-layers",
+            "extra-layer",
+            "head-bias-shape",
+            "inferred-dim",
+        ],
+    )
+    def test_malformed_checkpoint_is_parse_error(self, workspace, trained, capsys, tmp_path, fault):
+        payload = json.loads((trained / "checkpoint.json").read_text())
+        layers = payload["layers"]
+        if fault == "unknown-activation":
+            layers[0]["activation"] = "tanh"
+        elif fault == "nan-weight":
+            layers[0]["weight"][0] = float("nan")
+        elif fault == "one-dim-no-layers":  # the head still fits the one dim
+            payload["dims"], payload["layers"] = payload["dims"][-1:], []
+        elif fault == "extra-layer":
+            layers.append(layers[-1])
+        elif fault == "head-bias-shape":
+            payload["head"]["bias"].append(0.0)
+        else:  # an input dim of -1, which a reshape would infer as 6
+            payload["dims"][0] = -1
+        broken = tmp_path / "checkpoint.json"
+        broken.write_text(json.dumps(payload))
+        code = main(
+            [
+                "eval",
+                "--checkpoint", str(broken),
+                "--store", str(trained / "store.json"),
+                "--data", str(workspace / "data.csv"),
+            ]
+        )
+        assert code == EXIT_IO
+        assert "malformed checkpoint payload" in capsys.readouterr().err
 
     def test_corrupt_checkpoint_is_io_error(self, workspace, trained):
         broken = workspace / "broken-checkpoint.json"

@@ -118,6 +118,31 @@ class TestGenerate:
         assert np.all(ds.fine[ds.coarse == 2].astype(str) == STABLE)  # t < 0.5 in band 2
         assert np.all(ds.fine[ds.coarse == 3].astype(str) == PROGRESSIVE)
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            GenConfig(class_counts=(2000, 3000, 3000)),
+            GenConfig(n_classes=4, class_counts=(40, 50, 60, 30), band_edges=(0.25, 0.5, 0.75)),
+            GenConfig(
+                n_classes=4,
+                class_counts=(40, 50, 60, 30),
+                band_edges=(0.25, 0.5, 0.75),
+                progression_cut=0.4,
+            ),
+        ],
+        ids=["8000-rows", "four-class", "four-class-cut-inside-band-2"],
+    )
+    def test_fine_labels_equal_the_per_row_comprehension(self, cfg):
+        ds = generate(cfg, seed=21)
+        cut, middle = cfg.resolved_cut(), set(cfg.middle_classes)
+        want = [
+            (PROGRESSIVE if ti >= cut else STABLE) if ci in middle else NO_FINE_LABEL
+            for ci, ti in zip(ds.coarse, ds.latent_t)
+        ]
+        assert ds.fine.dtype == object and ds.fine.shape == (len(want),)
+        assert ds.fine.tolist() == want
+        assert {type(f) for f in ds.fine.tolist()} == {str}
+
     def test_noiseless_samples_lie_on_the_curve(self):
         ds = generate(GenConfig(noise_sigma=0.0), seed=9)
         assert np.array_equal(ds.x[:, 0], 1.6 * (ds.latent_t - 0.5))

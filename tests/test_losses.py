@@ -16,22 +16,22 @@ from oracles import cosine_similarity, feature_similarity, reference_local_proto
 from ordproto.data import GenConfig, generate
 from ordproto.errors import ZeroVectorError
 from ordproto.losses import SPREAD_EPS, _ins2ins, label_similarity
-from ordproto.ranking import BlackboxConfig, rank_rows
+from ordproto.ranking import rank_rows
 from ordproto.trainer import HISTORY_COLUMNS, TrainConfig, train
 
-CFG = BlackboxConfig(1.0)
+STEP = 1.0  # blackbox_lambda, the rank backward pass's interpolation step
 
 
 def ins2ins(batch: Batch):
-    return hybrid(batch, CFG, use_ins2cls=False, use_cls2cls=False)
+    return hybrid(batch, STEP, use_ins2cls=False, use_cls2cls=False)
 
 
 def ins2cls(batch: Batch):
-    return hybrid(batch, CFG, use_ins2ins=False, use_cls2cls=False)
+    return hybrid(batch, STEP, use_ins2ins=False, use_cls2cls=False)
 
 
 def cls2cls(batch: Batch, detach_spread: bool = False):
-    return hybrid(batch, CFG, use_ins2ins=False, use_ins2cls=False, detach_spread=detach_spread)
+    return hybrid(batch, STEP, use_ins2ins=False, use_ins2cls=False, detach_spread=detach_spread)
 
 
 def random_batch(rng, m=None, d=None, k=None, all_classes=False) -> Batch:
@@ -297,7 +297,7 @@ class TestHybrid:
         for _ in range(20):
             batch = random_batch(rng, all_classes=True)
             parts = (ins2ins(batch), ins2cls(batch), cls2cls(batch))
-            combined = hybrid(batch, CFG)
+            combined = hybrid(batch, STEP)
             assert combined.value == pytest.approx(sum(p.value for p in parts), abs=1e-12)
             assert combined.feature_grads == pytest.approx(
                 sum(p.feature_grads for p in parts), abs=1e-12
@@ -307,14 +307,14 @@ class TestHybrid:
         rng = np.random.default_rng(17)
         batch = random_batch(rng, all_classes=True)
         protos = protos_of(batch)
-        only_i2i = hybrid(batch, CFG, use_ins2cls=False, use_cls2cls=False)
+        only_i2i = hybrid(batch, STEP, use_ins2cls=False, use_cls2cls=False)
         _, _, _, ins_target, _ = tables_of(batch)
-        assert only_i2i.value == _ins2ins(batch.features, ins_target[0], CFG)[0]
-        none = hybrid(batch, CFG, use_ins2ins=False, use_ins2cls=False, use_cls2cls=False)
+        assert only_i2i.value == _ins2ins(batch.features, ins_target[0], STEP)[0]
+        none = hybrid(batch, STEP, use_ins2ins=False, use_ins2cls=False, use_cls2cls=False)
         assert none.value == 0.0
         assert np.array_equal(none.feature_grads, np.zeros_like(batch.features))
-        with_protos = hybrid(batch, CFG, protos=protos)
-        assert with_protos.value == hybrid(batch, CFG).value
+        with_protos = hybrid(batch, STEP, protos=protos)
+        assert with_protos.value == hybrid(batch, STEP).value
 
     def test_terms_list_each_part_with_zero_for_a_disabled_one(self):
         rng = np.random.default_rng(24)
@@ -324,7 +324,7 @@ class TestHybrid:
         for switches in ((True, True, True), (False, True, True), (True, False, False)):
             out = hybrid(
                 batch,
-                CFG,
+                STEP,
                 use_ins2ins=switches[0],
                 use_ins2cls=switches[1],
                 use_cls2cls=switches[2],

@@ -8,13 +8,11 @@ import ordproto
 
 PUBLIC_NAMES = [
     "AdamState",
-    "BlackboxConfig",
     "EncoderParams",
     "GenConfig",
     "GlobalPrototypeStore",
     "HeadParams",
     "LocalPrototypes",
-    "LossBundle",
     "PROGRESSIVE",
     "STABLE",
     "SyntheticOrdinalDataset",

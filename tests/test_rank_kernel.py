@@ -13,7 +13,7 @@ import pytest
 from kernels import Batch, hybrid
 from oracles import feature_similarity, reference_local_prototypes
 from ordproto.losses import _rank_alignment, _unit_rows, label_similarity
-from ordproto.ranking import BlackboxConfig, rank_backward_rows, rank_rows
+from ordproto.ranking import rank_backward_rows, rank_rows
 
 
 def scalar_rank(a: np.ndarray) -> np.ndarray:
@@ -25,19 +25,18 @@ def scalar_rank(a: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def scalar_backward(a: np.ndarray, upstream: np.ndarray, cfg: BlackboxConfig) -> np.ndarray:
-    lam = cfg.lambda_interp
+def scalar_backward(a: np.ndarray, upstream: np.ndarray, lam: float) -> np.ndarray:
     return (scalar_rank(a + lam * upstream) - scalar_rank(a)) / lam
 
 
-def oracle_alignment(target_rows, value_rows, cfg, scale):
+def oracle_alignment(target_rows, value_rows, lam, scale):
     """Per-row loop: rank each row, then run the backward pass on each row."""
     total = 0.0
     grads = np.zeros_like(value_rows)
     for i in range(value_rows.shape[0]):
         diff = (scalar_rank(value_rows[i]) - scalar_rank(target_rows[i])).astype(np.float64)
         total += float(diff @ diff)
-        grads[i] = scalar_backward(value_rows[i], (2.0 * scale) * diff, cfg)
+        grads[i] = scalar_backward(value_rows[i], (2.0 * scale) * diff, lam)
     return scale * total, grads
 
 
@@ -93,18 +92,17 @@ class TestRankRows:
 class TestRankBackwardRows:
     @pytest.mark.parametrize("lam", [1.0, 0.25, 3.0])
     def test_random_matrices(self, lam):
-        cfg = BlackboxConfig(lam)
         rng = np.random.default_rng(41)
         for a in random_matrices(42):
             up = rng.choice([-2.0, 0.0, 1.0, 0.5], size=a.shape)
-            want = np.stack([scalar_backward(a[i], up[i], cfg) for i in range(a.shape[0])])
-            assert_bit_equal(rank_backward_rows(a, rank_rows(a), up, cfg), want)
+            want = np.stack([scalar_backward(a[i], up[i], lam) for i in range(a.shape[0])])
+            assert_bit_equal(rank_backward_rows(a, rank_rows(a), up, lam), want)
 
 
 class TestRankAlignment:
-    def check(self, target, value, cfg, scale):
-        got_value, got_grads = _rank_alignment(rank_rows(target), value, cfg, scale)
-        want_value, want_grads = oracle_alignment(target, value, cfg, scale)
+    def check(self, target, value, lam, scale):
+        got_value, got_grads = _rank_alignment(rank_rows(target), value, lam, scale)
+        want_value, want_grads = oracle_alignment(target, value, lam, scale)
         assert got_value == want_value
         assert_bit_equal(got_grads, want_grads)
 
@@ -112,14 +110,14 @@ class TestRankAlignment:
     def test_named_cases(self, name):
         value = CASES[name]
         target = -np.abs(value - value[:, ::-1])  # rows with ties of their own
-        self.check(target, value, BlackboxConfig(1.0), 1.0 / value.shape[0])
+        self.check(target, value, 1.0, 1.0 / value.shape[0])
 
     def test_random_matrices(self):
         rng = np.random.default_rng(43)
         for value in random_matrices(44):
             target = rng.integers(-3, 1, size=value.shape).astype(np.float64)
             lam = float(rng.choice([0.5, 1.0, 2.0]))
-            self.check(target, value, BlackboxConfig(lam), 1.0 / value.shape[0])
+            self.check(target, value, lam, 1.0 / value.shape[0])
 
     def test_ins2ins_shape(self):
         # An 8x8 label/cosine pair, the shape the ins2ins term ranks each step.
@@ -128,7 +126,7 @@ class TestRankAlignment:
             labels = rng.integers(1, 4, size=8)
             feats = rng.standard_normal((8, 5))
             target, value = label_similarity(labels), feature_similarity(feats)
-            self.check(target, value, BlackboxConfig(), 1.0 / 8)
+            self.check(target, value, 1.0, 1.0 / 8)
 
     def test_class_mean_case(self):
         # The 3x3 class-index/class-mean-cosine pair that the cls2cls term ranks.
@@ -136,7 +134,7 @@ class TestRankAlignment:
         target = label_similarity(np.arange(1, 4))
         for _ in range(50):
             mus = rng.standard_normal((3, 4))
-            self.check(target, feature_similarity(mus), BlackboxConfig(), 1.0 / 3)
+            self.check(target, feature_similarity(mus), 1.0, 1.0 / 3)
 
 
 class TestLossesAgainstOracle:
@@ -144,29 +142,29 @@ class TestLossesAgainstOracle:
 
     def test_ins2ins(self):
         rng = np.random.default_rng(47)
-        cfg = BlackboxConfig()
+        lam = 1.0
         for _ in range(50):
             batch = Batch(rng.standard_normal((8, 6)), rng.integers(1, 4, size=8), 3)
             s_z = feature_similarity(batch.features)
             value, sim_grads = oracle_alignment(
-                label_similarity(batch.labels), s_z, cfg, 1.0 / batch.size
+                label_similarity(batch.labels), s_z, lam, 1.0 / batch.size
             )
-            got = hybrid(batch, cfg, use_ins2cls=False, use_cls2cls=False)
+            got = hybrid(batch, lam, use_ins2cls=False, use_cls2cls=False)
             assert got.value == value
             assert_bit_equal(got.feature_grads, oracle_chain(sim_grads, batch.features))
 
     def test_cls2cls_alignment_gradient(self):
         rng = np.random.default_rng(48)
-        cfg = BlackboxConfig()
+        lam = 1.0
         for _ in range(50):
             labels = np.concatenate([[1, 2, 3], rng.integers(1, 4, size=5)])
             batch = Batch(rng.standard_normal((8, 6)), labels, 3)
             protos = reference_local_prototypes(*batch)
             mus = protos.means
             _, sim_grads = oracle_alignment(
-                label_similarity(np.arange(1, 4)), feature_similarity(mus), cfg, 1.0 / 3
+                label_similarity(np.arange(1, 4)), feature_similarity(mus), lam, 1.0 / 3
             )
             dmu = oracle_chain(sim_grads, mus)
             want = dmu[labels - 1] / protos.counts[labels - 1][:, None]
-            got = hybrid(batch, cfg, use_ins2ins=False, use_ins2cls=False, detach_spread=True)
+            got = hybrid(batch, lam, use_ins2ins=False, use_ins2cls=False, detach_spread=True)
             assert_bit_equal(got.feature_grads, want)

@@ -10,7 +10,8 @@ import pytest
 
 from oracles import rank_argmin_oracle
 from ordproto.errors import BadConfigError
-from ordproto.ranking import BlackboxConfig, rank_backward_rows, rank_rows
+from ordproto.ranking import rank_backward_rows, rank_rows
+from ordproto.trainer import TrainConfig
 
 
 def rank(a) -> np.ndarray:
@@ -18,11 +19,11 @@ def rank(a) -> np.ndarray:
     return rank_rows(np.asarray([a], dtype=np.float64))[0]
 
 
-def blackbox_rank_backward(a, upstream, cfg: BlackboxConfig) -> np.ndarray:
+def blackbox_rank_backward(a, upstream, lam: float) -> np.ndarray:
     """``rank_backward_rows`` of one row."""
     rows = np.asarray([a], dtype=np.float64)
     up = np.asarray([upstream], dtype=np.float64)
-    return rank_backward_rows(rows, rank_rows(rows), up, cfg)[0]
+    return rank_backward_rows(rows, rank_rows(rows), up, lam)[0]
 
 
 def counting_rank(a) -> np.ndarray:
@@ -98,38 +99,36 @@ class TestOracle:
 
 
 class TestBlackboxBackward:
+    # The step is TrainConfig.blackbox_lambda; the config is where it is checked.
     def test_config_requires_positive_step(self):
         with pytest.raises(BadConfigError):
-            BlackboxConfig(0.0)
+            TrainConfig(blackbox_lambda=0.0)
         with pytest.raises(BadConfigError):
-            BlackboxConfig(-1.0)
-        assert BlackboxConfig().lambda_interp == 1.0
+            TrainConfig(blackbox_lambda=-1.0)
+        assert TrainConfig().blackbox_lambda == 1.0
 
     @pytest.mark.parametrize("step", [float("inf"), float("nan")])
     def test_config_requires_finite_step(self, step):
         # An infinite step would turn every rank gradient into NaN.
         with pytest.raises(BadConfigError, match="finite and positive"):
-            BlackboxConfig(step)
+            TrainConfig(blackbox_lambda=step)
 
     def test_zero_upstream_gives_zero(self):
-        cfg = BlackboxConfig(1.0)
-        g = blackbox_rank_backward([3.0, 1.0, 2.0], [0.0, 0.0, 0.0], cfg)
+        g = blackbox_rank_backward([3.0, 1.0, 2.0], [0.0, 0.0, 0.0], 1.0)
         assert np.array_equal(g, np.zeros(3))
 
     def test_plateau_gives_zero(self):
         # A step too small to let any pair of entries cross.
-        cfg = BlackboxConfig(1e-9)
-        g = blackbox_rank_backward([0.0, 10.0, 20.0], [1.0, 1.0, -1.0], cfg)
+        g = blackbox_rank_backward([0.0, 10.0, 20.0], [1.0, 1.0, -1.0], 1e-9)
         assert np.array_equal(g, np.zeros(3))
 
     def test_two_element_crossing(self):
         # Upstream from the squared rank gap against target [1, 2] moves
         # the rank of a = [1, 2] from [2, 1] to [1, 2] at lambda = 1.
-        cfg = BlackboxConfig(1.0)
         target = np.array([1, 2])
         a = np.array([1.0, 2.0])
         upstream = 2.0 * (rank(a) - target).astype(np.float64)
-        g = blackbox_rank_backward(a, upstream, cfg)
+        g = blackbox_rank_backward(a, upstream, 1.0)
         assert g.tolist() == [-1.0, 1.0]
         # One descent step resolves the wrong ordering exactly.
         stepped = a - 1.0 * g
@@ -138,7 +137,6 @@ class TestBlackboxBackward:
     def test_descent_never_worsens_pair_loss(self):
         """A gradient step on the squared rank gap of a 2-element input
         never increases that loss, for any positive step size."""
-        cfg = BlackboxConfig(1.0)
         rng = np.random.default_rng(30)
         for _ in range(200):
             a = rng.standard_normal(2)
@@ -147,7 +145,7 @@ class TestBlackboxBackward:
             target = rank(rng.standard_normal(2))
             before = float(np.sum((rank(a) - target) ** 2))
             upstream = 2.0 * (rank(a) - target).astype(np.float64)
-            g = blackbox_rank_backward(a, upstream, cfg)
+            g = blackbox_rank_backward(a, upstream, 1.0)
             for eta in (0.3, 1.0, 5.0):
                 after = float(np.sum((rank(a - eta * g) - target) ** 2))
                 assert after <= before

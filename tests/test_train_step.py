@@ -25,7 +25,6 @@ from ordproto import trainer
 from ordproto.data import GenConfig, TrainingSet, generate
 from ordproto.errors import DimMismatchError, NonFiniteError, TrainingError, ZeroVectorError
 from ordproto.losses import label_tables, local_prototypes
-from ordproto.ranking import BlackboxConfig
 from ordproto.trainer import TrainConfig, ablation_config, train
 
 TINY_GEN = GenConfig(class_counts=(12, 18, 14), input_dim=6, noise_sigma=0.1)
@@ -104,15 +103,15 @@ class TestKernelsMatchReference:
 
     @pytest.mark.parametrize("detach", [False, True])
     def test_hybrid_ordinal_loss(self, detach):
-        cfg = BlackboxConfig(0.7)
+        step = 0.7  # blackbox_lambda
         for batch in random_batches(72):
             full = bool(reference_local_prototypes(*batch).counts.all())
             switches = dict(
                 use_ins2ins=True, use_ins2cls=True, use_cls2cls=full, detach_spread=detach
             )
-            got = hybrid(batch, cfg, **switches)
+            got = hybrid(batch, step, **switches)
             want = reference_hybrid_ordinal_loss(
-                batch.features, batch.labels, reference_local_prototypes(*batch), cfg, **switches
+                batch.features, batch.labels, reference_local_prototypes(*batch), step, **switches
             )
             assert got.value == want.value and got.terms == want.terms
             assert np.array_equal(got.feature_grads, want.feature_grads)
@@ -216,12 +215,12 @@ class TestErrorPaths:
 
 def test_call_budget(default_view):
     # cProfile counts every Python-level call, numpy's Python wrappers
-    # included. Measured with numpy 2.4.6 on Python 3.11: about 119 calls
-    # per iteration for a 1-epoch default run (the loop that re-validated
-    # every batch made about 530); the bound, 5% above that, leaves no room
-    # for a validating layer or a per-batch label table per iteration. The
-    # first run in a process also pays numpy's lazy imports, so one run goes
-    # first.
+    # included. Measured with numpy 2.4.6 on Python 3.11: 120.2 calls per
+    # iteration for a 1-epoch default run (121.2 while the losses returned a
+    # result dataclass; the loop that re-validated every batch made about
+    # 530); the bound, 4% above that, leaves no room for a validating layer
+    # or a per-batch label table per iteration. The first run in a process
+    # also pays numpy's lazy imports, so one run goes first.
     train(TrainConfig(epochs=1, seeds=(1,)), default_view, 1)
     profile = cProfile.Profile()
     profile.enable()

@@ -62,6 +62,7 @@ class TestTrainConfig:
         assert cfg.seeds == (1, 2, 3, 4, 5)
         assert cfg.anchor_classes == (1, 3)
         assert (cfg.lambda_start, cfg.lambda_end) == (0.0, 1.0)
+        assert cfg.blackbox_lambda == 1.0
 
     def test_validation(self):
         for kw in (
@@ -73,9 +74,6 @@ class TestTrainConfig:
             {"ema_sigma": 1.0},
             {"lambda_start": 0.8, "lambda_end": 0.4},
             {"lambda_end": 1.5},
-            {"blackbox_lambda": 0.0},
-            {"blackbox_lambda": float("inf")},
-            {"blackbox_lambda": float("nan")},
             {"seeds": ()},
             {"anchor_classes": (2, 2)},
             {"anchor_classes": (0, 3)},
@@ -83,6 +81,10 @@ class TestTrainConfig:
         ):
             with pytest.raises(BadConfigError):
                 TrainConfig(**kw)
+        # The rank backward step: an infinite one would turn every rank gradient into NaN.
+        for step in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(BadConfigError, match="blackbox_lambda must be finite and positive"):
+                TrainConfig(blackbox_lambda=step)
 
     def test_no_hidden_layers_allowed(self):
         cfg = TrainConfig(hidden_dims=())
