@@ -4,6 +4,9 @@ Trains a small encoder so that feature-space geometry follows an ordered
 label progression, tracks anchor-class prototypes with an EMA, and
 classifies held-out middle-class samples by comparing their features to
 the two anchors.
+
+The names below validate their input or serve the CLI; the training
+loop's kernels trust their caller and stay in their modules.
 """
 
 from .data import (
@@ -11,38 +14,15 @@ from .data import (
     SyntheticOrdinalDataset,
     TrainingSet,
     generate,
-    kfold_split,
     load_dataset,
     save_dataset,
-    stratified_batches,
 )
-from .encoder import (
-    AdamState,
-    EncoderParams,
-    HeadParams,
-    adam_step,
-    backward,
-    buffer,
-    encode,
-    forward,
-    init_adam,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-)
-from .evaluation import binary_metrics, mann_whitney_one_sided, spearman
-from .losses import (
-    LocalPrototypes,
-    cross_entropy_loss,
-    hybrid_ordinal_loss,
-    label_similarity,
-    local_prototypes,
-)
+from .encoder import EncoderParams, HeadParams, encode, load_checkpoint, save_checkpoint
+from .evaluation import binary_metrics, spearman
 from .prototypes import (
     PROGRESSIVE,
     STABLE,
     GlobalPrototypeStore,
-    ema_update,
     load_store,
     progression_scores,
     save_store,

@@ -1,10 +1,12 @@
-"""Artifact file I/O: all-or-nothing writes and JSON reads, OSError as DatasetIOError."""
+"""Artifact I/O: all-or-nothing writes, JSON reads (OSError as DatasetIOError), JSON numbers."""
 
 from __future__ import annotations
 
 import json
 import os
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DatasetIOError, DatasetParseError
 
@@ -43,3 +45,19 @@ def read_json(path, what: str):
         raise DatasetIOError(f"cannot read {what}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DatasetParseError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def json_numbers(values, what: str, integers: bool = False) -> np.ndarray:
+    """A flat list of JSON numbers as a float64 array, or of JSON integers as int64.
+
+    Any other entry (string, bool, null, list, object), a float among
+    ``integers`` or an integer out of range raises ``ValueError``. The entry
+    types are checked as one set: one C-level pass, not a Python loop.
+    """
+    allowed = {int} if integers else {int, float}
+    if not (isinstance(values, list) and set(map(type, values)) <= allowed):
+        raise ValueError(f"{what} must be a list of JSON {'integers' if integers else 'numbers'}")
+    try:
+        return np.array(values, dtype=np.int64 if integers else np.float64)
+    except OverflowError as exc:
+        raise ValueError(f"{what} is out of range: {exc}") from None

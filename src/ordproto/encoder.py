@@ -19,8 +19,9 @@ length S and the buffers are (S, P), one C-ordered row per seed.
 ``forward``, ``backward``, ``buffer``, ``init_adam`` and ``adam_step`` work
 on plain and stacked parameters alike; every product is a ``matmul`` on
 whole arrays, which gives each seed the bits of its own 2-D product.
-``forward`` and ``backward`` trust their input (the loop validates once);
-``encode``, the inference entry, validates its rows.
+``init_params``, ``forward``, ``backward``, ``init_adam`` and ``adam_step``
+trust their input (the training loop's entry validates once); ``encode``,
+the inference entry, validates its rows.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._files import read_json, write_json
+from ._files import json_numbers, read_json, write_json
 from .errors import BadConfigError, DatasetParseError, DimMismatchError, NonFiniteError
 
 ACTIVATIONS = ("relu", "identity")
@@ -68,12 +69,8 @@ class HeadParams:
 
 def init_params(dims, n_classes: int, seed: int) -> tuple[EncoderParams, HeadParams]:
     """He-style init: weights ~ N(0, 2/fan_in), biases zero, ReLU hidden
-    layers, identity on the final feature layer. Deterministic per seed."""
-    dims = [int(d) for d in dims]
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise BadConfigError(f"need at least [input, feature] positive dims, got {dims}")
-    if n_classes < 2:
-        raise BadConfigError("need at least 2 classes")
+    layers, identity on the final feature layer. Deterministic per seed.
+    ``TrainConfig`` has checked ``dims`` (2+ positive ints) and ``n_classes`` (2+)."""
     rng = np.random.default_rng(seed)
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
@@ -178,11 +175,11 @@ def backward(
     enc: EncoderParams,
     head: HeadParams,
     cache: ForwardCache,
-    d_features: np.ndarray | None,
-    d_logits: np.ndarray | None,
+    d_features: np.ndarray,
+    d_logits: np.ndarray,
     grads: list[np.ndarray],
 ) -> None:
-    """Reverse-mode pass from feature- and/or logit-space gradients, without validation.
+    """Reverse-mode pass from feature- and logit-space gradients, without validation.
 
     Feature gradients from structural losses and logit gradients from the
     classification loss merge where the head branches off the features.
@@ -191,16 +188,9 @@ def backward(
     computed; nothing reads it. Stacked parameters take stacked gradients;
     the batch axis is always the second-to-last.
     """
-    if d_logits is not None:
-        np.matmul(cache.features.swapaxes(-1, -2), d_logits, out=grads[-2])
-        np.add.reduce(d_logits, axis=-2, out=grads[-1])
-        dh = d_logits @ head.weight.swapaxes(-1, -2)
-    else:
-        grads[-2][...] = 0.0
-        grads[-1][...] = 0.0
-        dh = np.zeros(cache.features.shape)
-    if d_features is not None:
-        dh = dh + d_features
+    np.matmul(cache.features.swapaxes(-1, -2), d_logits, out=grads[-2])
+    np.add.reduce(d_logits, axis=-2, out=grads[-1])
+    dh = d_logits @ head.weight.swapaxes(-1, -2) + d_features
     for i in range(len(enc.layers) - 1, -1, -1):
         layer = enc.layers[i]
         da = dh * (cache.preacts[i] > 0.0) if layer.activation == "relu" else dh
@@ -223,19 +213,15 @@ class AdamState:
     params: np.ndarray
     m: np.ndarray
     v: np.ndarray
+    beta1: float
+    beta2: float
+    epsilon: float
     step: int = 0
-    beta1: float = 0.5
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
 
 def init_adam(
-    enc: EncoderParams,
-    head: HeadParams,
-    beta1: float = 0.5,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
+    enc: EncoderParams, head: HeadParams, beta1: float, beta2: float, epsilon: float
 ) -> AdamState:
     """Zeroed Adam state over a new buffer holding every parameter.
 
@@ -257,11 +243,11 @@ def init_adam(
 
 
 def adam_step(state: AdamState, grads: np.ndarray, lr: float) -> None:
-    """One in-place Adam update of the whole parameter buffer at learning rate ``lr``."""
-    if grads.shape != state.params.shape:
-        raise DimMismatchError(
-            f"gradient shape {grads.shape} != parameter buffer shape {state.params.shape}"
-        )
+    """One in-place Adam update of the whole parameter buffer at learning rate ``lr``.
+
+    ``grads`` has the buffer's layout: ``backward`` wrote it into a
+    ``buffer`` of the parameters ``init_adam`` laid out.
+    """
     if state.scratch is None:
         state.scratch = (np.empty_like(state.params), np.empty_like(state.params))
     a, b = state.scratch
@@ -312,8 +298,8 @@ def save_checkpoint(
 
 
 def _flat_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A flat list of finite floats as an array of ``shape``; anything else raises ValueError."""
-    arr = np.asarray(values, dtype=np.float64)
+    """A flat list of finite JSON numbers as an array of ``shape``; else ValueError."""
+    arr = json_numbers(values, what)
     if arr.shape != (math.prod(shape),) or not np.isfinite(arr).all():
         raise ValueError(f"{what} must be {math.prod(shape)} finite floats, has shape {arr.shape}")
     return arr.reshape(shape)
@@ -323,12 +309,14 @@ def load_checkpoint(path) -> tuple[EncoderParams, HeadParams, dict]:
     """Rebuild (encoder, head) from a checkpoint; returns metadata too.
 
     Any payload ``save_checkpoint`` cannot write (dims, layer count, array
-    sizes, a non-finite entry, an activation) raises ``DatasetParseError``.
+    sizes, a non-finite entry, an activation, a count that is not a JSON
+    integer, an entry that is not a JSON number) raises ``DatasetParseError``.
     """
     payload = read_json(path, "checkpoint")
     try:
-        dims = [int(d) for d in payload["dims"]]
-        n_classes = int(payload["n_classes"])
+        dims = json_numbers(payload["dims"], "dims", integers=True).tolist()
+        ints = [payload["n_classes"], payload["seed"], payload["epoch"]]
+        n_classes, seed, epoch = json_numbers(ints, "n_classes/seed/epoch", integers=True).tolist()
         if len(dims) < 2 or min(*dims, n_classes) < 1:
             raise ValueError(f"need 2+ positive dims and classes, got {dims}, {n_classes}")
         specs = payload["layers"]
@@ -343,7 +331,7 @@ def load_checkpoint(path) -> tuple[EncoderParams, HeadParams, dict]:
             _flat_array(payload["head"]["weight"], (dims[-1], n_classes), "head weight"),
             _flat_array(payload["head"]["bias"], (n_classes,), "head bias"),
         )
-        meta = {"seed": int(payload["seed"]), "epoch": int(payload["epoch"]), "dims": dims}
+        meta = {"seed": seed, "epoch": epoch, "dims": dims}
     except (KeyError, TypeError, ValueError, BadConfigError) as exc:
         raise DatasetParseError(f"malformed checkpoint payload: {exc}") from exc
     return EncoderParams(layers), head, meta

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._files import read_json, write_json
+from ._files import json_numbers, read_json, write_json
 from .errors import (
     BadConfigError,
     DatasetParseError,
@@ -102,19 +102,18 @@ def _refuse_bad_rows(finite: np.ndarray, mean_norms: np.ndarray) -> None:
 def ema_update(store: GlobalPrototypeStore, mu_low, mu_high) -> GlobalPrototypeStore:
     """Move both anchors toward the normalized batch class means (in place).
 
-    The means have the anchors' shape: (dim,), or (S, dim) for a stack of
-    seeds, where each row moves its own seed's anchors. A bad row raises
-    for the first seed it belongs to, with that seed's own message; the
-    store changes only once every row has passed.
+    The means are float64 arrays of the anchors' shape: (dim,), or (S, dim)
+    for a stack of seeds, where each row moves its own seed's anchors; the
+    shape is trusted (the training loop passes slices of its class means).
+    A NaN, Inf or zero-norm row raises for the first seed it belongs to,
+    with that seed's own message; the store changes only once every row
+    has passed.
     """
-    lo = np.asarray(mu_low, dtype=np.float64)
-    hi = np.asarray(mu_high, dtype=np.float64)
     shape = store.anchor_low.shape
-    if lo.shape != shape or hi.shape != shape:
-        raise DimMismatchError(f"class means must have shape {shape}")
     d = store.dim
     # Per seed four rows: the low and high means, then the low and high anchors.
-    v = np.concatenate((lo, hi, store.anchor_low, store.anchor_high), axis=-1).reshape(-1, 4, d)
+    v = np.concatenate((mu_low, mu_high, store.anchor_low, store.anchor_high), axis=-1)
+    v = v.reshape(-1, 4, d)
     norms = _dot_norms(v)
     # The usual step passes one test of the 4 S norms, as Python floats: finite rows (NaN or
     # Inf make the sum non-finite; an overflow costs the slow path), nonzero means, trained anchors.
@@ -194,14 +193,17 @@ def store_to_dict(store: GlobalPrototypeStore) -> dict:
 
 
 def store_from_dict(payload: dict) -> GlobalPrototypeStore:
-    """Rebuild a store; any invalid payload raises ``DatasetParseError``."""
+    """Rebuild a store; any invalid payload (say, a float ``dim``) raises ``DatasetParseError``."""
     try:
+        (dim,) = json_numbers([payload["dim"]], "dim", integers=True).tolist()
+        (sigma,) = json_numbers([payload["sigma"]], "sigma").tolist()
+        anchor_classes = json_numbers(payload["anchor_classes"], "anchor_classes", integers=True)
         store = GlobalPrototypeStore(
-            dim=int(payload["dim"]),
-            sigma=float(payload["sigma"]),
-            anchor_classes=tuple(int(c) for c in payload["anchor_classes"]),
-            anchor_low=np.asarray(payload["anchor_low"], dtype=np.float64),
-            anchor_high=np.asarray(payload["anchor_high"], dtype=np.float64),
+            dim=dim,
+            sigma=sigma,
+            anchor_classes=tuple(anchor_classes.tolist()),
+            anchor_low=json_numbers(payload["anchor_low"], "anchor_low"),
+            anchor_high=json_numbers(payload["anchor_high"], "anchor_high"),
         )
     except (KeyError, TypeError, ValueError, BadConfigError, DimMismatchError) as exc:
         raise DatasetParseError(f"malformed prototype store payload: {exc}") from exc

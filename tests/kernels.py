@@ -120,7 +120,11 @@ def cross_entropy(logits, labels):
 
 
 def flat_backward(enc, head, cache, d_features=None, d_logits=None) -> np.ndarray:
-    """``backward`` into a new buffer; returns the flat gradient."""
+    """``backward`` into a new buffer; returns the flat gradient. An absent route passes zeros."""
     flat, views = buffer(enc, head)
+    if d_features is None:
+        d_features = np.zeros(cache.features.shape)
+    if d_logits is None:
+        d_logits = np.zeros(cache.logits.shape)
     backward(enc, head, cache, d_features, d_logits, views)
     return flat

@@ -518,6 +518,17 @@ class TestEval:
             pytest.param(lambda d: d.update(anchor_low=d["anchor_low"][:3]), id="short-anchor"),
             pytest.param(lambda d: d.update(sigma=1.5), id="sigma-outside-unit-interval"),
             pytest.param(lambda d: d["anchor_high"].__setitem__(0, float("nan")), id="nan-anchor"),
+            # Numbers of another JSON type, each plausible once int() or
+            # float() has converted it; save_store never writes them.
+            pytest.param(lambda d: d.update(dim=d["dim"] + 0.5), id="float-dim"),
+            pytest.param(lambda d: d.update(sigma=str(d["sigma"])), id="string-sigma"),
+            pytest.param(
+                lambda d: d["anchor_classes"].__setitem__(0, d["anchor_classes"][0] + 0.9),
+                id="float-anchor-class",
+            ),
+            pytest.param(
+                lambda d: d["anchor_low"].__setitem__(0, "0.25"), id="string-anchor-entry"
+            ),
         ],
     )
     def test_invalid_store_values_are_parse_errors(self, workspace, trained, capsys, breakage):
@@ -591,29 +602,37 @@ class TestEval:
     @pytest.mark.parametrize(
         "fault",
         [
-            "unknown-activation",
-            "nan-weight",
-            "one-dim-no-layers",
-            "extra-layer",
-            "head-bias-shape",
-            "inferred-dim",
+            pytest.param(
+                lambda d: d["layers"][0].update(activation="tanh"), id="unknown-activation"
+            ),
+            pytest.param(
+                lambda d: d["layers"][0]["weight"].__setitem__(0, float("nan")), id="nan-weight"
+            ),
+            # The head still fits the one dim.
+            pytest.param(
+                lambda d: d.update(dims=d["dims"][-1:], layers=[]), id="one-dim-no-layers"
+            ),
+            pytest.param(lambda d: d["layers"].append(d["layers"][-1]), id="extra-layer"),
+            pytest.param(lambda d: d["head"]["bias"].append(0.0), id="head-bias-shape"),
+            # An input dim of -1, which a reshape would infer as 6.
+            pytest.param(lambda d: d["dims"].__setitem__(0, -1), id="inferred-dim"),
+            # Numbers of another JSON type, each plausible once int() or
+            # float() has converted it; save_checkpoint never writes them.
+            pytest.param(lambda d: d.update(seed=2.7), id="float-seed"),
+            pytest.param(lambda d: d.update(seed=True), id="bool-seed"),
+            pytest.param(lambda d: d["dims"].__setitem__(0, d["dims"][0] + 0.9), id="float-dim"),
+            pytest.param(lambda d: d["dims"].__setitem__(0, str(d["dims"][0])), id="string-dim"),
+            pytest.param(lambda d: d.update(n_classes=d["n_classes"] + 0.5), id="float-n-classes"),
+            pytest.param(lambda d: d.update(epoch=str(d["epoch"])), id="string-epoch"),
+            pytest.param(
+                lambda d: d["layers"][0]["weight"].__setitem__(0, "0.25"), id="string-weight-entry"
+            ),
+            pytest.param(lambda d: d["head"]["bias"].__setitem__(0, "0.5"), id="string-bias-entry"),
         ],
     )
     def test_malformed_checkpoint_is_parse_error(self, workspace, trained, capsys, tmp_path, fault):
         payload = json.loads((trained / "checkpoint.json").read_text())
-        layers = payload["layers"]
-        if fault == "unknown-activation":
-            layers[0]["activation"] = "tanh"
-        elif fault == "nan-weight":
-            layers[0]["weight"][0] = float("nan")
-        elif fault == "one-dim-no-layers":  # the head still fits the one dim
-            payload["dims"], payload["layers"] = payload["dims"][-1:], []
-        elif fault == "extra-layer":
-            layers.append(layers[-1])
-        elif fault == "head-bias-shape":
-            payload["head"]["bias"].append(0.0)
-        else:  # an input dim of -1, which a reshape would infer as 6
-            payload["dims"][0] = -1
+        fault(payload)
         broken = tmp_path / "checkpoint.json"
         broken.write_text(json.dumps(payload))
         code = main(

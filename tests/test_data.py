@@ -32,7 +32,6 @@ from ordproto.errors import (
     BadConfigError,
     DatasetIOError,
     DatasetParseError,
-    DegenerateInputError,
     EmptyInputError,
     OrdprotoError,
 )
@@ -255,14 +254,6 @@ class TestStratifiedBatches:
                     want = reference_stratified_batches(labels, batch_size, key, k)
                     assert got.shape == (len(want), batch_size)
                     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-    def test_validation(self):
-        with pytest.raises(EmptyInputError):
-            stratified_batches(np.array([], dtype=int), 4, seed=0, n_classes=3)
-        with pytest.raises(BadConfigError):
-            stratified_batches(np.array([1, 2, 3]), 2, seed=0, n_classes=3)
-        with pytest.raises(DegenerateInputError):
-            stratified_batches(np.array([1, 1, 3]), 4, seed=0, n_classes=3)
 
 
 class TestKFold:

@@ -2,9 +2,16 @@
 
 Criterion 8 shows that two runs of one build agree; this test shows that a
 build still produces the bytes an earlier build did. A refactor that is
-meant to keep behaviour must leave both digests alone. Changing them is a
+meant to keep behaviour must leave the digests alone. Changing them is a
 deliberate act, and the change that does so says why in CHANGES.md.
-The digests were taken with numpy's default float64 kernels on x86-64.
+The digests were taken with numpy 2.4.6 on x86-64 with numpy's X86_V4
+(AVX-512) dispatch and OpenBLAS's SkylakeX core, and hold only for those
+kernels. numpy's AVX2 path gives other bits from ``np.exp`` and ``np.log``,
+and other OpenBLAS cores (Haswell, Zen, Sandybridge, Prescott) give other
+bits for some matmul shapes, so on such a host the history and embeddings
+digests differ. ``np.show_runtime()`` prints numpy's SIMD dispatch, and
+the OpenBLAS core only where threadpoolctl is installed; CI logs it before
+the tests.
 """
 
 from __future__ import annotations

@@ -1,4 +1,7 @@
-"""The names ``import ordproto`` exposes: one public entry per operation."""
+"""The names ``import ordproto`` exposes: one public entry per validated operation.
+
+The training loop's kernels, which trust their caller, stay in their modules.
+"""
 
 from __future__ import annotations
 
@@ -7,12 +10,10 @@ import types
 import ordproto
 
 PUBLIC_NAMES = [
-    "AdamState",
     "EncoderParams",
     "GenConfig",
     "GlobalPrototypeStore",
     "HeadParams",
-    "LocalPrototypes",
     "PROGRESSIVE",
     "STABLE",
     "SyntheticOrdinalDataset",
@@ -20,34 +21,20 @@ PUBLIC_NAMES = [
     "TrainResult",
     "TrainingSet",
     "ablation_config",
-    "adam_step",
-    "backward",
     "binary_metrics",
-    "buffer",
-    "cross_entropy_loss",
     "cross_validate",
-    "ema_update",
     "encode",
     "evaluate_on",
-    "forward",
     "generate",
-    "hybrid_ordinal_loss",
-    "init_adam",
-    "init_params",
-    "kfold_split",
-    "label_similarity",
     "load_checkpoint",
     "load_dataset",
     "load_store",
-    "local_prototypes",
-    "mann_whitney_one_sided",
     "progression_scores",
     "run_seeds",
     "save_checkpoint",
     "save_dataset",
     "save_store",
     "spearman",
-    "stratified_batches",
     "train",
 ]
 

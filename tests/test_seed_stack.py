@@ -126,7 +126,7 @@ def test_adam_step_keeps_the_bits_of_the_expressions():
     for (beta1, beta2), shape in cases:
         params = rng.standard_normal(shape)
         ours, theirs = (
-            AdamState(params.copy(), np.zeros(shape), np.zeros(shape), beta1=beta1, beta2=beta2)
+            AdamState(params.copy(), np.zeros(shape), np.zeros(shape), beta1, beta2, epsilon=1e-8)
             for _ in range(2)
         )
         for step in range(60):
