@@ -32,20 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._files import json_numbers, read_json, write_json
-from .errors import BadConfigError, DatasetParseError, DimMismatchError, NonFiniteError
-
-ACTIVATIONS = ("relu", "identity")
+from .errors import DatasetParseError, DimMismatchError, NonFiniteError
 
 
 @dataclass
 class Layer:
+    """One linear layer; ReLU follows every layer but the encoder's last."""
+
     weight: np.ndarray  # (fan_in, fan_out), or (S, fan_in, fan_out) in a seed stack
     bias: np.ndarray  # (fan_out,), or (S, fan_out)
-    activation: str
-
-    def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise BadConfigError(f"unknown activation {self.activation!r}")
 
 
 @dataclass
@@ -68,15 +63,13 @@ class HeadParams:
 
 
 def init_params(dims, n_classes: int, seed: int) -> tuple[EncoderParams, HeadParams]:
-    """He-style init: weights ~ N(0, 2/fan_in), biases zero, ReLU hidden
-    layers, identity on the final feature layer. Deterministic per seed.
+    """He-style init: weights ~ N(0, 2/fan_in), biases zero. Deterministic per seed.
     ``TrainConfig`` has checked ``dims`` (2+ positive ints) and ``n_classes`` (2+)."""
     rng = np.random.default_rng(seed)
     layers = []
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        act = "identity" if i == len(dims) - 2 else "relu"
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         weight = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-        layers.append(Layer(weight, np.zeros(fan_out), act))
+        layers.append(Layer(weight, np.zeros(fan_out)))
     head = HeadParams(
         rng.normal(0.0, math.sqrt(2.0 / dims[-1]), size=(dims[-1], n_classes)),
         np.zeros(n_classes),
@@ -91,9 +84,8 @@ def stack_params(pairs) -> tuple[EncoderParams, HeadParams]:
         Layer(
             np.stack([enc.layers[i].weight for enc in encs]),
             np.stack([enc.layers[i].bias for enc in encs]),
-            layer.activation,
         )
-        for i, layer in enumerate(encs[0].layers)
+        for i in range(len(encs[0].layers))
     ]
     head = HeadParams(np.stack([h.weight for h in heads]), np.stack([h.bias for h in heads]))
     return EncoderParams(layers), head
@@ -101,7 +93,7 @@ def stack_params(pairs) -> tuple[EncoderParams, HeadParams]:
 
 def seed_params(enc: EncoderParams, head: HeadParams, row: int):
     """Seed ``row`` of stacked parameters, as views."""
-    layers = [Layer(layer.weight[row], layer.bias[row], layer.activation) for layer in enc.layers]
+    layers = [Layer(layer.weight[row], layer.bias[row]) for layer in enc.layers]
     return EncoderParams(layers), HeadParams(head.weight[row], head.bias[row])
 
 
@@ -137,7 +129,7 @@ def forward(enc: EncoderParams, head: HeadParams, h: np.ndarray) -> ForwardCache
         inputs[i] = h
         a = h @ layer.weight + layer.bias[..., None, :]
         preacts[i] = a
-        h = np.maximum(a, 0.0) if layer.activation == "relu" else a
+        h = np.maximum(a, 0.0) if i < n - 1 else a
     logits = h @ head.weight + head.bias[..., None, :]
     return ForwardCache(inputs, preacts, h, logits)
 
@@ -145,10 +137,11 @@ def forward(enc: EncoderParams, head: HeadParams, h: np.ndarray) -> ForwardCache
 def encode(enc: EncoderParams, x) -> np.ndarray:
     """Feature vectors only (no logits, no cache kept)."""
     h = _as_batch(x, enc.input_dim)
-    for layer in enc.layers:
+    last = len(enc.layers) - 1
+    for i, layer in enumerate(enc.layers):
         h = h @ layer.weight
         h += layer.bias
-        if layer.activation == "relu":
+        if i < last:
             np.maximum(h, 0.0, out=h)
     return h
 
@@ -191,9 +184,10 @@ def backward(
     np.matmul(cache.features.swapaxes(-1, -2), d_logits, out=grads[-2])
     np.add.reduce(d_logits, axis=-2, out=grads[-1])
     dh = d_logits @ head.weight.swapaxes(-1, -2) + d_features
-    for i in range(len(enc.layers) - 1, -1, -1):
+    last = len(enc.layers) - 1
+    for i in range(last, -1, -1):
         layer = enc.layers[i]
-        da = dh * (cache.preacts[i] > 0.0) if layer.activation == "relu" else dh
+        da = dh * (cache.preacts[i] > 0.0) if i < last else dh
         np.matmul(cache.inputs[i].swapaxes(-1, -2), da, out=grads[2 * i])
         np.add.reduce(da, axis=-2, out=grads[2 * i + 1])
         if i:
@@ -277,7 +271,7 @@ def adam_step(state: AdamState, grads: np.ndarray, lr: float) -> None:
 def save_checkpoint(
     enc: EncoderParams, head: HeadParams, path, seed: int, epoch: int
 ) -> None:
-    """JSON checkpoint: dims, seed, epoch, flattened parameter arrays."""
+    """JSON checkpoint: dims, seed, epoch, per layer its activation and flat arrays."""
     dims = [enc.input_dim] + [layer.weight.shape[1] for layer in enc.layers]
     payload = {
         "dims": dims,
@@ -286,15 +280,20 @@ def save_checkpoint(
         "epoch": int(epoch),
         "layers": [
             {
-                "activation": layer.activation,
+                "activation": _activation(i, len(enc.layers)),
                 "weight": layer.weight.ravel().tolist(),
                 "bias": layer.bias.tolist(),
             }
-            for layer in enc.layers
+            for i, layer in enumerate(enc.layers)
         ],
         "head": {"weight": head.weight.ravel().tolist(), "bias": head.bias.tolist()},
     }
     write_json(path, "checkpoint", payload)
+
+
+def _activation(i: int, n_layers: int) -> str:
+    """The checkpoint's name for layer ``i``'s activation: ReLU on all but the last."""
+    return "identity" if i == n_layers - 1 else "relu"
 
 
 def _flat_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -309,8 +308,9 @@ def load_checkpoint(path) -> tuple[EncoderParams, HeadParams, dict]:
     """Rebuild (encoder, head) from a checkpoint; returns metadata too.
 
     Any payload ``save_checkpoint`` cannot write (dims, layer count, array
-    sizes, a non-finite entry, an activation, a count that is not a JSON
-    integer, an entry that is not a JSON number) raises ``DatasetParseError``.
+    sizes, a non-finite entry, an activation other than ReLU on the hidden
+    layers and identity on the last, a count that is not a JSON integer, an
+    entry that is not a JSON number) raises ``DatasetParseError``.
     """
     payload = read_json(path, "checkpoint")
     try:
@@ -324,14 +324,16 @@ def load_checkpoint(path) -> tuple[EncoderParams, HeadParams, dict]:
             raise ValueError(f"{len(specs)} layers for dims {dims}")
         layers = []
         for i, (spec, shape) in enumerate(zip(specs, zip(dims[:-1], dims[1:]))):
+            if spec["activation"] != _activation(i, len(specs)):
+                raise ValueError(f"layer {i} activation must be {_activation(i, len(specs))!r}")
             weight = _flat_array(spec["weight"], shape, f"layer {i} weight")
             bias = _flat_array(spec["bias"], shape[1:], f"layer {i} bias")
-            layers.append(Layer(weight, bias, str(spec["activation"])))
+            layers.append(Layer(weight, bias))
         head = HeadParams(
             _flat_array(payload["head"]["weight"], (dims[-1], n_classes), "head weight"),
             _flat_array(payload["head"]["bias"], (n_classes,), "head bias"),
         )
         meta = {"seed": seed, "epoch": epoch, "dims": dims}
-    except (KeyError, TypeError, ValueError, BadConfigError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DatasetParseError(f"malformed checkpoint payload: {exc}") from exc
     return EncoderParams(layers), head, meta

@@ -37,9 +37,6 @@ class GlobalPrototypeStore:
     Anchors start as zero vectors and are bootstrapped by the first update.
     After the first update they are never zero again, but they are not
     unit norm either (the EMA is a convex combination of unit vectors).
-    The training loop keeps the anchors of a stack of S seeds in one store
-    by giving it (S, dim) anchors, one row per seed; the constructor and a
-    saved store take one seed's (dim,) vectors.
     """
 
     dim: int
@@ -67,15 +64,10 @@ class GlobalPrototypeStore:
             setattr(self, name, v)
 
 
-def _norm(v: np.ndarray) -> float:
-    """``float(np.linalg.norm(v))`` of a 1-D float64 vector: one dot product on C-ordered data."""
-    v = np.ascontiguousarray(v)  # a strided BLAS dot sums in another order
-    return math.sqrt(v.dot(v))
-
-
 def is_trained(store: GlobalPrototypeStore) -> bool:
     """True once both anchors have left their zero initialization."""
-    return _norm(store.anchor_low) > NORM_EPS and _norm(store.anchor_high) > NORM_EPS
+    norms = _dot_norms(np.array((store.anchor_low, store.anchor_high))).tolist()
+    return all(n > NORM_EPS for n in norms)
 
 
 def _refuse_bad_rows(finite: np.ndarray, mean_norms: np.ndarray) -> None:
@@ -99,21 +91,18 @@ def _refuse_bad_rows(finite: np.ndarray, mean_norms: np.ndarray) -> None:
                 raise NonFiniteError("anchor contains NaN or Inf entries")
 
 
-def ema_update(store: GlobalPrototypeStore, mu_low, mu_high) -> GlobalPrototypeStore:
-    """Move both anchors toward the normalized batch class means (in place).
+def ema_update(anchors: np.ndarray, means: np.ndarray, sigma: float) -> np.ndarray:
+    """The anchors moved toward the normalized batch class means, as a new array.
 
-    The means are float64 arrays of the anchors' shape: (dim,), or (S, dim)
-    for a stack of seeds, where each row moves its own seed's anchors; the
-    shape is trusted (the training loop passes slices of its class means).
-    A NaN, Inf or zero-norm row raises for the first seed it belongs to,
-    with that seed's own message; the store changes only once every row
-    has passed.
+    ``anchors`` and ``means`` are float64 arrays of one shape, (2, dim) or
+    (S, 2, dim) for a stack of seeds, the low row before the high one; each
+    seed moves its own anchors, and the shape is trusted (the training loop
+    passes its class means). A zero anchor is bootstrapped to its
+    normalized mean. A NaN, Inf or zero-norm row raises for the first seed
+    it belongs to, with that seed's own message.
     """
-    shape = store.anchor_low.shape
-    d = store.dim
     # Per seed four rows: the low and high means, then the low and high anchors.
-    v = np.concatenate((mu_low, mu_high, store.anchor_low, store.anchor_high), axis=-1)
-    v = v.reshape(-1, 4, d)
+    v = np.concatenate((means, anchors), axis=-2).reshape(-1, 4, anchors.shape[-1])
     norms = _dot_norms(v)
     # The usual step passes one test of the 4 S norms, as Python floats: finite rows (NaN or
     # Inf make the sum non-finite; an overflow costs the slow path), nonzero means, trained anchors.
@@ -130,13 +119,11 @@ def ema_update(store: GlobalPrototypeStore, mu_low, mu_high) -> GlobalPrototypeS
     delta = mu_hat - p_hat
     # Same value as sigma*p_hat + (1-sigma)*mu_hat, but exact when delta=0;
     # an exact fixed point keeps p_hat as it is.
-    anchors = p_hat + (1.0 - store.sigma) * delta
+    stepped = p_hat + (1.0 - sigma) * delta
     moved = np.logical_or.reduce(delta, axis=2)
     if not all(moved.ravel().tolist()):
-        anchors[~moved] = p_hat[~moved]
-    anchors = anchors.reshape(*shape[:-1], 2, d)
-    store.anchor_low, store.anchor_high = anchors[..., 0, :], anchors[..., 1, :]
-    return store
+        stepped[~moved] = p_hat[~moved]
+    return stepped.reshape(anchors.shape)
 
 
 def anchor_cosines(features, store: GlobalPrototypeStore) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +133,7 @@ def anchor_cosines(features, store: GlobalPrototypeStore) -> tuple[np.ndarray, n
     every value is finite and no row has a (near-)zero norm. Row-wise reductions,
     not matrix products: a row's value does not depend on the other rows of the call.
     """
-    n_low, n_high = _norm(store.anchor_low), _norm(store.anchor_high)
+    n_low, n_high = _dot_norms(np.array((store.anchor_low, store.anchor_high))).tolist()
     if not (n_low > NORM_EPS and n_high > NORM_EPS):
         raise UntrainedStoreError("prototype store has not been updated yet")
     # C order keeps each row's reduction order fixed whatever the input layout.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 from dataclasses import dataclass, replace
 
@@ -66,6 +67,14 @@ from .ranking import rank_rows
 METRIC_KEYS = ("acc", "auc", "f1", "precision", "recall", "spearman_ordinality")
 
 
+def _integers(name: str, values) -> tuple[int, ...]:
+    """``values`` as Python ints; any entry that is not an integer (numpy ints are) raises."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise BadConfigError(f"{name} must hold integers, got {values!r}") from exc
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     n_classes: int = 3
@@ -92,10 +101,13 @@ class TrainConfig:
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
 
     def __post_init__(self):
+        for name in ("n_classes", "input_dim", "feature_dim", "epochs", "batch_size"):
+            (value,) = _integers(name, (getattr(self, name),))
+            object.__setattr__(self, name, value)
         anchors = (1, self.n_classes) if self.anchor_classes is None else self.anchor_classes
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
-        object.__setattr__(self, "anchor_classes", tuple(int(c) for c in anchors))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "anchor_classes", _integers("anchor_classes", anchors))
+        for name in ("hidden_dims", "seeds"):
+            object.__setattr__(self, name, _integers(name, getattr(self, name)))
         if self.n_classes < 2:
             raise BadConfigError("n_classes must be >= 2")
         if self.input_dim < 1 or self.feature_dim < 1 or any(d < 1 for d in self.hidden_dims):
@@ -252,22 +264,15 @@ def _stacked_loop(
 ) -> list[TrainResult]:
     """The training loop over validated inputs, every seed of ``seeds`` at once.
 
-    Parameters, Adam moments and gradients are (S, P) buffers, anchors
-    (S, d) and the history (S, iterations, 9). A failing check raises a
-    ``TrainingError`` for the whole stack.
+    Parameters, Adam moments and gradients are (S, P) buffers, the low and
+    high anchors (S, 2, d) and the history (S, iterations, 9). A failing
+    check raises a ``TrainingError`` for the whole stack.
     """
     enc, head = stack_params([init_params(config.dims, config.n_classes, s) for s in seeds])
     adam = init_adam(
         enc, head, beta1=config.adam_beta1, beta2=config.adam_beta2, epsilon=config.adam_epsilon
     )
-    store = GlobalPrototypeStore(
-        dim=config.feature_dim,
-        sigma=config.ema_sigma,
-        anchor_classes=config.anchor_classes,
-    )
-    # One anchor row per seed; the constructor takes one seed's vectors.
-    store.anchor_low = np.zeros((len(seeds), config.feature_dim))
-    store.anchor_high = np.zeros((len(seeds), config.feature_dim))
+    anchors = np.zeros((len(seeds), 2, config.feature_dim))
     cls_target = rank_rows(label_similarity(np.arange(1.0, config.n_classes + 1)))
     grads, grad_views = buffer(enc, head)
 
@@ -286,7 +291,7 @@ def _stacked_loop(
     # iterations (or epochs), reaching lambda_end on the last one.
     span = config.lambda_end - config.lambda_start
     ramp_steps = max((config.epochs if config.lambda_per_epoch else total_iters) - 1, 1)
-    lo_cls, hi_cls = config.anchor_classes
+    ends = np.array(config.anchor_classes) - 1  # the anchor classes' rows of the class means
 
     iteration = 0
     for epoch in range(config.epochs):
@@ -310,7 +315,7 @@ def _stacked_loop(
 
                 backward(enc, head, cache, lam * feature_grads, logit_grads, grad_views)
                 adam_step(adam, grads, lr)
-                ema_update(store, protos.means[:, lo_cls - 1], protos.means[:, hi_cls - 1])
+                anchors = ema_update(anchors, protos.means[:, ends], config.ema_sigma)
             except OrdprotoError as exc:
                 raise TrainingError(f"iteration {iteration}: {exc}", iteration) from exc
             schedule.append((iteration, epoch, lr, lam))
@@ -329,11 +334,11 @@ def _stacked_loop(
         TrainResult(
             *seed_params(enc, head, row),
             GlobalPrototypeStore(
-                dim=store.dim,
-                sigma=store.sigma,
-                anchor_classes=store.anchor_classes,
-                anchor_low=store.anchor_low[row],
-                anchor_high=store.anchor_high[row],
+                dim=config.feature_dim,
+                sigma=config.ema_sigma,
+                anchor_classes=config.anchor_classes,
+                anchor_low=anchors[row, 0],
+                anchor_high=anchors[row, 1],
             ),
             TrainHistory(history[row]),
             seed,

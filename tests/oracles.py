@@ -176,7 +176,8 @@ def per_layer_backward(enc, head, cache, d_features=None, d_logits=None) -> list
     layer_grads = [None] * len(enc.layers)
     for i in range(len(enc.layers) - 1, -1, -1):
         layer = enc.layers[i]
-        da = dh * (cache.preacts[i] > 0.0) if layer.activation == "relu" else dh
+        hidden = i < len(enc.layers) - 1  # ReLU on hidden layers, identity on the last
+        da = dh * (cache.preacts[i] > 0.0) if hidden else dh
         layer_grads[i] = (cache.inputs[i].T @ da, da.sum(axis=0))
         dh = da @ layer.weight.T
     return [g for pair in layer_grads for g in pair] + [head_w, head_b]
@@ -385,20 +386,22 @@ def reference_ema_update(store, mu_low, mu_high) -> None:
         setattr(store, name, p_hat + (1.0 - store.sigma) * delta if delta.any() else p_hat)
 
 
-def reference_stacked_ema_update(store, mu_low, mu_high) -> None:
+def reference_stacked_ema_update(anchors, means, sigma: float) -> np.ndarray:
     """The stacked EMA step as whole-array numpy: every check on the (S, 4) norm array.
 
-    Per seed four rows (the low and high means, then the low and high
-    anchors) are normalized at once, with ``np.where`` picking each divisor;
-    the first seed with a bad row raises through ``_refuse_bad_rows``.
+    ``anchors`` and ``means`` are (S, 2, d), low before high. Per seed four
+    rows (the low and high means, then the low and high anchors) are
+    normalized at once, with ``np.where`` picking each divisor; the first
+    seed with a bad row raises through ``_refuse_bad_rows``. Returns the
+    new anchors.
     """
-    lo = np.asarray(mu_low, dtype=np.float64)
-    hi = np.asarray(mu_high, dtype=np.float64)
-    shape = store.anchor_low.shape
-    if lo.shape != shape or hi.shape != shape:
-        raise DimMismatchError(f"class means must have shape {shape}")
-    d = store.dim
-    v = np.concatenate((lo, hi, store.anchor_low, store.anchor_high), axis=-1).reshape(-1, 4, d)
+    anchors = np.asarray(anchors, dtype=np.float64)
+    means = np.asarray(means, dtype=np.float64)
+    if means.shape != anchors.shape or anchors.shape[-2] != 2:
+        raise DimMismatchError(f"class means must have shape {anchors.shape}")
+    d = anchors.shape[-1]
+    v = np.stack((means[..., 0, :], means[..., 1, :], anchors[..., 0, :], anchors[..., 1, :]))
+    v = np.moveaxis(v, 0, -2).reshape(-1, 4, d)
     norms = _dot_norms(v)
     if not np.logical_and.reduce((norms > NORM_EPS) & (norms < math.inf), axis=None):
         _refuse_bad_rows(np.logical_and.reduce(np.isfinite(v), axis=2), norms[:, :2])
@@ -408,20 +411,19 @@ def reference_stacked_ema_update(store, mu_low, mu_high) -> None:
     units = v / np.where(np.abs(norms - 1.0) <= UNIT_TOL, 1.0, norms)[..., None]
     mu_hat, p_hat = units[:, :2], units[:, 2:]
     delta = mu_hat - p_hat
-    anchors = p_hat + (1.0 - store.sigma) * delta
+    new = p_hat + (1.0 - sigma) * delta
     moved = np.logical_or.reduce(delta, axis=2)
     if not np.logical_and.reduce(moved, axis=None):
-        anchors[~moved] = p_hat[~moved]
-    anchors = anchors.reshape(*shape[:-1], 2, d)
-    store.anchor_low, store.anchor_high = anchors[..., 0, :], anchors[..., 1, :]
+        new[~moved] = p_hat[~moved]
+    return new.reshape(anchors.shape)
 
 
 def reference_encode(enc, x) -> np.ndarray:
     """Feature vectors only (no logits, no cache kept)."""
     h = _as_batch(x, enc.input_dim)
-    for layer in enc.layers:
+    for i, layer in enumerate(enc.layers):
         a = h @ layer.weight + layer.bias
-        h = np.maximum(a, 0.0) if layer.activation == "relu" else a
+        h = np.maximum(a, 0.0) if i < len(enc.layers) - 1 else a
     return h
 
 

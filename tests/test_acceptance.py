@@ -227,13 +227,12 @@ def test_criterion_3_ema_contract(verdict):
     fixed_point_ok = True
     for _ in range(30):
         mu = rng.standard_normal(int(rng.integers(2, 9)))
-        store = GlobalPrototypeStore(
-            dim=mu.size, anchor_classes=(1, 3), sigma=float(rng.uniform(0.1, 0.99))
-        )
-        ema_update(store, mu, mu)  # bootstrap to mu/||mu||
-        snapshot = store.anchor_high.copy()
-        ema_update(store, mu, mu)
-        fixed_point_ok &= np.array_equal(store.anchor_high, snapshot)
+        sigma = float(rng.uniform(0.1, 0.99))
+        means = np.array((mu, mu))  # the low and high class means
+        anchors = ema_update(np.zeros_like(means), means, sigma)  # bootstrap to mu/||mu||
+        snapshot = anchors[1].copy()
+        anchors = ema_update(anchors, means, sigma)
+        fixed_point_ok &= np.array_equal(anchors[1], snapshot)
         fixed_point_ok &= np.array_equal(snapshot, reference_normalize(mu, "mu"))
 
     monotone_ok = True
@@ -242,12 +241,11 @@ def test_criterion_3_ema_contract(verdict):
         for _ in range(20):
             target = rng.standard_normal(8)
             start = rng.standard_normal(8)
-            store = GlobalPrototypeStore(dim=8, anchor_classes=(1, 3), sigma=sigma)
-            ema_update(store, start, start)
-            cos_prev = cosine_similarity(store.anchor_high, target)
+            anchors = ema_update(np.zeros((2, 8)), np.array((start, start)), sigma)
+            cos_prev = cosine_similarity(anchors[1], target)
             for _ in range(100):
-                ema_update(store, target, target)
-                cos_now = cosine_similarity(store.anchor_high, target)
+                anchors = ema_update(anchors, np.array((target, target)), sigma)
+                cos_now = cosine_similarity(anchors[1], target)
                 monotone_ok &= cos_now >= cos_prev - 1e-12
                 cos_prev = cos_now
             converged += cos_prev >= 1.0 - 1e-6
@@ -271,8 +269,11 @@ def test_criterion_4_inference_invariances(verdict):
     drift = 0.0
     for _ in range(100):
         d = int(rng.integers(2, 9))
-        store = GlobalPrototypeStore(dim=d, anchor_classes=(1, 3))
-        ema_update(store, rng.standard_normal(d), rng.standard_normal(d))
+        means = np.array((rng.standard_normal(d), rng.standard_normal(d)))
+        anchor_low, anchor_high = ema_update(np.zeros((2, d)), means, 0.9)
+        store = GlobalPrototypeStore(
+            dim=d, anchor_classes=(1, 3), anchor_low=anchor_low, anchor_high=anchor_high
+        )
         q = rng.standard_normal(d)
         base = progression_scores([q], store)[0]
         for scale in (1e-6, 1e-3, 0.5, 3.0, 1e3, 1e6):

@@ -605,6 +605,14 @@ class TestEval:
             pytest.param(
                 lambda d: d["layers"][0].update(activation="tanh"), id="unknown-activation"
             ),
+            # Known names in the wrong places: encode would run another network.
+            pytest.param(
+                lambda d: (
+                    d["layers"][0].update(activation="identity"),
+                    d["layers"][-1].update(activation="relu"),
+                ),
+                id="swapped-activations",
+            ),
             pytest.param(
                 lambda d: d["layers"][0]["weight"].__setitem__(0, float("nan")), id="nan-weight"
             ),
@@ -635,16 +643,20 @@ class TestEval:
         fault(payload)
         broken = tmp_path / "checkpoint.json"
         broken.write_text(json.dumps(payload))
-        code = main(
-            [
-                "eval",
-                "--checkpoint", str(broken),
-                "--store", str(trained / "store.json"),
-                "--data", str(workspace / "data.csv"),
-            ]
-        )
-        assert code == EXIT_IO
-        assert "malformed checkpoint payload" in capsys.readouterr().err
+        out_csv = tmp_path / "emb.csv"
+        for command, extra in (("eval", []), ("export-embeddings", ["--out", str(out_csv)])):
+            code = main(
+                [
+                    command,
+                    "--checkpoint", str(broken),
+                    "--store", str(trained / "store.json"),
+                    "--data", str(workspace / "data.csv"),
+                    *extra,
+                ]
+            )
+            assert code == EXIT_IO, command
+            assert "malformed checkpoint payload" in capsys.readouterr().err
+        assert not out_csv.exists()
 
     def test_corrupt_checkpoint_is_io_error(self, workspace, trained):
         broken = workspace / "broken-checkpoint.json"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,9 @@ class TestInit:
         enc, head = tiny_net()
         assert enc.input_dim == 4 and enc.feature_dim == 3
         assert [layer.weight.shape for layer in enc.layers] == [(4, 5), (5, 3)]
-        assert [layer.activation for layer in enc.layers] == ["relu", "identity"]
+        # ReLU on the hidden layer only: its outputs are clamped, the features are not.
+        cache = forward(enc, head, np.random.default_rng(5).standard_normal((20, 4)))
+        assert cache.inputs[1].min() == 0.0 and cache.features.min() < 0.0
         assert all(np.array_equal(l.bias, np.zeros(l.bias.shape)) for l in enc.layers)
         assert head.weight.shape == (3, 3)
         assert np.array_equal(head.bias, np.zeros(3))
@@ -72,7 +76,7 @@ class TestInit:
 class TestForward:
     def test_hand_computed_single_layer(self):
         enc = EncoderParams(
-            [Layer(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, -1.0]), "identity")]
+            [Layer(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, -1.0]))]
         )
         head = HeadParams(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([10.0, 20.0]))
         cache = forward(enc, head, np.array([[1.0, 1.0]]))
@@ -81,11 +85,14 @@ class TestForward:
         assert np.array_equal(encode(enc, np.array([[1.0, 1.0]])), cache.features)
 
     def test_relu_clamps_negative_preacts(self):
-        enc = EncoderParams([Layer(-np.eye(2), np.zeros(2), "relu")])
+        # ReLU follows every layer but the last, which passes negatives through.
+        enc = EncoderParams([Layer(-np.eye(2), np.zeros(2)), Layer(-np.eye(2), np.zeros(2))])
         head = HeadParams(np.eye(2), np.zeros(2))
         cache = forward(enc, head, np.array([[3.0, -2.0]]))
         assert np.array_equal(cache.preacts[0], np.array([[-3.0, 2.0]]))
-        assert np.array_equal(cache.features, np.array([[0.0, 2.0]]))
+        assert np.array_equal(cache.inputs[1], np.array([[0.0, 2.0]]))
+        assert np.array_equal(cache.features, np.array([[0.0, -2.0]]))
+        assert np.array_equal(encode(enc, np.array([[3.0, -2.0]])), cache.features)
 
     def test_zero_input_gives_zero_everything(self):
         enc, head = tiny_net()
@@ -192,7 +199,7 @@ class TestBackward:
 class TestAdam:
     def _fixed_net(self):
         enc = EncoderParams(
-            [Layer(np.array([[0.4, -0.2], [0.3, 0.5]]), np.array([-0.3, 0.25]), "identity")]
+            [Layer(np.array([[0.4, -0.2], [0.3, 0.5]]), np.array([-0.3, 0.25]))]
         )
         head = HeadParams(np.array([[0.2, -0.5], [0.15, -0.1]]), np.array([0.1, 0.3]))
         return enc, head
@@ -263,7 +270,8 @@ class TestCheckpoint:
         save_checkpoint(enc, head, path, seed=9, epoch=41)
         enc2, head2, meta = load_checkpoint(path)
         assert np.array_equal(flat_params(enc, head), flat_params(enc2, head2))
-        assert [l.activation for l in enc2.layers] == ["relu", "identity"]
+        layers = json.loads(path.read_text())["layers"]
+        assert [spec["activation"] for spec in layers] == ["relu", "identity"]
         assert meta == {"seed": 9, "epoch": 41, "dims": [4, 5, 3]}
         x = np.random.default_rng(39).standard_normal((2, 4))
         assert np.array_equal(encode(enc2, x), encode(enc, x))

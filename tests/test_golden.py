@@ -9,9 +9,10 @@ The digests were taken with numpy 2.4.6 on x86-64 with numpy's X86_V4
 kernels. numpy's AVX2 path gives other bits from ``np.exp`` and ``np.log``,
 and other OpenBLAS cores (Haswell, Zen, Sandybridge, Prescott) give other
 bits for some matmul shapes, so on such a host the history and embeddings
-digests differ. ``np.show_runtime()`` prints numpy's SIMD dispatch, and
-the OpenBLAS core only where threadpoolctl is installed; CI logs it before
-the tests.
+digests differ (the checkpoint digest too, since it holds the trained
+weights). ``np.show_runtime()`` prints numpy's SIMD dispatch, and the
+OpenBLAS core only where threadpoolctl is installed; CI logs both before
+the tests, reading the core from numpy's bundled OpenBLAS.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ STORE_SHA256 = "ace4843670ef3774c070fb0624626ba8b93b132039066af4a0d76ae8ee1cfb10
 # Inference outputs of the same run's artifacts on a held-out cohort.
 EMBEDDINGS_SHA256 = "992cf3fdb69d32ed520d6c86fe0d8d3b1a7d67c3f42a83f5b50a0c34b71f9236"
 EVAL_SHA256 = "b2735e70f66d5b7378b8f3956bb9193c89324d84982afd5af21c54a6033767da"
+# The checkpoint those inference runs read.
+CHECKPOINT_SHA256 = "7e0ab425ed2cf58f11a09c667aa02186fab7fbb76a958cc0d2a9b7031279ab99"
 
 
 def _sha256(path) -> str:
@@ -48,6 +51,7 @@ def test_two_epoch_inference_matches_pinned_digests(tmp_path):
     result = train(TrainConfig(epochs=2, seeds=(1,)), generate(GenConfig(), 0).training_view(), 1)
     save_checkpoint(result.encoder, result.head, tmp_path / "checkpoint.json", 1, 2)
     save_store(result.store, tmp_path / "store.json")
+    assert _sha256(tmp_path / "checkpoint.json") == CHECKPOINT_SHA256
     save_dataset(generate(GenConfig(), 1), tmp_path / "cohort.csv")
     artifacts = [
         "--checkpoint", str(tmp_path / "checkpoint.json"),

@@ -30,10 +30,22 @@ from ordproto.prototypes import (
 )
 
 
-def trained_store(low, high, anchor_classes=(1, 3), **kw) -> GlobalPrototypeStore:
-    low = np.asarray(low, dtype=np.float64)
-    store = GlobalPrototypeStore(dim=low.shape[0], anchor_classes=anchor_classes, **kw)
-    return ema_update(store, low, np.asarray(high, dtype=np.float64))
+def pair(low, high) -> np.ndarray:
+    """Low and high rows as one (..., 2, dim) float64 array."""
+    return np.stack((low, high), axis=-2).astype(np.float64)
+
+
+def trained_store(low, high, anchor_classes=(1, 3), sigma=0.9) -> GlobalPrototypeStore:
+    """A store whose anchors one EMA step bootstrapped from the means ``low`` and ``high``."""
+    means = pair(low, high)
+    anchor_low, anchor_high = ema_update(np.zeros_like(means), means, sigma)
+    return GlobalPrototypeStore(
+        dim=means.shape[1],
+        anchor_classes=anchor_classes,
+        sigma=sigma,
+        anchor_low=anchor_low,
+        anchor_high=anchor_high,
+    )
 
 
 class TestStoreConstruction:
@@ -62,29 +74,31 @@ class TestStoreConstruction:
 
 class TestEmaUpdate:
     def test_bootstrap_adopts_normalized_mean(self):
-        store = GlobalPrototypeStore(dim=2, anchor_classes=(1, 3))
-        ema_update(store, np.array([3.0, 4.0]), np.array([0.0, 2.0]))
-        assert store.anchor_low == pytest.approx([0.6, 0.8], abs=1e-15)
-        assert np.array_equal(store.anchor_high, np.array([0.0, 1.0]))
-        assert is_trained(store)
+        anchors = ema_update(np.zeros((2, 2)), pair([3.0, 4.0], [0.0, 2.0]), 0.9)
+        assert anchors[0] == pytest.approx([0.6, 0.8], abs=1e-15)
+        assert np.array_equal(anchors[1], np.array([0.0, 1.0]))
+        assert is_trained(trained_store([3.0, 4.0], [0.0, 2.0]))
 
     def test_convex_step_hand_value(self):
         # sigma = 0.5 pulls a unit anchor halfway toward an orthogonal mean.
-        store = trained_store([1.0, 0.0], [0.0, 1.0], sigma=0.5)
-        ema_update(store, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        assert np.array_equal(store.anchor_low, np.array([0.5, 0.5]))
-        assert np.array_equal(store.anchor_high, np.array([0.0, 1.0]))
+        anchors = ema_update(pair([1.0, 0.0], [0.0, 1.0]), pair([0.0, 1.0], [0.0, 1.0]), 0.5)
+        assert np.array_equal(anchors, np.array([[0.5, 0.5], [0.0, 1.0]]))
+
+    def test_arguments_are_left_alone(self):
+        anchors, means = pair([1.0, 0.0], [0.0, 1.0]), pair([0.0, 1.0], [3.0, 4.0])
+        before = anchors.copy(), means.copy()
+        moved = ema_update(anchors, means, 0.5)
+        assert not np.shares_memory(moved, anchors) and not np.shares_memory(moved, means)
+        assert np.array_equal(anchors, before[0]) and np.array_equal(means, before[1])
 
     def test_exact_fixed_point_is_bitwise(self):
         rng = np.random.default_rng(24)
         low, high = rng.standard_normal(5), rng.standard_normal(5)
-        store = trained_store(low, high)
-        before_low = store.anchor_low.copy()
-        before_high = store.anchor_high.copy()
+        before = ema_update(np.zeros((2, 5)), pair(low, high), 0.9)
+        anchors = before
         for _ in range(3):
-            ema_update(store, before_low, before_high)
-            assert np.array_equal(store.anchor_low, before_low)
-            assert np.array_equal(store.anchor_high, before_high)
+            anchors = ema_update(anchors, before, 0.9)
+            assert np.array_equal(anchors, before)
 
     def test_angle_to_target_never_increases(self):
         rng = np.random.default_rng(25)
@@ -92,87 +106,69 @@ class TestEmaUpdate:
             for _ in range(5):
                 target = rng.standard_normal(6)
                 start = rng.standard_normal(6)
-                store = trained_store(start, start, sigma=sigma)
-                cos_prev = cosine_similarity(store.anchor_high, target)
+                anchors = ema_update(np.zeros((2, 6)), pair(start, start), sigma)
+                cos_prev = cosine_similarity(anchors[1], target)
                 for _ in range(100):
-                    ema_update(store, target, target)
-                    cos_now = cosine_similarity(store.anchor_high, target)
+                    anchors = ema_update(anchors, pair(target, target), sigma)
+                    cos_now = cosine_similarity(anchors[1], target)
                     assert cos_now >= cos_prev - 1e-12
                     cos_prev = cos_now
                 if sigma <= 0.9:
                     assert cos_prev >= 1.0 - 1e-6
 
     def test_update_validation(self):
-        store = GlobalPrototypeStore(dim=3, anchor_classes=(1, 3))
         with pytest.raises(ZeroVectorError):
-            ema_update(store, np.zeros(3), np.ones(3))
+            ema_update(np.zeros((2, 3)), pair(np.zeros(3), np.ones(3)), 0.9)
 
 
 class TestStackedEmaUpdate:
-    """(S, dim) anchors: each row moves as its own one-seed store would."""
-
-    @staticmethod
-    def stacked(rows: int, dim: int) -> GlobalPrototypeStore:
-        store = GlobalPrototypeStore(dim=dim, anchor_classes=(1, 3))
-        store.anchor_low, store.anchor_high = np.zeros((rows, dim)), np.zeros((rows, dim))
-        return store
+    """(S, 2, dim) anchors: each seed moves as its own (2, dim) update would."""
 
     def test_rows_match_one_seed_stores(self):
         rng = np.random.default_rng(31)
-        stack = self.stacked(3, 5)
-        singles = [GlobalPrototypeStore(dim=5, anchor_classes=(1, 3)) for _ in range(3)]
+        stack = np.zeros((3, 2, 5))
+        singles = [np.zeros((2, 5)) for _ in range(3)]
         for step in range(6):
             lo, hi = rng.standard_normal((2, 3, 5))
             if step == 3:
-                hi[1] = singles[1].anchor_high  # an exact fixed point for row 1
-            ema_update(stack, lo, hi)
-            for row, single in enumerate(singles):
-                ema_update(single, lo[row], hi[row])
-                assert np.array_equal(stack.anchor_low[row], single.anchor_low)
-                assert np.array_equal(stack.anchor_high[row], single.anchor_high)
+                hi[1] = singles[1][1]  # an exact fixed point for row 1
+            stack = ema_update(stack, pair(lo, hi), 0.9)
+            for row in range(3):
+                singles[row] = ema_update(singles[row], pair(lo[row], hi[row]), 0.9)
+                assert np.array_equal(stack[row], singles[row])
 
     def test_first_bad_seed_raises_its_own_error(self):
-        stack = self.stacked(3, 4)
-        ema_update(stack, np.ones((3, 4)), np.ones((3, 4)))
-        before = stack.anchor_low.copy(), stack.anchor_high.copy()
+        stack = ema_update(np.zeros((3, 2, 4)), np.ones((3, 2, 4)), 0.9)
+        before = stack.copy()
         lo, hi = np.ones((3, 4)), np.ones((3, 4))
         hi[1] = 0.0  # seed 1: a zero high mean
-        lo[2, 0] = np.nan  # seed 2: a NaN low mean, which a one-seed store checks first
+        lo[2, 0] = np.nan  # seed 2: a NaN low mean, which a one-seed update checks first
         with pytest.raises(ZeroVectorError, match="class mean with norm 0.0"):
-            ema_update(stack, lo, hi)
-        assert np.array_equal(stack.anchor_low, before[0])
-        assert np.array_equal(stack.anchor_high, before[1])
+            ema_update(stack, pair(lo, hi), 0.9)
+        assert np.array_equal(stack, before)
         with pytest.raises(NonFiniteError, match="mu_low contains"):
-            ema_update(self.stacked(1, 4), lo[2:], hi[2:])
-
-    @staticmethod
-    def assert_same_bytes(ours, theirs):
-        # tobytes, not array_equal: a -0.0 must stay -0.0.
-        assert ours.anchor_low.tobytes() == theirs.anchor_low.tobytes()
-        assert ours.anchor_high.tobytes() == theirs.anchor_high.tobytes()
+            ema_update(np.zeros((1, 2, 4)), pair(lo[2:], hi[2:]), 0.9)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the 1e200 mean
     def test_matches_the_whole_array_form(self):
         rng = np.random.default_rng(32)
-        ours, theirs = self.stacked(3, 5), self.stacked(3, 5)
+        ours, theirs = np.zeros((3, 2, 5)), np.zeros((3, 2, 5))
         for step in range(10):  # step 0 bootstraps every seed
             lo, hi = rng.standard_normal((2, 3, 5))
             if step == 3:
-                hi[1] = ours.anchor_high[1]  # an exact fixed point for seed 1
+                hi[1] = ours[1, 1]  # an exact fixed point for seed 1
             if step == 4:
                 lo[0] = np.eye(5)[2] * (1.0 + 5e-14)  # a norm 1 within UNIT_TOL
                 hi[0] = 1e200 * hi[0]  # a finite mean whose norm overflows
             if step == 6:  # seed 2 alone starts again, from a mean with -0.0 entries
-                for store in (ours, theirs):
-                    store.anchor_low = store.anchor_low.copy()
-                    store.anchor_high = store.anchor_high.copy()
-                    store.anchor_low[2] = store.anchor_high[2] = 0.0
+                ours[2] = theirs[2] = 0.0
                 hi[2] = [1.0, -0.0, -0.0, -0.0, -0.0]
             if step == 7:
-                hi[2] = ours.anchor_high[2]  # a fixed point that keeps its -0.0 entries
-            ema_update(ours, lo, hi)
-            reference_stacked_ema_update(theirs, lo, hi)
-            self.assert_same_bytes(ours, theirs)
+                hi[2] = ours[2, 1]  # a fixed point that keeps its -0.0 entries
+            ours = ema_update(ours, pair(lo, hi), 0.9)
+            theirs = reference_stacked_ema_update(theirs, pair(lo, hi), 0.9)
+            # tobytes, not array_equal: a -0.0 must stay -0.0.
+            assert ours.tobytes() == theirs.tobytes()
 
     @pytest.mark.parametrize("row", [0, 1, 2])
     @pytest.mark.parametrize(
@@ -186,10 +182,8 @@ class TestStackedEmaUpdate:
     )
     def test_refusals_match_the_whole_array_form(self, row, bad, error, message):
         rng = np.random.default_rng(33)
-        ours = self.stacked(3, 4)
-        ema_update(ours, *rng.standard_normal((2, 3, 4)))
+        anchors = ema_update(np.zeros((3, 2, 4)), pair(*rng.standard_normal((2, 3, 4))), 0.9)
         lo, hi = rng.standard_normal((2, 3, 4))
-        ours.anchor_low, ours.anchor_high = ours.anchor_low.copy(), ours.anchor_high.copy()
         if bad == "nan low mean":
             lo[row, 1] = np.nan
         elif bad == "inf high mean":
@@ -197,15 +191,14 @@ class TestStackedEmaUpdate:
         elif bad == "zero high mean":
             hi[row] = 0.0
         else:
-            ours.anchor_high[row, 0] = np.nan
-        theirs = self.stacked(3, 4)
-        theirs.anchor_low, theirs.anchor_high = ours.anchor_low.copy(), ours.anchor_high.copy()
+            anchors[row, 1, 0] = np.nan
+        before = anchors.tobytes()
         with pytest.raises(error) as got:
-            ema_update(ours, lo, hi)
+            ema_update(anchors, pair(lo, hi), 0.9)
         with pytest.raises(error) as want:
-            reference_stacked_ema_update(theirs, lo, hi)
+            reference_stacked_ema_update(anchors, pair(lo, hi), 0.9)
         assert str(got.value) == str(want.value) == message
-        self.assert_same_bytes(ours, theirs)  # neither store moved
+        assert anchors.tobytes() == before  # neither form wrote its input
 
 
 class TestPrediction:

@@ -215,13 +215,17 @@ class TestErrorPaths:
 
 def test_call_budget(default_view):
     # cProfile counts every Python-level call, numpy's Python wrappers
-    # included. Measured with numpy 2.4.6 on Python 3.11: 117.1 calls per
-    # iteration for a 1-epoch default run (120.2 while adam_step, ema_update
-    # and the batch planner re-checked their input; 121.2 while the losses
-    # returned a result dataclass; the loop that re-validated every batch
-    # made about 530); the bound, 4% above that, leaves no room for a
-    # validating layer or a per-batch label table per iteration. The first
-    # run in a process also pays numpy's lazy imports, so one run goes first.
+    # included. Measured with numpy 2.4.6 on Python 3.11: 117.9 calls per
+    # iteration for a 1-epoch default run (117.1 while each Layer ran a
+    # __post_init__; pstats files every dataclass __init__ under one key and
+    # counts only one of them, then Layer's 9, now ForwardCache's 90, so
+    # the figure rose while the calls made fell by 0.15 per iteration; 120.2
+    # while adam_step, ema_update and the batch planner re-checked their
+    # input; 121.2 while the losses returned a result dataclass; the loop
+    # that re-validated every batch made about 530); the bound, 4% above
+    # 117.1, leaves no room for a validating layer or a per-batch label
+    # table per iteration. The first run in a process also pays numpy's lazy
+    # imports, so one run goes first.
     train(TrainConfig(epochs=1, seeds=(1,)), default_view, 1)
     profile = cProfile.Profile()
     profile.enable()

@@ -86,6 +86,30 @@ class TestTrainConfig:
             with pytest.raises(BadConfigError, match="blackbox_lambda must be finite and positive"):
                 TrainConfig(blackbox_lambda=step)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"hidden_dims": (8.9,)},
+            {"seeds": (1.7,)},
+            {"anchor_classes": (1.5, 3.2)},
+            {"epochs": 2.0},
+            {"batch_size": 8.0},
+            {"feature_dim": 4.5},
+            {"n_classes": 3.0},
+            {"input_dim": "16"},
+            {"hidden_dims": 64},
+        ],
+        ids=lambda kw: ",".join(f"{k}={v!r}" for k, v in kw.items()),
+    )
+    def test_integer_fields_refuse_non_integers(self, kw):
+        with pytest.raises(BadConfigError, match=f"{next(iter(kw))} must hold integers"):
+            TrainConfig(**kw)
+
+    def test_integer_fields_take_numpy_ints(self):
+        cfg = TrainConfig(epochs=np.int64(2), hidden_dims=np.array([8, 4]), seeds=(np.int32(7),))
+        assert (cfg.epochs, cfg.hidden_dims, cfg.seeds) == (2, (8, 4), (7,))
+        assert all(type(v) is int for v in (cfg.epochs, *cfg.hidden_dims, *cfg.seeds))
+
     def test_no_hidden_layers_allowed(self):
         cfg = TrainConfig(hidden_dims=())
         assert cfg.dims == [16, 32]
