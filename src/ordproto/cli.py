@@ -8,12 +8,13 @@ failure during training, 5 incompatible artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
-from ._files import write_artifact, write_json
+import numpy as np
+
+from ._files import write_csv, write_json
 from .config import load_gen_config, load_train_config
 from .data import generate, load_dataset, save_dataset
 from .encoder import encode, load_checkpoint, save_checkpoint
@@ -115,15 +116,8 @@ def _export_embeddings(enc, store, dataset, out_path) -> None:
     header = ["id", "coarse_label", "fine_label"] + [
         f"z{j}" for j in range(z.shape[1])
     ] + ["p_progressive"]
-
-    def rows(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        columns = zip(dataset.coarse.tolist(), dataset.fine.tolist(), z.tolist(), scores.tolist())
-        for i, (coarse, fine, features, score) in enumerate(columns):
-            writer.writerow([i, coarse, fine, *map(repr, features), repr(score)])
-
-    write_artifact(out_path, "embeddings", rows)
+    columns = [np.arange(dataset.size), dataset.coarse, dataset.fine, z, scores]
+    write_csv(out_path, "embeddings", header, columns)
 
 
 def cmd_gen_data(args) -> int:

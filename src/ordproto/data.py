@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._files import write_artifact
+from ._files import write_csv
 from .errors import (
     BadConfigError,
     DatasetIOError,
@@ -283,18 +283,20 @@ def save_dataset(ds: SyntheticOrdinalDataset, path) -> None:
     """CSV with header id,coarse_label,fine_label,latent_t,x0..x{d-1}.
 
     Floats are written with repr, so a load reproduces every field
-    exactly. Decimal points only, no grouping.
+    exactly. Decimal points only, no grouping. A fine label other than
+    ``""``, ``"stable"`` or ``"progressive"`` (the ones ``load_dataset``
+    accepts) raises ``BadConfigError`` naming its row, before any write.
     """
+    fine = ds.fine
+    bad = ~((fine == NO_FINE_LABEL) | (fine == STABLE) | (fine == PROGRESSIVE))
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise BadConfigError(
+            f"fine_label of row {r} must be '', {STABLE!r} or {PROGRESSIVE!r}, got {fine[r]!r}"
+        )
     header = _FIXED_COLUMNS + [f"x{j}" for j in range(ds.input_dim)]
-
-    def rows(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        columns = zip(ds.coarse.tolist(), ds.fine.tolist(), ds.latent_t.tolist(), ds.x.tolist())
-        for i, (coarse, fine, latent, x) in enumerate(columns):
-            writer.writerow([i, coarse, fine, repr(latent), *map(repr, x)])
-
-    write_artifact(path, "dataset", rows)
+    columns = [np.arange(ds.size), ds.coarse, fine, ds.latent_t, ds.x]
+    write_csv(path, "dataset", header, columns)
 
 
 def load_dataset(path) -> SyntheticOrdinalDataset:

@@ -15,15 +15,15 @@ The jobs run in a pool of forked worker processes and come back in order.
 
 from __future__ import annotations
 
-import csv
 import math
+import numbers
 import operator
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from ._files import write_artifact
+from ._files import write_csv
 from .data import (
     SyntheticOrdinalDataset,
     TrainingSet,
@@ -108,6 +108,15 @@ class TrainConfig:
         object.__setattr__(self, "anchor_classes", _integers("anchor_classes", anchors))
         for name in ("hidden_dims", "seeds"):
             object.__setattr__(self, name, _integers(name, getattr(self, name)))
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "float" and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real)
+            ):
+                raise BadConfigError(f"{field.name} must be a real number, got {value!r}")
+            # Any non-empty string is true, so a switch set to "false" would be on.
+            if field.type == "bool" and not isinstance(value, bool):
+                raise BadConfigError(f"{field.name} must be a bool, got {value!r}")
         if self.n_classes < 2:
             raise BadConfigError("n_classes must be >= 2")
         if self.input_dim < 1 or self.feature_dim < 1 or any(d < 1 for d in self.hidden_dims):
@@ -135,8 +144,10 @@ class TrainConfig:
                 raise BadConfigError(f"{name} must lie in [0, 1), got {value!r}")
         if not self.seeds:
             raise BadConfigError("seeds must be non-empty")
-        lo, hi = self.anchor_classes
-        if lo == hi or not (1 <= lo <= self.n_classes and 1 <= hi <= self.n_classes):
+        anchors = self.anchor_classes
+        if len(anchors) != 2 or anchors[0] == anchors[1] or not (
+            1 <= min(anchors) and max(anchors) <= self.n_classes
+        ):
             raise BadConfigError(
                 f"anchor_classes must be two distinct classes in 1..{self.n_classes}"
             )
@@ -191,14 +202,8 @@ class TrainHistory:
     values: np.ndarray
 
     def write_csv(self, path) -> None:
-        def rows(fh):
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(HISTORY_COLUMNS)
-            for row in self.values:
-                iteration, epoch, *floats = row.tolist()
-                writer.writerow([int(iteration), int(epoch), *map(repr, floats)])
-
-        write_artifact(path, "history", rows)
+        counts = self.values[:, :2].astype(np.int64)  # iteration and epoch
+        write_csv(path, "history", HISTORY_COLUMNS, [counts, self.values[:, 2:]])
 
 
 @dataclass

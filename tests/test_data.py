@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,15 @@ class TestCsvRoundTrip:
         assert first == "id,coarse_label,fine_label,latent_t," + ",".join(
             f"x{j}" for j in range(5)
         )
+
+    @pytest.mark.parametrize("label", ["a,b", "Stable", None, 1.0])
+    def test_unwritable_fine_label_is_refused_before_any_write(self, tmp_path, label):
+        ds = generate(GenConfig(class_counts=(3, 4, 3)), seed=2)
+        fine = ds.fine.copy()
+        fine[[5, 7]] = label
+        with pytest.raises(BadConfigError, match="^fine_label of row 5 must be '', 'stable' or"):
+            save_dataset(replace(ds, fine=fine), tmp_path / "cohort.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def _write(self, tmp_path, lines):
         path = tmp_path / "bad.csv"

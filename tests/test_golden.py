@@ -10,9 +10,10 @@ kernels. numpy's AVX2 path gives other bits from ``np.exp`` and ``np.log``,
 and other OpenBLAS cores (Haswell, Zen, Sandybridge, Prescott) give other
 bits for some matmul shapes, so on such a host the history and embeddings
 digests differ (the checkpoint digest too, since it holds the trained
-weights). ``np.show_runtime()`` prints numpy's SIMD dispatch, and the
-OpenBLAS core only where threadpoolctl is installed; CI logs both before
-the tests, reading the core from numpy's bundled OpenBLAS.
+weights; the cohort digest may, since the generator calls ``np.sin``).
+``np.show_runtime()`` prints numpy's SIMD dispatch, and the OpenBLAS core
+only where threadpoolctl is installed; CI logs both before the tests,
+reading the core from numpy's bundled OpenBLAS.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ EMBEDDINGS_SHA256 = "992cf3fdb69d32ed520d6c86fe0d8d3b1a7d67c3f42a83f5b50a0c34b71
 EVAL_SHA256 = "b2735e70f66d5b7378b8f3956bb9193c89324d84982afd5af21c54a6033767da"
 # The checkpoint those inference runs read.
 CHECKPOINT_SHA256 = "7e0ab425ed2cf58f11a09c667aa02186fab7fbb76a958cc0d2a9b7031279ab99"
+# The held-out cohort they score, as ``save_dataset`` writes it.
+COHORT_SHA256 = "dc3fad8e7500fe58aae301e19f6b277a48555fba7ee5635dde07a9f3d9ed6796"
 
 
 def _sha256(path) -> str:
@@ -53,6 +56,7 @@ def test_two_epoch_inference_matches_pinned_digests(tmp_path):
     save_store(result.store, tmp_path / "store.json")
     assert _sha256(tmp_path / "checkpoint.json") == CHECKPOINT_SHA256
     save_dataset(generate(GenConfig(), 1), tmp_path / "cohort.csv")
+    assert _sha256(tmp_path / "cohort.csv") == COHORT_SHA256
     artifacts = [
         "--checkpoint", str(tmp_path / "checkpoint.json"),
         "--store", str(tmp_path / "store.json"),

@@ -9,7 +9,6 @@ bit for bit, and fail the same way.
 from __future__ import annotations
 
 import cProfile
-import pstats
 
 import numpy as np
 import pytest
@@ -215,21 +214,20 @@ class TestErrorPaths:
 
 def test_call_budget(default_view):
     # cProfile counts every Python-level call, numpy's Python wrappers
-    # included. Measured with numpy 2.4.6 on Python 3.11: 117.9 calls per
-    # iteration for a 1-epoch default run (117.1 while each Layer ran a
-    # __post_init__; pstats files every dataclass __init__ under one key and
-    # counts only one of them, then Layer's 9, now ForwardCache's 90, so
-    # the figure rose while the calls made fell by 0.15 per iteration; 120.2
-    # while adam_step, ema_update and the batch planner re-checked their
-    # input; 121.2 while the losses returned a result dataclass; the loop
-    # that re-validated every batch made about 530); the bound, 4% above
-    # 117.1, leaves no room for a validating layer or a per-batch label
-    # table per iteration. The first run in a process also pays numpy's lazy
+    # included; summing its entries counts every code object (pstats files
+    # every dataclass __init__ under one key and keeps only one count).
+    # Measured with numpy 2.4.6 on Python 3.11: 120.4 calls per iteration
+    # for a 1-epoch default run, 1.2 of them TrainConfig's once-per-run
+    # field type checks (in pstats' count: 117.9 before those checks, 121.2
+    # while the losses returned a result dataclass, about 530 while the
+    # loop re-validated every batch). The bound, 1.3% above 120.4, leaves
+    # no room for a validating layer or a per-batch label table per
+    # iteration. The first run in a process also pays numpy's lazy
     # imports, so one run goes first.
     train(TrainConfig(epochs=1, seeds=(1,)), default_view, 1)
     profile = cProfile.Profile()
     profile.enable()
     result = train(TrainConfig(epochs=1, seeds=(1,)), default_view, 1)
     profile.disable()
-    per_iteration = pstats.Stats(profile).total_calls / len(result.history.values)
+    per_iteration = sum(e.callcount for e in profile.getstats()) / len(result.history.values)
     assert per_iteration <= 122

@@ -55,6 +55,10 @@ def tiny_dataset():
     return generate(TINY_GEN, seed=60)
 
 
+def _refusal(message: str, **kw):
+    return pytest.param(kw, message, id=",".join(f"{k}={v!r}" for k, v in kw.items()))
+
+
 class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
@@ -87,22 +91,33 @@ class TestTrainConfig:
                 TrainConfig(blackbox_lambda=step)
 
     @pytest.mark.parametrize(
-        "kw",
+        "kw, message",
         [
-            {"hidden_dims": (8.9,)},
-            {"seeds": (1.7,)},
-            {"anchor_classes": (1.5, 3.2)},
-            {"epochs": 2.0},
-            {"batch_size": 8.0},
-            {"feature_dim": 4.5},
-            {"n_classes": 3.0},
-            {"input_dim": "16"},
-            {"hidden_dims": 64},
+            _refusal("hidden_dims must hold integers", hidden_dims=(8.9,)),
+            _refusal("seeds must hold integers", seeds=(1.7,)),
+            _refusal("anchor_classes must hold integers", anchor_classes=(1.5, 3.2)),
+            _refusal("epochs must hold integers", epochs=2.0),
+            _refusal("batch_size must hold integers", batch_size=8.0),
+            _refusal("feature_dim must hold integers", feature_dim=4.5),
+            _refusal("n_classes must hold integers", n_classes=3.0),
+            _refusal("input_dim must hold integers", input_dim="16"),
+            _refusal("hidden_dims must hold integers", hidden_dims=64),
+            _refusal("base_lr must be a real number", base_lr="0.1"),
+            _refusal("ema_sigma must be a real number", ema_sigma="0.5"),
+            _refusal("lambda_start must be a real number", lambda_start="0"),
+            _refusal("adam_beta1 must be a real number", adam_beta1=None),
+            _refusal("blackbox_lambda must be a real number", blackbox_lambda=True),
+            _refusal("anchor_classes must be two distinct classes", anchor_classes=(1, 2, 3)),
+            _refusal("use_ins2ins must be a bool", use_ins2ins="yes"),
+            _refusal("use_cls2cls must be a bool", use_cls2cls="false"),
+            _refusal("lambda_per_epoch must be a bool", lambda_per_epoch=1),
+            _refusal("detach_class_spread must be a bool", detach_class_spread=None),
         ],
-        ids=lambda kw: ",".join(f"{k}={v!r}" for k, v in kw.items()),
     )
-    def test_integer_fields_refuse_non_integers(self, kw):
-        with pytest.raises(BadConfigError, match=f"{next(iter(kw))} must hold integers"):
+    def test_integer_fields_refuse_non_integers(self, kw, message):
+        # Also the real-number fields and the switches: each wrong type is
+        # refused as BadConfigError naming its field.
+        with pytest.raises(BadConfigError, match=f"^{message}"):
             TrainConfig(**kw)
 
     def test_integer_fields_take_numpy_ints(self):
