@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
+import operator
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -31,6 +33,66 @@ NO_FINE_LABEL = ""
 _FIXED_COLUMNS = ["id", "coarse_label", "fine_label", "latent_t"]  # then x0..x{d-1}
 
 
+# How the type check reads each config field annotation: one integer, a
+# tuple of them, one real number, a tuple of them, or a bool. An annotation
+# ending in "| None" also takes None.
+_FIELD_KINDS = {
+    "int": "int",
+    "tuple[int, ...]": "ints",
+    "tuple[int, int] | None": "ints",
+    "float": "real",
+    "float | None": "real",
+    "tuple[float, ...]": "reals",
+    "bool": "bool",
+}
+
+
+def _integers(name: str, values) -> tuple[int, ...]:
+    """``values`` as Python ints; an entry that is no integer (numpy's are, bools not) raises."""
+    try:
+        if bool in map(type, values):
+            raise TypeError("a bool is no integer here")
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise BadConfigError(f"{name} must hold integers, got {values!r}") from exc
+
+
+def _reals(name: str, values) -> tuple[float, ...]:
+    """``values`` as Python floats; an entry that is no real number (bools are not) raises."""
+    try:
+        if bool not in map(type, values) and all(isinstance(v, numbers.Real) for v in values):
+            return tuple(map(float, values))
+    except TypeError:  # not iterable
+        pass
+    raise BadConfigError(f"{name} must hold real numbers, got {values!r}")
+
+
+def check_field_types(config) -> None:
+    """Refuse the first wrongly typed field of a frozen config dataclass, by its annotation.
+
+    Integer fields take integers, numpy's included, and keep them as Python
+    ints; real-number fields take real numbers, and a tuple of them is kept
+    as Python floats. Neither takes a bool. ``bool`` fields take only bools:
+    any non-empty string is true, so a switch set to "false" would be on.
+    """
+    for field in fields(config):
+        name, value = field.name, getattr(config, field.name)
+        kind = _FIELD_KINDS[field.type]
+        if value is None and "| None" in field.type:
+            continue
+        if kind == "int":
+            (value,) = _integers(name, (value,))
+        elif kind == "ints":
+            value = _integers(name, value)
+        elif kind == "reals":
+            value = _reals(name, value)
+        elif kind == "real" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise BadConfigError(f"{name} must be a real number, got {value!r}")
+        elif kind == "bool" and not isinstance(value, bool):
+            raise BadConfigError(f"{name} must be a bool, got {value!r}")
+        object.__setattr__(config, name, value)
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Generator settings; band edges are the K-1 interior boundaries."""
@@ -43,6 +105,7 @@ class GenConfig:
     progression_cut: float | None = None  # default: midpoint of the middle bands
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_classes < 3:
             raise BadConfigError("need at least 3 ordered classes")
         if len(self.class_counts) != self.n_classes:
@@ -53,14 +116,13 @@ class GenConfig:
             raise BadConfigError("input_dim must be >= 1")
         if self.noise_sigma < 0:
             raise BadConfigError("noise_sigma must be >= 0")
-        edges = tuple(float(e) for e in self.band_edges)
+        edges = self.band_edges
         if len(edges) != self.n_classes - 1:
             raise BadConfigError("band_edges must hold n_classes - 1 interior boundaries")
         if any(not 0.0 < e < 1.0 for e in edges) or any(
             b <= a for a, b in zip(edges, edges[1:])
         ):
             raise BadConfigError("band_edges must be strictly increasing inside (0, 1)")
-        object.__setattr__(self, "band_edges", edges)
         lo, hi = self.middle_region
         if self.progression_cut is not None and not lo <= self.progression_cut < hi:
             raise BadConfigError(
@@ -138,8 +200,6 @@ class SyntheticOrdinalDataset:
     coarse: np.ndarray  # (N,) ints >= 1
     latent_t: np.ndarray  # (N,) floats in [0, 1]
     fine: np.ndarray  # (N,) "", "stable", or "progressive"
-    config: GenConfig | None = None
-    seed: int | None = None
 
     @property
     def size(self) -> int:
@@ -182,7 +242,7 @@ def generate(config: GenConfig, seed: int) -> SyntheticOrdinalDataset:
     middle = (coarse > 1) & (coarse < config.n_classes)
     split = np.where(t >= config.resolved_cut(), PROGRESSIVE, STABLE)
     fine = np.where(middle, split, NO_FINE_LABEL).astype(object)
-    return SyntheticOrdinalDataset(x, coarse, t, fine, config, seed)
+    return SyntheticOrdinalDataset(x, coarse, t, fine)
 
 
 def classes_present(labels: np.ndarray) -> np.ndarray:
@@ -283,18 +343,22 @@ def save_dataset(ds: SyntheticOrdinalDataset, path) -> None:
     """CSV with header id,coarse_label,fine_label,latent_t,x0..x{d-1}.
 
     Floats are written with repr, so a load reproduces every field
-    exactly. Decimal points only, no grouping. A fine label other than
-    ``""``, ``"stable"`` or ``"progressive"`` (the ones ``load_dataset``
-    accepts) raises ``BadConfigError`` naming its row, before any write.
+    exactly. Decimal points only, no grouping. A value ``load_dataset``
+    would refuse (a coarse label below 1, a fine label other than ``""``,
+    ``"stable"`` or ``"progressive"``, a NaN or infinite ``latent_t`` or
+    ``x``) raises ``BadConfigError`` naming its row and column, before any
+    write.
     """
     fine = ds.fine
-    bad = ~((fine == NO_FINE_LABEL) | (fine == STABLE) | (fine == PROGRESSIVE))
-    if bad.any():
-        r = int(np.argmax(bad))
-        raise BadConfigError(
-            f"fine_label of row {r} must be '', {STABLE!r} or {PROGRESSIVE!r}, got {fine[r]!r}"
-        )
     header = _FIXED_COLUMNS + [f"x{j}" for j in range(ds.input_dim)]
+    fine_ok = (fine == NO_FINE_LABEL) | (fine == STABLE) | (fine == PROGRESSIVE)
+    # One flag per written column but the id, in header order.
+    bad = np.column_stack((ds.coarse < 1, ~fine_ok, ~np.isfinite(ds.latent_t), ~np.isfinite(ds.x)))
+    if bad.any():
+        r, c = divmod(int(np.argmax(bad)), bad.shape[1])  # the first bad row, its first bad column
+        got = [ds.coarse, fine, ds.latent_t, *ds.x.T][c].tolist()[r]
+        rule = ("must be >= 1", f"must be '', {STABLE!r} or {PROGRESSIVE!r}", "must be finite")
+        raise BadConfigError(f"{header[c + 1]} of row {r} {rule[min(c, 2)]}, got {got!r}")
     columns = [np.arange(ds.size), ds.coarse, fine, ds.latent_t, ds.x]
     write_csv(path, "dataset", header, columns)
 

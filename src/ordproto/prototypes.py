@@ -11,7 +11,7 @@ scores all rows of a feature matrix in one validated, row-batched call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,40 +34,35 @@ PROGRESSIVE = "progressive"
 class GlobalPrototypeStore:
     """EMA-tracked anchor directions for the two ends of the label scale.
 
-    Anchors start as zero vectors and are bootstrapped by the first update.
-    After the first update they are never zero again, but they are not
+    ``anchors`` is a (2, dim) float64 array, the low anchor's row first,
+    kept as a C-ordered copy. A trained anchor is never zero, but it is not
     unit norm either (the EMA is a convex combination of unit vectors).
     """
 
-    dim: int
-    anchor_classes: tuple[int, int]  # no default: TrainConfig owns the (1, K) default
-    sigma: float = 0.9
-    anchor_low: np.ndarray = field(default=None)  # type: ignore[assignment]
-    anchor_high: np.ndarray = field(default=None)  # type: ignore[assignment]
+    anchors: np.ndarray
+    anchor_classes: tuple[int, int]
+    sigma: float
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise BadConfigError("store dim must be >= 1")
+        # C order: a strided row's dot product would sum in another order.
+        self.anchors = np.array(self.anchors, dtype=np.float64, order="C")
+        shape = self.anchors.shape
+        if len(shape) != 2 or shape[0] != 2 or shape[1] < 1:
+            raise DimMismatchError(f"anchors must have shape (2, dim >= 1), got {shape}")
         if not 0.0 < self.sigma < 1.0:
             raise BadConfigError(f"sigma must lie strictly inside (0, 1), got {self.sigma}")
         lo, hi = self.anchor_classes
         if lo == hi:
             raise BadConfigError("anchor classes must be distinct")
-        for name in ("anchor_low", "anchor_high"):
-            v = getattr(self, name)
-            if v is None:
-                v = np.zeros(self.dim, dtype=np.float64)
-            else:
-                v = np.asarray(v, dtype=np.float64)
-                if v.shape != (self.dim,):
-                    raise DimMismatchError(f"{name} must have shape ({self.dim},)")
-            setattr(self, name, v)
+
+    @property
+    def dim(self) -> int:
+        return self.anchors.shape[1]
 
 
 def is_trained(store: GlobalPrototypeStore) -> bool:
-    """True once both anchors have left their zero initialization."""
-    norms = _dot_norms(np.array((store.anchor_low, store.anchor_high))).tolist()
-    return all(n > NORM_EPS for n in norms)
+    """True when neither anchor is (near-)zero."""
+    return all(n > NORM_EPS for n in _dot_norms(store.anchors).tolist())
 
 
 def _refuse_bad_rows(finite: np.ndarray, mean_norms: np.ndarray) -> None:
@@ -133,7 +128,7 @@ def anchor_cosines(features, store: GlobalPrototypeStore) -> tuple[np.ndarray, n
     every value is finite and no row has a (near-)zero norm. Row-wise reductions,
     not matrix products: a row's value does not depend on the other rows of the call.
     """
-    n_low, n_high = _dot_norms(np.array((store.anchor_low, store.anchor_high))).tolist()
+    n_low, n_high = _dot_norms(store.anchors).tolist()
     if not (n_low > NORM_EPS and n_high > NORM_EPS):
         raise UntrainedStoreError("prototype store has not been updated yet")
     # C order keeps each row's reduction order fixed whatever the input layout.
@@ -147,8 +142,9 @@ def anchor_cosines(features, store: GlobalPrototypeStore) -> tuple[np.ndarray, n
     zero = norms <= NORM_EPS
     if zero.any():
         raise ZeroVectorError(f"features row {int(np.argmax(zero))} has (near-)zero norm")
-    low = np.add.reduce(f * store.anchor_low, axis=1) / (norms * n_low)
-    return low, np.add.reduce(f * store.anchor_high, axis=1) / (norms * n_high)
+    a_low, a_high = store.anchors
+    low = np.add.reduce(f * a_low, axis=1) / (norms * n_low)
+    return low, np.add.reduce(f * a_high, axis=1) / (norms * n_high)
 
 
 def progression_scores(features, store: GlobalPrototypeStore) -> np.ndarray:
@@ -170,12 +166,13 @@ def _softmax_high(c_low: np.ndarray, c_high: np.ndarray) -> np.ndarray:
 
 
 def store_to_dict(store: GlobalPrototypeStore) -> dict:
+    low, high = store.anchors.tolist()
     return {
         "dim": store.dim,
         "sigma": store.sigma,
         "anchor_classes": list(store.anchor_classes),
-        "anchor_low": store.anchor_low.tolist(),
-        "anchor_high": store.anchor_high.tolist(),
+        "anchor_low": low,
+        "anchor_high": high,
     }
 
 
@@ -185,16 +182,13 @@ def store_from_dict(payload: dict) -> GlobalPrototypeStore:
         (dim,) = json_numbers([payload["dim"]], "dim", integers=True).tolist()
         (sigma,) = json_numbers([payload["sigma"]], "sigma").tolist()
         anchor_classes = json_numbers(payload["anchor_classes"], "anchor_classes", integers=True)
-        store = GlobalPrototypeStore(
-            dim=dim,
-            sigma=sigma,
-            anchor_classes=tuple(anchor_classes.tolist()),
-            anchor_low=json_numbers(payload["anchor_low"], "anchor_low"),
-            anchor_high=json_numbers(payload["anchor_high"], "anchor_high"),
-        )
+        anchors = [json_numbers(payload[name], name) for name in ("anchor_low", "anchor_high")]
+        if any(a.shape != (dim,) for a in anchors):
+            raise DimMismatchError(f"anchor_low and anchor_high must hold dim = {dim} numbers")
+        store = GlobalPrototypeStore(anchors, tuple(anchor_classes.tolist()), sigma)
     except (KeyError, TypeError, ValueError, BadConfigError, DimMismatchError) as exc:
         raise DatasetParseError(f"malformed prototype store payload: {exc}") from exc
-    if not (np.isfinite(store.anchor_low).all() and np.isfinite(store.anchor_high).all()):
+    if not np.isfinite(store.anchors).all():
         raise DatasetParseError("prototype store anchors contain NaN or Inf entries")
     return store
 

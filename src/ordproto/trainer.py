@@ -16,10 +16,8 @@ The jobs run in a pool of forked worker processes and come back in order.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +25,7 @@ from ._files import write_csv
 from .data import (
     SyntheticOrdinalDataset,
     TrainingSet,
+    check_field_types,
     classes_present,
     kfold_split,
     stratified_batches,
@@ -67,14 +66,6 @@ from .ranking import rank_rows
 METRIC_KEYS = ("acc", "auc", "f1", "precision", "recall", "spearman_ordinality")
 
 
-def _integers(name: str, values) -> tuple[int, ...]:
-    """``values`` as Python ints; any entry that is not an integer (numpy ints are) raises."""
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError as exc:
-        raise BadConfigError(f"{name} must hold integers, got {values!r}") from exc
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     n_classes: int = 3
@@ -101,22 +92,9 @@ class TrainConfig:
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
 
     def __post_init__(self):
-        for name in ("n_classes", "input_dim", "feature_dim", "epochs", "batch_size"):
-            (value,) = _integers(name, (getattr(self, name),))
-            object.__setattr__(self, name, value)
-        anchors = (1, self.n_classes) if self.anchor_classes is None else self.anchor_classes
-        object.__setattr__(self, "anchor_classes", _integers("anchor_classes", anchors))
-        for name in ("hidden_dims", "seeds"):
-            object.__setattr__(self, name, _integers(name, getattr(self, name)))
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if field.type == "float" and (
-                isinstance(value, bool) or not isinstance(value, numbers.Real)
-            ):
-                raise BadConfigError(f"{field.name} must be a real number, got {value!r}")
-            # Any non-empty string is true, so a switch set to "false" would be on.
-            if field.type == "bool" and not isinstance(value, bool):
-                raise BadConfigError(f"{field.name} must be a bool, got {value!r}")
+        check_field_types(self)
+        if self.anchor_classes is None:
+            object.__setattr__(self, "anchor_classes", (1, self.n_classes))
         if self.n_classes < 2:
             raise BadConfigError("n_classes must be >= 2")
         if self.input_dim < 1 or self.feature_dim < 1 or any(d < 1 for d in self.hidden_dims):
@@ -338,13 +316,7 @@ def _stacked_loop(
     return [
         TrainResult(
             *seed_params(enc, head, row),
-            GlobalPrototypeStore(
-                dim=config.feature_dim,
-                sigma=config.ema_sigma,
-                anchor_classes=config.anchor_classes,
-                anchor_low=anchors[row, 0],
-                anchor_high=anchors[row, 1],
-            ),
+            GlobalPrototypeStore(anchors[row], config.anchor_classes, config.ema_sigma),
             TrainHistory(history[row]),
             seed,
         )

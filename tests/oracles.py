@@ -375,15 +375,15 @@ def reference_normalize(v, name: str) -> np.ndarray:
 def reference_ema_update(store, mu_low, mu_high) -> None:
     """The EMA anchor step, validating and normalizing one vector at a time."""
     means = (as_vector(mu_low, "mu_low"), as_vector(mu_high, "mu_high"))
-    for name, mu in zip(("anchor_low", "anchor_high"), means):
+    for row, mu in enumerate(means):
         mu_hat = reference_normalize(mu, "class mean")
-        p = getattr(store, name)
+        p = store.anchors[row]
         if float(np.linalg.norm(p)) <= NORM_EPS:
-            setattr(store, name, mu_hat.copy())
+            store.anchors[row] = mu_hat
             continue
         p_hat = reference_normalize(p, "anchor")
         delta = mu_hat - p_hat
-        setattr(store, name, p_hat + (1.0 - store.sigma) * delta if delta.any() else p_hat)
+        store.anchors[row] = p_hat + (1.0 - store.sigma) * delta if delta.any() else p_hat
 
 
 def reference_stacked_ema_update(anchors, means, sigma: float) -> np.ndarray:
@@ -429,10 +429,7 @@ def reference_encode(enc, x) -> np.ndarray:
 
 def reference_is_trained(store: GlobalPrototypeStore) -> bool:
     """True once both anchors have left their zero initialization."""
-    return (
-        float(np.linalg.norm(store.anchor_low)) > NORM_EPS
-        and float(np.linalg.norm(store.anchor_high)) > NORM_EPS
-    )
+    return all(float(np.linalg.norm(anchor)) > NORM_EPS for anchor in store.anchors)
 
 
 def _row_cosines(f: np.ndarray, norms: np.ndarray, anchor: np.ndarray) -> np.ndarray:
@@ -463,7 +460,7 @@ def reference_anchor_cosines(features, store: GlobalPrototypeStore):
     zero = norms <= NORM_EPS
     if zero.any():
         raise ZeroVectorError(f"features row {int(np.argmax(zero))} has (near-)zero norm")
-    return _row_cosines(f, norms, store.anchor_low), _row_cosines(f, norms, store.anchor_high)
+    return tuple(_row_cosines(f, norms, anchor) for anchor in store.anchors)
 
 
 def reference_kfold_split(labels, k: int, seed) -> np.ndarray:
@@ -567,7 +564,7 @@ def reference_train(config, data, seed: int):
         epsilon=config.adam_epsilon,
     )
     store = GlobalPrototypeStore(
-        dim=config.feature_dim, sigma=config.ema_sigma, anchor_classes=config.anchor_classes
+        np.zeros((2, config.feature_dim)), config.anchor_classes, config.ema_sigma
     )
     k = config.n_classes
     per_epoch = len(reference_stratified_batches(data.labels, config.batch_size, [seed, 0], k))

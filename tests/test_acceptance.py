@@ -270,40 +270,23 @@ def test_criterion_4_inference_invariances(verdict):
     for _ in range(100):
         d = int(rng.integers(2, 9))
         means = np.array((rng.standard_normal(d), rng.standard_normal(d)))
-        anchor_low, anchor_high = ema_update(np.zeros((2, d)), means, 0.9)
-        store = GlobalPrototypeStore(
-            dim=d, anchor_classes=(1, 3), anchor_low=anchor_low, anchor_high=anchor_high
-        )
+        store = GlobalPrototypeStore(ema_update(np.zeros((2, d)), means, 0.9), (1, 3), 0.9)
         q = rng.standard_normal(d)
         base = progression_scores([q], store)[0]
         for scale in (1e-6, 1e-3, 0.5, 3.0, 1e3, 1e6):
             drift = max(drift, abs(progression_scores([scale * q], store)[0] - base))
-        scaled = GlobalPrototypeStore(
-            dim=d,
-            anchor_classes=(1, 3),
-            anchor_low=store.anchor_low * float(rng.uniform(0.5, 200.0)),
-            anchor_high=store.anchor_high * float(rng.uniform(0.005, 2.0)),
-        )
+        scales = [[float(rng.uniform(0.5, 200.0))], [float(rng.uniform(0.005, 2.0))]]
+        scaled = GlobalPrototypeStore(store.anchors * scales, (1, 3), 0.9)
         drift = max(drift, abs(progression_scores([q], scaled)[0] - base))
 
     # Exact ties: orthonormal-axis anchors with a symmetric query, and
     # swapped-coordinate anchors built from dyadic values so both cosines
     # come out bitwise identical regardless of summation order.
     halves_ok = True
-    axis_store = GlobalPrototypeStore(
-        dim=2,
-        anchor_classes=(1, 3),
-        anchor_low=np.array([1.0, 0.0]),
-        anchor_high=np.array([0.0, 1.0]),
-    )
+    axis_store = GlobalPrototypeStore(np.array([[1.0, 0.0], [0.0, 1.0]]), (1, 3), 0.9)
     p = progression_scores([[0.7, 0.7]], axis_store)[0]
     halves_ok &= p == 0.5 and reads_stable(p)
-    swap_store = GlobalPrototypeStore(
-        dim=3,
-        anchor_classes=(1, 3),
-        anchor_low=np.array([1.0, 0.5, 0.25]),
-        anchor_high=np.array([0.5, 1.0, 0.25]),
-    )
+    swap_store = GlobalPrototypeStore(np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.25]]), (1, 3), 0.9)
     p = progression_scores([[1.0, 1.0, 2.0]], swap_store)[0]
     halves_ok &= p == 0.5 and reads_stable(p)
 

@@ -521,6 +521,7 @@ class TestEval:
             # Numbers of another JSON type, each plausible once int() or
             # float() has converted it; save_store never writes them.
             pytest.param(lambda d: d.update(dim=d["dim"] + 0.5), id="float-dim"),
+            pytest.param(lambda d: d.update(dim=d["dim"] + 1), id="dim-unlike-anchors"),
             pytest.param(lambda d: d.update(sigma=str(d["sigma"])), id="string-sigma"),
             pytest.param(
                 lambda d: d["anchor_classes"].__setitem__(0, d["anchor_classes"][0] + 0.9),

@@ -59,6 +59,31 @@ class TestGenConfig:
         cfg = GenConfig(progression_cut=0.4)
         assert cfg.resolved_cut() == 0.4
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"class_counts": (10.5, 20, 30)}, "class_counts must hold integers"),
+            ({"class_counts": (10, True, 30)}, "class_counts must hold integers"),
+            ({"input_dim": 2.5}, "input_dim must hold integers"),
+            ({"n_classes": "3"}, "n_classes must hold integers"),
+            ({"n_classes": 3.0}, "n_classes must hold integers"),
+            ({"noise_sigma": "0.1"}, "noise_sigma must be a real number"),
+            ({"noise_sigma": True}, "noise_sigma must be a real number"),
+            ({"progression_cut": "0.5"}, "progression_cut must be a real number"),
+            ({"band_edges": ("0.3", "0.6")}, "band_edges must hold real numbers"),
+            ({"band_edges": 0.5}, "band_edges must hold real numbers"),
+        ],
+    )
+    def test_wrongly_typed_fields_are_refused(self, kw, message):
+        with pytest.raises(BadConfigError, match=f"^{message}"):
+            GenConfig(**kw)
+
+    def test_numpy_numbers_are_taken_as_python_numbers(self):
+        cfg = GenConfig(class_counts=np.array([5, 6, 7]), band_edges=np.array([0.25, 0.5]))
+        assert cfg.class_counts == (5, 6, 7) and cfg.band_edges == (0.25, 0.5)
+        assert all(type(v) is int for v in cfg.class_counts)
+        assert all(type(v) is float for v in cfg.band_edges)
+
     def test_validation(self):
         with pytest.raises(BadConfigError):
             GenConfig(n_classes=2, class_counts=(5, 5), band_edges=(0.5,))
@@ -85,7 +110,6 @@ class TestGenerate:
         cfg = GenConfig()
         ds = generate(cfg, seed=7)
         assert ds.size == 600 and ds.input_dim == 16
-        assert ds.seed == 7 and ds.config is cfg
         for cls, (lo, hi), count in zip((1, 2, 3), cfg.bands, cfg.class_counts):
             mask = ds.coarse == cls
             assert int(mask.sum()) == count
@@ -351,19 +375,35 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.coarse, ds.coarse)
         assert np.array_equal(back.latent_t, ds.latent_t)
         assert np.array_equal(back.fine.astype(str), ds.fine.astype(str))
-        assert back.config is None and back.seed is None
         first = path.read_text().splitlines()[0]
         assert first == "id,coarse_label,fine_label,latent_t," + ",".join(
             f"x{j}" for j in range(5)
         )
 
-    @pytest.mark.parametrize("label", ["a,b", "Stable", None, 1.0])
-    def test_unwritable_fine_label_is_refused_before_any_write(self, tmp_path, label):
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            *[
+                pytest.param("fine", v, "fine_label of row 5 must be '', 'stable' or", id=str(v))
+                for v in ("a,b", "Stable", None, 1.0)
+            ],
+            pytest.param("x", np.nan, "x3 of row 5 must be finite, got nan", id="nan-x"),
+            pytest.param(
+                "latent_t", np.inf, "latent_t of row 5 must be finite, got inf", id="inf-latent-t"
+            ),
+            pytest.param("coarse", 0, "coarse_label of row 5 must be >= 1, got 0", id="coarse-0"),
+        ],
+    )
+    def test_unwritable_fine_label_is_refused_before_any_write(
+        self, tmp_path, column, value, message
+    ):
+        # Any value load_dataset would refuse, not only a fine label. Rows 5
+        # and 7 are edited (in x, column x3); the first is named.
         ds = generate(GenConfig(class_counts=(3, 4, 3)), seed=2)
-        fine = ds.fine.copy()
-        fine[[5, 7]] = label
-        with pytest.raises(BadConfigError, match="^fine_label of row 5 must be '', 'stable' or"):
-            save_dataset(replace(ds, fine=fine), tmp_path / "cohort.csv")
+        values = getattr(ds, column).copy()
+        values[([5, 7], 3) if column == "x" else [5, 7]] = value
+        with pytest.raises(BadConfigError, match=f"^{message}"):
+            save_dataset(replace(ds, **{column: values}), tmp_path / "cohort.csv")
         assert list(tmp_path.iterdir()) == []
 
     def _write(self, tmp_path, lines):

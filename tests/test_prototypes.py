@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 
@@ -38,38 +40,38 @@ def pair(low, high) -> np.ndarray:
 def trained_store(low, high, anchor_classes=(1, 3), sigma=0.9) -> GlobalPrototypeStore:
     """A store whose anchors one EMA step bootstrapped from the means ``low`` and ``high``."""
     means = pair(low, high)
-    anchor_low, anchor_high = ema_update(np.zeros_like(means), means, sigma)
-    return GlobalPrototypeStore(
-        dim=means.shape[1],
-        anchor_classes=anchor_classes,
-        sigma=sigma,
-        anchor_low=anchor_low,
-        anchor_high=anchor_high,
-    )
+    anchors = ema_update(np.zeros_like(means), means, sigma)
+    return GlobalPrototypeStore(anchors, anchor_classes, sigma)
 
 
 class TestStoreConstruction:
-    def test_defaults(self):
-        store = GlobalPrototypeStore(dim=3, anchor_classes=(1, 3))
-        assert store.sigma == 0.9
-        assert store.anchor_classes == (1, 3)
-        with pytest.raises(TypeError):  # the anchor pair has no default here
-            GlobalPrototypeStore(dim=3)
-        assert np.array_equal(store.anchor_low, np.zeros(3))
-        assert np.array_equal(store.anchor_high, np.zeros(3))
+    def test_every_field_is_required(self):
+        assert [(f.name, f.default, f.default_factory) for f in fields(GlobalPrototypeStore)] == [
+            (name, MISSING, MISSING) for name in ("anchors", "anchor_classes", "sigma")
+        ]
+        for args in ((np.zeros((2, 3)), (1, 3)), (np.zeros((2, 3)),), ()):
+            with pytest.raises(TypeError):
+                GlobalPrototypeStore(*args)
+        store = GlobalPrototypeStore(np.zeros((2, 3)), (1, 3), 0.9)
+        assert (store.dim, store.anchor_classes, store.sigma) == (3, (1, 3), 0.9)
         assert not is_trained(store)
 
+    def test_anchors_are_a_c_ordered_float64_copy(self):
+        given = np.arange(1, 7).reshape(3, 2).T  # a strided (2, 3) int view
+        store = GlobalPrototypeStore(given, (1, 3), 0.9)
+        assert store.anchors.dtype == np.float64 and store.anchors.flags.c_contiguous
+        assert np.array_equal(store.anchors, given) and not np.shares_memory(store.anchors, given)
+
     def test_validation(self):
+        for shape in ((2, 0), (3, 3), (1, 3), (3,), (2, 3, 1)):
+            with pytest.raises(DimMismatchError, match=r"\(2, dim >= 1\)"):
+                GlobalPrototypeStore(np.ones(shape), (1, 3), 0.9)
         with pytest.raises(BadConfigError):
-            GlobalPrototypeStore(dim=0, anchor_classes=(1, 3))
+            GlobalPrototypeStore(np.ones((2, 2)), (1, 3), 1.0)
         with pytest.raises(BadConfigError):
-            GlobalPrototypeStore(dim=2, anchor_classes=(1, 3), sigma=1.0)
+            GlobalPrototypeStore(np.ones((2, 2)), (1, 3), 0.0)
         with pytest.raises(BadConfigError):
-            GlobalPrototypeStore(dim=2, anchor_classes=(1, 3), sigma=0.0)
-        with pytest.raises(BadConfigError):
-            GlobalPrototypeStore(dim=2, anchor_classes=(2, 2))
-        with pytest.raises(DimMismatchError):
-            GlobalPrototypeStore(dim=3, anchor_classes=(1, 3), anchor_low=np.ones(2))
+            GlobalPrototypeStore(np.ones((2, 2)), (2, 2), 0.9)
 
 
 class TestEmaUpdate:
@@ -252,10 +254,8 @@ class TestPrediction:
 
     def test_prediction_errors(self):
         with pytest.raises(UntrainedStoreError):
-            progression_scores(
-                np.ones((1, 2)), GlobalPrototypeStore(dim=2, anchor_classes=(1, 3))
-            )
-        half = GlobalPrototypeStore(dim=2, anchor_classes=(1, 3), anchor_low=np.array([1.0, 0.0]))
+            progression_scores(np.ones((1, 2)), GlobalPrototypeStore(np.zeros((2, 2)), (1, 3), 0.9))
+        half = GlobalPrototypeStore(np.array([[1.0, 0.0], [0.0, 0.0]]), (1, 3), 0.9)
         with pytest.raises(UntrainedStoreError):
             progression_scores(np.ones((1, 2)), half)
         store = trained_store([1.0, 0.0], [0.0, 1.0])
@@ -289,8 +289,7 @@ class TestPersistence:
         assert back.dim == store.dim
         assert back.sigma == store.sigma
         assert back.anchor_classes == store.anchor_classes
-        assert np.array_equal(back.anchor_low, store.anchor_low)
-        assert np.array_equal(back.anchor_high, store.anchor_high)
+        assert np.array_equal(back.anchors, store.anchors)
 
     def test_file_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(32)
@@ -298,8 +297,7 @@ class TestPersistence:
         path = tmp_path / "store.json"
         save_store(store, path)
         back = load_store(path)
-        assert np.array_equal(back.anchor_low, store.anchor_low)
-        assert np.array_equal(back.anchor_high, store.anchor_high)
+        assert np.array_equal(back.anchors, store.anchors)
         p = progression_scores(np.ones((1, 6)), store)[0]
         assert progression_scores(np.ones((1, 6)), back)[0] == p
 
@@ -313,6 +311,7 @@ class TestPersistence:
             lambda d: d.update(sigma=1.5),
             lambda d: d.update(anchor_classes=[2, 2]),
             lambda d: d["anchor_high"].__setitem__(1, float("inf")),
+            lambda d: d.update(dim=3),  # both anchors hold 2 numbers
         ):
             payload = store_to_dict(store)
             breakage(payload)

@@ -40,20 +40,17 @@ EPS = np.finfo(np.float64).eps
 def scalar_scores(features, store) -> np.ndarray:
     """The per-row path the kernel replaced."""
     scores = []
+    low, high = store.anchors
     for z in np.asarray(features, dtype=np.float64):
-        c_high = cosine_similarity(z, store.anchor_high)
-        c_low = cosine_similarity(z, store.anchor_low)
+        c_high = cosine_similarity(z, high)
+        c_low = cosine_similarity(z, low)
         scores.append(softmax(np.array([c_high, c_low]))[0])
     return np.array(scores)
 
 
 def random_store(rng, dim) -> GlobalPrototypeStore:
-    return GlobalPrototypeStore(
-        dim=dim,
-        anchor_classes=(1, 3),
-        anchor_low=rng.standard_normal(dim),
-        anchor_high=rng.standard_normal(dim),
-    )
+    low, high = rng.standard_normal(dim), rng.standard_normal(dim)
+    return GlobalPrototypeStore(np.array((low, high)), (1, 3), 0.9)
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +80,7 @@ class TestScalarOracle:
     def test_anchor_cosines_match_cosine_similarity(self, trained_run):
         result, _, z = trained_run
         c_low, c_high = anchor_cosines(z, result.store)
-        for anchor, got in ((result.store.anchor_low, c_low), (result.store.anchor_high, c_high)):
+        for anchor, got in zip(result.store.anchors, (c_low, c_high)):
             want = np.array([cosine_similarity(row, anchor) for row in z])
             # A cosine rounds three times (dot product, two norms) in a different
             # order on each path; scores compress this through the softmax.
@@ -96,7 +93,7 @@ class TestScalarOracle:
             scalar_scores(encode(result.encoder, cohort.x[mask]), result.store), cohort.fine[mask]
         )
         z_all = encode(result.encoder, cohort.x)
-        cos_high = np.array([cosine_similarity(z, result.store.anchor_high) for z in z_all])
+        cos_high = np.array([cosine_similarity(z, result.store.anchors[1]) for z in z_all])
         expected["spearman_ordinality"] = spearman(cos_high, cohort.latent_t)
         assert evaluate_on(result.encoder, result.store, cohort) == expected
 
@@ -159,12 +156,7 @@ class TestRowInvariance:
         assert np.array_equal(progression_scores(z[::-1], result.store), whole[::-1])
 
     def test_exact_ties_score_one_half(self):
-        store = GlobalPrototypeStore(
-            dim=3,
-            anchor_classes=(1, 3),
-            anchor_low=np.array([1.0, 0.5, 0.25]),
-            anchor_high=np.array([0.5, 1.0, 0.25]),
-        )
+        store = GlobalPrototypeStore(np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.25]]), (1, 3), 0.9)
         feats = np.array([[1.0, 1.0, 2.0], [3.0, 3.0, -1.0], [0.0, 0.0, 1.0]])
         assert np.all(progression_scores(feats, store) == 0.5)
 
@@ -172,16 +164,11 @@ class TestRowInvariance:
 class TestValidation:
     @pytest.fixture
     def store(self):
-        return GlobalPrototypeStore(
-            dim=3,
-            anchor_classes=(1, 3),
-            anchor_low=np.array([1.0, 0.0, 0.0]),
-            anchor_high=np.array([0.0, 1.0, 0.0]),
-        )
+        return GlobalPrototypeStore(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), (1, 3), 0.9)
 
     def test_untrained_store(self):
-        half = GlobalPrototypeStore(dim=3, anchor_classes=(1, 3), anchor_low=np.ones(3))
-        for store in (GlobalPrototypeStore(dim=3, anchor_classes=(1, 3)), half):
+        half = GlobalPrototypeStore(np.array([np.ones(3), np.zeros(3)]), (1, 3), 0.9)
+        for store in (GlobalPrototypeStore(np.zeros((2, 3)), (1, 3), 0.9), half):
             with pytest.raises(UntrainedStoreError):
                 progression_scores(np.ones((2, 3)), store)
             with pytest.raises(UntrainedStoreError):
@@ -235,10 +222,8 @@ class TestAgainstEarlierKernels:
         for dim in (1, 2, 3, 8, 32, 33, 100):
             for scale in scales:
                 wide = rng.standard_normal((2, 2 * dim)) * scale
-                for low, high in (wide[:, :dim], wide[:, ::2]):
-                    store = GlobalPrototypeStore(
-                        dim=dim, anchor_classes=(1, 3), anchor_low=low, anchor_high=high
-                    )
+                for anchors in (wide[:, :dim], wide[:, ::2]):
+                    store = GlobalPrototypeStore(anchors, (1, 3), 0.9)
                     feats = rng.standard_normal((70, dim)) * 10.0 ** rng.integers(-8, 9)
                     for f in (feats, np.asfortranarray(feats), feats[::-1], feats[:1]):
                         got = _outcome(anchor_cosines, f, store)
@@ -272,15 +257,13 @@ class TestAgainstEarlierKernels:
                 assert np.concatenate(side).tobytes() == want.tobytes(), size
 
     def test_errors_match_by_class_and_message(self):
-        def store(low, high, dim=3):
-            return GlobalPrototypeStore(
-                dim=dim, anchor_classes=(1, 3), anchor_low=np.array(low), anchor_high=np.array(high)
-            )
+        def store(low, high):
+            return GlobalPrototypeStore(np.array((low, high)), (1, 3), 0.9)
 
         good = store([1.0, 0.5, 0.0], [0.0, 1.0, 2.0])
         stores = [
             good,
-            GlobalPrototypeStore(dim=3, anchor_classes=(1, 3)),
+            GlobalPrototypeStore(np.zeros((2, 3)), (1, 3), 0.9),
             store([1.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
             store([0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]),
             store([1e-12, 0.0, 0.0], [1.0, 0.0, 0.0]),

@@ -65,8 +65,7 @@ def assert_equals_reference(results, adam_states, config, view) -> None:
             assert np.array_equal(getattr(state, name)[row], getattr(adam, name)), name
         assert state.step == adam.step
         assert np.array_equal(flat_params(result.encoder, result.head), state.params[row])
-        assert np.array_equal(result.store.anchor_low, store.anchor_low)
-        assert np.array_equal(result.store.anchor_high, store.anchor_high)
+        assert np.array_equal(result.store.anchors, store.anchors)
 
 
 class TestStackEqualsReference:
@@ -275,5 +274,5 @@ class TestSweepStacks:
             assert np.array_equal(
                 flat_params(result.encoder, result.head), flat_params(serial.encoder, serial.head)
             )
-            assert np.array_equal(result.store.anchor_high, serial.store.anchor_high)
+            assert np.array_equal(result.store.anchors, serial.store.anchors)
             assert row == {"seed": seed, **evaluate_on(serial.encoder, serial.store, holdout)}

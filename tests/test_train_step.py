@@ -56,8 +56,7 @@ def assert_same_run(result, adam_states, reference) -> None:
     for name in ("params", "m", "v"):
         assert np.array_equal(getattr(state, name)[0], getattr(adam, name)), name
     assert state.step == adam.step
-    assert np.array_equal(result.store.anchor_low, store.anchor_low)
-    assert np.array_equal(result.store.anchor_high, store.anchor_high)
+    assert np.array_equal(result.store.anchors, store.anchors)
 
 
 def random_batches(seed: int):
@@ -216,9 +215,10 @@ def test_call_budget(default_view):
     # cProfile counts every Python-level call, numpy's Python wrappers
     # included; summing its entries counts every code object (pstats files
     # every dataclass __init__ under one key and keeps only one count).
-    # Measured with numpy 2.4.6 on Python 3.11: 120.4 calls per iteration
-    # for a 1-epoch default run, 1.2 of them TrainConfig's once-per-run
-    # field type checks (in pstats' count: 117.9 before those checks, 121.2
+    # Measured with numpy 2.4.6 on Python 3.11: 120.2 calls per iteration
+    # for a 1-epoch default run, 1.5 of them building the TrainConfig once
+    # per run, its field type checks included (120.4 before GenConfig shared
+    # those checks; in pstats' count: 117.9 before those checks, 121.2
     # while the losses returned a result dataclass, about 530 while the
     # loop re-validated every batch). The bound, 1.3% above 120.4, leaves
     # no room for a validating layer or a per-batch label table per

@@ -97,6 +97,7 @@ class TestTrainConfig:
             _refusal("seeds must hold integers", seeds=(1.7,)),
             _refusal("anchor_classes must hold integers", anchor_classes=(1.5, 3.2)),
             _refusal("epochs must hold integers", epochs=2.0),
+            _refusal("epochs must hold integers", epochs=True),
             _refusal("batch_size must hold integers", batch_size=8.0),
             _refusal("feature_dim must hold integers", feature_dim=4.5),
             _refusal("n_classes must hold integers", n_classes=3.0),
@@ -189,8 +190,7 @@ class TestTrainLoop:
         a = train(TINY_TRAIN, view, seed=1)
         b = train(TINY_TRAIN, view, seed=1)
         assert np.array_equal(flat_params(a.encoder, a.head), flat_params(b.encoder, b.head))
-        assert np.array_equal(a.store.anchor_low, b.store.anchor_low)
-        assert np.array_equal(a.store.anchor_high, b.store.anchor_high)
+        assert np.array_equal(a.store.anchors, b.store.anchors)
         assert a.history.values.tobytes() == b.history.values.tobytes()
         c = train(TINY_TRAIN, view, seed=2)
         assert not np.array_equal(
@@ -281,8 +281,7 @@ class TestTrainLoop:
     def test_store_tracks_feature_geometry(self, tiny_dataset):
         result = train(TINY_TRAIN, tiny_dataset.training_view(), seed=1)
         assert result.store.dim == 4
-        assert float(np.linalg.norm(result.store.anchor_low)) > 1e-6
-        assert float(np.linalg.norm(result.store.anchor_high)) > 1e-6
+        assert np.all(np.linalg.norm(result.store.anchors, axis=1) > 1e-6)
 
     def test_input_validation(self, tiny_dataset):
         view = tiny_dataset.training_view()
@@ -360,8 +359,7 @@ class TestRunSeeds:
 def assert_same_run(a, b):
     assert np.array_equal(a.history.values, b.history.values)
     assert np.array_equal(flat_params(a.encoder, a.head), flat_params(b.encoder, b.head))
-    assert np.array_equal(a.store.anchor_low, b.store.anchor_low)
-    assert np.array_equal(a.store.anchor_high, b.store.anchor_high)
+    assert np.array_equal(a.store.anchors, b.store.anchors)
     assert a.seed == b.seed
 
 
