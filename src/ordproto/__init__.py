@@ -17,7 +17,7 @@ from .data import (
     load_dataset,
     save_dataset,
 )
-from .encoder import EncoderParams, HeadParams, encode, load_checkpoint, save_checkpoint
+from .encoder import EncoderParams, encode, load_checkpoint, save_checkpoint
 from .evaluation import binary_metrics, spearman
 from .prototypes import (
     PROGRESSIVE,

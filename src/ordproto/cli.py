@@ -26,7 +26,15 @@ from .errors import (
     OrdprotoError,
 )
 from .prototypes import is_trained, load_store, progression_scores, save_store
-from .trainer import ablation_config, check_data_fits, cross_validate, evaluate_on, run_seeds
+from .trainer import (
+    ABLATION_VARIANTS,
+    METRIC_KEYS,
+    ablation_config,
+    check_data_fits,
+    cross_validate,
+    evaluate_on,
+    run_seeds,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-data", help="optional held-out dataset CSV for metrics")
     p.add_argument(
         "--ablate",
-        choices=["ce-only", "ins2ins", "ins2cls", "full"],
+        choices=list(ABLATION_VARIANTS),
         help="override the loss-component switches with a named variant",
     )
 
@@ -170,10 +178,10 @@ def cmd_train(args) -> int:
 
     manifest = {
         "config_path": str(args.config),
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(config).items()},
+        "config": vars(config),
         "data_path": str(args.data),
         "eval_data_path": str(args.eval_data) if args.eval_data else None,
-        "seeds": list(config.seeds),
+        "seeds": config.seeds,
         "artifact_seed": first.seed,
         "out_dir": str(out_dir),
         "artifacts": {name: str(p) for name, p in paths.items()},
@@ -181,7 +189,7 @@ def cmd_train(args) -> int:
     _write_json(manifest, out_dir / "manifest.json")
 
     mean, std = sweep.summary["mean"], sweep.summary["std"]
-    for key in ("acc", "auc", "f1", "precision", "recall", "spearman_ordinality"):
+    for key in METRIC_KEYS:
         print(f"{key}: {mean[key]:.4f} +/- {std[key]:.4f}")
     return EXIT_OK
 

@@ -114,8 +114,8 @@ class GenConfig:
             raise BadConfigError("every class count must be >= 1")
         if self.input_dim < 1:
             raise BadConfigError("input_dim must be >= 1")
-        if self.noise_sigma < 0:
-            raise BadConfigError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise BadConfigError("noise_sigma must be finite and >= 0")
         edges = self.band_edges
         if len(edges) != self.n_classes - 1:
             raise BadConfigError("band_edges must hold n_classes - 1 interior boundaries")
@@ -347,8 +347,10 @@ def save_dataset(ds: SyntheticOrdinalDataset, path) -> None:
     would refuse (a coarse label below 1, a fine label other than ``""``,
     ``"stable"`` or ``"progressive"``, a NaN or infinite ``latent_t`` or
     ``x``) raises ``BadConfigError`` naming its row and column, before any
-    write.
+    write; so does a coarse-label column that is not an integer array.
     """
+    if not np.issubdtype(ds.coarse.dtype, np.integer):
+        raise BadConfigError(f"coarse_label must hold integers, got dtype {ds.coarse.dtype}")
     fine = ds.fine
     header = _FIXED_COLUMNS + [f"x{j}" for j in range(ds.input_dim)]
     fine_ok = (fine == NO_FINE_LABEL) | (fine == STABLE) | (fine == PROGRESSIVE)

@@ -2,16 +2,16 @@
 
 No autograd framework: the forward pass caches layer inputs and
 pre-activations, and ``backward`` replays them in reverse. The linear
-head that produces class logits is kept separate from the encoder body
-so feature-space losses and the classification loss can inject their
-gradients at different points.
+head that produces class logits is one more ``Layer``, the network's
+last, kept apart from the encoder body so feature-space losses and the
+classification loss can inject their gradients at different points.
 
 Adam works on one flat float64 buffer that holds every parameter in a
 fixed layout: each layer's weight (row-major) and bias in layer order,
-then the head's weight and bias. ``init_adam`` moves the parameters into
-that buffer and leaves the ``Layer`` and ``HeadParams`` fields as views
-into it; ``backward`` writes its gradient into a buffer of the same
-layout (``buffer``), which the training loop allocates once per run.
+the head last. ``init_adam`` moves the parameters into that buffer and
+leaves every ``Layer``'s fields as views into it; ``backward`` writes its
+gradient into a buffer of the same layout (``buffer``), which the
+training loop allocates once per run.
 
 The training loop trains S seeds at once: ``stack_params`` puts their
 parameters on a leading seed axis, so every array gains a first axis of
@@ -37,7 +37,7 @@ from .errors import DatasetParseError, DimMismatchError, NonFiniteError
 
 @dataclass
 class Layer:
-    """One linear layer; ReLU follows every layer but the encoder's last."""
+    """One linear layer; ReLU follows every encoder layer but the last, never the head."""
 
     weight: np.ndarray  # (fan_in, fan_out), or (S, fan_in, fan_out) in a seed stack
     bias: np.ndarray  # (fan_out,), or (S, fan_out)
@@ -56,45 +56,37 @@ class EncoderParams:
         return self.layers[-1].weight.shape[-1]
 
 
-@dataclass
-class HeadParams:
-    weight: np.ndarray  # (feature_dim, n_classes), or (S, feature_dim, n_classes)
-    bias: np.ndarray  # (n_classes,), or (S, n_classes)
+def _split(layers: list[Layer]) -> tuple[EncoderParams, Layer]:
+    """``(encoder, head)`` from every layer of the network, the head last."""
+    return EncoderParams(layers[:-1]), layers[-1]
 
 
-def init_params(dims, n_classes: int, seed: int) -> tuple[EncoderParams, HeadParams]:
+def init_params(dims, n_classes: int, seed: int) -> tuple[EncoderParams, Layer]:
     """He-style init: weights ~ N(0, 2/fan_in), biases zero. Deterministic per seed.
     ``TrainConfig`` has checked ``dims`` (2+ positive ints) and ``n_classes`` (2+)."""
     rng = np.random.default_rng(seed)
+    widths = [*dims, n_classes]
     layers = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         weight = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
         layers.append(Layer(weight, np.zeros(fan_out)))
-    head = HeadParams(
-        rng.normal(0.0, math.sqrt(2.0 / dims[-1]), size=(dims[-1], n_classes)),
-        np.zeros(n_classes),
-    )
-    return EncoderParams(layers), head
+    return _split(layers)
 
 
-def stack_params(pairs) -> tuple[EncoderParams, HeadParams]:
+def stack_params(pairs) -> tuple[EncoderParams, Layer]:
     """S seeds' ``(encoder, head)`` pairs of one shape, as one pair of (S, ...) arrays."""
-    encs, heads = zip(*pairs)
-    layers = [
-        Layer(
-            np.stack([enc.layers[i].weight for enc in encs]),
-            np.stack([enc.layers[i].bias for enc in encs]),
-        )
-        for i in range(len(encs[0].layers))
-    ]
-    head = HeadParams(np.stack([h.weight for h in heads]), np.stack([h.bias for h in heads]))
-    return EncoderParams(layers), head
+    nets = [[*enc.layers, head] for enc, head in pairs]
+    return _split(
+        [
+            Layer(np.stack([net[i].weight for net in nets]), np.stack([net[i].bias for net in nets]))
+            for i in range(len(nets[0]))
+        ]
+    )
 
 
-def seed_params(enc: EncoderParams, head: HeadParams, row: int):
+def seed_params(enc: EncoderParams, head: Layer, row: int) -> tuple[EncoderParams, Layer]:
     """Seed ``row`` of stacked parameters, as views."""
-    layers = [Layer(layer.weight[row], layer.bias[row]) for layer in enc.layers]
-    return EncoderParams(layers), HeadParams(head.weight[row], head.bias[row])
+    return _split([Layer(layer.weight[row], layer.bias[row]) for layer in (*enc.layers, head)])
 
 
 @dataclass
@@ -117,7 +109,7 @@ def _as_batch(x, input_dim: int) -> np.ndarray:
     return arr
 
 
-def forward(enc: EncoderParams, head: HeadParams, h: np.ndarray) -> ForwardCache:
+def forward(enc: EncoderParams, head: Layer, h: np.ndarray) -> ForwardCache:
     """Forward pass without validation.
 
     ``h`` is a finite C-ordered float64 array, (M, input_dim), or
@@ -146,13 +138,12 @@ def encode(enc: EncoderParams, x) -> np.ndarray:
     return h
 
 
-def buffer(enc: EncoderParams, head: HeadParams) -> tuple[np.ndarray, list[np.ndarray]]:
+def buffer(enc: EncoderParams, head: Layer) -> tuple[np.ndarray, list[np.ndarray]]:
     """An uninitialized flat buffer in the parameter layout, and one view per array.
 
     Stacked parameters get an (S, P) buffer, one row per seed, and (S, ...) views.
     """
-    arrays = [a for layer in enc.layers for a in (layer.weight, layer.bias)]
-    arrays += [head.weight, head.bias]
+    arrays = [a for layer in (*enc.layers, head) for a in (layer.weight, layer.bias)]
     lead = head.bias.shape[:-1]
     shapes = [a.shape[len(lead) :] for a in arrays]
     sizes = [math.prod(shape) for shape in shapes]
@@ -166,7 +157,7 @@ def buffer(enc: EncoderParams, head: HeadParams) -> tuple[np.ndarray, list[np.nd
 
 def backward(
     enc: EncoderParams,
-    head: HeadParams,
+    head: Layer,
     cache: ForwardCache,
     d_features: np.ndarray,
     d_logits: np.ndarray,
@@ -215,7 +206,7 @@ class AdamState:
 
 
 def init_adam(
-    enc: EncoderParams, head: HeadParams, beta1: float, beta2: float, epsilon: float
+    enc: EncoderParams, head: Layer, beta1: float, beta2: float, epsilon: float
 ) -> AdamState:
     """Zeroed Adam state over a new buffer holding every parameter.
 
@@ -268,9 +259,7 @@ def adam_step(state: AdamState, grads: np.ndarray, lr: float) -> None:
     state.params -= a
 
 
-def save_checkpoint(
-    enc: EncoderParams, head: HeadParams, path, seed: int, epoch: int
-) -> None:
+def save_checkpoint(enc: EncoderParams, head: Layer, path, seed: int, epoch: int) -> None:
     """JSON checkpoint: dims, seed, epoch, per layer its activation and flat arrays."""
     dims = [enc.input_dim] + [layer.weight.shape[1] for layer in enc.layers]
     payload = {
@@ -304,7 +293,7 @@ def _flat_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     return arr.reshape(shape)
 
 
-def load_checkpoint(path) -> tuple[EncoderParams, HeadParams, dict]:
+def load_checkpoint(path) -> tuple[EncoderParams, Layer, dict]:
     """Rebuild (encoder, head) from a checkpoint; returns metadata too.
 
     Any payload ``save_checkpoint`` cannot write (dims, layer count, array
@@ -329,7 +318,7 @@ def load_checkpoint(path) -> tuple[EncoderParams, HeadParams, dict]:
             weight = _flat_array(spec["weight"], shape, f"layer {i} weight")
             bias = _flat_array(spec["bias"], shape[1:], f"layer {i} bias")
             layers.append(Layer(weight, bias))
-        head = HeadParams(
+        head = Layer(
             _flat_array(payload["head"]["weight"], (dims[-1], n_classes), "head weight"),
             _flat_array(payload["head"]["bias"], (n_classes,), "head bias"),
         )

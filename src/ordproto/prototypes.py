@@ -45,7 +45,10 @@ class GlobalPrototypeStore:
 
     def __post_init__(self):
         # C order: a strided row's dot product would sum in another order.
-        self.anchors = np.array(self.anchors, dtype=np.float64, order="C")
+        try:
+            self.anchors = np.array(self.anchors, dtype=np.float64, order="C")
+        except ValueError as exc:  # rows of different lengths, say
+            raise DimMismatchError(f"anchors must have shape (2, dim >= 1): {exc}") from exc
         shape = self.anchors.shape
         if len(shape) != 2 or shape[0] != 2 or shape[1] < 1:
             raise DimMismatchError(f"anchors must have shape (2, dim >= 1), got {shape}")

@@ -32,7 +32,7 @@ from .data import (
 )
 from .encoder import (
     EncoderParams,
-    HeadParams,
+    Layer,
     adam_step,
     backward,
     buffer,
@@ -64,6 +64,14 @@ from .prototypes import GlobalPrototypeStore, _softmax_high, anchor_cosines, ema
 from .ranking import rank_rows
 
 METRIC_KEYS = ("acc", "auc", "f1", "precision", "recall", "spearman_ordinality")
+
+# Cumulative ablation variants: the (use_ins2ins, use_ins2cls, use_cls2cls) switches of each.
+ABLATION_VARIANTS = {
+    "ce-only": (False, False, False),
+    "ins2ins": (True, False, False),
+    "ins2cls": (True, True, False),
+    "full": (True, True, True),
+}
 
 
 @dataclass(frozen=True)
@@ -187,7 +195,7 @@ class TrainHistory:
 @dataclass
 class TrainResult:
     encoder: EncoderParams
-    head: HeadParams
+    head: Layer
     store: GlobalPrototypeStore
     history: TrainHistory
     seed: int
@@ -464,14 +472,8 @@ def cross_validate(config: TrainConfig, dataset: SyntheticOrdinalDataset, k: int
 
 
 def ablation_config(config: TrainConfig, variant: str) -> TrainConfig:
-    """Switch loss components by cumulative variant name."""
-    variants = {
-        "ce-only": (False, False, False),
-        "ins2ins": (True, False, False),
-        "ins2cls": (True, True, False),
-        "full": (True, True, True),
-    }
-    if variant not in variants:
+    """Switch loss components by cumulative variant name (``ABLATION_VARIANTS``)."""
+    if variant not in ABLATION_VARIANTS:
         raise BadConfigError(f"unknown ablation variant {variant!r}")
-    i2i, i2c, c2c = variants[variant]
+    i2i, i2c, c2c = ABLATION_VARIANTS[variant]
     return replace(config, use_ins2ins=i2i, use_ins2cls=i2c, use_cls2cls=c2c)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -93,8 +94,9 @@ class TestGenConfig:
             GenConfig(class_counts=(5, 0, 5))
         with pytest.raises(BadConfigError):
             GenConfig(input_dim=0)
-        with pytest.raises(BadConfigError):
-            GenConfig(noise_sigma=-0.1)
+        for sigma in (-0.1, math.nan, math.inf):
+            with pytest.raises(BadConfigError, match="noise_sigma must be finite and >= 0"):
+                GenConfig(noise_sigma=sigma)
         with pytest.raises(BadConfigError):
             GenConfig(band_edges=(0.5, 0.4))
         with pytest.raises(BadConfigError):
@@ -392,15 +394,20 @@ class TestCsvRoundTrip:
                 "latent_t", np.inf, "latent_t of row 5 must be finite, got inf", id="inf-latent-t"
             ),
             pytest.param("coarse", 0, "coarse_label of row 5 must be >= 1, got 0", id="coarse-0"),
+            pytest.param(
+                "coarse", 2.0, "coarse_label must hold integers, got dtype float64", id="float-coarse"
+            ),
         ],
     )
     def test_unwritable_fine_label_is_refused_before_any_write(
         self, tmp_path, column, value, message
     ):
         # Any value load_dataset would refuse, not only a fine label. Rows 5
-        # and 7 are edited (in x, column x3); the first is named.
+        # and 7 are edited (in x, column x3); the first is named. A value of
+        # another type retypes its column: 2.0 makes the coarse labels floats.
         ds = generate(GenConfig(class_counts=(3, 4, 3)), seed=2)
-        values = getattr(ds, column).copy()
+        values = getattr(ds, column)
+        values = values.astype(np.result_type(values, np.asarray(value)))
         values[([5, 7], 3) if column == "x" else [5, 7]] = value
         with pytest.raises(BadConfigError, match=f"^{message}"):
             save_dataset(replace(ds, **{column: values}), tmp_path / "cohort.csv")

@@ -12,7 +12,6 @@ from kernels import cross_entropy, flat_backward
 from oracles import PerArrayAdam, flat_params, param_arrays, per_layer_backward, split_like
 from ordproto.encoder import (
     EncoderParams,
-    HeadParams,
     Layer,
     adam_step,
     backward,
@@ -78,7 +77,7 @@ class TestForward:
         enc = EncoderParams(
             [Layer(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, -1.0]))]
         )
-        head = HeadParams(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([10.0, 20.0]))
+        head = Layer(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([10.0, 20.0]))
         cache = forward(enc, head, np.array([[1.0, 1.0]]))
         assert np.array_equal(cache.features, np.array([[4.5, 5.0]]))
         assert np.array_equal(cache.logits, np.array([[14.5, 25.0]]))
@@ -87,7 +86,7 @@ class TestForward:
     def test_relu_clamps_negative_preacts(self):
         # ReLU follows every layer but the last, which passes negatives through.
         enc = EncoderParams([Layer(-np.eye(2), np.zeros(2)), Layer(-np.eye(2), np.zeros(2))])
-        head = HeadParams(np.eye(2), np.zeros(2))
+        head = Layer(np.eye(2), np.zeros(2))
         cache = forward(enc, head, np.array([[3.0, -2.0]]))
         assert np.array_equal(cache.preacts[0], np.array([[-3.0, 2.0]]))
         assert np.array_equal(cache.inputs[1], np.array([[0.0, 2.0]]))
@@ -201,7 +200,7 @@ class TestAdam:
         enc = EncoderParams(
             [Layer(np.array([[0.4, -0.2], [0.3, 0.5]]), np.array([-0.3, 0.25]))]
         )
-        head = HeadParams(np.array([[0.2, -0.5], [0.15, -0.1]]), np.array([0.1, 0.3]))
+        head = Layer(np.array([[0.2, -0.5], [0.15, -0.1]]), np.array([0.1, 0.3]))
         return enc, head
 
     def test_zero_gradient_leaves_params_bitwise(self):

@@ -63,9 +63,11 @@ class TestStoreConstruction:
         assert np.array_equal(store.anchors, given) and not np.shares_memory(store.anchors, given)
 
     def test_validation(self):
-        for shape in ((2, 0), (3, 3), (1, 3), (3,), (2, 3, 1)):
+        shapes = ((2, 0), (3, 3), (1, 3), (3,), (2, 3, 1))
+        ragged = [np.ones(2), np.ones(3)]
+        for anchors in [*(np.ones(shape) for shape in shapes), ragged]:
             with pytest.raises(DimMismatchError, match=r"\(2, dim >= 1\)"):
-                GlobalPrototypeStore(np.ones(shape), (1, 3), 0.9)
+                GlobalPrototypeStore(anchors, (1, 3), 0.9)
         with pytest.raises(BadConfigError):
             GlobalPrototypeStore(np.ones((2, 2)), (1, 3), 1.0)
         with pytest.raises(BadConfigError):

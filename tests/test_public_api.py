@@ -13,7 +13,6 @@ PUBLIC_NAMES = [
     "EncoderParams",
     "GenConfig",
     "GlobalPrototypeStore",
-    "HeadParams",
     "PROGRESSIVE",
     "STABLE",
     "SyntheticOrdinalDataset",
