@@ -347,10 +347,24 @@ def save_dataset(ds: SyntheticOrdinalDataset, path) -> None:
     would refuse (a coarse label below 1, a fine label other than ``""``,
     ``"stable"`` or ``"progressive"``, a NaN or infinite ``latent_t`` or
     ``x``) raises ``BadConfigError`` naming its row and column, before any
-    write; so does a coarse-label column that is not an integer array.
+    write; so do an ``x`` that is not a 2-D float array, a ``latent_t`` that
+    holds no floats, a coarse-label column that is not an integer array and
+    label or ``latent_t`` columns that are not 1-D with one entry per row.
     """
+    if ds.x.ndim != 2 or ds.x.dtype.kind != "f":
+        raise BadConfigError(
+            f"x must be a 2-D float array, got shape {ds.x.shape} dtype {ds.x.dtype}"
+        )
+    if ds.latent_t.dtype.kind != "f":
+        raise BadConfigError(f"latent_t must hold floats, got dtype {ds.latent_t.dtype}")
     if not np.issubdtype(ds.coarse.dtype, np.integer):
         raise BadConfigError(f"coarse_label must hold integers, got dtype {ds.coarse.dtype}")
+    shapes = [ds.coarse.shape, ds.fine.shape, ds.latent_t.shape]
+    if shapes != [(ds.size,)] * 3:
+        raise BadConfigError(
+            f"coarse_label, fine_label and latent_t must have shape ({ds.size},) as x has "
+            f"{ds.size} rows, got {shapes}"
+        )
     fine = ds.fine
     header = _FIXED_COLUMNS + [f"x{j}" for j in range(ds.input_dim)]
     fine_ok = (fine == NO_FINE_LABEL) | (fine == STABLE) | (fine == PROGRESSIVE)

@@ -11,6 +11,7 @@ scores all rows of a feature matrix in one validated, row-batched call.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ class GlobalPrototypeStore:
     ``anchors`` is a (2, dim) float64 array, the low anchor's row first,
     kept as a C-ordered copy. A trained anchor is never zero, but it is not
     unit norm either (the EMA is a convex combination of unit vectors).
+    ``anchor_classes`` is a tuple of two distinct integers >= 1 (numpy's
+    too, not bools), kept as Python ints.
     """
 
     anchors: np.ndarray
@@ -54,9 +57,18 @@ class GlobalPrototypeStore:
             raise DimMismatchError(f"anchors must have shape (2, dim >= 1), got {shape}")
         if not 0.0 < self.sigma < 1.0:
             raise BadConfigError(f"sigma must lie strictly inside (0, 1), got {self.sigma}")
-        lo, hi = self.anchor_classes
-        if lo == hi:
-            raise BadConfigError("anchor classes must be distinct")
+        classes = self.anchor_classes
+        if not (
+            isinstance(classes, tuple)
+            and len(classes) == 2
+            and all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in classes)
+            and min(classes) >= 1
+            and classes[0] != classes[1]
+        ):
+            raise BadConfigError(
+                f"anchor classes must be two distinct integers >= 1, got {classes!r}"
+            )
+        self.anchor_classes = tuple(map(int, classes))
 
     @property
     def dim(self) -> int:

@@ -16,12 +16,11 @@ The jobs run in a pool of forked worker processes and come back in order.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._files import write_csv
+from ._files import _usable_cores, write_csv
 from .data import (
     SyntheticOrdinalDataset,
     TrainingSet,
@@ -365,12 +364,6 @@ def _mean_std(rows: list[dict]) -> tuple[dict, dict]:
         mean[key] = float(vals.mean())
         std[key] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
     return mean, std
-
-
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _map_in_order(job, jobs: list[tuple]) -> list:

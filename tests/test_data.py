@@ -397,18 +397,50 @@ class TestCsvRoundTrip:
             pytest.param(
                 "coarse", 2.0, "coarse_label must hold integers, got dtype float64", id="float-coarse"
             ),
+            # A function replaces the whole column with what it returns.
+            *[
+                pytest.param(
+                    column,
+                    lambda v: v[:-1],
+                    r"coarse_label, fine_label and latent_t must have shape \(\d+,\) as x has",
+                    id=f"short-{column}",
+                )
+                for column in ("x", "coarse", "fine", "latent_t")
+            ],
+            pytest.param(
+                "latent_t", lambda t: t[:, None], "coarse_label, fine_label and", id="2-d-latent-t"
+            ),
+            pytest.param(
+                "x", lambda x: x[:, 0], r"x must be a 2-D float array, got shape \(10,\)", id="1-d-x"
+            ),
+            pytest.param(
+                "x",
+                lambda x: x.astype(np.int64),
+                r"x must be a 2-D float array, got shape \(10, 16\) dtype int64",
+                id="int-x",
+            ),
+            pytest.param(
+                "latent_t",
+                lambda t: t.astype(str),
+                "latent_t must hold floats, got dtype <U",
+                id="str-latent-t",
+            ),
         ],
     )
     def test_unwritable_fine_label_is_refused_before_any_write(
         self, tmp_path, column, value, message
     ):
-        # Any value load_dataset would refuse, not only a fine label. Rows 5
-        # and 7 are edited (in x, column x3); the first is named. A value of
-        # another type retypes its column: 2.0 makes the coarse labels floats.
+        # Any value load_dataset would refuse, not only a fine label, and any
+        # column of the wrong shape or kind. Rows 5 and 7 are edited (in x,
+        # column x3); the first is named. A value of another type retypes its
+        # column: 2.0 makes the coarse labels floats.
         ds = generate(GenConfig(class_counts=(3, 4, 3)), seed=2)
         values = getattr(ds, column)
-        values = values.astype(np.result_type(values, np.asarray(value)))
-        values[([5, 7], 3) if column == "x" else [5, 7]] = value
+        if callable(value):
+            values = value(values)
+        else:
+            values = values.astype(np.result_type(values, np.asarray(value)))
+            values[([5, 7], 3) if column == "x" else [5, 7]] = value
         with pytest.raises(BadConfigError, match=f"^{message}"):
             save_dataset(replace(ds, **{column: values}), tmp_path / "cohort.csv")
         assert list(tmp_path.iterdir()) == []

@@ -72,8 +72,14 @@ class TestStoreConstruction:
             GlobalPrototypeStore(np.ones((2, 2)), (1, 3), 1.0)
         with pytest.raises(BadConfigError):
             GlobalPrototypeStore(np.ones((2, 2)), (1, 3), 0.0)
-        with pytest.raises(BadConfigError):
-            GlobalPrototypeStore(np.ones((2, 2)), (2, 2), 0.9)
+        message = "^anchor classes must be two distinct integers >= 1"
+        for classes in ((2, 2), (1,), (1, 2, 3), (0, 3), (-1, 3), (1.5, 3), (1.0, 3), (True, 3)):
+            with pytest.raises(BadConfigError, match=message):
+                GlobalPrototypeStore(np.ones((2, 2)), classes, 0.9)
+        with pytest.raises(BadConfigError, match=message):
+            GlobalPrototypeStore(np.ones((2, 2)), [1, 3], 0.9)
+        store = GlobalPrototypeStore(np.ones((2, 2)), (np.int64(3), np.int32(1)), 0.9)
+        assert store.anchor_classes == (3, 1) and set(map(type, store.anchor_classes)) == {int}
 
 
 class TestEmaUpdate:
