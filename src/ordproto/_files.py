@@ -40,13 +40,15 @@ def write_artifact(path, what: str, write) -> None:
 # equally fast; 1,024-row blocks raised train's peak RSS by 0.5 MB.
 CSV_BLOCK_ROWS = 128
 
-# Cells (rows times CSV columns) from which write_csv formats a table in two
-# processes. On a shared 2-core x86_64 host a fork and wait of a 40 MB process
-# took about 3 ms, and a split write of 20-column float tables broke even at
-# 10,000-12,000 cells (median of 25 interleaved writes per size). At 25,000
-# the default 600-row dataset (12,000 cells) and its embeddings (21,600) are
-# written serially; the 8,000-row cohort (160,000) and the history of a
-# 60-epoch run (48,600) are split.
+# Cells (rows times CSV columns) from which write_csv formats a table, and
+# load_dataset parses a dataset, in two processes (_fork_halves). On a shared
+# 2-core x86_64 host a fork and wait of a 40 MB process took about 3 ms. A
+# split write of 20-column float tables broke even at 10,000-12,000 cells, a
+# split read of 20-column datasets at 30,000-40,000 (medians of 25
+# interleaved calls per size; the read at 160,000 cells: 86 ms serial, 62 ms
+# split). At 25,000 the default 600-row dataset (12,000 cells) and its
+# embeddings (21,600) are written and read serially; the 8,000-row cohort
+# (160,000) and the history of a 60-epoch run (48,600) are split.
 CSV_SPLIT_CELLS = 25_000
 
 
@@ -71,6 +73,45 @@ def _write_rows(fh, columns, start: int, stop: int) -> None:
         fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
+def _fork_halves(cells: int, child, parent):
+    """Run ``child()`` in a forked process while this process runs ``parent()``.
+
+    Returns None at once, having run neither, unless the work is worth a
+    second process: ``cells`` is at least ``CSV_SPLIT_CELLS``, the process
+    has two usable cores, the platform can fork and no other Python thread
+    runs. Otherwise returns ``parent()``'s result and the child's exit
+    status: 0 when ``child()`` returned, 1 when it raised. The child always
+    leaves through ``os._exit`` and is waited for on every path, also when
+    ``parent()`` raises.
+    """
+    if not (
+        cells >= CSV_SPLIT_CELLS
+        and _usable_cores() > 1
+        and hasattr(os, "fork")
+        # A fork beside a live thread can deadlock the child on a lock that
+        # thread held. This check keeps out threads started by `threading`
+        # only. The OpenBLAS pool numpy starts is native, and OpenBLAS shuts
+        # it down across a fork itself (its pthread_atfork handler). Python
+        # 3.12 counts OS threads, so it may warn (DeprecationWarning) here;
+        # when that warning is made an error, CPython drops it and forks.
+        and threading.active_count() == 1
+    ):
+        return None
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            child()
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        result = parent()
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return result, status
+
+
 def write_csv(path, what: str, header, columns) -> None:
     """Write a CSV table from its columns, all or nothing (``write_artifact``).
 
@@ -83,43 +124,34 @@ def write_csv(path, what: str, header, columns) -> None:
     Rows go out one block of ``CSV_BLOCK_ROWS`` at a time.
 
     A table of at least ``CSV_SPLIT_CELLS`` cells is formatted on two cores
-    when the process has them, can fork and runs no other thread: a forked
-    child writes the rows from a block boundary near the middle to a side
-    file while this process writes the rows before it, then the side file
-    is appended. The bytes are the same either way. The child is always
-    waited for; if it fails, ``DatasetIOError`` is raised and neither the
-    target nor a temp or side file is left.
+    (``_fork_halves``): a forked child writes the rows from a block boundary
+    near the middle to a side file while this process writes the rows
+    before it, then the side file is appended. The bytes are the same
+    either way. If the child fails, ``DatasetIOError`` is raised and neither
+    the target nor a temp or side file is left.
     """
     n = len(columns[0])
     if any(len(column) != n for column in columns):
         raise ValueError(f"{what} columns must have equal lengths, got {[len(c) for c in columns]}")
     cells = n * sum(column.shape[1] if column.ndim == 2 else 1 for column in columns)
-    two_cores = (
-        cells >= CSV_SPLIT_CELLS
-        and _usable_cores() > 1
-        and hasattr(os, "fork")
-        and threading.active_count() == 1  # a fork beside live threads can deadlock the child
-    )
 
     def write(fh):
         fh.write(",".join(header) + "\n")
-        if not two_cores:
-            _write_rows(fh, columns, 0, n)
-            return
         split = round(n / 2 / CSV_BLOCK_ROWS) * CSV_BLOCK_ROWS
         side = Path(path).with_name(Path(path).name + ".tail.tmp")
         try:
-            pid = os.fork()
-            if pid == 0:
-                _write_tail(side, columns, split, n)  # never returns
-            try:
-                _write_rows(fh, columns, 0, split)
-            finally:
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if status != 0:
+            halves = _fork_halves(
+                cells,
+                lambda: _write_side(side, columns, split, n),
+                lambda: _write_rows(fh, columns, 0, split),
+            )
+            if halves is None:
+                _write_rows(fh, columns, 0, n)
+                return
+            if halves[1] != 0:
                 raise DatasetIOError(
                     f"cannot write {what}: the process writing rows {split}-{n} "
-                    f"exited with status {status}"
+                    f"exited with status {halves[1]}"
                 )
             fh.flush()
             with open(side, "rb") as tail:
@@ -130,15 +162,10 @@ def write_csv(path, what: str, header, columns) -> None:
     write_artifact(path, what, write)
 
 
-def _write_tail(side: Path, columns, start: int, stop: int) -> None:
-    """In a forked child: write rows ``[start, stop)`` to ``side`` and exit, 0 on success."""
-    status = 1
-    try:
-        with open(side, "w", encoding="utf-8", newline="") as fh:
-            _write_rows(fh, columns, start, stop)
-        status = 0
-    finally:
-        os._exit(status)
+def _write_side(side: Path, columns, start: int, stop: int) -> None:
+    """Write rows ``[start, stop)`` of the table to the file ``side``."""
+    with open(side, "w", encoding="utf-8", newline="") as fh:
+        _write_rows(fh, columns, start, stop)
 
 
 def write_json(path, what: str, payload) -> None:

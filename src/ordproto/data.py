@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import mmap
 import numbers
 import operator
 import warnings
@@ -20,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from ._files import write_csv
+from ._files import _fork_halves, write_csv
 from .errors import (
     BadConfigError,
     DatasetIOError,
@@ -382,10 +383,11 @@ def save_dataset(ds: SyntheticOrdinalDataset, path) -> None:
 def load_dataset(path) -> SyntheticOrdinalDataset:
     """Read a dataset CSV in the format ``save_dataset`` writes.
 
-    The body is parsed by one ``np.loadtxt`` call (``_bulk_columns``).
-    When that parse is in any doubt, the per-row loop (``_row_columns``)
-    parses the same lines again; it alone words the errors, so every
-    message and line number is the same on either path.
+    The body is parsed by ``np.loadtxt`` (``_bulk_columns``): one call, or
+    for a large file one call per half, the second half in a forked
+    process. When that parse is in any doubt, the per-row loop
+    (``_row_columns``) parses the same lines again; it alone words the
+    errors, so every message and line number is the same on either path.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -439,16 +441,23 @@ def load_dataset(path) -> SyntheticOrdinalDataset:
 
 
 def _bulk_columns(lines: list[str], dim: int):
-    """x, coarse, latent_t and fine from one ``np.loadtxt`` call, or None.
+    """x, coarse, latent_t and fine from ``np.loadtxt``, or None.
+
+    The body is parsed by one ``loadtxt`` call (``_parse``), or, when it is
+    large enough for two processes (``_files._fork_halves``), by two of
+    them: a forked child parses the second half of the lines into shared
+    memory while this process parses the first half. The arrays are the
+    same either way.
 
     Returns None, and leaves the file to ``_row_columns``, whenever the
     result might differ from that loop's: for a body with no lines; for
     text that ``csv`` and ``loadtxt`` may split differently (a quote, a
     carriage return outside a CRLF, or a NUL, which the ``U`` dtype drops
-    from the end of a field); when ``loadtxt`` raises or warns (some numpy
-    versions read ``1.0`` as an integer with only a DeprecationWarning);
-    and unless every line became a row (``loadtxt`` skips blank lines)
-    whose id, coarse label and fine label the loop would accept.
+    from the end of a field); when ``loadtxt`` raises or warns on either
+    half (some numpy versions read ``1.0`` as an integer with only a
+    DeprecationWarning) or the child fails; and unless every line became a
+    row (``loadtxt`` skips blank lines) whose id, coarse label and fine
+    label the loop would accept.
     """
     n = len(lines) - 1
     text = "".join(lines)
@@ -459,15 +468,24 @@ def _bulk_columns(lines: list[str], dim: int):
     row = np.dtype(
         [("id", "i8"), ("coarse", "i8"), ("fine", "U12"), ("latent_t", "f8"), ("x", "f8", (dim,))]
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            table = np.loadtxt(
-                lines, dtype=row, delimiter=",", comments=None,
-                quotechar=None, skiprows=1, ndmin=1,
+    mid = 1 + n // 2  # a child parses lines[mid:]; both halves hold lines when n >= 2
+    try:
+        with mmap.mmap(-1, (n + 1 - mid) * row.itemsize) as shared:
+            halves = n >= 2 and _fork_halves(
+                n * (len(_FIXED_COLUMNS) + dim),  # cells, as write_csv counts them
+                lambda: _parse_into(shared, lines, mid, row),
+                lambda: _parse(lines, 1, mid, row),
             )
-        except (ValueError, OverflowError, Warning):
-            return None
+            if not halves:
+                table = _parse(lines, 1, n + 1, row)
+            elif halves[1] != 0:
+                return None
+            else:
+                tail = np.frombuffer(shared, dtype=row)
+                table = np.concatenate((halves[0], tail))
+                del tail, halves  # the map cannot close under a live view; free the head early
+    except (ValueError, OverflowError, Warning):
+        return None
     fine = table["fine"]
     # Ids 0..n-1 also mean that no line was skipped.
     accepted = (
@@ -483,6 +501,23 @@ def _bulk_columns(lines: list[str], dim: int):
         np.ascontiguousarray(table["latent_t"]),
         fine.astype(object),
     )
+
+
+def _parse(lines: list[str], start: int, stop: int, row: np.dtype) -> np.ndarray:
+    """``lines[start:stop]`` as ``row`` records, by one ``np.loadtxt`` call; a warning raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(
+            lines[start:stop], dtype=row, delimiter=",", comments=None, quotechar=None, ndmin=1
+        )
+
+
+def _parse_into(shared, lines: list[str], start: int, row: np.dtype) -> None:
+    """Parse ``lines[start:]`` into the buffer ``shared``; raise unless each line became a row."""
+    table = _parse(lines, start, len(lines), row)
+    if table.shape != (len(lines) - start,):  # a blank line was skipped
+        raise ValueError("not every line became a row")
+    np.frombuffer(shared, dtype=row)[:] = table
 
 
 def _row_columns(rows: list[list[str]], n_fields: int):

@@ -205,6 +205,11 @@ def store_from_dict(payload: dict) -> GlobalPrototypeStore:
         raise DatasetParseError(f"malformed prototype store payload: {exc}") from exc
     if not np.isfinite(store.anchors).all():
         raise DatasetParseError("prototype store anchors contain NaN or Inf entries")
+    # Finite entries can still square to Inf (1e308, say); scoring then divides by an Inf norm.
+    with np.errstate(over="ignore"):
+        norms = _dot_norms(store.anchors)
+    if not np.isfinite(norms).all():
+        raise DatasetParseError(f"prototype store anchor norms overflow: {norms.tolist()}")
     return store
 
 

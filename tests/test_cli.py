@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -568,6 +569,31 @@ class TestEval:
             assert code == EXIT_ARTIFACT, command
             assert "untrained" in capsys.readouterr().err
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_store_whose_anchor_norm_overflows_is_a_parse_error(
+        self, workspace, trained, capsys, tmp_path, action
+    ):
+        # Every entry is finite, but the norm is not: scoring would divide by Inf.
+        payload = json.loads((trained / "store.json").read_text())
+        payload["anchor_high"][0] = 1e308
+        tampered = tmp_path / "overflowing-store.json"
+        tampered.write_text(json.dumps(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            for command, out in (("eval", "metrics.json"), ("export-embeddings", "emb.csv")):
+                code = main(
+                    [
+                        command,
+                        "--checkpoint", str(trained / "checkpoint.json"),
+                        "--store", str(tampered),
+                        "--data", str(workspace / "data.csv"),
+                        "--out", str(tmp_path / out),
+                    ]
+                )
+                assert code == EXIT_IO, command
+                assert "anchor norms overflow" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tampered]
 
     def test_non_finite_data_is_parse_error(self, workspace, trained, capsys):
         lines = (workspace / "data.csv").read_text().splitlines()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,7 @@ from oracles import (
     reference_load_dataset,
     reference_stratified_batches,
 )
-from ordproto import data
+from ordproto import _files, data
 from ordproto.data import (
     NO_FINE_LABEL,
     GenConfig,
@@ -38,6 +39,7 @@ from ordproto.errors import (
     OrdprotoError,
 )
 from ordproto.prototypes import PROGRESSIVE, STABLE
+from test_files import _no_child_left
 
 
 class TestGenConfig:
@@ -582,29 +584,40 @@ def _load(loader, path):
         return exc
 
 
+def _force_split(monkeypatch):
+    """Make every body of two or more lines parse in two processes, on any host."""
+    monkeypatch.setattr(_files, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(_files, "CSV_SPLIT_CELLS", 1)
+
+
 class TestLoadParity:
     """load_dataset against the per-row loader it replaced, file by file."""
 
     @pytest.mark.parametrize("name", list(CORPUS))
-    def test_matches_the_per_row_loader(self, tmp_path, saved_texts, name):
+    def test_matches_the_per_row_loader(self, tmp_path, saved_texts, monkeypatch, name):
         content = CORPUS[name]
         if callable(content):
             content = content(saved_texts)
         path = tmp_path / "corpus.csv"
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
-        got, want = _load(load_dataset, path), _load(reference_load_dataset, path)
-        if isinstance(want, Exception):
-            assert type(got) is type(want)
-            assert (got.line, str(got)) == (want.line, str(want))
-            return
-        for field in ("x", "coarse", "latent_t"):
-            g, w = getattr(got, field), getattr(want, field)
-            assert g.dtype == w.dtype and g.shape == w.shape, field
-            assert g.flags.c_contiguous, field
-            assert g.tobytes() == w.tobytes(), field
-        assert got.fine.dtype == object
-        assert all(type(v) is str for v in got.fine)
-        assert got.fine.tolist() == want.fine.tolist()
+        want = _load(reference_load_dataset, path)
+        for split in (False, True):  # these files are small: one loadtxt call, then two
+            if split:
+                _force_split(monkeypatch)
+            got = _load(load_dataset, path)
+            if isinstance(want, Exception):
+                assert type(got) is type(want)
+                assert (got.line, str(got)) == (want.line, str(want))
+                continue
+            for field in ("x", "coarse", "latent_t"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert g.dtype == w.dtype and g.shape == w.shape, field
+                assert g.flags.c_contiguous, field
+                assert g.tobytes() == w.tobytes(), field
+            assert got.fine.dtype == object
+            assert all(type(v) is str for v in got.fine)
+            assert got.fine.tolist() == want.fine.tolist()
+        assert _no_child_left()
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     @pytest.mark.parametrize("final_newline", [True, False])
@@ -618,12 +631,15 @@ class TestLoadParity:
             raise AssertionError("the per-row parse ran")
 
         monkeypatch.setattr(data, "_row_columns", refuse)
-        back = load_dataset(path)
-        assert back.x.dtype == np.float64 and back.x.flags.c_contiguous
-        assert np.array_equal(back.x, ds.x)
-        assert np.array_equal(back.coarse, ds.coarse)
-        assert np.array_equal(back.latent_t, ds.latent_t)
-        assert back.fine.tolist() == ds.fine.tolist()
+        for split in (False, True):
+            if split:
+                _force_split(monkeypatch)
+            back = load_dataset(path)
+            assert back.x.dtype == np.float64 and back.x.flags.c_contiguous
+            assert np.array_equal(back.x, ds.x)
+            assert np.array_equal(back.coarse, ds.coarse)
+            assert np.array_equal(back.latent_t, ds.latent_t)
+            assert back.fine.tolist() == ds.fine.tolist()
 
     def test_a_loadtxt_warning_leaves_the_file_to_the_per_row_loop(self, tmp_path, monkeypatch):
         # numpy versions before the float-to-int coercion was removed read
@@ -639,3 +655,82 @@ class TestLoadParity:
         monkeypatch.setattr(np, "loadtxt", lenient)
         with pytest.raises(DatasetParseError, match="line 3: invalid literal for int"):
             load_dataset(path)
+
+
+def _record_parses(monkeypatch, log: Path, fail=lambda start, stop: False) -> None:
+    """Make ``data._parse`` append each line range it parses, in either process, to ``log``.
+
+    Where ``fail(start, stop)`` holds, the parse raises ``ValueError`` as
+    ``loadtxt`` does on a bad field.
+    """
+    parse = data._parse
+
+    def recorded(lines, start, stop, row):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{start} {stop}\n")
+        if fail(start, stop):
+            raise ValueError(f"lines {start}-{stop} failed")
+        return parse(lines, start, stop, row)
+
+    monkeypatch.setattr(data, "_parse", recorded)
+
+
+def _ranges(log: Path) -> list[tuple[int, int]]:
+    ranges = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+    log.unlink()
+    return ranges
+
+
+@pytest.fixture(scope="module")
+def cohort_file(tmp_path_factory):
+    """The 8,000-row cohort of the benchmark's shape, saved."""
+    path = tmp_path_factory.mktemp("cohort") / "cohort.csv"
+    save_dataset(generate(GenConfig(class_counts=(2000, 4000, 2000)), seed=5), path)
+    return path
+
+
+def _fields(ds) -> list:
+    return [ds.x.tobytes(), ds.coarse.tobytes(), ds.latent_t.tobytes(), ds.fine.tolist()]
+
+
+class TestSplitLoad:
+    """A large body is parsed in two processes, to the same arrays."""
+
+    def test_large_cohort_loads_to_the_same_bytes_on_one_core_and_on_two(
+        self, tmp_path, monkeypatch, cohort_file
+    ):
+        log = tmp_path / "parses.log"
+        _record_parses(monkeypatch, log)
+        loaded = {}
+        for cores in (1, 2):
+            monkeypatch.setattr(_files, "_usable_cores", lambda: cores)
+            loaded[cores] = load_dataset(cohort_file)
+            # The header is line 0; the 8,000 body lines split at line 4,001.
+            want = [(1, 8001)] if cores == 1 else [(1, 4001), (4001, 8001)]
+            assert _ranges(log) == want
+        assert _fields(loaded[1]) == _fields(loaded[2])
+        assert loaded[2].x.flags.c_contiguous and loaded[2].fine.dtype == object
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("half", ["child", "killed-child", "parent"])
+    def test_a_failed_half_gives_the_serial_result(self, tmp_path, monkeypatch, cohort_file, half):
+        monkeypatch.setattr(_files, "_usable_cores", lambda: 1)
+        serial = load_dataset(cohort_file)
+        monkeypatch.setattr(_files, "_usable_cores", lambda: 2)
+        parent = os.getpid()
+
+        def fail(start, stop):
+            if half == "killed-child" and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return (start == 1) == (half == "parent")
+
+        _record_parses(monkeypatch, tmp_path / "parses.log", fail)
+        per_row = []
+        row_columns = data._row_columns
+        monkeypatch.setattr(data, "_row_columns", lambda *a: per_row.append(1) or row_columns(*a))
+        assert _fields(load_dataset(cohort_file)) == _fields(serial)
+        assert per_row == [1]  # the per-row loop parsed the file again
+        assert _ranges(tmp_path / "parses.log")[0] == (1, 4001)
+        assert list(tmp_path.iterdir()) == []
+        assert _no_child_left()
+
