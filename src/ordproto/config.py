@@ -1,13 +1,17 @@
-"""Flat ``key = value`` config files with typed schemas.
+"""Flat ``key = value`` config files, parsed by the config dataclasses' annotations.
 
 Lines are ``key = value``; blank lines and ``#`` comments are skipped.
-Lists are comma separated. Unknown keys, duplicate keys, and values that
-fail to coerce all raise BadConfigError naming the offending key.
+Lists are comma separated. Each key is its field's name, parsed by the
+parser for the field's annotation kind (``data._FIELD_KINDS``), except
+the renamed keys in ``_RENAMES``. Unknown keys, duplicate keys, and values
+that fail to parse all raise BadConfigError naming the offending key.
 """
 
 from __future__ import annotations
 
-from .data import GenConfig
+from dataclasses import fields
+
+from .data import _FIELD_KINDS, GenConfig
 from .errors import BadConfigError, DatasetIOError
 from .trainer import TrainConfig
 
@@ -19,12 +23,22 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected true/false, got {raw!r}")
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in raw.split(","))
+# One parser per annotation kind; a list's entries are parsed one by one.
+_PARSERS = {
+    "int": int,
+    "ints": lambda raw: tuple(int(part.strip()) for part in raw.split(",")),
+    "real": float,
+    "reals": lambda raw: tuple(float(part.strip()) for part in raw.split(",")),
+    "bool": _parse_bool,
+}
 
-
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(part.strip()) for part in raw.split(","))
+# The fields whose file keys are not their names. A field of two keys takes
+# one entry of its tuple from each, and both must be set together.
+_RENAMES = {
+    "n_classes": ("classes",),
+    "base_lr": ("learning_rate",),
+    "anchor_classes": ("anchor_low", "anchor_high"),
+}
 
 
 def read_kv_file(path) -> dict[str, str]:
@@ -54,69 +68,36 @@ def read_kv_file(path) -> dict[str, str]:
     return pairs
 
 
-def _apply_schema(pairs: dict[str, str], schema: dict, what: str) -> dict:
-    unknown = sorted(set(pairs) - set(schema))
+def _load(path, config, what: str):
+    """The ``config`` dataclass a file describes; values are parsed in field order."""
+    pairs = read_kv_file(path)
+    keys = {field: _RENAMES.get(field.name, (field.name,)) for field in fields(config)}
+    unknown = sorted(set(pairs).difference(*keys.values()))
     if unknown:
         raise BadConfigError(f"unknown {what} config key {unknown[0]!r}")
-    out = {}
-    for key, (coerce, field) in schema.items():
-        if key not in pairs:
-            continue
-        try:
-            out[field] = coerce(pairs[key])
-        except ValueError as exc:
-            raise BadConfigError(f"bad value for {key!r}: {exc}") from exc
-    return out
+    values = {}
+    for field, names in keys.items():
+        kind = _FIELD_KINDS[field.type]
+        parse = _PARSERS[kind if len(names) == 1 else kind.removesuffix("s")]  # one entry per key
+        got = tuple(_parse(parse, key, pairs[key]) for key in names if key in pairs)
+        if got:
+            values[field.name] = got if len(names) > 1 else got[0]
+    for names in keys.values():
+        if 0 < sum(key in pairs for key in names) < len(names):
+            raise BadConfigError(f"{' and '.join(names)} must be set together")
+    return config(**values)
 
 
-# config-file key -> (coercer, dataclass field)
-GEN_SCHEMA = {
-    "classes": (int, "n_classes"),
-    "class_counts": (_parse_int_list, "class_counts"),
-    "input_dim": (int, "input_dim"),
-    "noise_sigma": (float, "noise_sigma"),
-    "band_edges": (_parse_float_list, "band_edges"),
-    "progression_cut": (float, "progression_cut"),
-}
-
-TRAIN_SCHEMA = {
-    "classes": (int, "n_classes"),
-    "input_dim": (int, "input_dim"),
-    "hidden_dims": (_parse_int_list, "hidden_dims"),
-    "feature_dim": (int, "feature_dim"),
-    "epochs": (int, "epochs"),
-    "batch_size": (int, "batch_size"),
-    "learning_rate": (float, "base_lr"),
-    "lr_decay": (float, "lr_decay"),
-    "adam_beta1": (float, "adam_beta1"),
-    "adam_beta2": (float, "adam_beta2"),
-    "adam_epsilon": (float, "adam_epsilon"),
-    "ema_sigma": (float, "ema_sigma"),
-    "lambda_start": (float, "lambda_start"),
-    "lambda_end": (float, "lambda_end"),
-    "lambda_per_epoch": (_parse_bool, "lambda_per_epoch"),
-    "blackbox_lambda": (float, "blackbox_lambda"),
-    "use_ins2ins": (_parse_bool, "use_ins2ins"),
-    "use_ins2cls": (_parse_bool, "use_ins2cls"),
-    "use_cls2cls": (_parse_bool, "use_cls2cls"),
-    "detach_class_spread": (_parse_bool, "detach_class_spread"),
-    "anchor_low": (int, "_anchor_low"),
-    "anchor_high": (int, "_anchor_high"),
-    "seeds": (_parse_int_list, "seeds"),
-}
+def _parse(parse, key: str, raw: str):
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise BadConfigError(f"bad value for {key!r}: {exc}") from exc
 
 
 def load_gen_config(path) -> GenConfig:
-    fields = _apply_schema(read_kv_file(path), GEN_SCHEMA, "generation")
-    return GenConfig(**fields)
+    return _load(path, GenConfig, "generation")
 
 
 def load_train_config(path) -> TrainConfig:
-    fields = _apply_schema(read_kv_file(path), TRAIN_SCHEMA, "training")
-    lo = fields.pop("_anchor_low", None)
-    hi = fields.pop("_anchor_high", None)
-    if (lo is None) != (hi is None):
-        raise BadConfigError("anchor_low and anchor_high must be set together")
-    if lo is not None:
-        fields["anchor_classes"] = (lo, hi)
-    return TrainConfig(**fields)
+    return _load(path, TrainConfig, "training")

@@ -344,13 +344,12 @@ def save_dataset(ds: SyntheticOrdinalDataset, path) -> None:
     """CSV with header id,coarse_label,fine_label,latent_t,x0..x{d-1}.
 
     Floats are written with repr, so a load reproduces every field
-    exactly. Decimal points only, no grouping. A value ``load_dataset``
-    would refuse (a coarse label below 1, a fine label other than ``""``,
-    ``"stable"`` or ``"progressive"``, a NaN or infinite ``latent_t`` or
-    ``x``) raises ``BadConfigError`` naming its row and column, before any
-    write; so do an ``x`` that is not a 2-D float array, a ``latent_t`` that
-    holds no floats, a coarse-label column that is not an integer array and
-    label or ``latent_t`` columns that are not 1-D with one entry per row.
+    exactly. Decimal points only, no grouping. A value that breaks a rule of
+    ``_faults``, which ``load_dataset`` would refuse, raises ``BadConfigError``
+    naming its row and column, before any write; so do an ``x`` that is not
+    a 2-D float array, a ``latent_t`` that holds no floats, a coarse-label
+    column that is not an integer array and label or ``latent_t`` columns
+    that are not 1-D with one entry per row.
     """
     if ds.x.ndim != 2 or ds.x.dtype.kind != "f":
         raise BadConfigError(
@@ -366,18 +365,15 @@ def save_dataset(ds: SyntheticOrdinalDataset, path) -> None:
             f"coarse_label, fine_label and latent_t must have shape ({ds.size},) as x has "
             f"{ds.size} rows, got {shapes}"
         )
-    fine = ds.fine
     header = _FIXED_COLUMNS + [f"x{j}" for j in range(ds.input_dim)]
-    fine_ok = (fine == NO_FINE_LABEL) | (fine == STABLE) | (fine == PROGRESSIVE)
-    # One flag per written column but the id, in header order.
-    bad = np.column_stack((ds.coarse < 1, ~fine_ok, ~np.isfinite(ds.latent_t), ~np.isfinite(ds.x)))
+    columns = [ds.coarse, ds.fine, ds.latent_t, ds.x]
+    bad = np.column_stack(_faults(*columns))
     if bad.any():
         r, c = divmod(int(np.argmax(bad)), bad.shape[1])  # the first bad row, its first bad column
-        got = [ds.coarse, fine, ds.latent_t, *ds.x.T][c].tolist()[r]
+        got = [*columns[:3], *ds.x.T][c].tolist()[r]
         rule = ("must be >= 1", f"must be '', {STABLE!r} or {PROGRESSIVE!r}", "must be finite")
         raise BadConfigError(f"{header[c + 1]} of row {r} {rule[min(c, 2)]}, got {got!r}")
-    columns = [np.arange(ds.size), ds.coarse, fine, ds.latent_t, ds.x]
-    write_csv(path, "dataset", header, columns)
+    write_csv(path, "dataset", header, [np.arange(ds.size), *columns])
 
 
 def load_dataset(path) -> SyntheticOrdinalDataset:
@@ -385,9 +381,11 @@ def load_dataset(path) -> SyntheticOrdinalDataset:
 
     The body is parsed by ``np.loadtxt`` (``_bulk_columns``): one call, or
     for a large file one call per half, the second half in a forked
-    process. When that parse is in any doubt, the per-row loop
-    (``_row_columns``) parses the same lines again; it alone words the
-    errors, so every message and line number is the same on either path.
+    process. When that parse is in any doubt, or its columns break a label
+    rule of ``_faults``, the per-row loop (``_row_columns``) parses the same
+    lines again; it alone words the errors, so every message and line number
+    is the same on either path. A non-finite value is refused after every
+    line parses, from the ``_faults`` of the columns either path gives.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -419,7 +417,8 @@ def load_dataset(path) -> SyntheticOrdinalDataset:
         )
 
     columns = _bulk_columns(lines, dim)
-    if columns is None:
+    faults = None if columns is None else _faults(*columns)
+    if faults is None or faults[0].any() or faults[1].any():
         rows = []
         try:
             rows.extend(reader)
@@ -428,20 +427,28 @@ def load_dataset(path) -> SyntheticOrdinalDataset:
                 _row_columns(rows, len(header))  # an earlier row's error comes first
             raise DatasetParseError(str(exc), line=len(rows) + 2) from None
         columns = _row_columns(rows, len(header))
-    x, coarse, latent, fine = columns
-    # float() accepts "nan" and "inf"; one vectorized pass finds the first such row.
-    bad_t = ~np.isfinite(latent)
-    bad_x = ~np.isfinite(x)
-    bad = bad_t | bad_x.any(axis=1)
+        faults = _faults(*columns)
+    # float() accepts "nan" and "inf"; they are refused only after every line parses.
+    bad = np.column_stack(faults[2:])  # latent_t, x0, x1, ...
     if bad.any():
-        r = int(np.argmax(bad))
-        col = "latent_t" if bad_t[r] else f"x{int(np.argmax(bad_x[r]))}"
-        raise DatasetParseError(f"{col} must be finite", line=r + 2)
+        r, c = divmod(int(np.argmax(bad)), bad.shape[1])
+        raise DatasetParseError(f"{header[c + 3]} must be finite", line=r + 2)
+    coarse, fine, latent, x = columns
     return SyntheticOrdinalDataset(x, coarse, latent, fine)
 
 
+def _faults(coarse, fine, latent_t, x) -> list:
+    """Flags where a value breaks the dataset's rules, per column but the id, in header order.
+
+    A coarse label is >= 1, a fine label ``""``, ``"stable"`` or ``"progressive"``,
+    ``latent_t`` and ``x`` finite. Takes one row or whole columns alike.
+    """
+    odd = (fine != NO_FINE_LABEL) & (fine != STABLE) & (fine != PROGRESSIVE)
+    return [coarse < 1, odd, ~np.isfinite(latent_t), ~np.isfinite(x)]
+
+
 def _bulk_columns(lines: list[str], dim: int):
-    """x, coarse, latent_t and fine from ``np.loadtxt``, or None.
+    """coarse, fine, latent_t and x from ``np.loadtxt``, or None.
 
     The body is parsed by one ``loadtxt`` call (``_parse``), or, when it is
     large enough for two processes (``_files._fork_halves``), by two of
@@ -456,8 +463,7 @@ def _bulk_columns(lines: list[str], dim: int):
     from the end of a field); when ``loadtxt`` raises or warns on either
     half (some numpy versions read ``1.0`` as an integer with only a
     DeprecationWarning) or the child fails; and unless every line became a
-    row (``loadtxt`` skips blank lines) whose id, coarse label and fine
-    label the loop would accept.
+    row (``loadtxt`` skips blank lines) with its index as its id.
     """
     n = len(lines) - 1
     text = "".join(lines)
@@ -486,21 +492,11 @@ def _bulk_columns(lines: list[str], dim: int):
                 del tail, halves  # the map cannot close under a live view; free the head early
     except (ValueError, OverflowError, Warning):
         return None
-    fine = table["fine"]
     # Ids 0..n-1 also mean that no line was skipped.
-    accepted = (
-        np.array_equal(table["id"], np.arange(n))
-        and bool(np.all(table["coarse"] >= 1))
-        and bool(np.all((fine == NO_FINE_LABEL) | (fine == STABLE) | (fine == PROGRESSIVE)))
-    )
-    if not accepted:
+    if not np.array_equal(table["id"], np.arange(n)):
         return None
-    return (
-        np.ascontiguousarray(table["x"]),
-        np.ascontiguousarray(table["coarse"]),
-        np.ascontiguousarray(table["latent_t"]),
-        fine.astype(object),
-    )
+    coarse, latent, x = (np.ascontiguousarray(table[k]) for k in ("coarse", "latent_t", "x"))
+    return coarse, table["fine"].astype(object), latent, x
 
 
 def _parse(lines: list[str], start: int, stop: int, row: np.dtype) -> np.ndarray:
@@ -521,9 +517,9 @@ def _parse_into(shared, lines: list[str], start: int, row: np.dtype) -> None:
 
 
 def _row_columns(rows: list[list[str]], n_fields: int):
-    """x, coarse, latent_t and fine from the ``csv`` rows of the body, one row at a time.
+    """coarse, fine, latent_t and x from the ``csv`` rows of the body, one row at a time.
 
-    Raises the dataset's first error, with its line number.
+    Raises the dataset's first error but a non-finite value, with its line number.
     """
     n = len(rows)
     if n == 0:
@@ -551,9 +547,10 @@ def _row_columns(rows: list[list[str]], n_fields: int):
             ) from None
         if ident != r:
             raise DatasetParseError(f"ids must be 0..N-1 in order, got {ident}", line=line)
-        if coarse[r] < 1:
+        low, odd, _, _ = _faults(coarse[r], row[2], latent[r], x[r])  # finiteness waits
+        if low:
             raise DatasetParseError(f"coarse_label must be >= 1, got {coarse[r]}", line=line)
-        if row[2] not in (NO_FINE_LABEL, STABLE, PROGRESSIVE):
+        if odd:
             raise DatasetParseError(f"bad fine_label {row[2]!r}", line=line)
         fine[r] = row[2]
-    return x, coarse, latent, fine
+    return coarse, fine, latent, x

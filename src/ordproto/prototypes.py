@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,8 +141,9 @@ def anchor_cosines(features, store: GlobalPrototypeStore) -> tuple[np.ndarray, n
     """Cosines of every row of an ``(n, dim)`` matrix to the (low, high) anchors.
 
     Validates once per call: the store is trained, the shape is ``(n, dim)``,
-    every value is finite and no row has a (near-)zero norm. Row-wise reductions,
-    not matrix products: a row's value does not depend on the other rows of the call.
+    every row's norm is finite (so are its values) and none is (near-)zero.
+    Row-wise reductions, not matrix products: a row's value does not depend on
+    the other rows of the call.
     """
     n_low, n_high = _dot_norms(store.anchors).tolist()
     if not (n_low > NORM_EPS and n_high > NORM_EPS):
@@ -150,9 +152,18 @@ def anchor_cosines(features, store: GlobalPrototypeStore) -> tuple[np.ndarray, n
     f = np.ascontiguousarray(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[1] != store.dim:
         raise DimMismatchError(f"features must have shape (n, {store.dim}), got {f.shape}")
-    if not np.isfinite(f).all():
-        row = int(np.argmin(np.isfinite(f).all(axis=1)))
-        raise NonFiniteError(f"features row {row} contains NaN or Inf entries")
+    # Entries within this bound keep every squared norm below half of float64's
+    # largest value; a call with a larger entry, an Inf or a NaN checks the norms.
+    bound = math.sqrt(sys.float_info.max / (2 * store.dim))
+    if not np.maximum.reduce(np.abs(f), axis=None, initial=0.0) <= bound:
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(np.add.reduce(f * f, axis=1))
+        if not finite.all():
+            row = int(np.argmin(finite))
+            fault = "contains NaN or Inf entries"
+            if np.isfinite(f[row]).all():
+                fault = "has a norm that overflows"
+            raise NonFiniteError(f"features row {row} {fault}")
     norms = np.sqrt(np.add.reduce(f * f, axis=1))
     zero = norms <= NORM_EPS
     if zero.any():

@@ -445,7 +445,7 @@ def reference_anchor_cosines(features, store: GlobalPrototypeStore):
     """Cosines of every row of an ``(n, dim)`` matrix to the (low, high) anchors.
 
     Validates once per call: the store is trained, the shape is ``(n, dim)``,
-    every value is finite and no row has a (near-)zero norm.
+    every row's norm is finite (so are its values) and none is (near-)zero.
     """
     if not reference_is_trained(store):
         raise UntrainedStoreError("prototype store has not been updated yet")
@@ -453,10 +453,15 @@ def reference_anchor_cosines(features, store: GlobalPrototypeStore):
     f = np.ascontiguousarray(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[1] != store.dim:
         raise DimMismatchError(f"features must have shape (n, {store.dim}), got {f.shape}")
-    finite = np.isfinite(f).all(axis=1)
+    with np.errstate(over="ignore"):  # finite entries whose squares overflow
+        norms = np.sqrt(np.sum(f * f, axis=1))
+    finite = np.isfinite(norms)
     if not finite.all():
-        raise NonFiniteError(f"features row {int(np.argmin(finite))} contains NaN or Inf entries")
-    norms = np.sqrt(np.sum(f * f, axis=1))
+        row = int(np.argmin(finite))
+        fault = "contains NaN or Inf entries"
+        if np.isfinite(f[row]).all():
+            fault = "has a norm that overflows"
+        raise NonFiniteError(f"features row {row} {fault}")
     zero = norms <= NORM_EPS
     if zero.any():
         raise ZeroVectorError(f"features row {int(np.argmax(zero))} has (near-)zero norm")

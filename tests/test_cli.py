@@ -595,6 +595,31 @@ class TestEval:
                 assert "anchor norms overflow" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tampered]
 
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_features_whose_norms_overflow_are_refused(
+        self, workspace, trained, capsys, tmp_path, action
+    ):
+        # Every feature is finite, but each row's norm is not: each cosine would read 0.
+        payload = json.loads((trained / "checkpoint.json").read_text())
+        payload["layers"][-1]["bias"][0] = 1e300
+        tampered = tmp_path / "overflowing-checkpoint.json"
+        tampered.write_text(json.dumps(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            for command, out in (("eval", "metrics.json"), ("export-embeddings", "emb.csv")):
+                code = main(
+                    [
+                        command,
+                        "--checkpoint", str(tampered),
+                        "--store", str(trained / "store.json"),
+                        "--data", str(workspace / "data.csv"),
+                        "--out", str(tmp_path / out),
+                    ]
+                )
+                assert code == EXIT_NUMERIC, command
+                assert "features row 0 has a norm that overflows" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tampered]
+
     def test_non_finite_data_is_parse_error(self, workspace, trained, capsys):
         lines = (workspace / "data.csv").read_text().splitlines()
         fields = lines[2].split(",")

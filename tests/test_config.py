@@ -2,10 +2,24 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from ordproto.config import load_gen_config, load_train_config, read_kv_file
+from ordproto.data import GenConfig
 from ordproto.errors import BadConfigError, DatasetIOError
+from ordproto.trainer import TrainConfig
+
+# Every key each config file takes, in field order: the file format, written
+# out apart from the code that derives it from the dataclasses.
+GEN_KEYS = ["classes", "class_counts", "input_dim", "noise_sigma", "band_edges", "progression_cut"]
+TRAIN_KEYS = [
+    "classes", "input_dim", "hidden_dims", "feature_dim", "epochs", "batch_size",
+    "learning_rate", "lr_decay", "adam_beta1", "adam_beta2", "adam_epsilon", "ema_sigma",
+    "lambda_start", "lambda_end", "lambda_per_epoch", "blackbox_lambda", "use_ins2ins",
+    "use_ins2cls", "use_cls2cls", "detach_class_spread", "anchor_low", "anchor_high", "seeds",
+]
 
 
 def write(tmp_path, text):
@@ -45,6 +59,23 @@ class TestReadKvFile:
             read_kv_file(tmp_path / "absent.txt")
 
 
+@pytest.mark.parametrize(
+    "load, config, keys",
+    [(load_gen_config, GenConfig, GEN_KEYS), (load_train_config, TrainConfig, TRAIN_KEYS)],
+    ids=["generation", "training"],
+)
+def test_the_keys_each_config_takes(tmp_path, load, config, keys):
+    # A key it takes names its bad value; any other key, a field's own name
+    # included, is unknown.
+    for key in sorted({field.name for field in fields(config)} | set(keys)):
+        with pytest.raises(BadConfigError) as err:
+            load(write(tmp_path, f"{key} = x\n"))
+        assert str(err.value).startswith("bad value" if key in keys else "unknown"), key
+    for text in ("n_classes = 3\n", "base_lr = 0.1\n", "anchor_classes = 1, 3\n"):
+        with pytest.raises(BadConfigError, match=f"^unknown .* config key '{text.split()[0]}'"):
+            load(write(tmp_path, text))
+
+
 class TestGenConfigLoading:
     def test_full_file(self, tmp_path):
         cfg = load_gen_config(
@@ -78,6 +109,9 @@ class TestGenConfigLoading:
     def test_bad_value_names_key(self, tmp_path):
         with pytest.raises(BadConfigError, match="input_dim"):
             load_gen_config(write(tmp_path, "input_dim = wide\n"))
+        # Of two bad values, the earlier field's is named, not the earlier line's.
+        with pytest.raises(BadConfigError, match="^bad value for 'input_dim'"):
+            load_gen_config(write(tmp_path, "progression_cut = late\ninput_dim = wide\n"))
 
     def test_dataclass_validation_propagates(self, tmp_path):
         with pytest.raises(BadConfigError):
@@ -146,6 +180,8 @@ class TestTrainConfigLoading:
     def test_bad_bool_named(self, tmp_path):
         with pytest.raises(BadConfigError, match="use_ins2ins"):
             load_train_config(write(tmp_path, "use_ins2ins = yes\n"))
+        with pytest.raises(BadConfigError, match="^bad value for 'use_ins2ins'"):
+            load_train_config(write(tmp_path, "seeds = 1, two\nuse_ins2ins = yes\n"))
 
     def test_dataclass_validation_propagates(self, tmp_path):
         with pytest.raises(BadConfigError):

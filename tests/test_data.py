@@ -397,6 +397,10 @@ class TestCsvRoundTrip:
             ),
             pytest.param("coarse", 0, "coarse_label of row 5 must be >= 1, got 0", id="coarse-0"),
             pytest.param(
+                "coarse+x", (0, np.nan), "coarse_label of row 5 must be >= 1, got 0",
+                id="coarse-0-and-nan-x",
+            ),
+            pytest.param(
                 "coarse", 2.0, "coarse_label must hold integers, got dtype float64", id="float-coarse"
             ),
             # A function replaces the whole column with what it returns.
@@ -435,16 +439,20 @@ class TestCsvRoundTrip:
         # Any value load_dataset would refuse, not only a fine label, and any
         # column of the wrong shape or kind. Rows 5 and 7 are edited (in x,
         # column x3); the first is named. A value of another type retypes its
-        # column: 2.0 makes the coarse labels floats.
+        # column: 2.0 makes the coarse labels floats. "a+b" edits two columns,
+        # one value each.
         ds = generate(GenConfig(class_counts=(3, 4, 3)), seed=2)
-        values = getattr(ds, column)
-        if callable(value):
-            values = value(values)
-        else:
-            values = values.astype(np.result_type(values, np.asarray(value)))
-            values[([5, 7], 3) if column == "x" else [5, 7]] = value
+        edits = {}
+        for name, v in zip(column.split("+"), value if "+" in column else [value]):
+            values = getattr(ds, name)
+            if callable(v):
+                values = v(values)
+            else:
+                values = values.astype(np.result_type(values, np.asarray(v)))
+                values[([5, 7], 3) if name == "x" else [5, 7]] = v
+            edits[name] = values
         with pytest.raises(BadConfigError, match=f"^{message}"):
-            save_dataset(replace(ds, **{column: values}), tmp_path / "cohort.csv")
+            save_dataset(replace(ds, **edits), tmp_path / "cohort.csv")
         assert list(tmp_path.iterdir()) == []
 
     def _write(self, tmp_path, lines):
@@ -525,6 +533,15 @@ def _with(i: int, row: str) -> str:
     return _csv(*ROWS[:i], row, *ROWS[i + 1 :])
 
 
+def _set_field(text: str, line: int, column: int, value: str) -> str:
+    """``text`` with one comma-separated field replaced; the header is line 0."""
+    lines = text.split("\n")
+    fields = lines[line].split(",")
+    fields[column] = value
+    lines[line] = ",".join(fields)
+    return "\n".join(lines)
+
+
 # name -> file text, or a function of the saved_texts fixture giving it.
 CORPUS = {
     "saved-d1-one-row": lambda saved: saved[1, 1],
@@ -567,8 +584,18 @@ CORPUS = {
     "ids-out-of-order": _csv(ROWS[1], ROWS[0], *ROWS[2:]),
     "id-outside-int64": _with(1, "99999999999999999999,2,stable,0.5,3.0,4.0"),
     "zero-coarse-label": _with(1, "1,0,stable,0.5,3.0,4.0"),
+    # loadtxt parses this file, both halves of it on the split path.
+    "zero-coarse-label-in-a-saved-file": lambda saved: _set_field(saved[16, 70], 61, 1, "0"),
     "nan-latent": _with(2, "2,2,progressive,nan,5.5,6.0"),
     "overflowing-feature": _with(2, "2,2,progressive,0.625,5.5,1e400"),
+    # Two faults: the first in line order wins, but a non-finite value only
+    # once every line has parsed.
+    "bad-fine-label-before-field-count": _csv(
+        ROWS[0], "1,2,unknown,0.5,3.0,4.0", "2,2,progressive,0.625,5.5", ROWS[3]
+    ),
+    "nan-before-syntax-error": _csv(
+        ROWS[0], "1,2,stable,nan,3.0,4.0", "2,2,progressive,0.625,5.5,x", ROWS[3]
+    ),
     "header-only": HEADER + "\n",
     "header-only-no-newline": HEADER,
     "empty-file": "",

@@ -183,8 +183,13 @@ class TestValidation:
         feats = np.ones((4, 3))
         feats[2, 1] = np.nan
         feats[3, 0] = np.inf
-        with pytest.raises(NonFiniteError, match="row 2 "):
+        with pytest.raises(NonFiniteError, match="row 2 contains NaN or Inf entries"):
             progression_scores(feats, store)
+        # Finite entries whose squared norm overflows; three entries of 6e153 do not.
+        feats[1] = 1e300, 1e299, 0.0
+        with pytest.raises(NonFiniteError, match="row 1 has a norm that overflows"):
+            progression_scores(feats, store)
+        assert np.isfinite(progression_scores(np.full((1, 3), 6e153), store)).all()
 
     def test_zero_row_is_named(self, store):
         feats = np.ones((5, 3))
@@ -274,10 +279,14 @@ class TestAgainstEarlierKernels:
         nan_then_zero, zero_then_nan = rows.copy(), rows.copy()
         nan_then_zero[2, 1], nan_then_zero[4] = np.nan, 0.0
         zero_then_nan[1], zero_then_nan[3, 2] = 1e-13, -np.inf
+        overflow_then_nan = nan_then_zero.copy()
+        overflow_then_nan[1, 0] = -1e160
         features = [
             rows,
             nan_then_zero,
             zero_then_nan,
+            overflow_then_nan,
+            np.full((2, 3), 6e153),
             np.zeros((2, 3)),
             np.ones((2, 4)),
             np.full((2, 4), np.nan),
