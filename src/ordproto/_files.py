@@ -1,12 +1,15 @@
-"""Artifact I/O: all-or-nothing writes, CSV tables, JSON reads, JSON numbers.
+"""Artifact I/O (all-or-nothing writes, CSV tables, JSON reads, JSON numbers) and ``_fork_map``.
 
 An OSError in a read or a write raises DatasetIOError."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
-import shutil
+import pickle
+import tempfile
 import threading
 from pathlib import Path
 
@@ -41,7 +44,7 @@ def write_artifact(path, what: str, write) -> None:
 CSV_BLOCK_ROWS = 128
 
 # Cells (rows times CSV columns) from which write_csv formats a table, and
-# load_dataset parses a dataset, in two processes (_fork_halves). On a shared
+# load_dataset parses a dataset, in two processes (_fork_map). On a shared
 # 2-core x86_64 host a fork and wait of a 40 MB process took about 3 ms. A
 # split write of 20-column float tables broke even at 10,000-12,000 cells, a
 # split read of 20-column datasets at 30,000-40,000 (medians of 25
@@ -73,20 +76,25 @@ def _write_rows(fh, columns, start: int, stop: int) -> None:
         fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
-def _fork_halves(cells: int, child, parent):
-    """Run ``child()`` in a forked process while this process runs ``parent()``.
+def _split_pays(cells: int) -> bool:
+    """Whether a CSV table of ``cells`` cells is worth two processes: the one test of that."""
+    return cells >= CSV_SPLIT_CELLS and _usable_cores() > 1
 
-    Returns None at once, having run neither, unless the work is worth a
-    second process: ``cells`` is at least ``CSV_SPLIT_CELLS``, the process
-    has two usable cores, the platform can fork and no other Python thread
-    runs. Otherwise returns ``parent()``'s result and the child's exit
-    status: 0 when ``child()`` returned, 1 when it raised. The child always
-    leaves through ``os._exit`` and is waited for on every path, also when
-    ``parent()`` raises.
+
+def _fork_map(tasks) -> list:
+    """``[task() for task in tasks]``, each task after the first in a forked child.
+
+    This process runs ``tasks[0]`` while each other task runs in its own
+    child, which pickles its return value, or its exception, into an
+    unlinked temporary file opened before the fork and leaves through
+    ``os._exit``. Every child is reaped, also when ``tasks[0]`` raises,
+    before any result is read. The first exception in task order is
+    raised; a child that exits without a result raises ``ChildProcessError``
+    naming its exit status. One task, a platform without ``fork`` or a live
+    ``threading`` thread runs the plain loop.
     """
     if not (
-        cells >= CSV_SPLIT_CELLS
-        and _usable_cores() > 1
+        len(tasks) > 1
         and hasattr(os, "fork")
         # A fork beside a live thread can deadlock the child on a lock that
         # thread held. This check keeps out threads started by `threading`
@@ -96,20 +104,40 @@ def _fork_halves(cells: int, child, parent):
         # when that warning is made an error, CPython drops it and forks.
         and threading.active_count() == 1
     ):
-        return None
-    pid = os.fork()
-    if pid == 0:
-        status = 1
+        return [task() for task in tasks]
+    with contextlib.ExitStack() as files:
+        children = []
         try:
-            child()
-            status = 0
+            for task in tasks[1:]:
+                out = files.enter_context(tempfile.TemporaryFile())
+                pid = os.fork()
+                if pid == 0:  # the child: status 0 only once its outcome is written
+                    try:
+                        pickle.dump(_outcome(task), out, pickle.HIGHEST_PROTOCOL)
+                        out.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                children.append((pid, out))
+            outcomes = [_outcome(tasks[0])]
         finally:
-            os._exit(status)
+            statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+        for (pid, out), status in zip(children, statuses):
+            out.seek(0)
+            error = f"forked process {pid} exited with status {status} and no result"
+            outcomes.append(pickle.load(out) if status == 0 else (False, ChildProcessError(error)))
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
+def _outcome(task) -> tuple:
+    """``(True, task())``, or ``(False, exception)`` when ``task()`` raises."""
     try:
-        result = parent()
-    finally:
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    return result, status
+        return True, task()
+    except Exception as exc:
+        return False, exc
 
 
 def write_csv(path, what: str, header, columns) -> None:
@@ -123,49 +151,39 @@ def write_csv(path, what: str, header, columns) -> None:
     break; for such tables the text is what ``csv.writer`` would write.
     Rows go out one block of ``CSV_BLOCK_ROWS`` at a time.
 
-    A table of at least ``CSV_SPLIT_CELLS`` cells is formatted on two cores
-    (``_fork_halves``): a forked child writes the rows from a block boundary
-    near the middle to a side file while this process writes the rows
-    before it, then the side file is appended. The bytes are the same
-    either way. If the child fails, ``DatasetIOError`` is raised and neither
-    the target nor a temp or side file is left.
+    A table worth two processes (``_split_pays``) is formatted by two
+    (``_fork_map``): a forked child formats the rows from a block boundary
+    near the middle and returns their UTF-8 text, while this process writes
+    the rows before it; then that text is written after them. The bytes are
+    the same either way. If the child fails, ``DatasetIOError`` is raised
+    and neither the target nor a temp file is left.
     """
     n = len(columns[0])
     if any(len(column) != n for column in columns):
         raise ValueError(f"{what} columns must have equal lengths, got {[len(c) for c in columns]}")
     cells = n * sum(column.shape[1] if column.ndim == 2 else 1 for column in columns)
+    split = round(n / 2 / CSV_BLOCK_ROWS) * CSV_BLOCK_ROWS
+
+    def tail() -> bytes:
+        text = io.StringIO()
+        try:
+            _write_rows(text, columns, split, n)
+        except Exception as exc:
+            raise DatasetIOError(
+                f"cannot write {what}: the process writing rows {split}-{n} failed: {exc}"
+            ) from None
+        return text.getvalue().encode()  # as fh encodes
 
     def write(fh):
         fh.write(",".join(header) + "\n")
-        split = round(n / 2 / CSV_BLOCK_ROWS) * CSV_BLOCK_ROWS
-        side = Path(path).with_name(Path(path).name + ".tail.tmp")
-        try:
-            halves = _fork_halves(
-                cells,
-                lambda: _write_side(side, columns, split, n),
-                lambda: _write_rows(fh, columns, 0, split),
-            )
-            if halves is None:
-                _write_rows(fh, columns, 0, n)
-                return
-            if halves[1] != 0:
-                raise DatasetIOError(
-                    f"cannot write {what}: the process writing rows {split}-{n} "
-                    f"exited with status {halves[1]}"
-                )
-            fh.flush()
-            with open(side, "rb") as tail:
-                shutil.copyfileobj(tail, fh.buffer)
-        finally:
-            side.unlink(missing_ok=True)
+        if not _split_pays(cells):
+            _write_rows(fh, columns, 0, n)
+            return
+        _, text = _fork_map([lambda: _write_rows(fh, columns, 0, split), tail])
+        fh.flush()
+        fh.buffer.write(text)
 
     write_artifact(path, what, write)
-
-
-def _write_side(side: Path, columns, start: int, stop: int) -> None:
-    """Write rows ``[start, stop)`` of the table to the file ``side``."""
-    with open(side, "w", encoding="utf-8", newline="") as fh:
-        _write_rows(fh, columns, start, stop)
 
 
 def write_json(path, what: str, payload) -> None:

@@ -12,8 +12,8 @@ sees a ``TrainingSet`` view, which physically lacks t and the fine label.
 from __future__ import annotations
 
 import csv
+import functools
 import math
-import mmap
 import numbers
 import operator
 import warnings
@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from ._files import _fork_halves, write_csv
+from ._files import _fork_map, _split_pays, write_csv
 from .errors import (
     BadConfigError,
     DatasetIOError,
@@ -230,6 +230,8 @@ class SyntheticOrdinalDataset:
 def generate(config: GenConfig, seed: int) -> SyntheticOrdinalDataset:
     """Draw per-class latent positions uniformly inside each band, then
     embed them on the trajectory with additive Gaussian noise."""
+    if seed < 0:
+        raise BadConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     t_parts, label_parts = [], []
     for cls, ((lo, hi), count) in enumerate(zip(config.bands, config.class_counts), start=1):
@@ -451,10 +453,10 @@ def _bulk_columns(lines: list[str], dim: int):
     """coarse, fine, latent_t and x from ``np.loadtxt``, or None.
 
     The body is parsed by one ``loadtxt`` call (``_parse``), or, when it is
-    large enough for two processes (``_files._fork_halves``), by two of
-    them: a forked child parses the second half of the lines into shared
-    memory while this process parses the first half. The arrays are the
-    same either way.
+    worth two processes (``_files._split_pays``), by two of them
+    (``_files._fork_map``): a forked child parses the second half of the
+    lines and returns its table while this process parses the first half.
+    The arrays are the same either way.
 
     Returns None, and leaves the file to ``_row_columns``, whenever the
     result might differ from that loop's: for a body with no lines; for
@@ -462,8 +464,9 @@ def _bulk_columns(lines: list[str], dim: int):
     carriage return outside a CRLF, or a NUL, which the ``U`` dtype drops
     from the end of a field); when ``loadtxt`` raises or warns on either
     half (some numpy versions read ``1.0`` as an integer with only a
-    DeprecationWarning) or the child fails; and unless every line became a
-    row (``loadtxt`` skips blank lines) with its index as its id.
+    DeprecationWarning) or the child cannot run or exits without a result;
+    and unless every line became a row (``loadtxt`` skips blank lines) with
+    its index as its id.
     """
     n = len(lines) - 1
     text = "".join(lines)
@@ -474,23 +477,13 @@ def _bulk_columns(lines: list[str], dim: int):
     row = np.dtype(
         [("id", "i8"), ("coarse", "i8"), ("fine", "U12"), ("latent_t", "f8"), ("x", "f8", (dim,))]
     )
-    mid = 1 + n // 2  # a child parses lines[mid:]; both halves hold lines when n >= 2
+    cells = n * (len(_FIXED_COLUMNS) + dim)  # as write_csv counts them
+    # The child parses lines[1 + n // 2:]; both halves hold lines when n >= 2.
+    bounds = [1, 1 + n // 2, n + 1] if n >= 2 and _split_pays(cells) else [1, n + 1]
+    halves = [functools.partial(_parse, lines, a, b, row) for a, b in zip(bounds, bounds[1:])]
     try:
-        with mmap.mmap(-1, (n + 1 - mid) * row.itemsize) as shared:
-            halves = n >= 2 and _fork_halves(
-                n * (len(_FIXED_COLUMNS) + dim),  # cells, as write_csv counts them
-                lambda: _parse_into(shared, lines, mid, row),
-                lambda: _parse(lines, 1, mid, row),
-            )
-            if not halves:
-                table = _parse(lines, 1, n + 1, row)
-            elif halves[1] != 0:
-                return None
-            else:
-                tail = np.frombuffer(shared, dtype=row)
-                table = np.concatenate((halves[0], tail))
-                del tail, halves  # the map cannot close under a live view; free the head early
-    except (ValueError, OverflowError, Warning):
+        table = np.concatenate(_fork_map(halves))
+    except (ValueError, OverflowError, Warning, OSError):  # OSError: fork, temp file, child
         return None
     # Ids 0..n-1 also mean that no line was skipped.
     if not np.array_equal(table["id"], np.arange(n)):
@@ -506,14 +499,6 @@ def _parse(lines: list[str], start: int, stop: int, row: np.dtype) -> np.ndarray
         return np.loadtxt(
             lines[start:stop], dtype=row, delimiter=",", comments=None, quotechar=None, ndmin=1
         )
-
-
-def _parse_into(shared, lines: list[str], start: int, row: np.dtype) -> None:
-    """Parse ``lines[start:]`` into the buffer ``shared``; raise unless each line became a row."""
-    table = _parse(lines, start, len(lines), row)
-    if table.shape != (len(lines) - start,):  # a blank line was skipped
-        raise ValueError("not every line became a row")
-    np.frombuffer(shared, dtype=row)[:] = table
 
 
 def _row_columns(rows: list[list[str]], n_fields: int):

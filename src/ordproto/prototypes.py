@@ -40,7 +40,8 @@ class GlobalPrototypeStore:
     kept as a C-ordered copy. A trained anchor is never zero, but it is not
     unit norm either (the EMA is a convex combination of unit vectors).
     ``anchor_classes`` is a tuple of two distinct integers >= 1 (numpy's
-    too, not bools), kept as Python ints.
+    too, not bools), kept as Python ints. ``sigma`` is a real number
+    strictly inside (0, 1), not a bool, kept as a Python float.
     """
 
     anchors: np.ndarray
@@ -56,8 +57,10 @@ class GlobalPrototypeStore:
         shape = self.anchors.shape
         if len(shape) != 2 or shape[0] != 2 or shape[1] < 1:
             raise DimMismatchError(f"anchors must have shape (2, dim >= 1), got {shape}")
-        if not 0.0 < self.sigma < 1.0:
-            raise BadConfigError(f"sigma must lie strictly inside (0, 1), got {self.sigma}")
+        sigma = self.sigma
+        if isinstance(sigma, bool) or not isinstance(sigma, numbers.Real) or not 0.0 < sigma < 1.0:
+            raise BadConfigError(f"sigma must be a real number inside (0, 1), got {sigma!r}")
+        self.sigma = float(sigma)
         classes = self.anchor_classes
         if not (
             isinstance(classes, tuple)

@@ -9,18 +9,20 @@ One loop trains a stack of S seeds at once: every array gains a leading
 seed axis, so each step makes one set of numpy calls for all S seeds, and
 each seed gets the bits its own run would. ``train`` is the loop with one
 seed. A seed sweep splits its seeds into one contiguous stack per usable
-core; the folds of a k-fold split train on different data, one job each.
-The jobs run in a pool of forked worker processes and come back in order.
+core, and a k-fold split its folds into one contiguous group per usable
+core. Each stack or group trains in its own forked child while this process
+waits (``_per_core``); results come back in order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._files import _usable_cores, write_csv
+from ._files import _fork_map, _usable_cores, write_csv
 from .data import (
     SyntheticOrdinalDataset,
     TrainingSet,
@@ -129,6 +131,8 @@ class TrainConfig:
                 raise BadConfigError(f"{name} must lie in [0, 1), got {value!r}")
         if not self.seeds:
             raise BadConfigError("seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise BadConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         anchors = self.anchor_classes
         if len(anchors) != 2 or anchors[0] == anchors[1] or not (
             1 <= min(anchors) and max(anchors) <= self.n_classes
@@ -366,32 +370,6 @@ def _mean_std(rows: list[dict]) -> tuple[dict, dict]:
     return mean, std
 
 
-def _map_in_order(job, jobs: list[tuple]) -> list:
-    """``[job(*args) for args in jobs]``, in a process pool when that can help.
-
-    The pool has one forked worker per usable core, at most one per job.
-    Results come back in job order, and a failure re-raises in the caller
-    as the serial loop would raise it: the first failing job in order wins
-    and the jobs not yet started are cancelled. One job, one usable core
-    or a platform without ``fork`` runs the plain loop.
-    """
-    workers = min(len(jobs), _usable_cores())
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork, named explicitly: spawn and forkserver re-import the
-        # caller's main module, which breaks scripts without a main guard.
-        if "fork" in multiprocessing.get_all_start_methods():
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            try:
-                futures = [pool.submit(job, *args) for args in jobs]
-                return [f.result() for f in futures]
-            finally:
-                pool.shutdown(cancel_futures=True)
-    return [job(*args) for args in jobs]
-
-
 def _train_and_evaluate(
     config: TrainConfig, view: TrainingSet, eval_ds: SyntheticOrdinalDataset, seeds
 ) -> list[tuple[TrainResult, dict]]:
@@ -407,6 +385,20 @@ def _stacks(seeds: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     size, extra = divmod(len(seeds), n)
     bounds = [i * size + min(i, extra) for i in range(n + 1)]
     return [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _per_core(items: tuple, work) -> list:
+    """``work(items)``, for a ``work`` that returns one result per item, split over the cores.
+
+    One contiguous group of ``items`` per usable core (at most one per item)
+    goes to ``work`` in its own forked child while this process, holding no
+    training buffers, waits; a lone group runs here. Results keep their order.
+    """
+    groups = _stacks(items, min(len(items), _usable_cores()))
+    tasks = [functools.partial(work, group) for group in groups]
+    # ``list``, the first task, is this process's: it returns [] at once.
+    results = [tasks[0]()] if len(tasks) == 1 else _fork_map([list, *tasks])[1:]
+    return [result for group_results in results for result in group_results]
 
 
 @dataclass
@@ -436,9 +428,7 @@ def run_seeds(
         )
     _middle_rows(eval_ds)
     view = dataset.training_view()
-    stacks = _stacks(config.seeds, min(len(config.seeds), _usable_cores()))
-    jobs = [(config, view, eval_ds, stack) for stack in stacks]
-    runs = [run for stack_runs in _map_in_order(_train_and_evaluate, jobs) for run in stack_runs]
+    runs = _per_core(config.seeds, functools.partial(_train_and_evaluate, config, view, eval_ds))
     rows = [{"seed": seed, **metrics} for seed, (_, metrics) in zip(config.seeds, runs)]
     mean, std = _mean_std(rows)
     summary = {"per_seed": rows, "mean": mean, "std": std}
@@ -450,16 +440,19 @@ def cross_validate(config: TrainConfig, dataset: SyntheticOrdinalDataset, k: int
 
     Every fold trains with the first configured seed; folds are
     independent, so the per-fold spread plays the role the seed spread
-    plays in a single-split run.
+    plays in a single-split run. The folds train in one contiguous group
+    per usable core (at most one per fold), each group in fold order up to
+    its first failure, so the first failing fold raises as in a serial loop.
     """
     seed = config.seeds[0]
     folds = kfold_split(dataset.coarse, k, seed)
-    jobs = [
-        (config, dataset.subset(folds != f).training_view(), dataset.subset(folds == f), (seed,))
-        for f in range(1, k + 1)
-    ]
-    runs = _map_in_order(_train_and_evaluate, jobs)
-    rows = [{"fold": f, **metrics} for f, [(_, metrics)] in enumerate(runs, start=1)]
+
+    def fold_metrics(f: int) -> dict:
+        result = train(config, dataset.subset(folds != f).training_view(), seed)
+        return evaluate_on(result.encoder, result.store, dataset.subset(folds == f))
+
+    metrics = _per_core(tuple(range(1, k + 1)), lambda group: [fold_metrics(f) for f in group])
+    rows = [{"fold": f, **m} for f, m in enumerate(metrics, start=1)]
     mean, std = _mean_std(rows)
     return {"folds": rows, "mean": mean, "std": std}
 

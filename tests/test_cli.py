@@ -124,6 +124,15 @@ class TestGenData:
         assert code == EXIT_CONFIG
         assert "classez" in capsys.readouterr().err
 
+    def test_negative_seed_is_config_error(self, workspace, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code = main(
+            ["gen-data", "--config", str(workspace / "gen.cfg"), "--seed", "-1", "--out", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output_is_io_error(self, workspace):
         code = main(
             [
@@ -294,6 +303,17 @@ class TestTrain:
         assert "must" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_config_error(self, workspace, capsys, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TRAIN_CFG.replace("seeds = 1, 2", "seeds = 1, -3"))
+        out = tmp_path / "out"
+        code = main(
+            ["train", "--config", str(bad), "--data", str(workspace / "data.csv"), "--out", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        assert "error: seeds must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "crossval"])
     def test_missing_middle_class_is_config_error(self, workspace, capsys, tmp_path, command):
         out = tmp_path / "out"
@@ -405,8 +425,8 @@ class TestTrain:
         else:
             eval_data = without_class(workspace, tmp_path, 2)
         jobs = []
-        real = trainer._map_in_order
-        monkeypatch.setattr(trainer, "_map_in_order", lambda *a: jobs.append(a) or real(*a))
+        real = trainer._fork_map
+        monkeypatch.setattr(trainer, "_fork_map", lambda tasks: jobs.append(tasks) or real(tasks))
         out = tmp_path / "run"
         code = main(
             [

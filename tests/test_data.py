@@ -761,3 +761,15 @@ class TestSplitLoad:
         assert list(tmp_path.iterdir()) == []
         assert _no_child_left()
 
+    def test_no_second_process_gives_the_serial_result(self, monkeypatch, cohort_file):
+        monkeypatch.setattr(_files, "_usable_cores", lambda: 1)
+        serial = load_dataset(cohort_file)
+        monkeypatch.setattr(_files, "_usable_cores", lambda: 2)
+
+        def no_temp_file():
+            raise FileNotFoundError("no usable temporary directory")
+
+        monkeypatch.setattr(_files.tempfile, "TemporaryFile", no_temp_file)
+        assert _fields(load_dataset(cohort_file)) == _fields(serial)
+        assert _no_child_left()
+

@@ -72,6 +72,11 @@ class TestStoreConstruction:
             GlobalPrototypeStore(np.ones((2, 2)), (1, 3), 1.0)
         with pytest.raises(BadConfigError):
             GlobalPrototypeStore(np.ones((2, 2)), (1, 3), 0.0)
+        for sigma in (float("nan"), "0.5", None, True, [0.5], 0.5j):
+            with pytest.raises(BadConfigError, match=r"^sigma must be a real number inside \(0, 1\)"):
+                GlobalPrototypeStore(np.ones((2, 2)), (1, 3), sigma)
+        store = GlobalPrototypeStore(np.ones((2, 2)), (1, 3), np.float32(0.5))
+        assert type(store.sigma) is float and store.sigma == 0.5
         message = "^anchor classes must be two distinct integers >= 1"
         for classes in ((2, 2), (1,), (1, 2, 3), (0, 3), (-1, 3), (1.5, 3), (1.0, 3), (True, 3)):
             with pytest.raises(BadConfigError, match=message):

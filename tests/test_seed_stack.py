@@ -9,7 +9,6 @@ way the serial loop over its seeds fails.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import itertools
 
@@ -256,12 +255,12 @@ class TestSweepStacks:
             stacks.append(seeds)
             return real_train_stack(config, data, seeds)
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("one usable core must not start a pool")
+        def no_fork(tasks):
+            raise AssertionError("one usable core must not fork")
 
         monkeypatch.setattr(trainer, "_usable_cores", lambda: 1)
         monkeypatch.setattr(trainer, "_train_stack", recording)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(trainer, "_fork_map", no_fork)
         cfg = with_fields(TINY_TRAIN, seeds=(1, 2, 3))
         holdout = generate(TINY_GEN, 61)
         sweep = run_seeds(cfg, tiny_dataset, eval_dataset=holdout)

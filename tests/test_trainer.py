@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
 
 import numpy as np
@@ -393,13 +392,14 @@ class TestSeedPool:
         for pooled, serial in zip(sweep.results, results, strict=True):
             assert_same_run(pooled, serial)
 
-    def test_cross_validate_equals_serial_loop(self, tiny_dataset, two_cores):
+    @pytest.mark.parametrize("k", [2, 3])  # three folds share two cores
+    def test_cross_validate_equals_serial_loop(self, tiny_dataset, two_cores, k):
         cfg = config_with(seeds=(5,))
-        out = cross_validate(cfg, tiny_dataset, k=2)
+        out = cross_validate(cfg, tiny_dataset, k=k)
 
-        folds = kfold_split(tiny_dataset.coarse, 2, 5)
+        folds = kfold_split(tiny_dataset.coarse, k, 5)
         rows = []
-        for f in (1, 2):
+        for f in range(1, k + 1):
             result = train(cfg, tiny_dataset.subset(folds != f).training_view(), 5)
             metrics = evaluate_on(result.encoder, result.store, tiny_dataset.subset(folds == f))
             rows.append({"fold": f, **metrics})
@@ -417,26 +417,17 @@ class TestSeedPool:
         assert str(pooled.value) == str(serial.value)
         assert pooled.value.iteration == serial.value.iteration
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
-    )
     def test_worker_count_is_bounded(self, tiny_dataset, monkeypatch):
-        import concurrent.futures
-
-        seen = []
-
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                seen.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        # Every task after the first forks a child; the first only waits.
+        children, fork_map = [], trainer._fork_map
+        monkeypatch.setattr(trainer, "_fork_map", lambda t: children.append(len(t) - 1) or fork_map(t))
         monkeypatch.setattr(trainer, "_usable_cores", lambda: 2)
         run_seeds(config_with(seeds=(1, 2, 3)), tiny_dataset)
+        cross_validate(config_with(seeds=(1,)), tiny_dataset, k=3)
         monkeypatch.setattr(trainer, "_usable_cores", lambda: 8)
         run_seeds(config_with(seeds=(1, 2, 3)), tiny_dataset)
         run_seeds(config_with(seeds=(1,)), tiny_dataset)
-        assert seen == [2, 3]
+        assert children == [2, 2, 3]
 
 
 class TestCrossValidate:
