@@ -214,6 +214,8 @@ def cmd_crossval(args) -> int:
     config = load_train_config(args.config)
     dataset = load_dataset(args.data)
     check_data_fits(config, dataset.training_view())
+    if args.out and not Path(args.out).parent.is_dir():  # refused before any fold trains
+        raise DatasetIOError(f"cannot write {args.out}: its directory does not exist")
     results = cross_validate(config, dataset, args.k)
     for row in results["folds"]:
         print(
@@ -244,8 +246,11 @@ _IO_ERRORS = (DatasetIOError, DatasetParseError, OSError)
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The program's floating-point policy, whatever the warning filter: numpy
+    # reports nothing, and only the finiteness checks turn a fault into an exit code.
     try:
-        return _COMMANDS[args.command](args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.command](args)
     except BadConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

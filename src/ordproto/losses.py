@@ -70,14 +70,18 @@ def label_similarity(y: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(vectors: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Unit rows and row norms of (..., n, d) vectors; a (near-)zero row raises.
+    """Unit rows and row norms of (..., n, d) vectors; a (near-)zero or overflowing norm raises.
 
-    The error names the position, within its n rows, of the smallest norm.
+    The error names the position, within its n rows, of the smallest norm,
+    or else of the first that overflows.
     """
     norms = np.sqrt(np.add.reduce(vectors * vectors, axis=-1))
-    if np.logical_or.reduce(norms <= NORM_EPS, axis=None):
-        bad = int(np.argmin(norms)) % norms.shape[-1]
-        raise ZeroVectorError(f"{what} row {bad} has (near-)zero norm")
+    if np.logical_or.reduce((norms <= NORM_EPS) | (norms == np.inf), axis=None):
+        if np.logical_or.reduce(norms <= NORM_EPS, axis=None):
+            bad = int(np.argmin(norms)) % norms.shape[-1]
+            raise ZeroVectorError(f"{what} row {bad} has (near-)zero norm")
+        bad = int(np.argmax(norms)) % norms.shape[-1]
+        raise NonFiniteError(f"{what} row {bad} has a norm that overflows")
     return vectors / norms[..., None], norms
 
 

@@ -210,7 +210,7 @@ def train(config: TrainConfig, data: TrainingSet, seed: int) -> TrainResult:
     Inputs and labels are validated once, here (``check_data_fits``, then
     shape and finiteness); the loop runs the loss and encoder functions,
     which trust their input, and checks per iteration only what changes:
-    finite features and logits, nonzero norms.
+    finite features and logits, nonzero and finite norms.
     """
     return _train_stack(config, data, (seed,))[0]
 
@@ -234,12 +234,13 @@ def _train_stack(
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         raise NonFiniteError(f"inputs row {int(np.argmin(finite))} contains NaN or Inf entries")
-    try:
-        return _stacked_loop(config, x, labels, seeds)
-    except TrainingError:
-        if len(seeds) == 1:
-            raise
-    return [result for seed in seeds for result in _stacked_loop(config, x, labels, (seed,))]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in cli.main
+        try:
+            return _stacked_loop(config, x, labels, seeds)
+        except TrainingError:
+            if len(seeds) == 1:
+                raise
+        return [result for seed in seeds for result in _stacked_loop(config, x, labels, (seed,))]
 
 
 def _plan(config: TrainConfig, labels: np.ndarray, seeds, epoch: int) -> np.ndarray:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
+import operator
+import random
 import warnings
 
 import numpy as np
@@ -17,6 +21,7 @@ from ordproto.cli import (
     EXIT_OK,
     main,
 )
+from ordproto.config import load_train_config
 from ordproto.data import load_dataset
 from ordproto.encoder import encode, load_checkpoint
 from ordproto.prototypes import load_store, progression_scores
@@ -356,6 +361,24 @@ class TestTrain:
         assert code == EXIT_IO
         assert "cannot create output dir" in capsys.readouterr().err
 
+    def test_crossval_out_in_a_missing_dir_fails_before_training(
+        self, workspace, monkeypatch, capsys, tmp_path
+    ):
+        out = tmp_path / "missing" / "cv.json"
+        monkeypatch.setattr(cli, "cross_validate", lambda *args: pytest.fail("trained before --out"))
+        code = main(
+            [
+                "crossval",
+                "--config", str(workspace / "train.cfg"),
+                "--data", str(workspace / "data.csv"),
+                "--k", "2",
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_IO
+        assert f"error: cannot write {out}: its directory does not exist" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_utf8_config_is_config_error(self, workspace, capsys, tmp_path):
         bad = tmp_path / "latin1.cfg"
         bad.write_bytes(TRAIN_CFG.encode() + "# r\xe9glage\n".encode("latin-1"))
@@ -619,26 +642,32 @@ class TestEval:
     def test_features_whose_norms_overflow_are_refused(
         self, workspace, trained, capsys, tmp_path, action
     ):
-        # Every feature is finite, but each row's norm is not: each cosine would read 0.
-        payload = json.loads((trained / "checkpoint.json").read_text())
-        payload["layers"][-1]["bias"][0] = 1e300
         tampered = tmp_path / "overflowing-checkpoint.json"
-        tampered.write_text(json.dumps(payload))
-        with warnings.catch_warnings():
-            warnings.simplefilter(action, RuntimeWarning)
-            for command, out in (("eval", "metrics.json"), ("export-embeddings", "emb.csv")):
-                code = main(
-                    [
-                        command,
-                        "--checkpoint", str(tampered),
-                        "--store", str(trained / "store.json"),
-                        "--data", str(workspace / "data.csv"),
-                        "--out", str(tmp_path / out),
-                    ]
-                )
-                assert code == EXIT_NUMERIC, command
-                assert "features row 0 has a norm that overflows" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == [tampered]
+        for key, index, value in (
+            # Every feature is finite, but each row's norm is not: each cosine would read 0.
+            ("bias", 0, 1e300),
+            # The last layer's matmul overflows, which numpy reports as it happens.
+            ("weight", 24, 1e308),
+        ):
+            payload = json.loads((trained / "checkpoint.json").read_text())
+            payload["layers"][-1][key][index] = value
+            tampered.write_text(json.dumps(payload))
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                for command, out in (("eval", "metrics.json"), ("export-embeddings", "emb.csv")):
+                    code = main(
+                        [
+                            command,
+                            "--checkpoint", str(tampered),
+                            "--store", str(trained / "store.json"),
+                            "--data", str(workspace / "data.csv"),
+                            "--out", str(tmp_path / out),
+                        ]
+                    )
+                    assert code == EXIT_NUMERIC, (key, command)
+                    err = capsys.readouterr().err
+                    assert "features row 0 has a norm that overflows" in err, key
+            assert list(tmp_path.iterdir()) == [tampered]
 
     def test_non_finite_data_is_parse_error(self, workspace, trained, capsys):
         lines = (workspace / "data.csv").read_text().splitlines()
@@ -841,7 +870,8 @@ class TestCrossval:
 
 
 class TestNumericFailure:
-    """A diverging run exits 4 with the serial loop's message, pooled or not."""
+    """A run whose numbers overflow exits with one code and message, whatever the
+    warning filter, pooled or not, and leaves no output."""
 
     @pytest.fixture
     def diverging_cfg(self, workspace):
@@ -849,12 +879,13 @@ class TestNumericFailure:
         path.write_text(TRAIN_CFG + "learning_rate = 1e300\n")
         return path
 
-    def _run(self, monkeypatch, capsys, cores, argv):
+    def _run(self, monkeypatch, capsys, cores, argv, action):
         monkeypatch.setattr(trainer, "_usable_cores", lambda: cores)
-        code = main(argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            code = main(argv)
         return code, capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the expected overflow
     @pytest.mark.parametrize("command", ["train", "crossval"])
     def test_diverging_run_exits_numeric(
         self, workspace, diverging_cfg, monkeypatch, capsys, tmp_path, command
@@ -864,12 +895,59 @@ class TestNumericFailure:
                 "--out", str(out)]
         if command == "crossval":
             argv += ["--k", "2"]
-        serial = self._run(monkeypatch, capsys, 1, argv)
-        pooled = self._run(monkeypatch, capsys, 2, argv)
-        assert serial[0] == pooled[0] == EXIT_NUMERIC
-        assert serial[1] == pooled[1]
-        assert serial[1].startswith("error: iteration ")
+        runs = [
+            self._run(monkeypatch, capsys, cores, argv, action)
+            for action in ("default", "error")
+            for cores in (1, 2)
+        ]
+        assert {code for code, _ in runs} == {EXIT_NUMERIC}
+        assert len({err for _, err in runs}) == 1
+        assert runs[0][1].startswith("error: iteration ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_input_row_whose_feature_norm_overflows(
+        self, workspace, monkeypatch, capsys, tmp_path, action
+    ):
+        # x1 of row 0 is 1e308: finite, so the load accepts it, and so are the
+        # row's features, but their norm is not.
+        lines = (workspace / "data.csv").read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[5] = "1e308"
+        lines[1] = ",".join(fields)
+        data = tmp_path / "huge-x.csv"
+        data.write_text("\n".join(lines) + "\n")
+        # The first iteration of seed 1, the first seed, whose batch holds row 0.
+        config = load_train_config(workspace / "train.cfg")
+        labels = load_dataset(data).coarse
+        batches = [
+            batch
+            for epoch in range(config.epochs)
+            for batch in trainer._plan(config, labels, (1,), epoch)[:, 0]
+        ]
+        iteration = next(i for i, batch in enumerate(batches, 1) if 0 in batch)
+        row = int(np.flatnonzero(batches[iteration - 1] == 0)[0])
+        out = tmp_path / "out"
+        argv = ["train", "--config", str(workspace / "train.cfg"), "--data", str(data),
+                "--out", str(out)]
+        for cores in (1, 2):
+            code, err = self._run(monkeypatch, capsys, cores, argv, action)
+            assert code == EXIT_NUMERIC
+            message = f"iteration {iteration}: features row {row} has a norm that overflows"
+            assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_generated_noise_that_overflows_is_config_error(self, capsys, tmp_path, action):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(GEN_CFG.replace("noise_sigma = 0.1", "noise_sigma = 1e308"))
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            code = main(["gen-data", "--config", str(cfg), "--seed", "1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "must be finite, got" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 # The exit code of each OrdprotoError subclass raised inside a command.
@@ -913,3 +991,79 @@ class TestUsageErrors:
             with pytest.raises(SystemExit) as err:
                 main(argv)
             assert err.value.code == 2
+
+
+# What a corpus mutation writes in place of an artifact entry; DELETE removes the entry.
+DELETE = object()
+MUTATIONS = (1e308, -1e308, 1e200, 0, "a string", None, DELETE)
+
+
+def _entry_paths(node, path=()):
+    """The path (keys and list indices) of every entry of a JSON payload, leaves and inner nodes."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield (*path, key)
+            yield from _entry_paths(child, (*path, key))
+
+
+class TestMutationCorpus:
+    """Seeded mutations of checkpoint.json and store.json, scored by eval and export-embeddings.
+
+    Under default warnings and with RuntimeWarning an error, each command
+    exits 0, 3, 4 or 5, with the same code under both filters; the two
+    commands succeed together; a failure writes nothing, and a success
+    scores every row with a finite p_progressive in [0, 1].
+    """
+
+    CASES = 160
+
+    def test_mutated_artifacts(self, workspace, trained, capsys, tmp_path):
+        rng = random.Random(16)
+        names = ("checkpoint", "store")
+        originals = {name: json.loads((trained / f"{name}.json").read_text()) for name in names}
+        entries = {name: list(_entry_paths(payload)) for name, payload in originals.items()}
+        out = tmp_path / "out"
+        out.mkdir()
+        for _ in range(self.CASES):
+            name = rng.choice(names)
+            *parents, last = rng.choice(entries[name])
+            value = rng.choice(MUTATIONS)
+            payload = copy.deepcopy(originals[name])
+            node = functools.reduce(operator.getitem, parents, payload)
+            if value is DELETE:
+                del node[last]
+            else:
+                node[last] = value
+            label = f"{name}{[*parents, last]} <- {'deleted' if value is DELETE else repr(value)}"
+            paths = {n: trained / f"{n}.json" for n in names}
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(payload))
+            inputs = [arg for n in names for arg in (f"--{n}", str(paths[n]))]
+            inputs += ["--data", str(workspace / "data.csv")]
+
+            codes = {}
+            for action in ("default", "error"):
+                for command, target in (("eval", "metrics.json"), ("export-embeddings", "emb.csv")):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter(action, RuntimeWarning)
+                        try:
+                            code = main([command, *inputs, "--out", str(out / target)])
+                        except Exception as exc:
+                            pytest.fail(f"{label}: {command} under {action} warnings: {exc!r}")
+                    codes[action, command] = code
+                    assert code in (EXIT_OK, EXIT_IO, EXIT_NUMERIC, EXIT_ARTIFACT), label
+                    if code == EXIT_OK and command == "export-embeddings":
+                        lines = (out / target).read_text().splitlines()[1:]
+                        scores = np.array([float(line.rsplit(",", 1)[1]) for line in lines])
+                        assert scores.size == 50, label
+                        assert np.all((scores >= 0.0) & (scores <= 1.0)), label  # NaN fails too
+                    written = [path.name for path in out.iterdir()]
+                    assert written == ([target] if code == EXIT_OK else []), label
+                    for path in out.iterdir():
+                        path.unlink()
+            capsys.readouterr()
+            assert codes["default", "eval"] == codes["error", "eval"], label
+            assert codes["default", "export-embeddings"] == codes["error", "export-embeddings"], label
+            assert (codes["default", "eval"] == EXIT_OK) == (
+                codes["default", "export-embeddings"] == EXIT_OK
+            ), label

@@ -201,7 +201,6 @@ class TestStackErrors:
         assert stacked.value.iteration == serial.value.iteration == 1
         assert type(stacked.value.__cause__) is type(serial.value.__cause__)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the expected overflow
     def test_diverging_stack_fails_as_its_first_seed(self, tiny_dataset, monkeypatch):
         monkeypatch.setattr(trainer, "_usable_cores", lambda: 1)
         cfg = with_fields(TINY_TRAIN, base_lr=1e300, seeds=(1, 2, 3))

@@ -406,7 +406,6 @@ class TestSeedPool:
         mean, std = _mean_std(rows)
         assert out == {"folds": rows, "mean": mean, "std": std}
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the expected overflow
     def test_first_failing_seed_raises(self, tiny_dataset, two_cores):
         # The worker's error crosses with its type, message and iteration.
         cfg = config_with(base_lr=1e300)
