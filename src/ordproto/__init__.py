@@ -9,8 +9,8 @@ The names below validate their input or serve the CLI; the training
 loop's kernels trust their caller and stay in their modules.
 """
 
+from .config import GenConfig, TrainConfig
 from .data import (
-    GenConfig,
     SyntheticOrdinalDataset,
     TrainingSet,
     generate,
@@ -28,7 +28,6 @@ from .prototypes import (
     save_store,
 )
 from .trainer import (
-    TrainConfig,
     TrainResult,
     ablation_config,
     cross_validate,

@@ -14,14 +14,13 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import numbers
-import operator
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._files import _fork_map, _split_pays, write_csv
+from .config import GenConfig
 from .errors import (
     BadConfigError,
     DatasetIOError,
@@ -32,122 +31,6 @@ from .prototypes import PROGRESSIVE, STABLE
 
 NO_FINE_LABEL = ""
 _FIXED_COLUMNS = ["id", "coarse_label", "fine_label", "latent_t"]  # then x0..x{d-1}
-
-
-# How the type check reads each config field annotation: one integer, a
-# tuple of them, one real number, a tuple of them, or a bool. An annotation
-# ending in "| None" also takes None.
-_FIELD_KINDS = {
-    "int": "int",
-    "tuple[int, ...]": "ints",
-    "tuple[int, int] | None": "ints",
-    "float": "real",
-    "float | None": "real",
-    "tuple[float, ...]": "reals",
-    "bool": "bool",
-}
-
-
-def _integers(name: str, values) -> tuple[int, ...]:
-    """``values`` as Python ints; an entry that is no integer (numpy's are, bools not) raises."""
-    try:
-        if bool in map(type, values):
-            raise TypeError("a bool is no integer here")
-        return tuple(map(operator.index, values))
-    except TypeError as exc:
-        raise BadConfigError(f"{name} must hold integers, got {values!r}") from exc
-
-
-def _reals(name: str, values) -> tuple[float, ...]:
-    """``values`` as Python floats; an entry that is no real number (bools are not) raises."""
-    try:
-        if bool not in map(type, values) and all(isinstance(v, numbers.Real) for v in values):
-            return tuple(map(float, values))
-    except TypeError:  # not iterable
-        pass
-    raise BadConfigError(f"{name} must hold real numbers, got {values!r}")
-
-
-def check_field_types(config) -> None:
-    """Refuse the first wrongly typed field of a frozen config dataclass, by its annotation.
-
-    Integer fields take integers, numpy's included, and keep them as Python
-    ints; real-number fields take real numbers, and a tuple of them is kept
-    as Python floats. Neither takes a bool. ``bool`` fields take only bools:
-    any non-empty string is true, so a switch set to "false" would be on.
-    """
-    for field in fields(config):
-        name, value = field.name, getattr(config, field.name)
-        kind = _FIELD_KINDS[field.type]
-        if value is None and "| None" in field.type:
-            continue
-        if kind == "int":
-            (value,) = _integers(name, (value,))
-        elif kind == "ints":
-            value = _integers(name, value)
-        elif kind == "reals":
-            value = _reals(name, value)
-        elif kind == "real" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-            raise BadConfigError(f"{name} must be a real number, got {value!r}")
-        elif kind == "bool" and not isinstance(value, bool):
-            raise BadConfigError(f"{name} must be a bool, got {value!r}")
-        object.__setattr__(config, name, value)
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    """Generator settings; band edges are the K-1 interior boundaries."""
-
-    n_classes: int = 3
-    class_counts: tuple[int, ...] = (130, 270, 200)
-    input_dim: int = 16
-    noise_sigma: float = 0.15
-    band_edges: tuple[float, ...] = (1.0 / 3.0, 2.0 / 3.0)
-    progression_cut: float | None = None  # default: midpoint of the middle bands
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.n_classes < 3:
-            raise BadConfigError("need at least 3 ordered classes")
-        if len(self.class_counts) != self.n_classes:
-            raise BadConfigError("class_counts must list one count per class")
-        if any(c < 1 for c in self.class_counts):
-            raise BadConfigError("every class count must be >= 1")
-        if self.input_dim < 1:
-            raise BadConfigError("input_dim must be >= 1")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise BadConfigError("noise_sigma must be finite and >= 0")
-        edges = self.band_edges
-        if len(edges) != self.n_classes - 1:
-            raise BadConfigError("band_edges must hold n_classes - 1 interior boundaries")
-        if any(not 0.0 < e < 1.0 for e in edges) or any(
-            b <= a for a, b in zip(edges, edges[1:])
-        ):
-            raise BadConfigError("band_edges must be strictly increasing inside (0, 1)")
-        lo, hi = self.middle_region
-        if self.progression_cut is not None and not lo <= self.progression_cut < hi:
-            raise BadConfigError(
-                f"progression_cut must lie in the middle bands [{lo}, {hi})"
-            )
-
-    @property
-    def bands(self) -> list[tuple[float, float]]:
-        edges = (0.0, *self.band_edges, 1.0)
-        return list(zip(edges[:-1], edges[1:]))
-
-    @property
-    def middle_classes(self) -> tuple[int, ...]:
-        return tuple(range(2, self.n_classes))
-
-    @property
-    def middle_region(self) -> tuple[float, float]:
-        return self.band_edges[0], self.band_edges[-1]
-
-    def resolved_cut(self) -> float:
-        if self.progression_cut is not None:
-            return float(self.progression_cut)
-        lo, hi = self.middle_region
-        return 0.5 * (lo + hi)
 
 
 def _sinusoid_frequencies(dim: int) -> list[float]:
@@ -229,7 +112,11 @@ class SyntheticOrdinalDataset:
 
 def generate(config: GenConfig, seed: int) -> SyntheticOrdinalDataset:
     """Draw per-class latent positions uniformly inside each band, then
-    embed them on the trajectory with additive Gaussian noise."""
+    embed them on the trajectory with additive Gaussian noise.
+
+    A ``noise_sigma`` whose noise overflows raises ``BadConfigError``, under
+    any warning filter.
+    """
     if seed < 0:
         raise BadConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
@@ -241,7 +128,12 @@ def generate(config: GenConfig, seed: int) -> SyntheticOrdinalDataset:
     coarse = np.concatenate(label_parts)
     x = _trajectory(t, config.input_dim)
     if config.noise_sigma > 0:
-        x = x + config.noise_sigma * rng.standard_normal(x.shape)
+        with np.errstate(over="ignore"):
+            x = x + config.noise_sigma * rng.standard_normal(x.shape)
+        if not np.isfinite(x).all():
+            raise BadConfigError(
+                f"noise_sigma must keep the generated inputs finite, got {config.noise_sigma!r}"
+            )
     middle = (coarse > 1) & (coarse < config.n_classes)
     split = np.where(t >= config.resolved_cut(), PROGRESSIVE, STABLE)
     fine = np.where(middle, split, NO_FINE_LABEL).astype(object)

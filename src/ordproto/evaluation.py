@@ -59,9 +59,9 @@ def binary_metrics(scores, truths) -> dict:
         raise NonFiniteError("scores contain NaN or Inf entries")
     if np.any(s < 0.0) or np.any(s > 1.0):
         raise BadConfigError("scores must lie in [0, 1]")
-    bad = [v for v in t if v not in (STABLE, PROGRESSIVE)]
-    if bad:
-        raise BadConfigError(f"unknown truth labels: {sorted(set(map(str, bad)))}")
+    odd = (t != STABLE) & (t != PROGRESSIVE)
+    if odd.any():
+        raise BadConfigError(f"unknown truth labels: {sorted(set(map(str, t[odd])))}")
 
     pos = t == PROGRESSIVE
     n_pos = int(pos.sum())

@@ -17,16 +17,15 @@ waits (``_per_core``); results come back in order.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._files import _fork_map, _usable_cores, write_csv
+from .config import TrainConfig
 from .data import (
     SyntheticOrdinalDataset,
     TrainingSet,
-    check_field_types,
     classes_present,
     kfold_split,
     stratified_batches,
@@ -73,77 +72,6 @@ ABLATION_VARIANTS = {
     "ins2cls": (True, True, False),
     "full": (True, True, True),
 }
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    n_classes: int = 3
-    input_dim: int = 16
-    hidden_dims: tuple[int, ...] = (64, 64)
-    feature_dim: int = 32
-    epochs: int = 60
-    batch_size: int = 8
-    base_lr: float = 2e-4
-    lr_decay: float = 0.95
-    adam_beta1: float = 0.5
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    ema_sigma: float = 0.9
-    lambda_start: float = 0.0
-    lambda_end: float = 1.0
-    lambda_per_epoch: bool = False
-    blackbox_lambda: float = 1.0
-    use_ins2ins: bool = True
-    use_ins2cls: bool = True
-    use_cls2cls: bool = True
-    detach_class_spread: bool = False
-    anchor_classes: tuple[int, int] | None = None  # None: (1, n_classes), the two ends
-    seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.anchor_classes is None:
-            object.__setattr__(self, "anchor_classes", (1, self.n_classes))
-        if self.n_classes < 2:
-            raise BadConfigError("n_classes must be >= 2")
-        if self.input_dim < 1 or self.feature_dim < 1 or any(d < 1 for d in self.hidden_dims):
-            raise BadConfigError("all layer dims must be >= 1")
-        if self.epochs < 1:
-            raise BadConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise BadConfigError("batch_size must be >= 1")
-        if self.batch_size < self.n_classes:
-            raise BadConfigError(
-                f"batch size {self.batch_size} cannot hold all {self.n_classes} classes"
-            )
-        if not 0.0 < self.ema_sigma < 1.0:
-            raise BadConfigError("ema_sigma must lie strictly inside (0, 1)")
-        if not 0.0 <= self.lambda_start <= self.lambda_end <= 1.0:
-            raise BadConfigError("need 0 <= lambda_start <= lambda_end <= 1")
-        # An infinite blackbox_lambda would turn every rank gradient into NaN.
-        for name in ("base_lr", "lr_decay", "adam_epsilon", "blackbox_lambda"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise BadConfigError(f"{name} must be finite and positive, got {value!r}")
-        for name in ("adam_beta1", "adam_beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise BadConfigError(f"{name} must lie in [0, 1), got {value!r}")
-        if not self.seeds:
-            raise BadConfigError("seeds must be non-empty")
-        if min(self.seeds) < 0:
-            raise BadConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
-        anchors = self.anchor_classes
-        if len(anchors) != 2 or anchors[0] == anchors[1] or not (
-            1 <= min(anchors) and max(anchors) <= self.n_classes
-        ):
-            raise BadConfigError(
-                f"anchor_classes must be two distinct classes in 1..{self.n_classes}"
-            )
-
-    @property
-    def dims(self) -> list[int]:
-        return [self.input_dim, *self.hidden_dims, self.feature_dim]
 
 
 def check_data_fits(config: TrainConfig, data: TrainingSet) -> None:

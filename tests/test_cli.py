@@ -946,7 +946,8 @@ class TestNumericFailure:
             warnings.simplefilter(action, RuntimeWarning)
             code = main(["gen-data", "--config", str(cfg), "--seed", "1", "--out", str(out)])
         assert code == EXIT_CONFIG
-        assert "must be finite, got" in capsys.readouterr().err
+        message = "noise_sigma must keep the generated inputs finite, got 1e+308"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == [cfg]
 
 

@@ -46,7 +46,6 @@ class TestGenConfig:
     def test_default_geometry(self):
         cfg = GenConfig()
         assert cfg.bands == [(0.0, 1.0 / 3.0), (1.0 / 3.0, 2.0 / 3.0), (2.0 / 3.0, 1.0)]
-        assert cfg.middle_classes == (2,)
         assert cfg.middle_region == (1.0 / 3.0, 2.0 / 3.0)
         assert cfg.resolved_cut() == pytest.approx(0.5, abs=1e-12)
 
@@ -54,7 +53,6 @@ class TestGenConfig:
         cfg = GenConfig(
             n_classes=4, class_counts=(5, 5, 5, 5), band_edges=(0.25, 0.5, 0.75)
         )
-        assert cfg.middle_classes == (2, 3)
         assert cfg.middle_region == (0.25, 0.75)
         assert cfg.resolved_cut() == 0.5
 
@@ -162,7 +160,7 @@ class TestGenerate:
     )
     def test_fine_labels_equal_the_per_row_comprehension(self, cfg):
         ds = generate(cfg, seed=21)
-        cut, middle = cfg.resolved_cut(), set(cfg.middle_classes)
+        cut, middle = cfg.resolved_cut(), set(range(2, cfg.n_classes))
         want = [
             (PROGRESSIVE if ti >= cut else STABLE) if ci in middle else NO_FINE_LABEL
             for ci, ti in zip(ds.coarse, ds.latent_t)
@@ -186,6 +184,16 @@ class TestGenerate:
         # Class-conditional means still separate cleanly along the ramp.
         means = [noisy.x[noisy.coarse == c, 0].mean() for c in (1, 2, 3)]
         assert means[1] - means[0] >= 0.2 and means[2] - means[1] >= 0.2
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_noise_that_overflows_is_config_error(self, action):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(BadConfigError) as err:
+                generate(GenConfig(noise_sigma=1e308), 3)
+            # Noise that is large but finite still gives a cohort.
+            assert np.isfinite(generate(GenConfig(noise_sigma=1e300), 3).x).all()
+        assert str(err.value) == "noise_sigma must keep the generated inputs finite, got 1e+308"
 
     def test_views_and_subsets(self):
         ds = generate(GenConfig(), seed=2)

@@ -1,11 +1,14 @@
 """The names ``import ordproto`` exposes: one public entry per validated operation.
 
-The training loop's kernels, which trust their caller, stay in their modules.
+The training loop's kernels, which trust their caller, stay in their modules,
+and the config module, which every other module reads, imports none of them.
 """
 
 from __future__ import annotations
 
+import ast
 import types
+from pathlib import Path
 
 import ordproto
 
@@ -45,3 +48,16 @@ def test_public_names_are_the_listed_entries():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     ]
     assert sorted(names) == sorted(PUBLIC_NAMES)
+
+
+def test_config_imports_only_errors_from_the_package():
+    # The configs own their rules: config.py needs no other ordproto module.
+    tree = ast.parse((Path(ordproto.__file__).parent / "config.py").read_text())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+    package = [m for m in modules if m.startswith(".") or m.split(".")[0] == "ordproto"]
+    assert package == [".errors"]
