@@ -50,6 +50,16 @@ def _integers(name: str, values) -> tuple[int, ...]:
         raise BadConfigError(f"{name} must hold integers, got {values!r}") from exc
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; anything but an integer (numpy's are, bools not) raises."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise BadConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _reals(name: str, values) -> tuple[float, ...]:
     """``values`` as Python floats; an entry that is no real number (bools are not) raises."""
     try:
@@ -74,7 +84,7 @@ def check_field_types(config) -> None:
         if value is None and "| None" in field.type:
             continue
         if entry is int:
-            value = _integers(name, value) if many else _integers(name, (value,))[0]
+            value = _integers(name, value) if many else _integer(name, value)
         elif many:
             value = _reals(name, value)
         elif entry is float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):

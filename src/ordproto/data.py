@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._files import _fork_map, _split_pays, write_csv
+from ._files import CSV_BLOCK_ROWS, _fork_map, _split_pays, write_csv
 from .config import GenConfig
 from .errors import (
     BadConfigError,
@@ -361,10 +361,7 @@ def _bulk_columns(lines: list[str], dim: int):
     its index as its id.
     """
     n = len(lines) - 1
-    text = "".join(lines)
-    if n == 0 or '"' in text or "\x00" in text:
-        return None
-    if "\r" in text and text.count("\r") != text.count("\r\n"):
+    if n == 0 or not _plain(lines):
         return None
     row = np.dtype(
         [("id", "i8"), ("coarse", "i8"), ("fine", "U12"), ("latent_t", "f8"), ("x", "f8", (dim,))]
@@ -382,6 +379,21 @@ def _bulk_columns(lines: list[str], dim: int):
         return None
     coarse, latent, x = (np.ascontiguousarray(table[k]) for k in ("coarse", "latent_t", "x"))
     return coarse, table["fine"].astype(object), latent, x
+
+
+def _plain(lines: list[str]) -> bool:
+    """Whether ``csv`` and ``loadtxt`` split ``lines`` alike: no quote, no NUL, no lone CR.
+
+    Joins ``CSV_BLOCK_ROWS`` lines at a time, so the file's text is never
+    held twice. A line ends at a CR or LF, so no CRLF spans two lines.
+    """
+    for lo in range(0, len(lines), CSV_BLOCK_ROWS):
+        text = "".join(lines[lo : lo + CSV_BLOCK_ROWS])
+        if '"' in text or "\x00" in text:
+            return False
+        if "\r" in text and text.count("\r") != text.count("\r\n"):
+            return False
+    return True
 
 
 def _parse(lines: list[str], start: int, stop: int, row: np.dtype) -> np.ndarray:

@@ -31,6 +31,13 @@ from .linalg import NORM_EPS, _dot_norms, _unit
 STABLE = "stable"
 PROGRESSIVE = "progressive"
 
+# Rows per block of an anchor_cosines call: a block's products are (rows,
+# dim) arrays, 256 KB each at 1,024 x 32, made one at a time. On the
+# 8,000-row cohort (shared 2-core x86_64 host) blocks of 1,024 and 2,048 rows
+# took 1.6-1.7 ms, 256 rows 2.5 and the whole cohort as one block 1.8-1.9.
+# At 1,024 the 600-row default dataset is one block.
+COSINE_BLOCK_ROWS = 1024
+
 
 @dataclass
 class GlobalPrototypeStore:
@@ -144,9 +151,11 @@ def anchor_cosines(features, store: GlobalPrototypeStore) -> tuple[np.ndarray, n
     """Cosines of every row of an ``(n, dim)`` matrix to the (low, high) anchors.
 
     Validates once per call: the store is trained, the shape is ``(n, dim)``,
-    every row's norm is finite (so are its values) and none is (near-)zero.
-    Row-wise reductions, not matrix products: a row's value does not depend on
-    the other rows of the call.
+    every row's norm is finite (so are its values) and none is (near-)zero;
+    a bad row is named by its index in the call. Row-wise reductions over
+    blocks of ``COSINE_BLOCK_ROWS`` rows, not matrix products: a row's value
+    does not depend on the other rows of the call, and a call holds a few
+    ``(n,)`` arrays and one block's products beside its input.
     """
     n_low, n_high = _dot_norms(store.anchors).tolist()
     if not (n_low > NORM_EPS and n_high > NORM_EPS):
@@ -158,22 +167,44 @@ def anchor_cosines(features, store: GlobalPrototypeStore) -> tuple[np.ndarray, n
     # Entries within this bound keep every squared norm below half of float64's
     # largest value; a call with a larger entry, an Inf or a NaN checks the norms.
     bound = math.sqrt(sys.float_info.max / (2 * store.dim))
-    if not np.maximum.reduce(np.abs(f), axis=None, initial=0.0) <= bound:
-        with np.errstate(over="ignore"):
-            finite = np.isfinite(np.add.reduce(f * f, axis=1))
+    if (
+        np.maximum.reduce(f, axis=None, initial=0.0) <= bound
+        and np.minimum.reduce(f, axis=None, initial=0.0) >= -bound
+    ):
+        squares, low, high = _row_sums(f, store.anchors)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares, low, high = _row_sums(f, store.anchors)
+        finite = np.isfinite(squares)
         if not finite.all():
             row = int(np.argmin(finite))
             fault = "contains NaN or Inf entries"
             if np.isfinite(f[row]).all():
                 fault = "has a norm that overflows"
             raise NonFiniteError(f"features row {row} {fault}")
-    norms = np.sqrt(np.add.reduce(f * f, axis=1))
+    norms = np.sqrt(squares, out=squares)
     zero = norms <= NORM_EPS
     if zero.any():
         raise ZeroVectorError(f"features row {int(np.argmax(zero))} has (near-)zero norm")
-    a_low, a_high = store.anchors
-    low = np.add.reduce(f * a_low, axis=1) / (norms * n_low)
-    return low, np.add.reduce(f * a_high, axis=1) / (norms * n_high)
+    np.divide(low, norms * n_low, out=low)
+    np.divide(high, norms * n_high, out=high)
+    return low, high
+
+
+def _row_sums(f: np.ndarray, anchors: np.ndarray) -> tuple:
+    """Per row of ``f``: its squared norm and its dot products with the low and high anchor.
+
+    Row-wise products and ``np.add.reduce`` over blocks of ``COSINE_BLOCK_ROWS``
+    rows, so a row's sums do not depend on its block.
+    """
+    n = f.shape[0]
+    if n > COSINE_BLOCK_ROWS:
+        starts = range(0, n, COSINE_BLOCK_ROWS)
+        blocks = [_row_sums(f[lo : lo + COSINE_BLOCK_ROWS], anchors) for lo in starts]
+        return tuple(np.concatenate(sums) for sums in zip(*blocks))
+    a_low, a_high = anchors
+    squares = np.add.reduce(f * f, axis=1)
+    return squares, np.add.reduce(f * a_low, axis=1), np.add.reduce(f * a_high, axis=1)
 
 
 def progression_scores(features, store: GlobalPrototypeStore) -> np.ndarray:

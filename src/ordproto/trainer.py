@@ -284,6 +284,8 @@ def evaluate_on(
     mask = _middle_rows(dataset)
     # One cosine pass over the whole cohort; cosines are row-wise, so the
     # middle rows score exactly as progression_scores(z_all[mask]) would.
+    # encode and anchor_cosines work in row blocks: beside the features this
+    # holds one block's arrays, never a hidden layer of the whole cohort.
     cos_low, cos_high = anchor_cosines(encode(enc, dataset.x), store)
     metrics = binary_metrics(_softmax_high(cos_low[mask], cos_high[mask]), dataset.fine[mask])
     metrics["spearman_ordinality"] = spearman(cos_high, dataset.latent_t)

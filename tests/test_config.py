@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import fields
 
 import pytest
@@ -186,3 +187,20 @@ class TestTrainConfigLoading:
     def test_dataclass_validation_propagates(self, tmp_path):
         with pytest.raises(BadConfigError):
             load_train_config(write(tmp_path, "ema_sigma = 1.5\n"))
+
+
+@pytest.mark.parametrize(
+    "make, kw, message",
+    [
+        (TrainConfig, {"epochs": 1.5}, "epochs must be an integer, got 1.5"),
+        (TrainConfig, {"epochs": "3"}, "epochs must be an integer, got '3'"),
+        (TrainConfig, {"epochs": True}, "epochs must be an integer, got True"),
+        (GenConfig, {"input_dim": 2.5}, "input_dim must be an integer, got 2.5"),
+        (TrainConfig, {"seeds": (1.5,)}, "seeds must hold integers, got (1.5,)"),
+        (GenConfig, {"class_counts": (1, 2.5)}, "class_counts must hold integers, got (1, 2.5)"),
+    ],
+)
+def test_integer_fields_word_a_scalar_apart_from_a_tuple(make, kw, message):
+    # A scalar field's value is shown as given, as the real-number fields show theirs.
+    with pytest.raises(BadConfigError, match=f"^{re.escape(message)}$"):
+        make(**kw)

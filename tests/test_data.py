@@ -65,9 +65,9 @@ class TestGenConfig:
         [
             ({"class_counts": (10.5, 20, 30)}, "class_counts must hold integers"),
             ({"class_counts": (10, True, 30)}, "class_counts must hold integers"),
-            ({"input_dim": 2.5}, "input_dim must hold integers"),
-            ({"n_classes": "3"}, "n_classes must hold integers"),
-            ({"n_classes": 3.0}, "n_classes must hold integers"),
+            ({"input_dim": 2.5}, "input_dim must be an integer, got 2.5"),
+            ({"n_classes": "3"}, "n_classes must be an integer, got '3'"),
+            ({"n_classes": 3.0}, "n_classes must be an integer, got 3.0"),
             ({"noise_sigma": "0.1"}, "noise_sigma must be a real number"),
             ({"noise_sigma": True}, "noise_sigma must be a real number"),
             ({"progression_cut": "0.5"}, "progression_cut must be a real number"),
@@ -550,6 +550,8 @@ def _set_field(text: str, line: int, column: int, value: str) -> str:
     return "\n".join(lines)
 
 
+_PLAIN_ROWS = [f"{i},1,,0.5,1.0,2.0" for i in range(200)]
+
 # name -> file text, or a function of the saved_texts fixture giving it.
 CORPUS = {
     "saved-d1-one-row": lambda saved: saved[1, 1],
@@ -560,6 +562,11 @@ CORPUS = {
     "lone-cr": lambda saved: saved[16, 70].replace("\n", "\r"),
     "lone-cr-in-a-field": _with(1, "1,2,stable,0.5\r,3.0,4.0"),
     "no-final-newline": lambda saved: saved[16, 70][:-1],
+    # The quote, NUL and CR checks join a block of lines at a time; each of
+    # these faults sits in the second block only.
+    "quote-past-the-first-block": _csv(*_PLAIN_ROWS, '200,2,"stable",0.5,1.0,2.0'),
+    "nul-past-the-first-block": _csv(*_PLAIN_ROWS, "200,2,stable\x00,0.5,1.0,2.0"),
+    "lone-cr-past-the-first-block": _csv(*_PLAIN_ROWS, "200,2,stable,0.5\r,1.0,2.0"),
     "plain": _csv(*ROWS),
     "blank-line-in-the-middle": _csv(ROWS[0], "", *ROWS[1:]),
     "blank-line-at-the-end": _csv(*ROWS) + "\n",

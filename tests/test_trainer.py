@@ -95,12 +95,12 @@ class TestTrainConfig:
             _refusal("hidden_dims must hold integers", hidden_dims=(8.9,)),
             _refusal("seeds must hold integers", seeds=(1.7,)),
             _refusal("anchor_classes must hold integers", anchor_classes=(1.5, 3.2)),
-            _refusal("epochs must hold integers", epochs=2.0),
-            _refusal("epochs must hold integers", epochs=True),
-            _refusal("batch_size must hold integers", batch_size=8.0),
-            _refusal("feature_dim must hold integers", feature_dim=4.5),
-            _refusal("n_classes must hold integers", n_classes=3.0),
-            _refusal("input_dim must hold integers", input_dim="16"),
+            _refusal("epochs must be an integer, got 2.0", epochs=2.0),
+            _refusal("epochs must be an integer, got True", epochs=True),
+            _refusal("batch_size must be an integer", batch_size=8.0),
+            _refusal("feature_dim must be an integer", feature_dim=4.5),
+            _refusal("n_classes must be an integer", n_classes=3.0),
+            _refusal("input_dim must be an integer", input_dim="16"),
             _refusal("hidden_dims must hold integers", hidden_dims=64),
             _refusal("base_lr must be a real number", base_lr="0.1"),
             _refusal("ema_sigma must be a real number", ema_sigma="0.5"),
