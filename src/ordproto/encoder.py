@@ -35,13 +35,12 @@ from ._files import json_numbers, read_json, write_json
 from .errors import DatasetParseError, DimMismatchError, NonFiniteError
 
 # Rows per block of a long ``encode`` call; its last block may hold one more.
-# A call holds two blocks of its widest hidden layer (1 MB at 1,024 x 64)
-# beside its output. On the 8,000-row cohort (shared 2-core x86_64 host,
-# numpy 2.4.6, OpenBLAS SkylakeX core), blocks of 128 to 1,024 rows encoded
-# in 4.0-4.2 ms, 2,048 in 6.0 and whole-cohort layers in 8.8; a load, score
-# and evaluate pass made 2,650 minor page faults at 128 rows, 3,110 at 1,024,
-# 3,540 at 2,048 and 6,200-6,500 whole. At 1,024 the 600-row default dataset
-# is one block, so training runs encode as before.
+# A block holds two hidden layers at once (1 MB at 1,024 x 64). On the 8,000-row
+# cohort (shared 2-core x86_64 host, numpy 2.4.6, OpenBLAS SkylakeX core, best
+# of 60 calls), blocks of 128 and 256 rows encoded in 2.9-3.1 ms, 512 to 2,048
+# in 2.2-2.7 and the whole cohort at once in 3.6-3.7; a load, score and evaluate
+# pass made 3,750 minor page faults at 128 rows, 3,870 at 1,024, 4,760-5,010 at
+# 2,048 and 6,410-6,430 whole. At 1,024 the 600-row default dataset is one block.
 ENCODE_BLOCK_ROWS = 1024
 
 
@@ -137,51 +136,37 @@ def forward(enc: EncoderParams, head: Layer, h: np.ndarray) -> ForwardCache:
 
 
 def encode(enc: EncoderParams, x) -> np.ndarray:
-    """Feature vectors only (no logits, no cache kept).
+    """Feature vectors only (no logits, no cache kept), with ``forward``'s bits.
 
     Validates once. A call of more than ``ENCODE_BLOCK_ROWS`` + 1 rows runs
-    the layers over row blocks (``_encode_blocks``); a shorter one makes one
-    array per layer: the matmul, with the bias and ReLU applied in place.
-    Either way a row gets the bits of ``forward``'s expressions.
+    the layers on blocks of that many rows from row 0, the last of 2 to one
+    more rows (one row would be a matrix-vector product, which rounds
+    differently), each block's features written into one preallocated output.
     """
     h = _as_batch(x, enc.input_dim)
-    if h.shape[0] > ENCODE_BLOCK_ROWS + 1:
-        return _encode_blocks(enc.layers, h)
-    last = len(enc.layers) - 1
-    for i, layer in enumerate(enc.layers):
+    n = h.shape[0]
+    if n <= ENCODE_BLOCK_ROWS + 1:
+        return _encode_rows(enc.layers, h)
+    out = np.empty((n, enc.feature_dim))
+    bounds = [*range(0, n - 1, ENCODE_BLOCK_ROWS), n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        _encode_rows(enc.layers, h[lo:hi], out[lo:hi])
+    return out
+
+
+def _encode_rows(layers: list[Layer], h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``encode``'s layers on validated rows: one array per layer, the last into ``out``.
+
+    Each layer is the matmul, with the bias and ReLU applied in place.
+    """
+    *hidden, final = layers
+    for layer in hidden:
         h = h @ layer.weight
         h += layer.bias
-        if i < last:
-            np.maximum(h, 0.0, out=h)
+        np.maximum(h, 0.0, out=h)
+    h = np.matmul(h, final.weight, out=out)
+    h += final.bias
     return h
-
-
-def _encode_blocks(layers: list[Layer], h: np.ndarray) -> np.ndarray:
-    """``encode``'s layers on validated rows, one block of rows at a time, into one output.
-
-    Blocks of ``ENCODE_BLOCK_ROWS`` rows from row 0, the last of 2 to one
-    more rows: a one-row block would be a matrix-vector product, which
-    rounds differently from the rows of a matrix product. Hidden layer ``i``
-    of a block is written into a C-ordered view of ``scratch[i % 2]``, the
-    last layer into the output, so the call holds two blocks of its widest
-    hidden layer beside its input and output.
-    """
-    n = h.shape[0]
-    bounds = [*range(0, n - 1, ENCODE_BLOCK_ROWS), n]
-    *hidden, final = layers
-    widths = [layer.weight.shape[1] for layer in hidden]
-    scratch = np.empty((2, (ENCODE_BLOCK_ROWS + 1) * max(widths, default=0)))
-    out = np.empty((n, final.weight.shape[1]))
-    for lo, hi in zip(bounds, bounds[1:]):
-        a = h[lo:hi]
-        for i, (layer, width) in enumerate(zip(hidden, widths)):
-            dest = scratch[i % 2, : (hi - lo) * width].reshape(hi - lo, width)
-            a = np.matmul(a, layer.weight, out=dest)
-            a += layer.bias
-            np.maximum(a, 0.0, out=a)
-        z = np.matmul(a, final.weight, out=out[lo:hi])
-        z += final.bias
-    return out
 
 
 def buffer(enc: EncoderParams, head: Layer) -> tuple[np.ndarray, list[np.ndarray]]:

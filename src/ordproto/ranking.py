@@ -20,8 +20,9 @@ import numpy as np
 
 
 def rank_rows(a: np.ndarray) -> np.ndarray:
-    """Descending competition rank of every row (last axis) of an array.
+    """Descending ordinal rank of every row (last axis) of an array.
 
+    Ties take consecutive ranks by position: [4, 2, 2, 1] ranks 1, 2, 3, 4.
     rank_rows(a)[r, i] = 1 + #{j : a[r, j] > a[r, i]} + #{j < i : a[r, j] = a[r, i]}.
     No validation: callers pass finite float rows.
     """

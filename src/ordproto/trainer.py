@@ -200,16 +200,14 @@ def _stacked_loop(
     grads, grad_views = buffer(enc, head)
 
     # The batch plan depends only on class counts, so every epoch has the
-    # same number of iterations and the schedule length is known up front.
+    # same number of iterations and the history length is known up front.
     # Every batch holds every class, so cls2cls needs no per-batch check,
     # and every seed's batch b has the same class slots.
     plan = _plan(config, labels, seeds, 0)
     total_iters = config.epochs * len(plan)
-    # Per iteration: (iteration, epoch, lr, lambda), and each seed's CE and
-    # structural terms; the history is assembled from them after the run.
-    schedule = []
-    ce_values = np.empty((total_iters, len(seeds)))
-    term_values = np.empty((total_iters, 3, len(seeds)))
+    # Each iteration writes its row of every seed's history as it runs;
+    # loss_total is filled in after the run.
+    history = np.empty((len(seeds), total_iters, len(HISTORY_COLUMNS)))
     # λ ramps linearly from lambda_start to lambda_end over the run's
     # iterations (or epochs), reaching lambda_end on the last one.
     span = config.lambda_end - config.lambda_start
@@ -241,18 +239,14 @@ def _stacked_loop(
                 anchors = ema_update(anchors, protos.means[:, ends], config.ema_sigma)
             except OrdprotoError as exc:
                 raise TrainingError(f"iteration {iteration}: {exc}", iteration) from exc
-            schedule.append((iteration, epoch, lr, lam))
-            ce_values[iteration - 1] = ce
-            term_values[iteration - 1] = terms
+            history[:, iteration - 1, :4] = iteration, epoch, lr, lam
+            history[:, iteration - 1, 5] = ce
+            history[:, iteration - 1, 6:] = terms.T
 
-    # The loop's own float operations, over all iterations at once:
+    # The loop's own float operations, over every row at once:
     # loss_total = ce + lambda * (ins2ins + ins2cls + cls2cls).
-    history = np.empty((len(seeds), total_iters, len(HISTORY_COLUMNS)), dtype=np.float64)
-    history[:, :, :4] = schedule
-    hyb_values = term_values[:, 0] + term_values[:, 1] + term_values[:, 2]
-    history[:, :, 4] = (ce_values + history[0, :, 3:4] * hyb_values).T
-    history[:, :, 5] = ce_values.T
-    history[:, :, 6:] = term_values.transpose(2, 0, 1)
+    h = history
+    h[:, :, 4] = h[:, :, 5] + h[:, :, 3] * (h[:, :, 6] + h[:, :, 7] + h[:, :, 8])
     return [
         TrainResult(
             *seed_params(enc, head, row),

@@ -45,7 +45,12 @@ def _sizes(block: int) -> list[int]:
     return [block - 1, block, block + 1, 3 * block + 7]
 
 
-@pytest.mark.parametrize("rows", _sizes(ENCODE_BLOCK_ROWS) + [8000])
+# Besides the shared sizes: no row, one row, the shortest call that walks
+# blocks (its last block of 2 rows) and a last block of ENCODE_BLOCK_ROWS + 1.
+@pytest.mark.parametrize(
+    "rows",
+    [0, 1, *_sizes(ENCODE_BLOCK_ROWS), ENCODE_BLOCK_ROWS + 2, 2 * ENCODE_BLOCK_ROWS + 1, 8000],
+)
 def test_encode_equals_the_whole_array_oracle(model, rows):
     enc, _, cohort = model
     x = cohort.x[:rows]
@@ -61,7 +66,7 @@ def test_anchor_cosines_equal_the_whole_array_oracle(model, rows):
 
 @pytest.mark.parametrize("dims", [[16, 32], [16, 64, 64, 32], [5, 7, 3, 9, 4]])
 def test_encode_equals_the_oracle_at_any_depth(dims):
-    # No hidden layer, two, and three (the scratch blocks are used in turn).
+    # No hidden layer, two, and three.
     rng = np.random.default_rng(sum(dims))
     enc, _ = init_params(dims, 3, 0)
     for layer in enc.layers:
@@ -132,7 +137,7 @@ def test_encode_of_a_cohort_holds_its_output_and_one_block(model):
 
 def test_evaluate_on_of_a_cohort_holds_its_features_and_1_5_megabytes(model):
     enc, store, cohort = model
-    # Beside the cohort's features (2.05 MB): two blocks of a hidden layer
+    # Beside the cohort's features (2.05 MB): a block's two hidden layers
     # (1.05 MB) while encoding, then the cosines' sums and one block's
     # products. Two whole-cohort hidden layers alone take 8.2 MB.
     _, peak = _traced_peak(evaluate_on, enc, store, cohort)

@@ -305,11 +305,11 @@ class TestAgainstEarlierKernels:
 def test_scoring_call_budget(trained_run):
     # cProfile counts every Python-level call, numpy's Python wrappers
     # included; summing its entries counts every code object. Measured with
-    # numpy 2.4.6 on Python 3.11: 24.1 calls per 64-row
-    # progression_scores(encode(...)), the same as pstats' total (28.1 when
-    # each anchor norm was its own dot product, 79.1 when every call took
-    # four anchor norms through np.linalg.norm); the bound was set 5% above
-    # 28.1.
+    # numpy 2.4.6 on Python 3.11: 26.1 calls per 64-row
+    # progression_scores(encode(...)), the same as pstats' total (24.1 before
+    # encode and anchor_cosines learned to walk row blocks, 28.1 when each
+    # anchor norm was its own dot product, 79.1 when every call took four
+    # anchor norms through np.linalg.norm); the bound was set 5% above 28.1.
     result, cohort, _ = trained_run
     x64 = cohort.x[:64]
     progression_scores(encode(result.encoder, x64), result.store)

@@ -9,6 +9,7 @@ bit for bit, and fail the same way.
 from __future__ import annotations
 
 import cProfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,15 +216,16 @@ def test_call_budget(default_view):
     # cProfile counts every Python-level call, numpy's Python wrappers
     # included; summing its entries counts every code object (pstats files
     # every dataclass __init__ under one key and keeps only one count).
-    # Measured with numpy 2.4.6 on Python 3.11: 120.2 calls per iteration
-    # for a 1-epoch default run, 1.5 of them building the TrainConfig once
-    # per run, its field type checks included (120.4 before GenConfig shared
-    # those checks; in pstats' count: 117.9 before those checks, 121.2
-    # while the losses returned a result dataclass, about 530 while the
-    # loop re-validated every batch). The bound, 1.3% above 120.4, leaves
-    # no room for a validating layer or a per-batch label table per
-    # iteration. The first run in a process also pays numpy's lazy
-    # imports, so one run goes first.
+    # Measured with numpy 2.4.6 on Python 3.11: 119.7 calls per iteration
+    # for a 1-epoch default run (120.8 while the loop kept each iteration's
+    # schedule in a list and copied it into the history after the run), 1.5
+    # of them building the TrainConfig once per run, its field type checks
+    # included (120.4 before GenConfig shared those checks; in pstats'
+    # count: 117.9 before those checks, 121.2 while the losses returned a
+    # result dataclass, about 530 while the loop re-validated every batch).
+    # The bound, 1.3% above 120.4, leaves no room for a validating layer or
+    # a per-batch label table per iteration. The first run in a process also
+    # pays numpy's lazy imports, so one run goes first.
     train(TrainConfig(epochs=1, seeds=(1,)), default_view, 1)
     profile = cProfile.Profile()
     profile.enable()
@@ -231,3 +233,25 @@ def test_call_budget(default_view):
     profile.disable()
     per_iteration = sum(e.callcount for e in profile.getstats()) / len(result.history.values)
     assert per_iteration <= 122
+
+
+def test_training_memory_grows_with_the_history_alone(default_view):
+    # The loop writes each iteration's row of the (S, iterations, 9) history
+    # in place and fills loss_total after the run, so five more epochs add
+    # about their history rows to the traced peak. Measured with numpy 2.4.6
+    # on Python 3.11: 1.05-1.06 times the history's growth; 2.03 when the
+    # loop kept a list of per-iteration tuples and two side arrays and copied
+    # them into the history after the run. The first run in a process also
+    # pays numpy's lazy imports, so one run goes first.
+    train(TrainConfig(epochs=1, seeds=(1,)), default_view, 1)
+    peaks, sizes = [], []
+    for epochs in (2, 7):
+        tracemalloc.start()
+        try:
+            result = train(TrainConfig(epochs=epochs, seeds=(1,)), default_view, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(result.history.values.nbytes)
+    growth, history_growth = peaks[1] - peaks[0], sizes[1] - sizes[0]
+    assert growth <= 1.5 * history_growth, (growth, history_growth)
