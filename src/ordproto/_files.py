@@ -43,15 +43,13 @@ def write_artifact(path, what: str, write) -> None:
 # equally fast; 1,024-row blocks raised train's peak RSS by 0.5 MB.
 CSV_BLOCK_ROWS = 128
 
-# Cells (rows times CSV columns) from which write_csv formats a table, and
-# load_dataset parses a dataset, in two processes (_fork_map). On a shared
-# 2-core x86_64 host a fork and wait of a 40 MB process took about 3 ms. A
-# split write of 20-column float tables broke even at 10,000-12,000 cells, a
-# split read of 20-column datasets at 30,000-40,000 (medians of 25
-# interleaved calls per size; the read at 160,000 cells: 86 ms serial, 62 ms
-# split). At 25,000 the default 600-row dataset (12,000 cells) and its
-# embeddings (21,600) are written and read serially; the 8,000-row cohort
-# (160,000) and the history of a 60-epoch run (48,600) are split.
+# Cells (rows times CSV columns) from which write_csv formats a table in two
+# processes (_fork_map). On a shared 2-core x86_64 host a fork and wait of a
+# 40 MB process took about 3 ms, and a split write of 20-column float tables
+# broke even at 10,000-12,000 cells (medians of 25 interleaved calls per
+# size). At 25,000 the default 600-row dataset (12,000 cells) and its
+# embeddings (21,600) are written serially; the 8,000-row cohort (160,000)
+# and the history of a 60-epoch run (48,600) are split.
 CSV_SPLIT_CELLS = 25_000
 
 
@@ -74,11 +72,6 @@ def _write_rows(fh, columns, start: int, stop: int) -> None:
             else:
                 fields.append(map(text, block.tolist()))
         fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
-
-
-def _split_pays(cells: int) -> bool:
-    """Whether a CSV table of ``cells`` cells is worth two processes: the one test of that."""
-    return cells >= CSV_SPLIT_CELLS and _usable_cores() > 1
 
 
 def _fork_map(tasks) -> list:
@@ -151,12 +144,13 @@ def write_csv(path, what: str, header, columns) -> None:
     break; for such tables the text is what ``csv.writer`` would write.
     Rows go out one block of ``CSV_BLOCK_ROWS`` at a time.
 
-    A table worth two processes (``_split_pays``) is formatted by two
-    (``_fork_map``): a forked child formats the rows from a block boundary
-    near the middle and returns their UTF-8 text, while this process writes
-    the rows before it; then that text is written after them. The bytes are
-    the same either way. If the child fails, ``DatasetIOError`` is raised
-    and neither the target nor a temp file is left.
+    A table of at least ``CSV_SPLIT_CELLS`` cells, on more than one usable
+    core, is formatted by two processes (``_fork_map``): a forked child
+    formats the rows from a block boundary near the middle and returns their
+    UTF-8 text, while this process writes the rows before it; then that
+    text is written after them. The bytes are the same either way. If the
+    child fails, ``DatasetIOError`` is raised and neither the target nor a
+    temp file is left.
     """
     n = len(columns[0])
     if any(len(column) != n for column in columns):
@@ -176,7 +170,7 @@ def write_csv(path, what: str, header, columns) -> None:
 
     def write(fh):
         fh.write(",".join(header) + "\n")
-        if not _split_pays(cells):
+        if cells < CSV_SPLIT_CELLS or _usable_cores() < 2:
             _write_rows(fh, columns, 0, n)
             return
         _, text = _fork_map([lambda: _write_rows(fh, columns, 0, split), tail])

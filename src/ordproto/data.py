@@ -12,14 +12,13 @@ sees a ``TrainingSet`` view, which physically lacks t and the fine label.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._files import CSV_BLOCK_ROWS, _fork_map, _split_pays, write_csv
+from ._files import CSV_BLOCK_ROWS, write_csv
 from .config import GenConfig
 from .errors import (
     BadConfigError,
@@ -273,12 +272,11 @@ def save_dataset(ds: SyntheticOrdinalDataset, path) -> None:
 def load_dataset(path) -> SyntheticOrdinalDataset:
     """Read a dataset CSV in the format ``save_dataset`` writes.
 
-    The body is parsed by ``np.loadtxt`` (``_bulk_columns``): one call, or
-    for a large file one call per half, the second half in a forked
-    process. When that parse is in any doubt, or its columns break a label
-    rule of ``_faults``, the per-row loop (``_row_columns``) parses the same
-    lines again; it alone words the errors, so every message and line number
-    is the same on either path. A non-finite value is refused after every
+    The body is parsed by one ``np.loadtxt`` call (``_bulk_columns``). When
+    that parse is in any doubt, or its columns break a label rule of
+    ``_faults``, the per-row loop (``_row_columns``) parses the same lines
+    again; it alone words the errors, so every message and line number is
+    the same on either path. A non-finite value is refused after every
     line parses, from the ``_faults`` of the columns either path gives.
     """
     try:
@@ -342,21 +340,14 @@ def _faults(coarse, fine, latent_t, x) -> list:
 
 
 def _bulk_columns(lines: list[str], dim: int):
-    """coarse, fine, latent_t and x from ``np.loadtxt``, or None.
-
-    The body is parsed by one ``loadtxt`` call (``_parse``), or, when it is
-    worth two processes (``_files._split_pays``), by two of them
-    (``_files._fork_map``): a forked child parses the second half of the
-    lines and returns its table while this process parses the first half.
-    The arrays are the same either way.
+    """coarse, fine, latent_t and x from one ``np.loadtxt`` call on the body, or None.
 
     Returns None, and leaves the file to ``_row_columns``, whenever the
     result might differ from that loop's: for a body with no lines; for
     text that ``csv`` and ``loadtxt`` may split differently (a quote, a
     carriage return outside a CRLF, or a NUL, which the ``U`` dtype drops
-    from the end of a field); when ``loadtxt`` raises or warns on either
-    half (some numpy versions read ``1.0`` as an integer with only a
-    DeprecationWarning) or the child cannot run or exits without a result;
+    from the end of a field); when ``loadtxt`` raises or warns (some numpy
+    versions read ``1.0`` as an integer with only a DeprecationWarning);
     and unless every line became a row (``loadtxt`` skips blank lines) with
     its index as its id.
     """
@@ -366,13 +357,13 @@ def _bulk_columns(lines: list[str], dim: int):
     row = np.dtype(
         [("id", "i8"), ("coarse", "i8"), ("fine", "U12"), ("latent_t", "f8"), ("x", "f8", (dim,))]
     )
-    cells = n * (len(_FIXED_COLUMNS) + dim)  # as write_csv counts them
-    # The child parses lines[1 + n // 2:]; both halves hold lines when n >= 2.
-    bounds = [1, 1 + n // 2, n + 1] if n >= 2 and _split_pays(cells) else [1, n + 1]
-    halves = [functools.partial(_parse, lines, a, b, row) for a, b in zip(bounds, bounds[1:])]
     try:
-        table = np.concatenate(_fork_map(halves))
-    except (ValueError, OverflowError, Warning, OSError):  # OSError: fork, temp file, child
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                lines[1:], dtype=row, delimiter=",", comments=None, quotechar=None, ndmin=1
+            )
+    except (ValueError, OverflowError, Warning):
         return None
     # Ids 0..n-1 also mean that no line was skipped.
     if not np.array_equal(table["id"], np.arange(n)):
@@ -394,15 +385,6 @@ def _plain(lines: list[str]) -> bool:
         if "\r" in text and text.count("\r") != text.count("\r\n"):
             return False
     return True
-
-
-def _parse(lines: list[str], start: int, stop: int, row: np.dtype) -> np.ndarray:
-    """``lines[start:stop]`` as ``row`` records, by one ``np.loadtxt`` call; a warning raises."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        return np.loadtxt(
-            lines[start:stop], dtype=row, delimiter=",", comments=None, quotechar=None, ndmin=1
-        )
 
 
 def _row_columns(rows: list[list[str]], n_fields: int):

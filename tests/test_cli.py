@@ -1007,8 +1007,40 @@ def _entry_paths(node, path=()):
             yield from _entry_paths(child, (*path, key))
 
 
+# What a corpus mutation writes in place of a dataset CSV field; "1.5" goes
+# to an integer column (id or coarse_label), every other value to any column.
+FIELD_MUTATIONS = ("1e308", "-1e308", "1e400", "nan", "inf", "", "x", "1.5", "0", '"')
+LINE_MUTATIONS = ("drop field", "add field", "drop line", "duplicate line", "blank line")
+
+
+def _mutated_csv(text: str, rng: random.Random) -> tuple[str, str]:
+    """``text`` with one field replaced or one line edited, and a label naming the edit."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    fields = lines[i].split(",")
+    kind = rng.choice(("replace field",) * 2 + LINE_MUTATIONS)
+    if kind == "replace field":
+        value = rng.choice(FIELD_MUTATIONS)
+        j = rng.randrange(2) if value == "1.5" else rng.randrange(len(fields))
+        fields[j] = value
+        kind = f"field {j} <- {value!r}"
+    elif kind == "drop field":
+        del fields[rng.randrange(len(fields))]
+    elif kind == "add field":
+        fields.insert(rng.randrange(len(fields) + 1), "0.5")
+    if kind == "drop line":
+        del lines[i]
+    elif kind == "duplicate line":
+        lines.insert(i, lines[i])
+    elif kind == "blank line":
+        lines.insert(i, "")
+    else:
+        lines[i] = ",".join(fields)
+    return "\n".join(lines) + "\n", f"line {i}: {kind}"
+
+
 class TestMutationCorpus:
-    """Seeded mutations of checkpoint.json and store.json, scored by eval and export-embeddings.
+    """Seeded mutations of the artifacts the scoring commands read, scored by eval and export-embeddings.
 
     Under default warnings and with RuntimeWarning an error, each command
     exits 0, 3, 4 or 5, with the same code under both filters; the two
@@ -1016,7 +1048,36 @@ class TestMutationCorpus:
     scores every row with a finite p_progressive in [0, 1].
     """
 
-    CASES = 160
+    ARTIFACT_CASES = 160
+    DATASET_CASES = 120
+
+    @staticmethod
+    def _score(inputs, out, label, rows):
+        codes = {}
+        for action in ("default", "error"):
+            for command, target in (("eval", "metrics.json"), ("export-embeddings", "emb.csv")):
+                with warnings.catch_warnings():
+                    warnings.simplefilter(action, RuntimeWarning)
+                    try:
+                        code = main([command, *inputs, "--out", str(out / target)])
+                    except Exception as exc:
+                        pytest.fail(f"{label}: {command} under {action} warnings: {exc!r}")
+                codes[action, command] = code
+                assert code in (EXIT_OK, EXIT_IO, EXIT_NUMERIC, EXIT_ARTIFACT), label
+                if code == EXIT_OK and command == "export-embeddings":
+                    lines = (out / target).read_text().splitlines()[1:]
+                    scores = np.array([float(line.rsplit(",", 1)[1]) for line in lines])
+                    assert scores.size == rows, label
+                    assert np.all((scores >= 0.0) & (scores <= 1.0)), label  # NaN fails too
+                written = [path.name for path in out.iterdir()]
+                assert written == ([target] if code == EXIT_OK else []), label
+                for path in out.iterdir():
+                    path.unlink()
+        assert codes["default", "eval"] == codes["error", "eval"], label
+        assert codes["default", "export-embeddings"] == codes["error", "export-embeddings"], label
+        assert (codes["default", "eval"] == EXIT_OK) == (
+            codes["default", "export-embeddings"] == EXIT_OK
+        ), label
 
     def test_mutated_artifacts(self, workspace, trained, capsys, tmp_path):
         rng = random.Random(16)
@@ -1025,7 +1086,7 @@ class TestMutationCorpus:
         entries = {name: list(_entry_paths(payload)) for name, payload in originals.items()}
         out = tmp_path / "out"
         out.mkdir()
-        for _ in range(self.CASES):
+        for _ in range(self.ARTIFACT_CASES):
             name = rng.choice(names)
             *parents, last = rng.choice(entries[name])
             value = rng.choice(MUTATIONS)
@@ -1041,30 +1102,19 @@ class TestMutationCorpus:
             paths[name].write_text(json.dumps(payload))
             inputs = [arg for n in names for arg in (f"--{n}", str(paths[n]))]
             inputs += ["--data", str(workspace / "data.csv")]
-
-            codes = {}
-            for action in ("default", "error"):
-                for command, target in (("eval", "metrics.json"), ("export-embeddings", "emb.csv")):
-                    with warnings.catch_warnings():
-                        warnings.simplefilter(action, RuntimeWarning)
-                        try:
-                            code = main([command, *inputs, "--out", str(out / target)])
-                        except Exception as exc:
-                            pytest.fail(f"{label}: {command} under {action} warnings: {exc!r}")
-                    codes[action, command] = code
-                    assert code in (EXIT_OK, EXIT_IO, EXIT_NUMERIC, EXIT_ARTIFACT), label
-                    if code == EXIT_OK and command == "export-embeddings":
-                        lines = (out / target).read_text().splitlines()[1:]
-                        scores = np.array([float(line.rsplit(",", 1)[1]) for line in lines])
-                        assert scores.size == 50, label
-                        assert np.all((scores >= 0.0) & (scores <= 1.0)), label  # NaN fails too
-                    written = [path.name for path in out.iterdir()]
-                    assert written == ([target] if code == EXIT_OK else []), label
-                    for path in out.iterdir():
-                        path.unlink()
+            self._score(inputs, out, label, rows=50)
             capsys.readouterr()
-            assert codes["default", "eval"] == codes["error", "eval"], label
-            assert codes["default", "export-embeddings"] == codes["error", "export-embeddings"], label
-            assert (codes["default", "eval"] == EXIT_OK) == (
-                codes["default", "export-embeddings"] == EXIT_OK
-            ), label
+
+    def test_mutated_datasets(self, workspace, trained, capsys, tmp_path):
+        rng = random.Random(30)
+        original = (workspace / "data.csv").read_text()
+        data = tmp_path / "data.csv"
+        inputs = ["--checkpoint", str(trained / "checkpoint.json")]
+        inputs += ["--store", str(trained / "store.json"), "--data", str(data)]
+        out = tmp_path / "out"
+        out.mkdir()
+        for _ in range(self.DATASET_CASES):
+            text, label = _mutated_csv(original, rng)
+            data.write_text(text)
+            self._score(inputs, out, label, rows=len(text.splitlines()) - 1)
+            capsys.readouterr()

@@ -9,6 +9,7 @@ bit for bit, and fail the same way.
 from __future__ import annotations
 
 import cProfile
+import gc
 import tracemalloc
 
 import numpy as np
@@ -242,10 +243,14 @@ def test_training_memory_grows_with_the_history_alone(default_view):
     # on Python 3.11: 1.05-1.06 times the history's growth; 2.03 when the
     # loop kept a list of per-iteration tuples and two side arrays and copied
     # them into the history after the run. The first run in a process also
-    # pays numpy's lazy imports, so one run goes first.
+    # pays numpy's lazy imports, so one run goes first. A full collection
+    # empties CPython's tuple free lists before each traced run; from a warm
+    # free list a per-iteration list of tuples is partly untraced (1,500
+    # 4-tuples traced 172 KB warm, 280 KB after gc.collect()).
     train(TrainConfig(epochs=1, seeds=(1,)), default_view, 1)
     peaks, sizes = [], []
     for epochs in (2, 7):
+        gc.collect()
         tracemalloc.start()
         try:
             result = train(TrainConfig(epochs=epochs, seeds=(1,)), default_view, 1)
